@@ -73,19 +73,9 @@ void complete_per_layer(outcome& out);
 /// Nearest-rank percentile, q in [0, 1]; 0 for an empty sample.
 [[nodiscard]] double percentile(std::vector<double> values, double q);
 /// Figures come from the quietest decile of short measurements (runs, or
-/// windows of requests), so a neighbour's burst on a shared host does not
+/// 50 ms windows), so a neighbour's burst on a shared host does not
 /// read as a regression; a slower program moves every decile.
 inline constexpr double quiet_quantile = 0.1;
-
-/// The median of each run of `window` consecutive samples (a shorter tail
-/// is dropped).
-[[nodiscard]] std::vector<double> window_medians(const std::vector<double>& samples,
-                                                 std::size_t window);
-
-/// The median of each run of `window` consecutive samples, then the
-/// quiet_quantile of those medians: the median latency of the quietest
-/// windows.  With fewer than `window` samples, the plain median.
-[[nodiscard]] double quiet_median(const std::vector<double>& samples, std::size_t window);
 
 /// The host's current speed relative to a quiet reference host: a fixed
 /// compute kernel of the benchmark's own (small complex matrix products,

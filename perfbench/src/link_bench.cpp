@@ -2,8 +2,7 @@
 //
 // End-to-end run (--trace 0): cycles of link::run_link_simulation on a
 // fixed batch of uses for each of 8 input seeds, at 1 and then 2 worker
-// threads, followed by windows of slot-sized calls at 1 thread (the latency
-// figure).  Every batch run is compared with its seed's first run: its
+// threads.  Every run is compared with its seed's first run: its
 // deterministic statistics (BER counts, exact frames, ML cost sum, bursts,
 // coded frame errors, ARQ counters) must match bit for bit.
 //
@@ -50,21 +49,19 @@ struct link_workload {
     const char* fec;      ///< code spec, nullptr = uncoded
     const char* arq;      ///< ARQ spec, nullptr = open loop
     std::size_t rep_uses;   ///< uses per timed run_link_simulation call
-    std::size_t slot_uses;  ///< uses per slot-latency call
     std::size_t warm_uses;  ///< uses per warm-up call in each set-up
 };
 
 constexpr link_workload link_workloads[] = {
-    {"link_linear", "zf,mmse,kbest", nullptr, nullptr, nullptr, 4096, 64, 512},
-    {"link_hybrid", "tabu,gsra:reads=8", nullptr, nullptr, nullptr, 256, 8, 32},
+    {"link_linear", "zf,mmse,kbest", nullptr, nullptr, nullptr, 4096, 512},
+    {"link_hybrid", "tabu,gsra:reads=8", nullptr, nullptr, nullptr, 256, 32},
     {"link_coded_arq", "mmse,kbest", "jakes:doppler_hz=5,est_err=0.02", "k7",
-     "deadline_us=auto,max_retx=2,combining=chase", 1024, 64, 128},
+     "deadline_us=auto,max_retx=2,combining=chase", 1024, 128},
 };
 
 constexpr std::size_t setup_rounds = 7;
 constexpr std::size_t batch_seed_cycle = 8;   ///< input seeds of the throughput batches
 constexpr std::size_t min_batch_cycles = 3;
-constexpr std::size_t slot_window = 64;       ///< slot calls per latency window
 
 link::link_config make_config(const link_workload& w, std::uint64_t seed, std::size_t uses,
                               std::size_t threads) {
@@ -528,7 +525,6 @@ link::link_report traced_link(const link::link_config& config, layer_clock& clk)
 
 struct sizes {
     std::size_t rep = 0;
-    std::size_t slot = 0;
     std::size_t warm = 0;
     std::size_t batch_seeds = batch_seed_cycle;
     std::size_t min_cycles = min_batch_cycles;
@@ -540,8 +536,8 @@ double timed_s(const auto& call) {
     return seconds_since(t0);
 }
 
-/// The k-th input seed of a run: inputs vary across batches and slots, so a
-/// run's figures average over channel realisations.
+/// The k-th input seed of a run: inputs vary across batches, so a run's
+/// figures average over channel realisations.
 std::uint64_t input_seed(std::uint64_t seed, std::size_t k) {
     return util::rng(seed).derive(k).seed();
 }
@@ -560,11 +556,9 @@ outcome link_end_to_end(const link_workload& w, const sizes& n, const options& o
         }));
     }
 
-    // Each cycle runs every batch seed at 1 then 2 threads, then windows of
-    // slot calls (1 thread, a fresh input seed per call) for two thirds of
-    // the batches' time, so both measurements sample the whole run.  Times
-    // are corrected by the host speed measured before each cycle.  Every
-    // batch run must reproduce its seed's first run exactly.
+    // Each cycle runs every batch seed at 1 then 2 threads; times are
+    // corrected by the host speed measured before the cycle.  Every run must
+    // reproduce its seed's first run exactly.
     std::vector<std::vector<double>> wall[2];
     std::vector<link::link_config> configs[2];
     for (std::size_t t = 0; t < 2; ++t) {
@@ -574,13 +568,11 @@ outcome link_end_to_end(const link_workload& w, const sizes& n, const options& o
         }
     }
     std::vector<std::optional<std::vector<std::uint64_t>>> reference(n.batch_seeds);
-    std::vector<double> slot_us;
     std::vector<double> speeds;  ///< per cycle
     const clock::time_point start = clock::now();
     std::size_t cycles = 0;
     for (; cycles < n.min_cycles || seconds_since(start) < opt.seconds; ++cycles) {
         const double speed = speeds.emplace_back(host_speed());
-        const clock::time_point batches_start = clock::now();
         for (std::size_t k = 0; k < n.batch_seeds; ++k) {
             for (std::size_t t = 0; t < 2; ++t) {
                 std::optional<link::link_report> report;
@@ -597,20 +589,6 @@ outcome link_end_to_end(const link_workload& w, const sizes& n, const options& o
                 out.check(fp == *reference[k]);
             }
         }
-        const double slots_budget_s = seconds_since(batches_start) * 2.0 / 3.0;
-        const clock::time_point slots_start = clock::now();
-        do {
-            for (std::size_t i = 0; i < slot_window; ++i) {
-                const std::size_t index = n.batch_seeds + slot_us.size();
-                const link::link_config config =
-                    make_config(w, input_seed(opt.seed, index), n.slot, 1);
-                std::optional<link::link_report> report;
-                slot_us.push_back(1e6 * speed * timed_s([&] {
-                    report.emplace(link::run_link_simulation(config));
-                }));
-                out.check(complete(*report, n.slot));
-            }
-        } while (seconds_since(slots_start) < slots_budget_s);
     }
 
     // Throughput from each seed's fastest-decile run, summed over the seeds:
@@ -622,7 +600,6 @@ outcome link_end_to_end(const link_workload& w, const sizes& n, const options& o
         return static_cast<double>(n.rep * n.batch_seeds) / seconds;
     };
     out.add("uses_per_s", rate(0, quiet_quantile), "uses/s");
-    out.add("lat_p50_us", quiet_median(slot_us, slot_window), "us");
     out.add("setup_s", median(setup_s), "s");
     out.add("peak_rss_mb", peak_rss_mb(), "MB");
     // Two threads are checked for correctness but not gated: their speed-up
@@ -633,13 +610,9 @@ outcome link_end_to_end(const link_workload& w, const sizes& n, const options& o
     out.note("host_speed.median", median(speeds), "ratio");
     out.note("host_speed.min", percentile(speeds, 0.0), "ratio");
     out.note("host_speed.max", percentile(speeds, 1.0), "ratio");
-    out.note("lat_p50_us.all_slots", median(slot_us), "us");
-    out.note("lat_p99_us.all_slots", percentile(slot_us, 0.99), "us");
     out.note("uses_per_batch", static_cast<double>(n.rep), "uses");
     out.note("batch_seeds", static_cast<double>(n.batch_seeds), "seeds");
     out.note("runs_per_seed_and_thread_count", static_cast<double>(cycles), "runs");
-    out.note("uses_per_slot", static_cast<double>(n.slot), "uses");
-    out.note("slot_samples", static_cast<double>(slot_us.size()), "samples");
     return out;
 }
 
@@ -755,10 +728,10 @@ outcome run_link(const options& opt) {
         if (opt.workload == candidate.name) w = &candidate;
     }
     if (w == nullptr) throw std::invalid_argument("unknown link workload '" + opt.workload + "'");
-    sizes n{.rep = w->rep_uses, .slot = w->slot_uses, .warm = w->warm_uses};
+    sizes n{.rep = w->rep_uses, .warm = w->warm_uses};
     if (opt.tiny) {
         // Whole 8-use coded frames; a handful of runs.
-        n = sizes{.rep = 64, .slot = 8, .warm = 16, .batch_seeds = 2, .min_cycles = 2};
+        n = sizes{.rep = 64, .warm = 16, .batch_seeds = 2, .min_cycles = 2};
     }
     return opt.trace ? link_per_layer(*w, n, opt) : link_end_to_end(*w, n, opt);
 }

@@ -31,20 +31,6 @@ double percentile(std::vector<double> values, double q) {
     return values[index];
 }
 
-std::vector<double> window_medians(const std::vector<double>& samples, std::size_t window) {
-    std::vector<double> medians;
-    for (std::size_t lo = 0; lo + window <= samples.size(); lo += window) {
-        medians.push_back(median({samples.begin() + static_cast<std::ptrdiff_t>(lo),
-                                  samples.begin() + static_cast<std::ptrdiff_t>(lo + window)}));
-    }
-    return medians;
-}
-
-double quiet_median(const std::vector<double>& samples, std::size_t window) {
-    const std::vector<double> medians = window_medians(samples, window);
-    return medians.empty() ? median(samples) : percentile(medians, quiet_quantile);
-}
-
 namespace {
 
 /// The reference kernel's time on a quiet 4-vCPU x86-64 host (Release
@@ -128,6 +114,7 @@ const std::vector<std::pair<std::string, std::string>>& per_layer_metrics() {
         {"serve.busy_frac", "ratio"},
         {"serve.deadline_frac", "ratio"},
         {"serve.gen_late_us.p99", "us"},
+        {"serve.lat_p50_us", "us"},
         {"serve.lat_p99_us", "us"},
         {"serve.sustained_rps", "req/s"},
     };

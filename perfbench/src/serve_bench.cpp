@@ -7,14 +7,14 @@
 // the time it went out, so a stall is charged to every request it delays.
 // Requests are "kbest", 8 uses each, with soft output.
 //
-// End-to-end run (--trace 0): 12 rounds, each on freshly started servers, of
+// End-to-end run (--trace 0): 12 rounds, each of
 //   1. capacity: closed loop, 16 requests outstanding per connection, against
 //      a 1-worker server (uses_per_s);
-//   2. slots: open loop at a fixed 2 x 1000 requests/s on the 2-worker
-//      server, one request per 1 ms slot per connection with a seeded phase
-//      offset (lat_p50_us).
-// Afterwards every slot response, and every fourth capacity response, is
-// recomputed with serve::run_batch: bits, ml_cost and LLRs must be identical.
+//   2. slots: open loop at a fixed 2 x 1000 requests/s on a 2-worker server,
+//      one request per 1 ms slot per connection with a seeded phase offset
+//      (latency, printed but not gated).
+// Afterwards every response is recomputed with serve::run_batch: bits,
+// ml_cost and LLRs must be identical.
 //
 // Traced run (--trace 1): one slots phase and the check, with spans, then
 // the ladder: open loop at fixed absolute rates, rising until a rung misses
@@ -50,9 +50,7 @@ constexpr std::size_t closed_window = 16;  ///< outstanding requests per connect
 constexpr double slot_rate_rps = 2000.0;   ///< 2 connections x one per 1 ms slot
 constexpr double ladder_rps[] = {2000, 4000, 6000, 8000, 10000, 12000, 14000, 16000};
 constexpr double ladder_p99_limit_us = 1000.0;
-constexpr std::size_t latency_window = 500;  ///< requests per lat_p50_us window (0.25 s)
 constexpr std::size_t setup_rounds = 7;
-constexpr std::uint64_t capacity_check_stride = 4;
 constexpr std::size_t warmup_requests = 32;  ///< per connection, per server
 
 serve::request make_request(std::uint64_t seed, std::uint64_t tenant, std::uint64_t seq) {
@@ -170,6 +168,8 @@ served_bank start_bank(std::size_t workers, std::uint64_t tenant_base, std::uint
         connection& conn = bank.conns.emplace_back(bank.server->port(), tenant_base + c);
         for (std::size_t i = 0; i < warmup_requests; ++i) {
             conn.send(make_request(seed, conn.tenant(), conn.next_seq++), off, unused);
+        }
+        for (std::size_t i = 0; i < warmup_requests; ++i) {
             const auto resp = conn.receive(off, unused);
             if (!resp || resp->state != serve::status::ok) {
                 throw std::runtime_error("serve warm-up request failed");
@@ -195,14 +195,6 @@ struct phase {
         return out;
     }
 };
-
-void spin_until(clock::time_point target) {
-    if (target - clock::now() > std::chrono::microseconds(200)) {
-        std::this_thread::sleep_until(target - std::chrono::microseconds(100));
-    }
-    while (clock::now() < target) {
-    }
-}
 
 double us_since(clock::time_point epoch) {
     return std::chrono::duration<double, std::micro>(clock::now() - epoch).count();
@@ -271,7 +263,8 @@ phase run_open(served_bank& bank, double rate_rps, double duration_s, std::uint6
     try {
         layer_total& encode = ph.clk.slot("serve.encode_request");
         for (const due& d : schedule) {
-            spin_until(epoch + std::chrono::nanoseconds(static_cast<std::int64_t>(d.t_us * 1e3)));
+            std::this_thread::sleep_until(
+                epoch + std::chrono::nanoseconds(static_cast<std::int64_t>(d.t_us * 1e3)));
             record& rec = ph.records[d.conn][d.index];
             rec.sent_us = us_since(epoch);
             bank.conns[d.conn].send(make_request(seed, rec.tenant, rec.seq), ph.clk, encode);
@@ -472,10 +465,9 @@ outcome serve_end_to_end(const options& opt, const durations& d) {
     }
 
     // Rounds of a capacity phase (1 worker) and a slot phase (2 workers), so
-    // that both measurements sample the whole run.  Each round's figures are corrected
-    // by the host speed measured before it, while the servers idle.
+    // that both sample the whole run.  Capacity rates are corrected by the
+    // host speed measured before each round, while the servers idle.
     std::vector<double> rates;
-    std::vector<double> latency_windows;
     std::vector<double> latency_us;
     std::vector<double> late_us;
     std::vector<phase> capacity;
@@ -483,34 +475,19 @@ outcome serve_end_to_end(const options& opt, const durations& d) {
     std::vector<double> speeds;
     for (std::size_t r = 0; r < d.rounds; ++r) {
         const double speed = speeds.emplace_back(host_speed());
-        if (r > 0) {
-            // A fresh server each round: its worker threads land on other
-            // cores, so one unlucky placement cannot set a whole run.
-            one = served_bank{};
-            two = served_bank{};
-            one = start_bank(1, 1 + 2 * num_connections * r, opt.seed);
-            two = start_bank(2, 1 + 2 * num_connections * r + num_connections, opt.seed);
-        }
         const phase& cap = capacity.emplace_back(run_closed(one, d.capacity_s, opt.seed));
         for (const double rate : window_rates(cap, d.capacity_s)) rates.push_back(rate / speed);
         const phase& slot = slots.emplace_back(
             run_open(two, slot_rate_rps, d.slots_s, opt.seed, r, false));
         const latency_summary s = summarize(slot);
-        for (const double m : window_medians(s.latency_us, latency_window)) {
-            latency_windows.push_back(m * speed);
-        }
         latency_us.insert(latency_us.end(), s.latency_us.begin(), s.latency_us.end());
         late_us.insert(late_us.end(), s.late_us.begin(), s.late_us.end());
     }
 
-    // Every slot response; every capacity_check_stride-th capacity response.
     std::vector<const record*> checked;
-    for (const phase& ph : slots) {
-        for (const record* r : ph.all()) checked.push_back(r);
-    }
-    for (const phase& ph : capacity) {
-        for (const record* r : ph.all()) {
-            if (r->seq % capacity_check_stride == 0) checked.push_back(r);
+    for (const auto* phases : {&capacity, &slots}) {
+        for (const phase& ph : *phases) {
+            for (const record* r : ph.all()) checked.push_back(r);
         }
     }
     layer_clock off(false);
@@ -518,16 +495,14 @@ outcome serve_end_to_end(const options& opt, const durations& d) {
 
     const double q = quiet_quantile;
     out.add("uses_per_s", percentile(rates, 1.0 - q), "uses/s");
-    out.add("lat_p50_us",
-            latency_windows.empty() ? median(latency_us) : percentile(latency_windows, q), "us");
     out.add("setup_s", median(setup_s), "s");
     out.add("peak_rss_mb", peak_rss_mb(), "MB");
     out.note("uses_per_s.median_window", median(rates), "uses/s");
     out.note("host_speed.median", median(speeds), "ratio");
     out.note("slot_rate", slot_rate_rps, "req/s");
     out.note("latency_samples", static_cast<double>(latency_us.size()), "samples");
-    out.note("lat_p50_us.all_requests", median(latency_us), "us");
-    out.note("lat_p99_us.all_requests", percentile(latency_us, 0.99), "us");
+    out.note("lat_p50_us", median(latency_us), "us");
+    out.note("lat_p99_us", percentile(latency_us, 0.99), "us");
     out.note("gen_late_us.p99", percentile(late_us, 0.99), "us");
     return out;
 }
@@ -583,6 +558,7 @@ outcome serve_per_layer(const options& opt, const durations& d) {
     out.add("serve.busy_frac", share(&serve::server_stats::rejected_busy), "ratio");
     out.add("serve.deadline_frac", share(&serve::server_stats::rejected_deadline), "ratio");
     out.add("serve.gen_late_us.p99", percentile(s.late_us, 0.99), "us");
+    out.add("serve.lat_p50_us", median(s.latency_us), "us");
     out.add("serve.lat_p99_us", percentile(s.latency_us, 0.99), "us");
     out.add("serve.sustained_rps", sustained, "req/s");
     for (const auto& [layer, lt] : clk.totals()) {
