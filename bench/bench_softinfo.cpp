@@ -23,6 +23,7 @@
 #include "detect/transform.h"
 #include "metrics/stats.h"
 #include "paths/registry.h"
+#include "paths/workspace.h"
 #include "qubo/brute_force.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -59,6 +60,7 @@ int main(int argc, char** argv) {
     const auto zf_path = hcq::paths::registry::make("zf");
 
     hcq::util::parallel_for(strengths.size(), [&](std::size_t k) {
+        hcq::paths::workspace ws;  // one per task: parallel_for runs tasks concurrently
         for (std::size_t i = 0; i < instances; ++i) {
             hcq::util::rng rng(hcq::util::rng(ctx.seed + 11 * k).derive(i)());
             wl::mimo_config config;
@@ -80,8 +82,8 @@ int main(int argc, char** argv) {
             // MSB-first — so llrs[u * bps + b] is bit b of user u, aligned
             // index-for-index with ml.bits.
             auto mq = dt::ml_to_qubo(inst);
-            auto det = zf_path->run({inst, nullptr, rng, nullptr});
-            zf_path->soft_output({inst, nullptr, rng, nullptr}, det);
+            auto det = zf_path->run({inst, nullptr, rng, &ws});
+            zf_path->soft_output({inst, nullptr, rng, &ws}, det);
             const auto& llrs = det.llrs;
             const std::size_t bps = wl::bits_per_symbol(inst.mod);
             std::size_t best_user = 0;

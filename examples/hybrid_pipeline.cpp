@@ -18,6 +18,7 @@
 
 #include "detect/transform.h"
 #include "paths/registry.h"
+#include "paths/workspace.h"
 #include "pipeline/pipeline.h"
 #include "util/cli.h"
 #include "util/table.h"
@@ -36,7 +37,8 @@ int main(int argc, char** argv) try {
     util::rng rng(4242);
     const auto instance = wireless::noiseless_paper_instance(rng, 8, wireless::modulation::qam16);
     const auto mq = detect::ml_to_qubo(instance);
-    const paths::path_context ctx{instance, &mq, rng};
+    paths::workspace ws;
+    const paths::path_context ctx{instance, &mq, rng, &ws};
     const auto measured = hybrid->run(ctx);
 
     double classical_us = 1.0;

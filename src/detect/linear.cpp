@@ -46,14 +46,7 @@ void zf_detector::detect_into(const wireless::mimo_instance& instance, detect_sc
                               detection_result& out) const {
     const util::timer clock;
     linear_scratch& s = scratch.linear;
-    // Coherence cache: an EXACTLY repeated channel (another attempt on the
-    // same use, or a static channel) reuses the QR factors; the
-    // factorisation is a pure function of H, so hits are output-invariant.
-    if (!s.zf_valid || !linalg::exactly_equal(instance.h, s.zf_key)) {
-        linalg::householder_qr_into(instance.h, s.ls.qr, s.ls.factors);
-        s.zf_key = instance.h;
-        s.zf_valid = true;
-    }
+    linalg::householder_qr_into(instance.h, s.ls.qr, s.ls.factors);
     linalg::herm_matvec_into(s.ls.factors.q, instance.y, s.ls.qhy);
     linalg::solve_upper_into(s.ls.factors.r, s.ls.qhy, s.soft);
     slice_to_result_into(instance, s.soft, scratch, out);
@@ -72,15 +65,10 @@ void mmse_detector::detect_into(const wireless::mimo_instance& instance, detect_
     const util::timer clock;
     linear_scratch& s = scratch.linear;
     const double load = instance.noise_variance / wireless::mean_symbol_energy(instance.mod);
-    if (!s.mmse_valid || s.mmse_load != load || !linalg::exactly_equal(instance.h, s.mmse_key)) {
-        linalg::gram_into(instance.h, s.gram);
-        for (std::size_t i = 0; i < s.gram.rows(); ++i) s.gram(i, i) += load;
-        linalg::cholesky_into(s.gram, s.lfac);
-        linalg::hermitian_into(s.lfac, s.lh);
-        s.mmse_key = instance.h;
-        s.mmse_load = load;
-        s.mmse_valid = true;
-    }
+    linalg::gram_into(instance.h, s.gram);
+    for (std::size_t i = 0; i < s.gram.rows(); ++i) s.gram(i, i) += load;
+    linalg::cholesky_into(s.gram, s.lfac);
+    linalg::hermitian_into(s.lfac, s.lh);
     linalg::herm_matvec_into(instance.h, instance.y, s.rhs);
     linalg::solve_lower_into(s.lfac, s.rhs, s.z);
     linalg::solve_upper_into(s.lh, s.z, s.soft);

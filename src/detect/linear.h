@@ -12,27 +12,15 @@
 
 namespace hcq::detect {
 
-/// Reusable intermediates of the linear detectors, including their
-/// decomposition caches.  A cache entry is reused only when the current
-/// channel matches the keyed copy EXACTLY (||H - H_key||_F == 0, tested
-/// elementwise by linalg::exactly_equal) — a repeated channel yields the
-/// identical factorisation, so cache hits are output-invariant by
-/// construction; any other channel recomputes from scratch.  Under
-/// correlated fading this amortises the QR / Cholesky preprocessing across
-/// the paths and retransmission attempts that share one channel use.
+/// Reusable intermediates of the linear detectors, rewritten every call.
 struct linear_scratch {
     // Zero-forcing: QR factors of H.
-    linalg::cmat zf_key;  ///< channel the cached `ls.factors` belong to
-    bool zf_valid = false;
     linalg::ls_scratch<linalg::cxd> ls;
 
-    // MMSE: Cholesky factor of H^H H + load I, keyed on (H, load).
-    linalg::cmat mmse_key;
-    double mmse_load = 0.0;
-    bool mmse_valid = false;
+    // MMSE: Cholesky factor of H^H H + load I.
     linalg::cmat gram;  ///< H^H H + load I
-    linalg::cmat lfac;  ///< cached Cholesky factor L
-    linalg::cmat lh;    ///< cached L^H
+    linalg::cmat lfac;  ///< Cholesky factor L
+    linalg::cmat lh;    ///< L^H
     linalg::cvec rhs;   ///< H^H y
     linalg::cvec z;     ///< forward-substitution intermediate
 

@@ -37,34 +37,25 @@ void stack_bpsk_embedding(const linalg::cmat& h, linalg::rmat& out) {
 const real_model& make_real_model_into(const wireless::mimo_instance& instance,
                                        lattice_scratch& scratch) {
     real_model& model = scratch.model;
-    const bool hit = scratch.valid && scratch.key_mod == instance.mod &&
-                     linalg::exactly_equal(instance.h, scratch.h_key);
-    if (!hit) {
-        model.mod = instance.mod;
-        model.num_users = instance.num_users;
-        model.quadrature = wireless::uses_quadrature(instance.mod);
-        const std::size_t bits_per_dim = wireless::bits_per_dimension(instance.mod);
-        const double max_amp = std::pow(2.0, static_cast<double>(bits_per_dim)) - 1.0;
-        model.alphabet.clear();
-        for (double a = -max_amp; a <= max_amp; a += 2.0) model.alphabet.push_back(a);
+    model.mod = instance.mod;
+    model.num_users = instance.num_users;
+    model.quadrature = wireless::uses_quadrature(instance.mod);
+    const std::size_t bits_per_dim = wireless::bits_per_dimension(instance.mod);
+    const double max_amp = std::pow(2.0, static_cast<double>(bits_per_dim)) - 1.0;
+    model.alphabet.clear();
+    for (double a = -max_amp; a <= max_amp; a += 2.0) model.alphabet.push_back(a);
 
-        if (model.quadrature) {
-            linalg::real_embedding_into(instance.h, scratch.a_real);
-            model.dims = 2 * instance.num_users;
-        } else {
-            stack_bpsk_embedding(instance.h, scratch.a_real);
-            model.dims = instance.num_users;
-        }
-        linalg::householder_qr_into(scratch.a_real, scratch.qr, scratch.factors);
-        model.r = scratch.factors.r;
-        scratch.q = scratch.factors.q;
-        scratch.h_key = instance.h;
-        scratch.key_mod = instance.mod;
-        scratch.valid = true;
+    if (model.quadrature) {
+        linalg::real_embedding_into(instance.h, scratch.a_real);
+        model.dims = 2 * instance.num_users;
+    } else {
+        stack_bpsk_embedding(instance.h, scratch.a_real);
+        model.dims = instance.num_users;
     }
-    // y_eff = Q^T y_real is per-use even when the factorisation is cached.
+    linalg::householder_qr_into(scratch.a_real, scratch.qr, scratch.factors);
+    model.r = scratch.factors.r;
     linalg::real_embedding_into(instance.y, scratch.y_real);
-    linalg::herm_matvec_into(scratch.q, scratch.y_real, model.y_eff);
+    linalg::herm_matvec_into(scratch.factors.q, scratch.y_real, model.y_eff);
     return model;
 }
 

@@ -29,20 +29,11 @@ struct real_model {
 };
 
 /// Reusable state of the tree-search detectors: the QR-preprocessed lattice
-/// model (cached on the exact channel content, so the tree searches sharing
-/// one channel use — K-best, sphere, FCSD, a K-best initialiser — factorise
-/// it once) plus the per-search traversal buffers.  Cache hits require
-/// ||H - H_key||_F == 0 (elementwise equality); an equal channel yields the
-/// identical factorisation, so hits are output-invariant by construction.
+/// model plus the per-search traversal buffers, rewritten every use.
 struct lattice_scratch {
-    // Cached model (only y_eff is per-use once the channel repeats).
     real_model model;
-    linalg::rmat q;  ///< cached Q of the embedded channel
-    linalg::cmat h_key;
-    wireless::modulation key_mod = wireless::modulation::bpsk;
-    bool valid = false;
 
-    // Rebuild intermediates.
+    // Model-building intermediates.
     linalg::rmat a_real;
     linalg::rvec y_real;
     linalg::qr_scratch<double> qr;
@@ -72,9 +63,8 @@ struct lattice_scratch {
 /// Builds the model for one instance (QR of the embedded channel).
 [[nodiscard]] real_model make_real_model(const wireless::mimo_instance& instance);
 
-/// make_real_model through the scratch's cache: factorises only when the
-/// (channel, modulation) key changed, recomputes y_eff every call, and
-/// returns the scratch-owned model.  Bit-identical to make_real_model.
+/// make_real_model into the scratch's buffers, returning the scratch-owned
+/// model.  Bit-identical to make_real_model.
 const real_model& make_real_model_into(const wireless::mimo_instance& instance,
                                        lattice_scratch& scratch);
 

@@ -3,16 +3,14 @@
 // The detection hot path used to allocate per call — QR intermediates,
 // QUBO reduction temporaries, beam copies, result vectors.  detect_scratch
 // gathers all of those into one reusable object: each detector's
-// detect_into override touches only the members it needs, every buffer is
-// resized in place (capacity-reusing), and the embedded decomposition caches
-// (linear_scratch, lattice_scratch) key on the EXACT channel content so a
-// cache hit is output-invariant by construction.  A warmed-up scratch makes
-// the built-in detectors allocation-free per use.
+// detect_into override touches only the members it needs and every buffer
+// is resized in place (capacity-reusing) and fully rewritten per use.  A
+// warmed-up scratch makes the built-in detectors allocation-free per use.
 //
-// Ownership: one detect_scratch per worker thread (see paths/workspace.h),
-// never shared concurrently.  Nothing in here affects detection OUTPUTS —
-// the golden link statistics are bit-identical with or without scratch
-// reuse, which tests/workspace_test.cpp pins.
+// Ownership: one detect_scratch per worker (see paths/workspace.h), never
+// shared concurrently.  Nothing in here affects detection OUTPUTS — the
+// golden link statistics are independent of which worker's scratch serves
+// a use, which tests/workspace_test.cpp pins.
 #ifndef HCQ_DETECT_SCRATCH_H
 #define HCQ_DETECT_SCRATCH_H
 
@@ -30,8 +28,8 @@ namespace hcq::detect {
 
 struct detect_scratch {
     qubo_scratch qubo;        ///< QuAMax reduction buffers + cached A matrix
-    linear_scratch linear;    ///< ZF / MMSE factorisation caches
-    lattice_scratch lattice;  ///< shared real-lattice model + tree buffers
+    linear_scratch linear;    ///< ZF / MMSE factorisation buffers
+    lattice_scratch lattice;  ///< real-lattice model + tree buffers
 
     // SIC per-iteration state.
     linalg::ls_scratch<linalg::cxd> ls;  ///< least squares on the restricted channel

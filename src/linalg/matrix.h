@@ -344,21 +344,6 @@ void axpy(T alpha, const T* x, T* y, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
-/// True when a and b have the same shape and every element compares exactly
-/// equal — the ||A - B||_F == 0 staleness test of the decomposition caches,
-/// with early exit on the first differing element.
-template <typename T>
-[[nodiscard]] bool exactly_equal(const basic_matrix<T>& a, const basic_matrix<T>& b) {
-    if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-    const std::size_t n = a.rows() * a.cols();
-    const T* pa = a.data();
-    const T* pb = b.data();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (pa[i] != pb[i]) return false;
-    }
-    return true;
-}
-
 }  // namespace hcq::linalg
 
 #endif  // HCQ_LINALG_MATRIX_H

@@ -1,21 +1,15 @@
 #include "link/link_sim.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
-#include <thread>
-#include <unordered_map>  // hcq-lint: allow(unordered-container) pure-lookup thread registry
 
 #include "fec/codec.h"
 #include "metrics/stats.h"
 #include "paths/registry.h"
 #include "paths/workspace.h"
-#include "util/sync.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 #include "wireless/mimo.h"
@@ -29,7 +23,7 @@ namespace {
 // values live in link_sim.h (stream_domains) because the serving front end
 // derives from the same domains to reproduce served batches bit-for-bit.
 //
-// ARQ retransmission streams: attempt r of frame u draws from
+// ARQ retransmission streams: attempt r of use u draws from
 // derive(arq_*_domain).derive(u [* num_paths + p]).derive(r) — globally
 // indexed, so ARQ counters inherit the thread-count / stream-block
 // invariance, and disjoint from the open-loop streams, so enabling
@@ -114,77 +108,43 @@ pipeline::simulation_result replay_traces(const path_report& path, const link_co
                               setup.options);
 }
 
-/// Per-(use, path) outcome of the streaming ARQ chain, filled by the pool
-/// workers and folded serially.  Memory is O(stream_block x paths x
-/// max_retx) — constant in num_uses.
-struct arq_cell {
+/// Per-(frame, path) outcome of the frame chain — the attempt-0 verdict plus
+/// the ARQ retransmissions when engaged — filled by the pool workers and
+/// folded serially.  An uncoded frame is one channel use.  Memory is
+/// O(frames-per-window x paths), constant in num_uses.
+struct frame_cell {
+    qubo::bit_vector decoded0;  ///< attempt-0 decoded information bits (coded frames)
     std::size_t attempts = 1;   ///< transmissions incl. retransmissions
-    std::size_t wrong = 0;      ///< attempts with wrong detected bits
+    std::size_t wrong = 0;      ///< attempts judged wrong
     bool first_ok = true;
     bool final_ok = true;
     std::vector<double> retx_service_us;  ///< measured service per retransmission
 };
 
-/// Per-(frame, path) outcome of the coded link — the attempt-0 decode plus
-/// the hybrid-ARQ chain when engaged — filled by the pool workers and folded
-/// serially.  Memory is O(frames-per-window x paths), constant in num_uses.
-struct fec_cell {
-    qubo::bit_vector decoded0;  ///< attempt-0 decoded information bits
-    std::size_t attempts = 1;   ///< transmissions incl. retransmissions
-    std::size_t wrong = 0;      ///< attempts whose decode came out wrong
-    bool first_ok = true;
-    bool final_ok = true;
-    std::vector<double> retx_service_us;  ///< measured service per retransmission
-};
+/// Everything one pool slot reuses across windows.  util::thread_pool::
+/// for_each_slot hands a slot to one thread at a time, so none of this is
+/// locked; and none of it is a statistic — which slot runs a cell never
+/// changes what the cell computes.
+struct worker {
+    paths::workspace ws;
+    std::optional<fec::codec> codec;     ///< coded links: trellis tables + decode scratch
+    std::vector<std::uint8_t> use_bits;  ///< one use's zero-padded coded bits
+    std::vector<double> llrs;            ///< one attempt's frame LLRs
+    std::vector<double> combined_llrs;   ///< chase-combining accumulator
+    std::vector<std::uint8_t> decoded;   ///< retransmission decode
 
-/// Per-worker FEC state: the codec (trellis tables + decode scratch — NOT
-/// thread-safe) plus the frame-assembly buffers.  Handed out per thread by
-/// codec_store, mirroring paths::workspace_store: acquire once, then work
-/// lock-free.  Holds no statistic — which worker decodes a frame never
-/// changes the (deterministic) decode.
-struct fec_worker {
-    explicit fec_worker(const fec::code_spec& spec) : codec(spec) {}
-    fec::codec codec;
-    std::vector<std::uint8_t> use_bits;   ///< one use's zero-padded coded bits
-    std::vector<double> frame_llrs;       ///< assembled attempt-0 frame LLRs
-    std::vector<double> attempt_llrs;     ///< one retransmission's frame LLRs
-    std::vector<double> combined_llrs;    ///< chase-combining accumulator
-    std::vector<std::uint8_t> decoded;    ///< retransmission decode scratch
-};
+    /// The current frame's retransmitted uses, attempt-major
+    /// ([(r - 1) * uses_per_frame + j]): synthesised once per attempt and
+    /// reduced at most once, however many paths retransmit the frame.
+    std::vector<wireless::mimo_instance> retx_instances;
+    std::vector<detect::ml_qubo> retx_mqs;
+    std::vector<double> retx_reduce_us;
+    std::size_t attempts_synthesized = 0;          ///< of the current frame
+    std::size_t attempts_reduced = 0;              ///< of the current frame
+    std::vector<paths::path_result> retx_results;  ///< one attempt's per-use results
 
-std::uint64_t next_codec_store_id() {
-    static std::atomic<std::uint64_t> counter{0};
-    return ++counter;
-}
-
-/// One fec_worker per thread, created lazily on first request (same shape as
-/// paths::workspace_store; see its header for the determinism argument).
-class codec_store {
-public:
-    explicit codec_store(const fec::code_spec& spec)
-        : id_(next_codec_store_id()), spec_(spec) {}
-    codec_store(const codec_store&) = delete;
-    codec_store& operator=(const codec_store&) = delete;
-
-    [[nodiscard]] fec_worker& local() HCQ_EXCLUDES(mutex_) {
-        thread_local std::uint64_t cached_id = 0;
-        thread_local fec_worker* cached = nullptr;
-        if (cached_id == id_ && cached != nullptr) return *cached;
-        const util::mutex_lock lock(mutex_);
-        std::unique_ptr<fec_worker>& slot = by_thread_[std::this_thread::get_id()];
-        if (slot == nullptr) slot = std::make_unique<fec_worker>(spec_);
-        cached_id = id_;
-        cached = slot.get();
-        return *slot;
-    }
-
-private:
-    const std::uint64_t id_;  ///< globally unique, never reused
-    const fec::code_spec spec_;
-    util::mutex mutex_;
-    // hcq-lint: allow(unordered-container) pure per-thread lookup, never iterated
-    std::unordered_map<std::thread::id, std::unique_ptr<fec_worker>> by_thread_
-        HCQ_GUARDED_BY(mutex_);
+    std::vector<util::rng> rngs;            ///< one detection batch's solve streams
+    std::vector<paths::path_context> ctxs;  ///< one detection batch's contexts
 };
 
 /// Coded bits of use `j` of a frame, zero-padded to a whole channel use (the
@@ -326,24 +286,22 @@ link_report run_link_simulation(const link_config& config) {
     const util::rng arq_solve_base = util::rng(config.seed).derive(arq_solve_domain);
     const util::rng fec_base = util::rng(config.seed).derive(fec_stream_domain);
 
-    // Realistic-channel spec resolution: one frozen channel realisation per
-    // run (correlated taps drawn from the dedicated fading domain), plus the
-    // spec's SNR override and CSI estimation-error variance.  nullopt keeps
-    // the legacy draw_channel path — and its byte stream — untouched.
-    const double snr_db = (config.channel_spec && config.channel_spec->snr_db)
-                              ? *config.channel_spec->snr_db
-                              : config.snr_db;
-    const double csi_est_err = config.channel_spec ? config.channel_spec->est_err : 0.0;
-    std::unique_ptr<const wireless::channel_process> process;
-    if (config.channel_spec) {
-        process = wireless::make_channel_process(
-            *config.channel_spec, config.num_users, config.num_users,
-            util::rng(config.seed).derive(fading_stream_domain));
-    }
+    // Channel resolution: one frozen realisation per run (correlated taps
+    // drawn from the dedicated fading domain), plus the spec's SNR override
+    // and CSI estimation-error variance.  With no spec, the i.i.d. process
+    // of `config.channel` stands in — byte-identical to the plain channel
+    // draw by the channel_spec.h contract — so every synthesis is one call.
+    const wireless::channel_spec channel =
+        config.channel_spec ? *config.channel_spec
+                            : wireless::channel_spec::parse(wireless::to_string(config.channel));
+    const auto process = wireless::make_channel_process(
+        channel, config.num_users, config.num_users,
+        util::rng(config.seed).derive(fading_stream_domain));
 
-    // Coded-link geometry.  One coded frame (rows x cols interleaved bits)
-    // spans ceil(coded_bits / bits_per_use) consecutive channel uses with the
-    // final use zero-padded; the stream must carry whole frames.
+    // Frame geometry.  An uncoded frame is one channel use.  One coded frame
+    // (rows x cols interleaved bits) spans ceil(coded_bits / bits_per_use)
+    // consecutive channel uses with the final use zero-padded; the stream
+    // must carry whole frames.
     const bool coded = config.fec.has_value();
     const std::size_t bits_per_use = config.num_users * wireless::bits_per_symbol(config.mod);
     const std::size_t coded_bits = coded ? config.fec->coded_bits() : 0;
@@ -356,64 +314,46 @@ link_report run_link_simulation(const link_config& config) {
             "' spans " + std::to_string(uses_per_frame) + " uses per frame at " +
             std::to_string(bits_per_use) + " bits per use");
     }
+    const std::size_t max_retx = config.arq ? config.arq->max_retx : 0;
+    const bool chase = config.arq && config.arq->combining == arq::combining_mode::chase;
 
-    // The stream is processed in fixed-size windows, each in three phases
-    // with a barrier between them: (A) synthesise every use and build the
-    // shared QUBO reductions block-at-a-time (per coded FRAME when FEC is
-    // on: the frame's info bits are drawn, encoded, and spread over its
-    // uses), (B) run every (path, use) detection cell batched through
-    // detection_path::run_block — plus the explicit soft_output call when
-    // FEC is on — and (C) run the ARQ retransmission chains (per use when
-    // uncoded; per coded frame, with chase combining, when FEC is on).
-    // Workers fill disjoint slots in parallel, then the window is folded
-    // serially in use order into the constant-size aggregates above.  All
-    // buffers below persist across windows, so after the first window the
-    // steady state reuses their capacity; peak memory is
-    // O(stream_block x paths), independent of num_uses.
-    std::size_t block = std::min(config.stream_block, config.num_uses);
-    if (coded) {
-        // Whole frames per window: round the block down to a frame multiple
-        // (at least one frame).  Pure scheduling — every draw, solve, and
-        // decode is indexed by its GLOBAL use/frame index, so the rounding
-        // affects no statistic (the invariance tests cover coded runs).
-        block = std::max(uses_per_frame, block / uses_per_frame * uses_per_frame);
-    }
+    // The stream is processed in fixed-size windows of whole frames, each in
+    // three phases with a barrier between them: (A) synthesise every frame's
+    // uses and build the shared QUBO reductions, (B) run every (path, use)
+    // detection cell batched through detection_path::run_block — plus the
+    // soft_output call a coded frame's decode needs — and (C) run every
+    // (frame, path) chain: the attempt-0 verdict and the ARQ
+    // retransmissions.  Workers fill disjoint slots in parallel, then the
+    // window is folded serially in use and frame order into the
+    // constant-size aggregates above.  All buffers below persist across
+    // windows, so after the first window the steady state reuses their
+    // capacity; peak memory is O(stream_block x paths), independent of
+    // num_uses.  Rounding the block down to whole frames (at least one) is
+    // pure scheduling: every draw, solve, and decode is indexed by its
+    // GLOBAL use/frame index, so no statistic depends on it.
+    const std::size_t block =
+        std::max(uses_per_frame,
+                 std::min(config.stream_block, config.num_uses) / uses_per_frame * uses_per_frame);
+    const std::size_t frames_per_block = block / uses_per_frame;
     std::vector<wireless::mimo_instance> instances(block);
-    std::vector<detect::ml_qubo> mqs(needs_qubo ? block : 0);
-    std::vector<qubo::bit_vector> tx_bits(block);
+    std::vector<detect::ml_qubo> mqs(block);
     std::vector<double> synth_us(block, 0.0);
     std::vector<double> reduce_us(block, 0.0);
     std::vector<paths::path_result> cells(num_paths * block);  // path-major: [p * block + i]
-    std::vector<arq_cell> arq_cells(config.arq && !coded ? num_paths * block : 0);
-
-    // Coded-frame window state: per-frame info/coded bits (shared by every
-    // path) and the path-major per-frame outcome cells.
-    const std::size_t frames_per_block = coded ? block / uses_per_frame : 0;
     std::vector<qubo::bit_vector> frame_info(frames_per_block);
     std::vector<qubo::bit_vector> frame_coded(frames_per_block);
-    std::vector<fec_cell> fec_cells(num_paths * frames_per_block);
-    std::optional<codec_store> codecs;
-    if (coded) {
-        codecs.emplace(*config.fec);
-        (void)codecs->local();  // eager main-thread construction surfaces spec errors here
-    }
-
-    // One scratch arena per worker thread (paths/workspace.h), warm across
-    // windows.  With config.workspaces false every context instead carries
-    // ws == nullptr and the paths take their allocate-per-call branch —
-    // statistics are bit-identical either way (workspace_test.cpp).
-    paths::workspace_store workspaces;
+    std::vector<frame_cell> frame_cells(num_paths * frames_per_block);  // [p * frames + f]
 
     const wireless::mimo_config mimo = [&] {
         wireless::mimo_config m;
         m.mod = config.mod;
         m.num_users = config.num_users;
         m.num_antennas = config.num_users;
-        m.channel = config.channel;
-        m.noise_variance = config.noiseless
-                               ? 0.0
-                               : wireless::noise_variance_for_snr(config.mod, config.num_users,
-                                                                  snr_db);
+        m.noise_variance =
+            config.noiseless
+                ? 0.0
+                : wireless::noise_variance_for_snr(config.mod, config.num_users,
+                                                   channel.snr_db.value_or(config.snr_db));
         return m;
     }();
 
@@ -421,10 +361,26 @@ link_report run_link_simulation(const link_config& config) {
     // carried across windows so burst statistics are stream_block-invariant.
     std::vector<std::uint64_t> error_run(num_paths, 0);
 
-    // One pool for the whole stream; num_threads == 1 degrades to a serial
-    // loop like util::pool_for_each.
+    // One pool for the whole stream and one worker per pool slot;
+    // num_threads == 1 degrades to a serial loop on worker 0.
     std::optional<util::thread_pool> pool;
     if (config.num_threads != 1 && block > 1) pool.emplace(config.num_threads);
+    std::vector<worker> workers(pool ? pool->size() : 1);
+    for (worker& w : workers) {
+        if (coded) w.codec.emplace(*config.fec);
+        w.retx_instances.resize(max_retx * uses_per_frame);
+        w.retx_mqs.resize(max_retx * uses_per_frame);
+        w.retx_reduce_us.resize(max_retx * uses_per_frame);
+        w.retx_results.resize(uses_per_frame);
+    }
+    const auto run_all = [&](std::size_t count, const auto& task) {
+        if (pool && count > 1) {
+            pool->for_each_slot(count,
+                                [&](std::size_t slot, std::size_t i) { task(workers[slot], i); });
+        } else {
+            for (std::size_t i = 0; i < count; ++i) task(workers[0], i);
+        }
+    };
 
     // Batched detection granularity: run_block amortises per-call overhead
     // over a chunk of uses while leaving enough tasks per window for the
@@ -432,309 +388,205 @@ link_report run_link_simulation(const link_config& config) {
     // globally-indexed stream, so the chunk size affects no statistic.
     constexpr std::size_t run_chunk = 64;
 
-    const auto run_all = [&](std::size_t count, const auto& task) {
-        if (!pool || count < 2) {
-            for (std::size_t i = 0; i < count; ++i) task(i);
-        } else {
-            for (std::size_t i = 0; i < count; ++i) {
-                pool->submit([&task, i] { task(i); });
-            }
-            pool->wait_idle();
-        }
-    };
-
     for (std::size_t base = 0; base < config.num_uses; base += block) {
         const std::size_t window = std::min(block, config.num_uses - base);
+        const std::size_t window_frames = window / uses_per_frame;
+
+        // The bits use j of frame fi puts on the air: the coded frame's
+        // zero-padded slice, or none — an uncoded use carries its own draw.
+        const auto air_bits = [&](worker& w, std::size_t fi,
+                                  std::size_t j) -> std::span<const std::uint8_t> {
+            if (!coded) return {};
+            pad_use_bits(frame_coded[fi], j, bits_per_use, w.use_bits);
+            return w.use_bits;
+        };
+
         // Phase A: synthesise the channel uses (channel draw + modulation)
-        // and build the shared QUBO reductions (QuAMax transform)
-        // block-at-a-time.  The reduction is shared by the QUBO-based paths
-        // and skipped — trace stays zero — when only conventional detectors
-        // are configured.
-        const std::size_t window_frames = coded ? window / uses_per_frame : 0;
-        const auto synth_use = [&](std::size_t i, std::span<const std::uint8_t> use_bits) {
-            const std::size_t u = base + i;
-            util::rng synth_rng = synth_base.derive(u);
-            wireless::mimo_instance& instance = instances[i];
-            util::timer synth_clock;
-            if (process) {
-                wireless::synthesize_at_coded_into(synth_rng, mimo, *process,
-                                                   static_cast<double>(u), csi_est_err,
-                                                   use_bits, instance);
-            } else {
-                wireless::synthesize_coded_into(synth_rng, mimo, use_bits, instance);
+        // and build the shared QUBO reductions (QuAMax transform) frame at a
+        // time.  A coded frame first draws its information bits from the
+        // fec stream (indexed by GLOBAL frame) and encodes + interleaves
+        // them once; its uses then carry the coded bits in place of the
+        // (still consumed) uniform tx-bit draws.  The reduction is skipped —
+        // trace stays zero — when only conventional detectors are configured.
+        const auto synth_frame = [&](worker& w, std::size_t fi) {
+            if (coded) {
+                util::rng info_rng = fec_base.derive(base / uses_per_frame + fi);
+                info_rng.bits_into(w.codec->info_bits(), frame_info[fi]);
+                w.codec->encode_frame(frame_info[fi], frame_coded[fi]);
             }
-            synth_us[i] = synth_clock.elapsed_us();
-            tx_bits[i] = instance.tx_bits;
-
-            reduce_us[i] = 0.0;
-            if (needs_qubo) {
-                util::timer reduce_clock;
-                if (config.workspaces) {
-                    detect::ml_to_qubo_into(instance, workspaces.local().detect.qubo, mqs[i]);
-                } else {
-                    mqs[i] = detect::ml_to_qubo(instance);
-                }
-                reduce_us[i] = reduce_clock.elapsed_us();
-            }
-        };
-        const auto synth_cell = [&](std::size_t i) { synth_use(i, {}); };
-        // Coded Phase A works frame-at-a-time: draw the frame's information
-        // bits from the dedicated fec stream (indexed by GLOBAL frame),
-        // encode + interleave once, then synthesise its uses with the coded
-        // bits overriding the (still consumed) uniform tx-bit draws.
-        const auto synth_frame = [&](std::size_t fi) {
-            fec_worker& fw = codecs->local();
-            const std::size_t f = base / uses_per_frame + fi;  // global frame index
-            util::rng info_rng = fec_base.derive(f);
-            info_rng.bits_into(fw.codec.info_bits(), frame_info[fi]);
-            fw.codec.encode_frame(frame_info[fi], frame_coded[fi]);
             for (std::size_t j = 0; j < uses_per_frame; ++j) {
-                pad_use_bits(frame_coded[fi], j, bits_per_use, fw.use_bits);
-                synth_use(fi * uses_per_frame + j, fw.use_bits);
+                const std::size_t i = fi * uses_per_frame + j;
+                const std::size_t u = base + i;
+                util::rng synth_rng = synth_base.derive(u);
+                const std::span<const std::uint8_t> bits = air_bits(w, fi, j);
+                util::timer synth_clock;
+                wireless::synthesize_at_coded_into(synth_rng, mimo, *process,
+                                                   static_cast<double>(u), channel.est_err, bits,
+                                                   instances[i]);
+                synth_us[i] = synth_clock.elapsed_us();
+                reduce_us[i] = 0.0;
+                if (needs_qubo) {
+                    util::timer reduce_clock;
+                    detect::ml_to_qubo_into(instances[i], w.ws.detect.qubo, mqs[i]);
+                    reduce_us[i] = reduce_clock.elapsed_us();
+                }
             }
         };
-        if (coded) {
-            run_all(window_frames, synth_frame);
-        } else {
-            run_all(window, synth_cell);
-        }
+        run_all(window_frames, synth_frame);
 
-        // Phase B: every configured path detects every use, batched through
-        // run_block in chunks.  Each (use, path) cell draws from its own
-        // derived stream indexed by the GLOBAL use index, so statistics do
-        // not depend on the window size, the chunking, or which worker —
-        // and hence which workspace — runs a given chunk.
+        // Runs path p on a batch of uses through run_block into `out`, plus
+        // the soft output a coded frame's decode needs — the detection step
+        // of phase B and of every retransmission attempt.  Each cell draws
+        // from solve_rng(j), a stream indexed by the GLOBAL use, so no
+        // statistic depends on the batching or on which worker — and hence
+        // which workspace — runs it.
+        const auto detect_batch = [&](worker& w, std::size_t p,
+                                      std::span<const wireless::mimo_instance> uses,
+                                      std::span<const detect::ml_qubo> reductions,
+                                      const auto& solve_rng, std::span<paths::path_result> out) {
+            w.rngs.clear();
+            for (std::size_t j = 0; j < uses.size(); ++j) w.rngs.push_back(solve_rng(j));
+            w.ctxs.clear();
+            for (std::size_t j = 0; j < uses.size(); ++j) {
+                const detect::ml_qubo* reduced = path_needs_qubo[p] != 0 ? &reductions[j] : nullptr;
+                w.ctxs.push_back({uses[j], reduced, w.rngs[j], &w.ws});
+            }
+            paths[p]->run_block(w.ctxs, out);
+            if (coded) {
+                for (std::size_t j = 0; j < uses.size(); ++j) {
+                    paths[p]->soft_output(w.ctxs[j], out[j]);
+                }
+            }
+        };
+
+        // Phase B: every configured path detects every use, in chunks.
         const std::size_t chunks_per_path = (window + run_chunk - 1) / run_chunk;
-        const auto detect_chunk = [&](std::size_t task) {
+        run_all(num_paths * chunks_per_path, [&](worker& w, std::size_t task) {
             const std::size_t p = task / chunks_per_path;
             const std::size_t c0 = (task % chunks_per_path) * run_chunk;
             const std::size_t n = std::min(run_chunk, window - c0);
-            paths::workspace* const ws = config.workspaces ? &workspaces.local() : nullptr;
-            std::vector<util::rng> rngs;
-            rngs.reserve(n);
-            for (std::size_t j = 0; j < n; ++j) {
-                const std::size_t u = base + c0 + j;
-                rngs.push_back(solve_base.derive(u * num_paths + p));
+            detect_batch(
+                w, p, std::span<const wireless::mimo_instance>(instances).subspan(c0, n),
+                std::span<const detect::ml_qubo>(mqs).subspan(c0, n),
+                [&](std::size_t j) { return solve_base.derive((base + c0 + j) * num_paths + p); },
+                std::span<paths::path_result>(cells).subspan(p * block + c0, n));
+        });
+
+        // The frame's verdict on one attempt.  Beyond which bits go on the
+        // air and whether soft output is computed, this is the only place
+        // coded and uncoded frames differ: an uncoded frame (one use) is
+        // judged on its hard bits against the bits that use carried; a coded
+        // frame decodes its uses' LLRs — chase-combined across attempts
+        // under combining=chase, each attempt alone otherwise — against the
+        // frame's information bits.  Decoding is a pure function of the
+        // LLRs and the combining order is the attempt order, so verdicts
+        // inherit the invariances.
+        const auto judge = [&](worker& w, std::size_t fi, std::size_t attempt,
+                               std::span<const wireless::mimo_instance> uses,
+                               std::span<const paths::path_result> results,
+                               std::vector<std::uint8_t>& decoded) {
+            if (!coded) return results[0].bits == uses[0].tx_bits;
+            w.llrs.resize(coded_bits);
+            for (std::size_t j = 0; j < uses_per_frame; ++j) {
+                gather_use_llrs(results[j].llrs, j, bits_per_use, coded_bits, w.llrs);
             }
-            std::vector<paths::path_context> ctxs;
-            ctxs.reserve(n);
-            for (std::size_t j = 0; j < n; ++j) {
-                ctxs.push_back({instances[c0 + j], needs_qubo ? &mqs[c0 + j] : nullptr,
-                                rngs[j], ws});
+            if (chase && attempt == 0) w.combined_llrs = w.llrs;
+            if (chase && attempt > 0) wireless::accumulate_llrs(w.llrs, w.combined_llrs);
+            w.codec->decode_frame(chase && attempt > 0 ? w.combined_llrs : w.llrs, decoded);
+            return decoded == frame_info[fi];
+        };
+
+        // Attempt r >= 1 of frame fi on the air: fresh channel uses from the
+        // (use, attempt) synthesis streams — the SAME coded bits on a coded
+        // link, freshly drawn bits on an uncoded one — and the fading
+        // process one lag later per attempt.  Shared across paths like the
+        // open-loop uses: synthesised once per frame and QUBO-reduced at
+        // most once (paths ask for attempts in order, so two counters track
+        // what exists); each path's service still counts the reduction time
+        // its own pipeline would spend.  Returns the attempt's memo offset.
+        const auto retransmit = [&](worker& w, std::size_t fi, std::size_t attempt,
+                                    bool reduce) {
+            const std::size_t k0 = (attempt - 1) * uses_per_frame;
+            if (attempt > w.attempts_synthesized) {
+                for (std::size_t j = 0; j < uses_per_frame; ++j) {
+                    const std::size_t u = base + fi * uses_per_frame + j;
+                    util::rng retx_synth = arq_synth_base.derive(u).derive(attempt);
+                    const std::span<const std::uint8_t> bits = air_bits(w, fi, j);
+                    wireless::synthesize_at_coded_into(
+                        retx_synth, mimo, *process,
+                        static_cast<double>(u) + static_cast<double>(attempt) * retx_lag_uses,
+                        channel.est_err, bits, w.retx_instances[k0 + j]);
+                }
+                w.attempts_synthesized = attempt;
             }
-            const auto out = std::span<paths::path_result>(cells).subspan(p * block + c0, n);
-            paths[p]->run_block(ctxs, out);
-            if (coded) {
-                // The coded link needs soft information: the explicit opt-in
-                // second call of the path API, on the same contexts the hard
-                // run saw.  Deterministic and workspace-independent by the
-                // soft_output contract, so LLRs inherit the invariances.
-                for (std::size_t j = 0; j < n; ++j) paths[p]->soft_output(ctxs[j], out[j]);
+            if (reduce && attempt > w.attempts_reduced) {
+                for (std::size_t j = 0; j < uses_per_frame; ++j) {
+                    util::timer reduce_clock;
+                    detect::ml_to_qubo_into(w.retx_instances[k0 + j], w.ws.detect.qubo,
+                                            w.retx_mqs[k0 + j]);
+                    w.retx_reduce_us[k0 + j] = reduce_clock.elapsed_us();
+                }
+                w.attempts_reduced = attempt;
+            }
+            return k0;
+        };
+
+        // Phase C: every (frame, path) chain — attempt 0 is the window's
+        // detection; while arq::needs_retx asks for it, attempt r re-solves
+        // the frame on its retransmitted uses with solve streams indexed by
+        // the GLOBAL (use * num_paths + p, attempt).  Only run when a
+        // verdict is consumed: by the coded statistics or by ARQ.
+        const auto frame_chain = [&](worker& w, std::size_t fi) {
+            const std::size_t i0 = fi * uses_per_frame;
+            w.attempts_synthesized = 0;
+            w.attempts_reduced = 0;
+            for (std::size_t p = 0; p < num_paths; ++p) {
+                frame_cell& fc = frame_cells[p * frames_per_block + fi];
+                bool ok = judge(w, fi, 0,
+                                std::span<const wireless::mimo_instance>(instances)
+                                    .subspan(i0, uses_per_frame),
+                                std::span<const paths::path_result>(cells).subspan(
+                                    p * block + i0, uses_per_frame),
+                                fc.decoded0);
+                fc.first_ok = ok;
+                fc.wrong = ok ? 0 : 1;
+                fc.retx_service_us.clear();  // keeps capacity across windows
+                std::size_t attempt = 0;
+                while (config.arq && arq::needs_retx(*config.arq, ok, attempt)) {
+                    ++attempt;
+                    const bool wants_qubo = path_needs_qubo[p] != 0;
+                    const std::size_t k0 = retransmit(w, fi, attempt, wants_qubo);
+                    const auto uses = std::span<const wireless::mimo_instance>(w.retx_instances)
+                                          .subspan(k0, uses_per_frame);
+                    detect_batch(
+                        w, p, uses,
+                        std::span<const detect::ml_qubo>(w.retx_mqs).subspan(k0, uses_per_frame),
+                        [&](std::size_t j) {
+                            return arq_solve_base.derive((base + i0 + j) * num_paths + p)
+                                .derive(attempt);
+                        },
+                        w.retx_results);
+                    double service_sum = 0.0;
+                    for (std::size_t j = 0; j < uses_per_frame; ++j) {
+                        if (wants_qubo) service_sum += w.retx_reduce_us[k0 + j];
+                        for (const auto& st : w.retx_results[j].stages) {
+                            service_sum += st.service_us;
+                        }
+                    }
+                    ok = judge(w, fi, attempt, uses, w.retx_results, w.decoded);
+                    if (!ok) ++fc.wrong;
+                    fc.retx_service_us.push_back(service_sum);
+                }
+                fc.attempts = attempt + 1;
+                fc.final_ok = ok;
             }
         };
-        run_all(num_paths * chunks_per_path, detect_chunk);
+        if (coded || config.arq) run_all(window_frames, frame_chain);
 
-        if (coded) {
-            // Phase C' (coded link): decode every (frame, path) cell and,
-            // when ARQ is engaged, run the hybrid-ARQ chain at FRAME
-            // granularity.  A retransmission re-sends the SAME coded bits on
-            // fresh channel uses — synthesis streams indexed by the global
-            // (use, attempt), solve streams by (use * num_paths + p,
-            // attempt), exactly the uncoded ARQ scheme — and the decode
-            // combines attempts per arq_config::combining: chase accumulates
-            // clamped LLRs across attempts, plain decodes each attempt
-            // alone.  Everything here is deterministic (decode is a pure
-            // function of the LLRs; the combining order is the fixed attempt
-            // order), so coded counters inherit the thread-count /
-            // stream-block / workspace invariances.  The retransmitted use
-            // at (use, attempt) is shared across paths, memoised like the
-            // uncoded phase C.
-            const auto fec_frame = [&](std::size_t fi) {
-                fec_worker& fw = codecs->local();
-                paths::workspace* const ws = config.workspaces ? &workspaces.local() : nullptr;
-                const std::size_t i0 = fi * uses_per_frame;
-                const std::size_t max_retx = config.arq ? config.arq->max_retx : 0;
-                struct retx_attempt {
-                    wireless::mimo_instance instance;
-                    detect::ml_qubo mq;
-                    double reduce_us = 0.0;
-                    bool reduced = false;
-                };
-                std::vector<std::optional<retx_attempt>> shared(uses_per_frame * max_retx);
-                const auto attempt_for = [&](std::size_t j, std::size_t attempt,
-                                             bool needs_reduction) -> retx_attempt& {
-                    auto& slot = shared[j * max_retx + (attempt - 1)];
-                    if (!slot) {
-                        const std::size_t u = base + i0 + j;
-                        util::rng retx_synth = arq_synth_base.derive(u).derive(attempt);
-                        slot.emplace();
-                        pad_use_bits(frame_coded[fi], j, bits_per_use, fw.use_bits);
-                        if (process) {
-                            wireless::synthesize_at_coded_into(
-                                retx_synth, mimo, *process,
-                                static_cast<double>(u) +
-                                    static_cast<double>(attempt) * retx_lag_uses,
-                                csi_est_err, fw.use_bits, slot->instance);
-                        } else {
-                            wireless::synthesize_coded_into(retx_synth, mimo, fw.use_bits,
-                                                            slot->instance);
-                        }
-                    }
-                    if (needs_reduction && !slot->reduced) {
-                        util::timer reduce_clock;
-                        if (ws != nullptr) {
-                            detect::ml_to_qubo_into(slot->instance, ws->detect.qubo, slot->mq);
-                        } else {
-                            slot->mq = detect::ml_to_qubo(slot->instance);
-                        }
-                        slot->reduce_us = reduce_clock.elapsed_us();
-                        slot->reduced = true;
-                    }
-                    return *slot;
-                };
-                for (std::size_t p = 0; p < num_paths; ++p) {
-                    fec_cell& fc = fec_cells[p * frames_per_block + fi];
-                    // Attempt 0: assemble the window cells' per-use LLRs
-                    // (dropping each use's zero-padding tail) and decode.
-                    fw.frame_llrs.resize(coded_bits);
-                    for (std::size_t j = 0; j < uses_per_frame; ++j) {
-                        gather_use_llrs(cells[p * block + i0 + j].llrs, j, bits_per_use,
-                                        coded_bits, fw.frame_llrs);
-                    }
-                    fw.codec.decode_frame(fw.frame_llrs, fc.decoded0);
-                    bool ok = fc.decoded0 == frame_info[fi];
-                    fc.first_ok = ok;
-                    fc.wrong = ok ? 0 : 1;
-                    fc.retx_service_us.clear();  // keeps capacity across windows
-                    std::size_t attempt = 0;
-                    if (config.arq) {
-                        const bool chase =
-                            config.arq->combining == arq::combining_mode::chase;
-                        if (chase) fw.combined_llrs = fw.frame_llrs;
-                        const bool wants_qubo = path_needs_qubo[p] != 0;
-                        while (arq::needs_retx(*config.arq, ok, attempt)) {
-                            ++attempt;
-                            double service_sum = 0.0;
-                            fw.attempt_llrs.resize(coded_bits);
-                            for (std::size_t j = 0; j < uses_per_frame; ++j) {
-                                const std::size_t u = base + i0 + j;
-                                retx_attempt& retx = attempt_for(j, attempt, wants_qubo);
-                                if (wants_qubo) service_sum += retx.reduce_us;
-                                util::rng retx_solve =
-                                    arq_solve_base.derive(u * num_paths + p).derive(attempt);
-                                const paths::path_context retx_ctx{
-                                    retx.instance, wants_qubo ? &retx.mq : nullptr,
-                                    retx_solve, ws};
-                                paths::path_result result = paths[p]->run(retx_ctx);
-                                paths[p]->soft_output(retx_ctx, result);
-                                for (const auto& st : result.stages) {
-                                    service_sum += st.service_us;
-                                }
-                                gather_use_llrs(result.llrs, j, bits_per_use, coded_bits,
-                                                fw.attempt_llrs);
-                            }
-                            if (chase) {
-                                wireless::accumulate_llrs(fw.attempt_llrs, fw.combined_llrs);
-                                fw.codec.decode_frame(fw.combined_llrs, fw.decoded);
-                            } else {
-                                fw.codec.decode_frame(fw.attempt_llrs, fw.decoded);
-                            }
-                            ok = fw.decoded == frame_info[fi];
-                            if (!ok) ++fc.wrong;
-                            fc.retx_service_us.push_back(service_sum);
-                        }
-                    }
-                    fc.attempts = attempt + 1;
-                    fc.final_ok = ok;
-                }
-            };
-            run_all(window_frames, fec_frame);
-        } else if (config.arq) {
-            // Phase C (ARQ only): run each path's retransmission chain.  A
-            // retransmission is a REAL re-solve on a fresh channel use; its
-            // RNG streams are indexed by (frame, attempt) globally, so the
-            // resulting counters are invariant to threads and window size.
-            // The retransmitted channel use at (frame, attempt) is shared
-            // across paths (like the open-loop use), so synthesis and the
-            // QUBO reduction are memoised per attempt rather than redone by
-            // every retransmitting path; each path's service still counts
-            // the reduction time its own pipeline would spend.
-            const auto arq_use = [&](std::size_t i) {
-                const std::size_t u = base + i;
-                paths::workspace* const ws = config.workspaces ? &workspaces.local() : nullptr;
-                struct retx_attempt {
-                    wireless::mimo_instance instance;
-                    detect::ml_qubo mq;
-                    double reduce_us = 0.0;
-                    bool reduced = false;
-                };
-                std::vector<std::optional<retx_attempt>> shared(config.arq->max_retx);
-                const auto attempt_for = [&](std::size_t attempt,
-                                             bool needs_reduction) -> retx_attempt& {
-                    auto& slot = shared[attempt - 1];
-                    if (!slot) {
-                        util::rng retx_synth = arq_synth_base.derive(u).derive(attempt);
-                        slot.emplace();
-                        // Under correlated fading the retransmission sees the
-                        // SAME frozen process one lag later per attempt; its
-                        // noise/bit draws still come from the (frame, attempt)
-                        // derived stream.
-                        slot->instance =
-                            process
-                                ? wireless::synthesize_at(
-                                      retx_synth, mimo, *process,
-                                      static_cast<double>(u) +
-                                          static_cast<double>(attempt) * retx_lag_uses,
-                                      csi_est_err)
-                                : wireless::synthesize(retx_synth, mimo);
-                    }
-                    if (needs_reduction && !slot->reduced) {
-                        util::timer reduce_clock;
-                        if (ws != nullptr) {
-                            detect::ml_to_qubo_into(slot->instance, ws->detect.qubo, slot->mq);
-                        } else {
-                            slot->mq = detect::ml_to_qubo(slot->instance);
-                        }
-                        slot->reduce_us = reduce_clock.elapsed_us();
-                        slot->reduced = true;
-                    }
-                    return *slot;
-                };
-                for (std::size_t p = 0; p < num_paths; ++p) {
-                    arq_cell& ac = arq_cells[p * block + i];
-                    ac.attempts = 1;
-                    ac.wrong = 0;
-                    ac.final_ok = true;
-                    ac.retx_service_us.clear();  // keeps capacity across windows
-                    bool ok = cells[p * block + i].bits == tx_bits[i];
-                    ac.first_ok = ok;
-                    if (!ok) ++ac.wrong;
-                    std::size_t attempt = 0;
-                    while (arq::needs_retx(*config.arq, ok, attempt)) {
-                        ++attempt;
-                        const bool wants_qubo = path_needs_qubo[p] != 0;
-                        retx_attempt& retx = attempt_for(attempt, wants_qubo);
-                        double service_sum = wants_qubo ? retx.reduce_us : 0.0;
-                        util::rng retx_solve =
-                            arq_solve_base.derive(u * num_paths + p).derive(attempt);
-                        const paths::path_context retx_ctx{
-                            retx.instance, wants_qubo ? &retx.mq : nullptr, retx_solve, ws};
-                        const auto result = paths[p]->run(retx_ctx);
-                        for (const auto& st : result.stages) service_sum += st.service_us;
-                        ok = result.bits == retx.instance.tx_bits;
-                        if (!ok) ++ac.wrong;
-                        ac.retx_service_us.push_back(service_sum);
-                    }
-                    ac.attempts = attempt + 1;
-                    ac.final_ok = ok;
-                }
-            };
-            run_all(window, arq_use);
-        }
-
-        // Serial aggregation in use order: the merged statistics never
-        // depend on the scheduling order above.
+        // Serial aggregation in use order, then in frame order: the merged
+        // statistics never depend on the scheduling order above.
         for (std::size_t i = 0; i < window; ++i) {
+            const qubo::bit_vector& tx_bits = instances[i].tx_bits;
             report.synthesis.add(synth_us[i]);
             report.reduction.add(reduce_us[i]);
             for (std::size_t p = 0; p < num_paths; ++p) {
@@ -746,8 +598,8 @@ link_report run_link_simulation(const link_config& config) {
                                            " stage timings but declared " +
                                            std::to_string(solve_stages[p].size()));
                 }
-                path.ber.add_frame(tx_bits[i], cell.bits);
-                if (cell.bits == tx_bits[i]) {
+                path.ber.add_frame(tx_bits, cell.bits);
+                if (cell.bits == tx_bits) {
                     ++path.exact_frames;
                     error_run[p] = 0;
                 } else {
@@ -769,27 +621,17 @@ link_report run_link_simulation(const link_config& config) {
                     service_sum += cell.stages[s].service_us;
                 }
                 path.service.add(service_sum);
-
-                if (config.arq && !coded) {
-                    const arq_cell& ac = arq_cells[p * block + i];
-                    path.arq->counters.add_frame(ac.attempts, ac.wrong, ac.first_ok,
-                                                 ac.final_ok);
-                    for (const double s_us : ac.retx_service_us) {
-                        path.arq->retx_service.add(s_us);
-                    }
-                }
             }
         }
-        // Coded-frame fold, serial in frame order: attempt-0 decode
-        // statistics and — when FEC + ARQ run together — the hybrid-ARQ
-        // counters at frame granularity.
         for (std::size_t fi = 0; fi < window_frames; ++fi) {
             for (std::size_t p = 0; p < num_paths; ++p) {
                 path_report& path = report.paths[p];
-                const fec_cell& fc = fec_cells[p * frames_per_block + fi];
-                ++path.fec->frames;
-                if (!fc.first_ok) ++path.fec->frame_errors;
-                path.fec->info_ber.add_frame(frame_info[fi], fc.decoded0);
+                const frame_cell& fc = frame_cells[p * frames_per_block + fi];
+                if (coded) {
+                    ++path.fec->frames;
+                    if (!fc.first_ok) ++path.fec->frame_errors;
+                    path.fec->info_ber.add_frame(frame_info[fi], fc.decoded0);
+                }
                 if (config.arq) {
                     path.arq->counters.add_frame(fc.attempts, fc.wrong, fc.first_ok,
                                                  fc.final_ok);

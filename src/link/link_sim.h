@@ -36,16 +36,18 @@
 // at any thread count AND any stream_block size; only the measured wall
 // times vary run to run.  The golden-value tests in tests/link_test.cpp pin
 // these statistics to the values the pre-registry (enum-dispatch, per-cell
-// storage) implementation produced.
+// storage) implementation produced; tests/workspace_test.cpp pins the
+// coded, burst, and ARQ statistics as well.
 //
 // Concurrency contract: lock-free steady state by design.  Workers fill
-// disjoint, preallocated per-use slots of the current window and the fold is
-// serial; the only annotated locking on the path is inside util::thread_pool
-// and the one-time per-thread arena acquisition (paths::workspace_store and
-// the coded link's codec store — both thread-local-cached after first touch).
-// TSan (verify.sh --tsan) and the thread-count-invariance tests enforce
-// the contract; see docs/ARCHITECTURE.md, "The determinism contract as
-// enforceable rules".
+// disjoint, preallocated per-use and per-frame slots of the current window
+// and the fold is serial.  Each worker's scratch — its workspace
+// (paths/workspace.h), FEC codec, frame buffers, and retransmission memo —
+// is one plain struct per pool slot, and util::thread_pool::for_each_slot
+// hands a slot to one thread at a time, so the only annotated locking on
+// the path is inside util::thread_pool.  TSan (verify.sh --tsan) and the
+// thread-count-invariance tests enforce the contract; see
+// docs/ARCHITECTURE.md, "The determinism contract as enforceable rules".
 #ifndef HCQ_LINK_LINK_SIM_H
 #define HCQ_LINK_LINK_SIM_H
 
@@ -134,15 +136,6 @@ struct link_config {
     /// Channel uses processed per aggregation window; bounds peak memory at
     /// O(stream_block x paths) without affecting any statistic.  0 throws.
     std::size_t stream_block = 1024;
-
-    /// Per-worker workspaces (paths/workspace.h): when true (the default),
-    /// every worker reuses scratch buffers and exact-content-keyed
-    /// decomposition caches across uses, making the warmed-up hot path
-    /// allocation-free.  Statistics are bit-identical either way — the
-    /// caches key on exact channel content, so a hit replays a pure function
-    /// of the same input — which tests/workspace_test.cpp pins.  false keeps
-    /// the allocate-per-call behaviour for that A/B comparison.
-    bool workspaces = true;
 
     /// Forward error correction (fec/code_spec.h): when set, the stream
     /// carries CODED frames — each frame's information bits (drawn from the
@@ -251,11 +244,11 @@ struct arq_path_report {
 
 /// Per-path coded-link outcome (present on path_report when
 /// link_config::fec is set).  Everything here is detection-domain:
-/// bit-identical at any thread count, stream_block size, and workspace
-/// setting, like BER.  The attempt-0 statistics are ARQ-independent — they
-/// describe the first decode of every frame even when hybrid ARQ then
-/// retransmits it (the ARQ outcome lives in arq_path_report, whose frame
-/// unit becomes the coded frame when FEC is on).
+/// bit-identical at any thread count and stream_block size, like BER.
+/// The attempt-0 statistics are ARQ-independent — they describe the first
+/// decode of every frame even when hybrid ARQ then retransmits it (the ARQ
+/// outcome lives in arq_path_report, whose frame unit becomes the coded
+/// frame when FEC is on).
 struct fec_path_report {
     std::uint64_t frames = 0;        ///< coded frames offered
     std::uint64_t frame_errors = 0;  ///< frames whose attempt-0 decode was wrong

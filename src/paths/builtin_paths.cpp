@@ -53,6 +53,16 @@ void require_qubo(const path_context& ctx) {
     }
 }
 
+/// Guard for every built-in path: detection runs in the caller's
+/// per-worker workspace (paths/workspace.h).
+workspace& require_workspace(const path_context& ctx) {
+    if (ctx.ws == nullptr) {
+        throw std::invalid_argument(
+            "paths: path_context.ws is null but the built-in paths need a workspace");
+    }
+    return *ctx.ws;
+}
+
 /// Post-equalisation max-log soft output of the linear detection paths:
 /// equalise through the normal equations (H^H H + load I)^-1 H^H y — load 0
 /// is zero forcing — and scale each stream's max-log metric by the
@@ -123,17 +133,12 @@ public:
 
 private:
     void run_cell(const path_context& ctx, path_result& out) const {
+        workspace& ws = require_workspace(ctx);
         const util::timer clock;
-        if (ctx.ws != nullptr) {
-            detect::detection_result& detected = ctx.ws->detect.result;
-            det_->detect_into(ctx.instance, ctx.ws->detect, detected);
-            out.bits = detected.bits;  // copy-assign: reuses out's capacity
-            out.ml_cost = detected.ml_cost;
-        } else {
-            auto detected = det_->detect(ctx.instance);
-            out.bits = std::move(detected.bits);
-            out.ml_cost = detected.ml_cost;
-        }
+        detect::detection_result& detected = ws.detect.result;
+        det_->detect_into(ctx.instance, ws.detect, detected);
+        out.bits = detected.bits;  // copy-assign: reuses out's capacity
+        out.ml_cost = detected.ml_cost;
         out.stages.resize(1);
         set_stage(out, 0, "detect", clock.elapsed_us());
     }
@@ -164,8 +169,8 @@ public:
     /// Energy-gap soft output: the single-bit-flip ML recost of the
     /// detected word — by the transform round-trip invariant these gaps
     /// equal the QUBO flip deltas at the solver's answer, and unlike a
-    /// candidate-list method they exist identically with and without a
-    /// workspace (solve_best_into keeps no sample set).
+    /// candidate-list method they need no sample set (solve_best_into keeps
+    /// none).
     void soft_output(const path_context& ctx, path_result& out) const override {
         wireless::flip_recost_llrs_into(ctx.instance, out.bits, out.llrs);
     }
@@ -180,19 +185,11 @@ public:
 private:
     void run_cell(const path_context& ctx, path_result& out) const {
         require_qubo(ctx);
+        workspace& ws = require_workspace(ctx);
         const util::timer clock;
-        double solve_us = 0.0;
-        if (ctx.ws != nullptr) {
-            solver_->solve_best_into(ctx.reduced->model, ctx.rng, ctx.ws->solve, out.bits);
-            solve_us = clock.elapsed_us();
-            out.ml_cost = ctx.instance.ml_cost_bits(out.bits, ctx.ws->detect.symbols,
-                                                    ctx.ws->detect.residual);
-        } else {
-            const auto samples = solver_->solve(ctx.reduced->model, ctx.rng);
-            solve_us = clock.elapsed_us();
-            out.bits = samples.best().bits;
-            out.ml_cost = ctx.instance.ml_cost_bits(out.bits);
-        }
+        solver_->solve_best_into(ctx.reduced->model, ctx.rng, ws.solve, out.bits);
+        const double solve_us = clock.elapsed_us();
+        out.ml_cost = ctx.instance.ml_cost_bits(out.bits, ws.detect.symbols, ws.detect.residual);
         out.stages.resize(1);
         set_stage(out, 0, "solve", solve_us);
     }
@@ -302,24 +299,16 @@ public:
 private:
     void run_cell(const path_context& ctx, path_result& out) const {
         require_qubo(ctx);
+        workspace& ws = require_workspace(ctx);
         if (adapter_ != nullptr) {
-            if (ctx.ws != nullptr) {
-                hybrid::hybrid_solver::timings times;
-                adapter_->hybrid().solve_best_into(ctx.reduced->model, ctx.rng, ctx.ws->solve,
-                                                   out.bits, times);
-                out.ml_cost = ctx.instance.ml_cost_bits(out.bits, ctx.ws->detect.symbols,
-                                                        ctx.ws->detect.residual);
-                out.stages.resize(2);
-                set_stage(out, 0, "classical", times.classical_us);
-                set_stage(out, 1, "quantum", times.quantum_us);
-            } else {
-                const auto result = adapter_->hybrid().solve(ctx.reduced->model, ctx.rng);
-                out.bits = result.best_bits;
-                out.ml_cost = ctx.instance.ml_cost_bits(out.bits);
-                out.stages.resize(2);
-                set_stage(out, 0, "classical", result.classical_us);
-                set_stage(out, 1, "quantum", result.quantum_us);
-            }
+            hybrid::hybrid_solver::timings times;
+            adapter_->hybrid().solve_best_into(ctx.reduced->model, ctx.rng, ws.solve, out.bits,
+                                               times);
+            out.ml_cost =
+                ctx.instance.ml_cost_bits(out.bits, ws.detect.symbols, ws.detect.residual);
+            out.stages.resize(2);
+            set_stage(out, 0, "classical", times.classical_us);
+            set_stage(out, 1, "quantum", times.quantum_us);
             return;
         }
         // kbest initialiser: detect on the channel use itself (measured

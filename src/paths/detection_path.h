@@ -78,12 +78,10 @@ struct path_context {
     /// must ignore it.
     const detect::ml_qubo* reduced = nullptr;
     util::rng& rng;  ///< per-(use, path) derived stream — the ONLY randomness source
-    /// Per-worker reusable state (scratch buffers + decomposition caches),
-    /// or nullptr for the allocate-per-call legacy behaviour.  Optional by
-    /// contract: a path must produce bit-identical bits/ml_cost either way
-    /// (only timings may differ), so `path_context{instance, reduced, rng}`
-    /// — the historical aggregate shape — keeps compiling and keeps its
-    /// meaning for out-of-tree paths.
+    /// Per-worker reusable scratch (paths/workspace.h).  The built-in paths
+    /// run in it and throw std::invalid_argument when it is null;
+    /// out-of-tree paths may ignore it.  A path's bits and ml_cost must not
+    /// depend on the workspace's prior contents (only timings may differ).
     workspace* ws = nullptr;
 };
 
@@ -133,14 +131,14 @@ public:
     /// Fills `out.llrs` with per-bit soft information for the detection
     /// carried by `out` (which must hold this path's result for `ctx`, i.e.
     /// soft_output is called after run / run_block on the same context).
-    /// Mirrors the `ws`/`run_block` opt-in pattern: the soft path is an
+    /// Mirrors the `run_block` opt-in pattern: the soft path is an
     /// explicit second call, so paths — and callers — that never ask for
     /// LLRs are byte-for-byte unaffected, and out-of-tree paths compile
     /// unchanged: the DEFAULT emits clamped hard decisions (+/-llr_cap from
     /// out.bits), which downstream decoding treats as maximal-confidence
     /// soft values.  Overrides must be deterministic (no ctx.rng draws) and
     /// independent of ctx.ws, so LLRs — like bits — are bit-identical at
-    /// any thread count, stream block, and workspace setting.  The built-in
+    /// any thread count and stream block.  The built-in
     /// overrides: linear paths produce post-equalisation max-log LLRs
     /// (wireless::equalized_llrs_into); tree-search and QUBO-solver paths
     /// produce single-bit-flip recost LLRs (wireless::flip_recost_llrs_into

@@ -1,67 +1,36 @@
 // Per-worker detection workspaces — the reusable-state arena behind the
-// redesigned detection-path hot path.
+// detection-path hot path.
 //
 // A `workspace` owns everything a detection path may want to reuse across
-// channel uses: the detector scratch (decomposition caches, QUBO reduction
-// buffers, tree-search beams — detect/scratch.h) and the classical-solver
+// channel uses: the detector scratch (QUBO reduction buffers, factorisation
+// and tree-search buffers — detect/scratch.h) and the classical-solver
 // scratch (Metropolis engine, bit/field buffers — classical/solver.h).
-// Once warm, the built-in paths run a use without touching the heap.
+// Once warm, the built-in paths run a use without touching the heap.  The
+// built-in paths require one: they throw std::invalid_argument when
+// path_context::ws is null.
 //
-// Ownership model: exactly one workspace per worker thread, handed out by a
-// `workspace_store`.  The store is the only synchronised piece — a worker
-// acquires its arena once (first use; subsequent lookups hit a thread-local
-// cache) and then works lock-free, preserving the link layer's disjoint-
-// slots concurrency story.
+// Ownership model: a workspace is a plain value, never shared concurrently.
+// The link simulator keeps one per pool slot (util::thread_pool::
+// for_each_slot hands a slot to one thread at a time); the serving front end
+// keeps one per batch.  No lock is involved.
 //
 // Determinism: workspaces NEVER change detection outputs.  Buffers are
-// resized in place (values fully rewritten per use) and the embedded
-// decomposition caches key on the exact channel content — a hit replays a
-// pure function of the same input.  Which worker (and hence which cache
-// state) serves a given use varies run to run, but since hits are
-// output-invariant, the statistics stay bit-identical at any thread count
-// and stream block; tests/workspace_test.cpp pins this against the
-// workspace-free path.
+// resized in place and their values fully rewritten per use, so which
+// worker's workspace serves a use is invisible in the statistics — which
+// stay bit-identical at any thread count and stream block
+// (tests/workspace_test.cpp).
 #ifndef HCQ_PATHS_WORKSPACE_H
 #define HCQ_PATHS_WORKSPACE_H
 
-#include <memory>
-#include <thread>
-#include <unordered_map>  // hcq-lint: allow(unordered-container) pure-lookup thread registry
-
 #include "classical/solver.h"
 #include "detect/scratch.h"
-#include "util/sync.h"
-#include "util/thread_annotations.h"
 
 namespace hcq::paths {
 
 /// Per-worker reusable state for the detection hot path.
 struct workspace {
-    detect::detect_scratch detect;  ///< detector scratch + decomposition caches
+    detect::detect_scratch detect;  ///< detector scratch + QuAMax reduction buffers
     solvers::solve_scratch solve;   ///< classical-solver / hybrid scratch
-};
-
-/// Hands each thread its own workspace, created lazily on first request and
-/// owned by the store.  `local()` is cheap after the first call per thread
-/// (a thread-local cache keyed by a never-reused store id avoids the lock),
-/// and the returned reference stays valid until the store is destroyed.
-class workspace_store {
-public:
-    workspace_store();
-    workspace_store(const workspace_store&) = delete;
-    workspace_store& operator=(const workspace_store&) = delete;
-
-    /// This thread's workspace (created on first call from this thread).
-    [[nodiscard]] workspace& local() HCQ_EXCLUDES(mutex_);
-
-private:
-    const std::uint64_t id_;  ///< globally unique, never reused
-    util::mutex mutex_;
-    // Pure lookup keyed by thread id — never iterated, so no statistic or
-    // serialised output depends on its order.
-    // hcq-lint: allow(unordered-container) pure per-thread lookup, never iterated
-    std::unordered_map<std::thread::id, std::unique_ptr<workspace>> by_thread_
-        HCQ_GUARDED_BY(mutex_);
 };
 
 }  // namespace hcq::paths

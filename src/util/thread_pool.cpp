@@ -1,5 +1,6 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <utility>
@@ -97,6 +98,31 @@ void thread_pool::worker_loop() {
     }
 }
 
+void thread_pool::for_each_slot(std::size_t n,
+                                const std::function<void(std::size_t, std::size_t)>& fn) {
+    // One task per slot pulling indices off a shared counter: O(1) queue
+    // traffic regardless of n, unlike one queued task per index.
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> failed{false};
+    const std::size_t slots = std::min(num_workers_, n);
+    for (std::size_t slot = 0; slot < slots; ++slot) {
+        submit([&fn, &next, &failed, n, slot] {
+            for (;;) {
+                if (failed.load(std::memory_order_relaxed)) return;
+                const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+                if (i >= n) return;
+                try {
+                    fn(slot, i);
+                } catch (...) {
+                    failed.store(true, std::memory_order_relaxed);
+                    throw;  // first exception lands in the pool and resurfaces below
+                }
+            }
+        });
+    }
+    wait_idle();
+}
+
 void pool_for_each(std::size_t n, const std::function<void(std::size_t)>& fn,
                    std::size_t num_threads) {
     if (n == 0) return;
@@ -108,27 +134,8 @@ void pool_for_each(std::size_t n, const std::function<void(std::size_t)>& fn,
         for (std::size_t i = 0; i < n; ++i) fn(i);
         return;
     }
-    // One chunk task per worker pulling indices off a shared counter: O(1)
-    // queue traffic regardless of n, unlike one queued task per index.
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
     thread_pool pool(num_threads);
-    for (std::size_t t = 0; t < num_threads; ++t) {
-        pool.submit([&fn, &next, &failed, n] {
-            for (;;) {
-                if (failed.load(std::memory_order_relaxed)) return;
-                const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= n) return;
-                try {
-                    fn(i);
-                } catch (...) {
-                    failed.store(true, std::memory_order_relaxed);
-                    throw;  // first exception lands in the pool and resurfaces below
-                }
-            }
-        });
-    }
-    pool.wait_idle();
+    pool.for_each_slot(n, [&fn](std::size_t /*slot*/, std::size_t i) { fn(i); });
 }
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,

@@ -71,6 +71,16 @@ public:
     [[nodiscard]] std::size_t queued() const HCQ_EXCLUDES(mutex_);
     [[nodiscard]] std::size_t in_flight() const HCQ_EXCLUDES(mutex_);
 
+    /// Runs fn(slot, i) for every i in [0, n) and blocks until all complete.
+    /// min(size(), n) tasks each own one slot in [0, size()) and pull
+    /// indices off a shared counter, so state a caller keeps per slot is
+    /// never touched by two threads at once (one call at a time per pool).
+    /// If an iteration throws, not-yet-started iterations are abandoned and
+    /// the first exception is rethrown here once the tasks have drained.
+    void for_each_slot(std::size_t n,
+                       const std::function<void(std::size_t slot, std::size_t i)>& fn)
+        HCQ_EXCLUDES(mutex_);
+
 private:
     void worker_loop() HCQ_EXCLUDES(mutex_);
 
@@ -87,12 +97,13 @@ private:
     std::exception_ptr first_error_ HCQ_GUARDED_BY(mutex_);
 };
 
-/// Runs fn(i) for i in [0, n) on a transient thread_pool with `num_threads`
-/// workers (0 = hardware concurrency; n below 2 or num_threads == 1 degrade
-/// to a plain loop).  Blocks until all iterations complete.  `fn` must be
-/// safe to call concurrently for distinct i.  If any iteration throws,
-/// not-yet-started iterations are abandoned and the first exception is
-/// rethrown in the calling thread once the workers have drained.
+/// Runs fn(i) for i in [0, n) through thread_pool::for_each_slot on a
+/// transient pool with `num_threads` workers (0 = hardware concurrency; n
+/// below 2 or num_threads == 1 degrade to a plain loop).  Blocks until all
+/// iterations complete.  `fn` must be safe to call concurrently for
+/// distinct i.  If any iteration throws, not-yet-started iterations are
+/// abandoned and the first exception is rethrown in the calling thread once
+/// the workers have drained.
 void pool_for_each(std::size_t n, const std::function<void(std::size_t)>& fn,
                    std::size_t num_threads = 0);
 

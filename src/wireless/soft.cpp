@@ -5,8 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "linalg/decompose.h"
-
 namespace hcq::wireless {
 
 double clamp_llr(double llr) noexcept {
@@ -87,24 +85,6 @@ void flip_recost_llrs_into(const mimo_instance& instance, std::span<const std::u
         const double gap = (flip_cost - base_cost) / nv;
         out[b] = signed_llr(bits[b], gap);
     }
-}
-
-std::vector<double> zf_soft_bits(const mimo_instance& instance, double noise_floor) {
-    if (noise_floor <= 0.0) throw std::invalid_argument("zf_soft_bits: noise_floor <= 0");
-    const auto soft = linalg::least_squares(instance.h, instance.y);
-
-    // Per-stream post-ZF noise enhancement: sigma_u^2 = sigma^2 [(H^H H)^-1]_uu.
-    const auto gram = instance.h.hermitian() * instance.h;
-    const auto gram_inv = linalg::inverse(gram);
-    const double sigma_sq = std::max(instance.noise_variance, noise_floor);
-
-    std::vector<double> stream_nv(instance.num_users);
-    for (std::size_t u = 0; u < instance.num_users; ++u) {
-        stream_nv[u] = sigma_sq * std::max(gram_inv(u, u).real(), 1e-12);
-    }
-    std::vector<double> llrs;
-    equalized_llrs_into(instance, soft, stream_nv, llrs);
-    return llrs;
 }
 
 std::vector<std::uint8_t> harden(const std::vector<double>& llrs) {

@@ -80,19 +80,6 @@ void equalized_llrs_into(const mimo_instance& instance, const linalg::cvec& equa
 void flip_recost_llrs_into(const mimo_instance& instance, std::span<const std::uint8_t> bits,
                            std::vector<double>& out);
 
-/// Per-bit LLRs for a whole instance via zero-forcing equalisation with
-/// per-stream noise enhancement (diag of (H^H H)^-1), canonical layout.
-/// For a noiseless instance pass `noise_floor` > 0 to bound confidences.
-///
-/// DEPRECATED: detection-path soft output (paths::detection_path::
-/// soft_output) supersedes this free function — it produces the same
-/// post-equalisation LLRs for the "zf" path through the one public API and
-/// covers every other path too.  Kept for source compatibility; new code
-/// must not call it.
-[[deprecated("use paths::detection_path::soft_output — the unified path-level soft output")]]
-[[nodiscard]] std::vector<double> zf_soft_bits(const mimo_instance& instance,
-                                               double noise_floor = 1e-3);
-
 /// Hard decisions from LLRs (0 when LLR >= 0).  NaN-safe: a NaN LLR clamps
 /// to 0 first (clamp_llr) and therefore hardens to bit 0 — deterministic
 /// ordering even for malformed inputs.

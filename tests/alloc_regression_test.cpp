@@ -4,8 +4,9 @@
 // workspace up on a handful of channel uses, then pins the invariant the
 // redesign promises: once warm, a full use — QUBO reduction (where the path
 // needs one) plus detection/solve through run_block — performs ZERO heap
-// allocations, for a cached linear path (zf), a sweep solver (sa), and the
-// hybrid (gsra), even as the channel content changes use to use.
+// allocations, for a linear path (zf), a sweep solver (sa), and the hybrid
+// (gsra), even as the channel content changes use to use.  A link-level case
+// extends the gate to the ARQ retransmission chain.
 //
 // This suite must NOT run under ASan/TSan (the sanitizers interpose their
 // own allocator); scripts/verify.sh builds only its named suites for the
@@ -20,7 +21,9 @@
 #include <string>
 #include <vector>
 
+#include "arq/arq.h"
 #include "detect/transform.h"
+#include "link/link_sim.h"
 #include "paths/detection_path.h"
 #include "paths/registry.h"
 #include "paths/workspace.h"
@@ -124,6 +127,39 @@ TEST(AllocRegression, SaSteadyStateIsAllocationFree) {
 
 TEST(AllocRegression, GsraSteadyStateIsAllocationFree) {
     EXPECT_EQ(steady_state_allocations("gsra:reads=4"), 0U);
+}
+
+/// Heap allocations made by one run_link_simulation call.
+std::uint64_t link_allocations(const hcq::link::link_config& config) {
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    (void)hcq::link::run_link_simulation(config);
+    return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(AllocRegression, RetransmissionsReuseWorkerScratch) {
+    // deadline_us=0 retransmits every use max_retx = 2 times, so doubling
+    // the stream from n to 2n uses adds 2n retransmissions.  The window
+    // buffers are the same size in both runs (stream_block < n), so what
+    // the longer run allocates extra is per-use and per-retransmission cost:
+    // a retransmission must reuse the worker's memo, instances, and results.
+    // The closed-loop replay's std::deque blocks (about one per
+    // retransmission) are the allowance.
+    hcq::link::link_config config;
+    config.num_users = 4;
+    config.mod = wl::modulation::qam16;
+    config.paths = pt::parse_spec_list("zf");
+    config.num_threads = 1;
+    config.stream_block = 256;
+    config.arq = hcq::arq::parse_arq("deadline_us=0,max_retx=2");
+    constexpr std::size_t n = 512;
+    config.num_uses = n;
+    const std::uint64_t short_run = link_allocations(config);
+    config.num_uses = 2 * n;
+    const std::uint64_t long_run = link_allocations(config);
+    ASSERT_GE(long_run, short_run);
+    const double per_retransmission =
+        static_cast<double>(long_run - short_run) / static_cast<double>(2 * n);
+    EXPECT_LT(per_retransmission, 1.5);
 }
 
 // The counter itself must be live, or the zeros above prove nothing.

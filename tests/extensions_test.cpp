@@ -9,6 +9,8 @@
 #include "detect/sic.h"
 #include "detect/sphere.h"
 #include "detect/transform.h"
+#include "paths/registry.h"
+#include "paths/workspace.h"
 #include "qubo/brute_force.h"
 #include "qubo/generator.h"
 #include "qubo/serialize.h"
@@ -82,19 +84,19 @@ TEST(Soft, HardenedLlrsMatchExactSymbolOnCleanObservation) {
     }
 }
 
-TEST(Soft, ZfSoftBitsRecoverNoiselessTruth) {
-    // zf_soft_bits is deprecated (paths::detection_path::soft_output is the
-    // unified producer) but kept for source compatibility; this test pins the
-    // legacy entry point until it is removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+TEST(Soft, ZfPathSoftOutputRecoversNoiselessTruth) {
+    // The "zf" path's post-equalisation LLRs on a noiseless instance harden
+    // back to the transmitted bits.
     hcq::util::rng rng(711);
     const auto inst = wl::noiseless_paper_instance(rng, 4, wl::modulation::qam16);
-    const auto llrs = wl::zf_soft_bits(inst);
-    ASSERT_EQ(llrs.size(), inst.num_bits());
-    EXPECT_EQ(wl::harden(llrs), inst.tx_bits);
-    EXPECT_THROW((void)wl::zf_soft_bits(inst, 0.0), std::invalid_argument);
-#pragma GCC diagnostic pop
+    const auto zf = hcq::paths::registry::make("zf");
+    hcq::paths::workspace ws;
+    hcq::util::rng solve_rng(712);
+    const hcq::paths::path_context ctx{inst, nullptr, solve_rng, &ws};
+    auto det = zf->run(ctx);
+    zf->soft_output(ctx, det);
+    ASSERT_EQ(det.llrs.size(), inst.num_bits());
+    EXPECT_EQ(wl::harden(det.llrs), inst.tx_bits);
 }
 
 TEST(Serialize, RoundTripPreservesModel) {

@@ -13,6 +13,7 @@
 #include "fec/conv.h"
 #include "fec/interleaver.h"
 #include "paths/registry.h"
+#include "paths/workspace.h"
 #include "util/rng.h"
 #include "wireless/mimo.h"
 #include "wireless/soft.h"
@@ -288,7 +289,8 @@ TEST(FecLlrContract, NoiselessInstancesStillProduceFiniteLlrs) {
     // The linear path's post-equalisation soft output on the same instance.
     const auto zf = paths::registry::make("zf");
     util::rng solve_rng(29);
-    const paths::path_context ctx{instance, nullptr, solve_rng, nullptr};
+    paths::workspace ws;
+    const paths::path_context ctx{instance, nullptr, solve_rng, &ws};
     auto det = zf->run(ctx);
     zf->soft_output(ctx, det);
     ASSERT_EQ(det.llrs.size(), instance.tx_bits.size());

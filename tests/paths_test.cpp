@@ -13,6 +13,7 @@
 #include "detect/transform.h"
 #include "link/link_sim.h"
 #include "paths/registry.h"
+#include "paths/workspace.h"
 #include "qubo/generator.h"
 #include "wireless/mimo.h"
 
@@ -348,8 +349,21 @@ TEST(Registry, QuboPathRejectsMissingReduction) {
         hcq::wireless::noiseless_paper_instance(rng, 2, hcq::wireless::modulation::qpsk);
     const auto path = pt::registry::make("sa:reads=1,sweeps=5");
     hcq::util::rng solve_rng(32);
-    const pt::path_context ctx{instance, nullptr, solve_rng};
+    pt::workspace ws;
+    const pt::path_context ctx{instance, nullptr, solve_rng, &ws};
     EXPECT_THROW((void)path->run(ctx), std::invalid_argument);
+}
+
+TEST(Registry, BuiltinPathsRejectMissingWorkspace) {
+    hcq::util::rng rng(33);
+    const auto instance =
+        hcq::wireless::noiseless_paper_instance(rng, 2, hcq::wireless::modulation::qpsk);
+    const auto mq = hcq::detect::ml_to_qubo(instance);
+    hcq::util::rng solve_rng(34);
+    const pt::path_context ctx{instance, &mq, solve_rng};  // ws left null
+    for (const char* spec : {"zf", "kbest", "sa:reads=1,sweeps=5", "gsra:reads=1"}) {
+        EXPECT_THROW((void)pt::registry::make(spec)->run(ctx), std::invalid_argument) << spec;
+    }
 }
 
 }  // namespace

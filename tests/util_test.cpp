@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "util/cli.h"
 #include "util/rng.h"
@@ -235,6 +236,42 @@ TEST(ThreadPool, SnapshotCountsQueuedAndInFlightConsistently) {
     const auto idle = pool.snapshot();
     EXPECT_EQ(idle.queued, 0u);
     EXPECT_EQ(idle.in_flight, 0u);
+}
+
+TEST(ThreadPool, ForEachSlotGivesEachSlotToOneThreadAtATime) {
+    hcq::util::thread_pool pool(4);
+    // Per-slot state the tasks write without a lock: a plain counter and an
+    // "occupied" flag that a second concurrent user of the slot would trip.
+    std::vector<std::size_t> visits(pool.size(), 0);
+    std::vector<std::atomic<bool>> occupied(pool.size());
+    std::atomic<bool> overlap{false};
+    std::vector<std::atomic<int>> hits(1000);
+    pool.for_each_slot(hits.size(), [&](std::size_t slot, std::size_t i) {
+        ASSERT_LT(slot, pool.size());
+        if (occupied[slot].exchange(true)) overlap.store(true);
+        ++visits[slot];
+        hits[i].fetch_add(1);
+        occupied[slot].store(false);
+    });
+    EXPECT_FALSE(overlap.load());
+    std::size_t total = 0;
+    for (const std::size_t v : visits) total += v;
+    EXPECT_EQ(total, hits.size());
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    pool.for_each_slot(0, [](std::size_t, std::size_t) { FAIL() << "no iterations"; });
+}
+
+TEST(ThreadPool, ForEachSlotRethrowsAndPoolSurvives) {
+    hcq::util::thread_pool pool(3);
+    EXPECT_THROW(pool.for_each_slot(
+                     100,
+                     [](std::size_t, std::size_t i) {
+                         if (i == 7) throw std::runtime_error("boom");
+                     }),
+                 std::runtime_error);
+    std::atomic<int> calls{0};
+    pool.for_each_slot(10, [&](std::size_t, std::size_t) { calls.fetch_add(1); });
+    EXPECT_EQ(calls.load(), 10);
 }
 
 TEST(ParallelFor, VisitsEveryIndexOnce) {
