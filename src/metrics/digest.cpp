@@ -86,8 +86,14 @@ double latency_digest::quantile(double p) const {
     }
     if (count_ == 0) return 0.0;
     // Rank of the sample we are after, 1-based: p=0 -> 1st, p=100 -> count-th.
+    // The product carries a few ulps of rounding (99.9 / 100 * 20000 is
+    // 19980.000000000004), so one that close to an integer is that integer:
+    // the ceiling must not step past an exact rank.
     const double exact = p / 100.0 * static_cast<double>(count_);
-    const auto rank = std::max<std::uint64_t>(1, static_cast<std::uint64_t>(std::ceil(exact)));
+    const double nearest = std::round(exact);
+    const double target =
+        std::fabs(exact - nearest) <= 1e-12 * nearest ? nearest : std::ceil(exact);
+    const auto rank = std::max<std::uint64_t>(1, static_cast<std::uint64_t>(target));
     std::uint64_t cumulative = 0;
     for (std::size_t b = 0; b < counts_.size(); ++b) {
         cumulative += counts_[b];

@@ -160,6 +160,17 @@ TEST(LatencyDigest, TracksExactPercentilesWithinBinResolution) {
     EXPECT_DOUBLE_EQ(d.max(), *std::max_element(values.begin(), values.end()));
 }
 
+TEST(LatencyDigest, QuantileRankIsExactAtIntegerRanks) {
+    // p99.9 of 20,000 samples is the 19,980th; the floating-point product
+    // 99.9 / 100 * 20000 lands a hair above 19980 and must not round the
+    // rank up into the tail.
+    mt::latency_digest d;
+    for (int i = 0; i < 19980; ++i) d.add(1.0);
+    for (int i = 0; i < 20; ++i) d.add(100.0);
+    EXPECT_NEAR(d.quantile(99.9), 1.0, 0.01);
+    EXPECT_NEAR(d.quantile(99.95), 100.0, 1.0);  // rank 19,990 is in the tail
+}
+
 TEST(LatencyDigest, QuantilesAreMonotoneAndClamped) {
     mt::latency_digest d;
     for (const double v : {1.0, 10.0, 100.0, 1000.0}) d.add(v);
