@@ -190,6 +190,9 @@ TEST(ServeProtocol, PackUnpackBitsRoundTrips) {
 TEST(ServeProtocol, RequestSeedIsTheDoubleDerivation) {
     EXPECT_EQ(serve::request_seed(7, 3, 42),
               util::rng(42).derive(7).derive(3).seed());
+    // Pinned: the splitmix64 derivation is part of the wire contract, so a
+    // change of generator engine must leave every request seed unchanged.
+    EXPECT_EQ(serve::request_seed(7, 3, 42), 0x5c53b3bb09cce40eULL);
     // Distinct tenants / sequence numbers get distinct streams.
     EXPECT_NE(serve::request_seed(7, 3, 42), serve::request_seed(8, 3, 42));
     EXPECT_NE(serve::request_seed(7, 3, 42), serve::request_seed(7, 4, 42));
