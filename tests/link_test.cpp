@@ -51,12 +51,13 @@ TEST(LinkSim, StatisticsBitIdenticalAcrossThreadCounts) {
     }
 }
 
-// Golden values recorded from the pre-registry (enum-dispatch) link
-// simulator at commit b461477, via a standalone dump of this exact config —
-// the redesign must not change a single statistic.  Integer statistics are
-// exact; summed double costs are compared to a relative 1e-9 (identical
-// operation order on identical inputs, with headroom for FMA contraction
-// differences across compilers).
+// Golden values of these exact configs, via a standalone dump.  First
+// recorded from the pre-registry (enum-dispatch) link simulator at commit
+// b461477, which the registry redesign reproduced statistic for statistic;
+// re-recorded once when util::rng moved to Philox4x32-10, which changes
+// every draw.  Integer statistics are exact; summed double costs are
+// compared to a relative 1e-9 (identical operation order on identical
+// inputs, with headroom for FMA contraction differences across compilers).
 struct golden_row {
     const char* query;
     std::size_t errors;
@@ -76,12 +77,12 @@ void expect_golden(const lk::link_report& report, const golden_row& want) {
 
 TEST(LinkSim, GoldenStatisticsMatchEnumImplementation) {
     const golden_row golden[] = {
-        {"ZF", 4, 96, 21, 28.866302186627369},
-        {"MMSE", 3, 96, 22, 19.799982204356507},
-        {"K-best", 0, 96, 24, 11.190680449434273},
-        {"SD", 0, 96, 24, 11.190680449434273},
-        {"SA", 0, 96, 24, 11.190680449434273},
-        {"GS+RA", 0, 96, 24, 11.190680449434273},
+        {"ZF", 9, 96, 18, 23.495744279672071},
+        {"MMSE", 6, 96, 19, 19.433146367539369},
+        {"K-best", 3, 96, 22, 11.176321922318053},
+        {"SD", 3, 96, 22, 11.176321922318053},
+        {"SA", 3, 96, 22, 11.176321922318053},
+        {"GS+RA", 4, 96, 22, 12.394055542556307},
     };
     auto config = small_config();
     for (const std::size_t threads : {1UL, 2UL, 8UL}) {
@@ -97,12 +98,12 @@ TEST(LinkSim, GoldenStatisticsMatchEnumImplementationHardScenario) {
     // statistic (no path is all-exact), so a dispatch or RNG-stream
     // regression in any single path is caught.
     const golden_row golden[] = {
-        {"ZF", 48, 256, 2, 380.54334068809885},
-        {"MMSE", 37, 256, 5, 140.27658721395753},
-        {"K-best", 35, 256, 8, 111.36663255406008},
-        {"SD", 30, 256, 9, 78.790187337827376},
-        {"SA", 25, 256, 8, 100.86800242586055},
-        {"GS+RA", 27, 256, 10, 82.485979987233051},
+        {"ZF", 47, 256, 3, 214.59658996478592},
+        {"MMSE", 38, 256, 4, 167.34489321991038},
+        {"K-best", 30, 256, 7, 93.772279668883101},
+        {"SD", 28, 256, 8, 89.283760501448825},
+        {"SA", 55, 256, 3, 127.28067085206874},
+        {"GS+RA", 41, 256, 5, 93.78977727798636},
     };
     lk::link_config config;
     config.num_uses = 16;

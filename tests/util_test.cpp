@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "util/cli.h"
@@ -152,6 +154,35 @@ TEST(Rng, ShufflePreservesElements) {
     std::multiset<int> a(v.begin(), v.end());
     std::multiset<int> b(w.begin(), w.end());
     EXPECT_EQ(a, b);
+}
+
+TEST(Rng, PhiloxKnownAnswer) {
+    // Random123's philox4x32-10 vector for key 0, counter 0 is
+    // (6627e8d5, e169c58d, bc57ac4c, 9b00dbd8); a block yields c0 | c1 << 32,
+    // then c2 | c3 << 32.
+    constexpr std::uint64_t first = 0xe169c58d6627e8d5ULL;
+    constexpr std::uint64_t second = 0x9b00dbd8bc57ac4cULL;
+    rng r(0);
+    EXPECT_EQ(r(), first);
+    EXPECT_EQ(r(), second);
+    // The draws are defined on those words: uniform() is the top 53 bits,
+    // bits() takes 64 bits per draw, least-significant first.
+    EXPECT_EQ(rng(0).uniform(), static_cast<double>(first >> 11) * 0x1.0p-53);
+    const auto bits = rng(0).bits(65);
+    for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ(bits[i], (first >> i) & 1U) << i;
+    EXPECT_EQ(bits[64], second & 1U);
+}
+
+TEST(Rng, StateIsSmallAndTriviallyCopyable) {
+    EXPECT_LE(sizeof(rng), 64u);
+    EXPECT_TRUE(std::is_trivially_copyable_v<rng>);
+    // A copy taken mid-block (and mid normal pair) continues identically.
+    rng a(9);
+    (void)a();
+    (void)a.normal();
+    rng b = a;
+    EXPECT_EQ(a.normal(), b.normal());
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(a(), b());
 }
 
 TEST(ThreadPool, ExecutesAllTasks) {

@@ -3,9 +3,11 @@
 // Every detection-domain statistic run_link_simulation reports — BER
 // counters, exact frames, error bursts, summed ML cost, coded frame errors
 // and info-bit errors, the five ARQ counters, and the retransmission count —
-// is pinned to values recorded from the two-chain implementation at commit
-// 9dd6fa7 (separate uncoded and coded retransmission chains, optional
-// workspaces, exact-content decomposition caches).  The values must hold at
+// is pinned.  The values were first recorded from the two-chain
+// implementation at commit 9dd6fa7 (separate uncoded and coded
+// retransmission chains, optional workspaces, exact-content decomposition
+// caches), which the one frame chain reproduced exactly, and re-recorded
+// once when util::rng moved to Philox4x32-10.  The values must hold at
 // every thread count and stream block, under i.i.d. Rayleigh, correlated
 // Jakes fading, and imperfect CSI: per-worker workspaces, the warm
 // retransmission chain, and the pool's slot scheduling are pure performance
@@ -154,28 +156,27 @@ void run_matrix(lk::link_config config, std::span<const channel_case> channels,
 
 TEST(Workspace, OpenLoopStatisticsMatchGoldens) {
     const golden_row golden[] = {
-        {"rayleigh", "ZF", 33, 384, 32, 16, 10, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 101.74330629310694},
-        {"rayleigh", "MMSE", 23, 384, 34, 14, 12, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 85.785494937162937},
-        {"rayleigh", "K-best", 26, 384, 37, 11, 9, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-         61.600388259924813},
-        {"rayleigh", "SA", 30, 384, 35, 13, 11, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 67.092365795101514},
-        {"rayleigh", "GS+RA", 44, 384, 33, 15, 10, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-         95.680980097037178},
-        {"jakes", "ZF", 31, 384, 32, 16, 10, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 130.4458856433406},
-        {"jakes", "MMSE", 30, 384, 33, 15, 11, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 94.739424434802885},
-        {"jakes", "K-best", 28, 384, 39, 9, 6, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 67.525819950981926},
-        {"jakes", "SA", 26, 384, 38, 10, 6, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 74.345105784425044},
-        {"jakes", "GS+RA", 33, 384, 37, 11, 8, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 77.646199720569641},
-        {"imperfect-csi", "ZF", 67, 384, 19, 29, 14, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-         247.6157832313948},
-        {"imperfect-csi", "MMSE", 48, 384, 23, 25, 13, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-         164.24146989020818},
-        {"imperfect-csi", "K-best", 47, 384, 25, 23, 14, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-         110.51859034041772},
-        {"imperfect-csi", "SA", 58, 384, 23, 25, 14, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-         125.52676410141092},
-        {"imperfect-csi", "GS+RA", 68, 384, 23, 25, 14, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-         156.43426640915709},
+        {"rayleigh", "ZF", 41, 384, 30, 18, 12, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 115.7930857023815},
+        {"rayleigh", "MMSE", 57, 384, 21, 27, 13, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 116.24655241105607},
+        {"rayleigh", "K-best", 35, 384, 36, 12, 9, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+         59.270458483117466},
+        {"rayleigh", "SA", 46, 384, 34, 14, 9, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 64.951790116146981},
+        {"rayleigh", "GS+RA", 52, 384, 33, 15, 11, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 114.0526485593201},
+        {"jakes", "ZF", 25, 384, 34, 14, 9, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 87.525855243136235},
+        {"jakes", "MMSE", 36, 384, 25, 23, 13, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 109.94891199042684},
+        {"jakes", "K-best", 22, 384, 36, 12, 8, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 61.384293437934119},
+        {"jakes", "SA", 24, 384, 36, 12, 7, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 62.892050096243047},
+        {"jakes", "GS+RA", 42, 384, 31, 17, 7, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 78.192815938483861},
+        {"imperfect-csi", "ZF", 89, 384, 13, 35, 11, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+         284.66761724986458},
+        {"imperfect-csi", "MMSE", 91, 384, 10, 38, 9, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+         170.44312178363305},
+        {"imperfect-csi", "K-best", 70, 384, 19, 29, 15, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+         108.33613535326842},
+        {"imperfect-csi", "SA", 72, 384, 18, 30, 14, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+         119.10885432322711},
+        {"imperfect-csi", "GS+RA", 85, 384, 14, 34, 12, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+         123.06508320657224},
     };
     run_matrix(base_config(), kChannels, golden);
 }
@@ -187,29 +188,32 @@ TEST(Workspace, ArqChainsMatchGoldens) {
     config.num_uses = 32;
     config.arq = hcq::arq::parse_arq("deadline_us=auto,max_retx=2");
     const golden_row golden[] = {
-        {"rayleigh", "ZF", 14, 256, 24, 8, 5, 3, 0, 0, 0, 32, 46, 16, 6, 2, 14, 52.827174386877537},
-        {"rayleigh", "MMSE", 12, 256, 24, 8, 8, 1, 0, 0, 0, 32, 46, 18, 4, 4, 14,
-         55.270975082804128},
-        {"rayleigh", "K-best", 15, 256, 25, 7, 5, 3, 0, 0, 0, 32, 41, 10, 6, 1, 9,
-         38.410596795433406},
-        {"rayleigh", "SA", 19, 256, 24, 8, 6, 3, 0, 0, 0, 32, 43, 12, 7, 1, 11, 41.910066112571577},
-        {"rayleigh", "GS+RA", 31, 256, 21, 11, 6, 4, 0, 0, 0, 32, 46, 16, 9, 2, 14,
-         71.652179280234563},
-        {"jakes", "ZF", 15, 256, 23, 9, 5, 3, 0, 0, 0, 32, 43, 12, 8, 1, 11, 89.774518798718319},
-        {"jakes", "MMSE", 12, 256, 25, 7, 5, 2, 0, 0, 0, 32, 41, 10, 6, 1, 9, 64.127673364812082},
-        {"jakes", "K-best", 8, 256, 29, 3, 2, 2, 0, 0, 0, 32, 37, 7, 1, 2, 5, 46.034410925193114},
-        {"jakes", "SA", 10, 256, 28, 4, 3, 2, 0, 0, 0, 32, 38, 8, 2, 2, 6, 49.469493436022752},
-        {"jakes", "GS+RA", 13, 256, 27, 5, 4, 2, 0, 0, 0, 32, 39, 8, 4, 1, 7, 48.561844798889865},
-        {"imperfect-csi", "ZF", 43, 256, 14, 18, 10, 4, 0, 0, 0, 32, 61, 38, 9, 9, 29,
-         132.49282660834427},
-        {"imperfect-csi", "MMSE", 32, 256, 15, 17, 8, 3, 0, 0, 0, 32, 61, 39, 7, 10, 29,
-         96.99636695926246},
-        {"imperfect-csi", "K-best", 34, 256, 16, 16, 9, 3, 0, 0, 0, 32, 58, 31, 11, 5, 26,
-         67.153256120944164},
-        {"imperfect-csi", "SA", 41, 256, 14, 18, 9, 3, 0, 0, 0, 32, 62, 36, 12, 6, 30,
-         81.809152120413401},
-        {"imperfect-csi", "GS+RA", 48, 256, 15, 17, 9, 4, 0, 0, 0, 32, 61, 35, 11, 6, 29,
-         100.66538552347149},
+        {"rayleigh", "ZF", 28, 256, 20, 12, 7, 3, 0, 0, 0, 32, 51, 21, 10, 2, 19,
+         86.924413876958553},
+        {"rayleigh", "MMSE", 37, 256, 16, 16, 10, 3, 0, 0, 0, 32, 56, 28, 12, 4, 24,
+         67.044473458644418},
+        {"rayleigh", "K-best", 23, 256, 25, 7, 5, 3, 0, 0, 0, 32, 42, 10, 7, 0, 10,
+         39.474331202343819},
+        {"rayleigh", "SA", 29, 256, 24, 8, 6, 3, 0, 0, 0, 32, 45, 13, 8, 0, 13, 43.809930180220121},
+        {"rayleigh", "GS+RA", 22, 256, 26, 6, 6, 1, 0, 0, 0, 32, 42, 10, 6, 0, 10,
+         53.365977835678898},
+        {"jakes", "ZF", 15, 256, 24, 8, 6, 2, 0, 0, 0, 32, 45, 14, 7, 1, 13, 57.285727315935169},
+        {"jakes", "MMSE", 21, 256, 18, 14, 9, 3, 0, 0, 0, 32, 54, 26, 10, 4, 22,
+         71.300682053459553},
+        {"jakes", "K-best", 11, 256, 25, 7, 5, 3, 0, 0, 0, 32, 42, 11, 6, 1, 10,
+         46.877774078303766},
+        {"jakes", "SA", 10, 256, 26, 6, 4, 3, 0, 0, 0, 32, 41, 10, 5, 1, 9, 46.886836141938232},
+        {"jakes", "GS+RA", 18, 256, 23, 9, 4, 4, 0, 0, 0, 32, 44, 13, 8, 1, 12, 58.060043350230423},
+        {"imperfect-csi", "ZF", 56, 256, 9, 23, 7, 7, 0, 0, 0, 32, 72, 54, 9, 14, 40,
+         103.55574159441794},
+        {"imperfect-csi", "MMSE", 61, 256, 7, 25, 6, 7, 0, 0, 0, 32, 74, 55, 12, 13, 42,
+         100.71120373161698},
+        {"imperfect-csi", "K-best", 49, 256, 10, 22, 8, 4, 0, 0, 0, 32, 66, 44, 12, 10, 34,
+         65.915725592195685},
+        {"imperfect-csi", "SA", 43, 256, 10, 22, 8, 4, 0, 0, 0, 32, 68, 46, 12, 10, 36,
+         71.202557341578057},
+        {"imperfect-csi", "GS+RA", 45, 256, 10, 22, 8, 4, 0, 0, 0, 32, 68, 44, 14, 8, 36,
+         72.190574289185008},
     };
     run_matrix(config, kChannels, golden);
 }
@@ -221,31 +225,32 @@ TEST(Workspace, EveryUseRetransmitsMatchesGoldens) {
     config.num_uses = 32;
     config.arq = hcq::arq::parse_arq("deadline_us=0,max_retx=2");
     const golden_row golden[] = {
-        {"rayleigh", "ZF", 14, 256, 24, 8, 5, 3, 0, 0, 0, 32, 96, 40, 5, 16, 64,
-         52.827174386877537},
-        {"rayleigh", "MMSE", 12, 256, 24, 8, 8, 1, 0, 0, 0, 32, 96, 39, 4, 17, 64,
-         55.270975082804128},
-        {"rayleigh", "K-best", 15, 256, 25, 7, 5, 3, 0, 0, 0, 32, 96, 32, 4, 14, 64,
-         38.410596795433406},
-        {"rayleigh", "SA", 19, 256, 24, 8, 6, 3, 0, 0, 0, 32, 96, 37, 5, 18, 64,
-         41.910066112571577},
-        {"rayleigh", "GS+RA", 31, 256, 21, 11, 6, 4, 0, 0, 0, 32, 96, 42, 4, 18, 64,
-         71.652179280234563},
-        {"jakes", "ZF", 15, 256, 23, 9, 5, 3, 0, 0, 0, 32, 96, 27, 7, 9, 64, 89.774518798718319},
-        {"jakes", "MMSE", 12, 256, 25, 7, 5, 2, 0, 0, 0, 32, 96, 26, 6, 8, 64, 64.127673364812082},
-        {"jakes", "K-best", 8, 256, 29, 3, 2, 2, 0, 0, 0, 32, 96, 14, 1, 5, 64, 46.034410925193114},
-        {"jakes", "SA", 10, 256, 28, 4, 3, 2, 0, 0, 0, 32, 96, 16, 1, 6, 64, 49.469493436022752},
-        {"jakes", "GS+RA", 13, 256, 27, 5, 4, 2, 0, 0, 0, 32, 96, 23, 3, 9, 64, 48.561844798889865},
-        {"imperfect-csi", "ZF", 43, 256, 14, 18, 10, 4, 0, 0, 0, 32, 96, 64, 4, 25, 64,
-         132.49282660834427},
-        {"imperfect-csi", "MMSE", 32, 256, 15, 17, 8, 3, 0, 0, 0, 32, 96, 62, 4, 22, 64,
-         96.99636695926246},
-        {"imperfect-csi", "K-best", 34, 256, 16, 16, 9, 3, 0, 0, 0, 32, 96, 51, 7, 16, 64,
-         67.153256120944164},
-        {"imperfect-csi", "SA", 41, 256, 14, 18, 9, 3, 0, 0, 0, 32, 96, 53, 9, 16, 64,
-         81.809152120413401},
-        {"imperfect-csi", "GS+RA", 48, 256, 15, 17, 9, 4, 0, 0, 0, 32, 96, 58, 7, 19, 64,
-         100.66538552347149},
+        {"rayleigh", "ZF", 28, 256, 20, 12, 7, 3, 0, 0, 0, 32, 96, 40, 8, 14, 64,
+         86.924413876958553},
+        {"rayleigh", "MMSE", 37, 256, 16, 16, 10, 3, 0, 0, 0, 32, 96, 40, 10, 10, 64,
+         67.044473458644418},
+        {"rayleigh", "K-best", 23, 256, 25, 7, 5, 3, 0, 0, 0, 32, 96, 21, 5, 5, 64,
+         39.474331202343819},
+        {"rayleigh", "SA", 29, 256, 24, 8, 6, 3, 0, 0, 0, 32, 96, 25, 7, 6, 64, 43.809930180220121},
+        {"rayleigh", "GS+RA", 22, 256, 26, 6, 6, 1, 0, 0, 0, 32, 96, 29, 5, 8, 64,
+         53.365977835678898},
+        {"jakes", "ZF", 15, 256, 24, 8, 6, 2, 0, 0, 0, 32, 96, 27, 7, 8, 64, 57.285727315935169},
+        {"jakes", "MMSE", 21, 256, 18, 14, 9, 3, 0, 0, 0, 32, 96, 37, 8, 10, 64,
+         71.300682053459553},
+        {"jakes", "K-best", 11, 256, 25, 7, 5, 3, 0, 0, 0, 32, 96, 18, 5, 5, 64,
+         46.877774078303766},
+        {"jakes", "SA", 10, 256, 26, 6, 4, 3, 0, 0, 0, 32, 96, 19, 4, 6, 64, 46.886836141938232},
+        {"jakes", "GS+RA", 18, 256, 23, 9, 4, 4, 0, 0, 0, 32, 96, 21, 6, 6, 64, 58.060043350230423},
+        {"imperfect-csi", "ZF", 56, 256, 9, 23, 7, 7, 0, 0, 0, 32, 96, 67, 6, 22, 64,
+         103.55574159441794},
+        {"imperfect-csi", "MMSE", 61, 256, 7, 25, 6, 7, 0, 0, 0, 32, 96, 66, 7, 20, 64,
+         100.71120373161698},
+        {"imperfect-csi", "K-best", 49, 256, 10, 22, 8, 4, 0, 0, 0, 32, 96, 55, 7, 19, 64,
+         65.915725592195685},
+        {"imperfect-csi", "SA", 43, 256, 10, 22, 8, 4, 0, 0, 0, 32, 96, 58, 7, 19, 64,
+         71.202557341578057},
+        {"imperfect-csi", "GS+RA", 45, 256, 10, 22, 8, 4, 0, 0, 0, 32, 96, 58, 9, 18, 64,
+         72.190574289185008},
     };
     run_matrix(config, kChannels, golden);
 }
@@ -256,49 +261,48 @@ TEST(Workspace, CodedOpenLoopMatchesGoldens) {
     config.num_uses = 64;
     config.fec = hcq::fec::code_spec::parse("k7");
     const golden_row golden[] = {
-        {"rayleigh", "ZF", 59, 512, 39, 25, 18, 3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 121.95641391074568},
-        {"rayleigh", "MMSE", 51, 512, 38, 26, 14, 5, 4, 0, 0, 0, 0, 0, 0, 0, 0,
-         105.22421280920004},
-        {"rayleigh", "K-best", 46, 512, 47, 17, 15, 2, 4, 2, 20, 0, 0, 0, 0, 0, 0,
-         71.252773969106883},
-        {"rayleigh", "SA", 43, 512, 47, 17, 14, 2, 4, 3, 27, 0, 0, 0, 0, 0, 0, 80.824815456085716},
-        {"rayleigh", "GS+RA", 80, 512, 38, 26, 14, 6, 4, 4, 78, 0, 0, 0, 0, 0, 0,
-         116.37267334626718},
-        {"jakes", "ZF", 70, 512, 33, 31, 12, 11, 4, 1, 4, 0, 0, 0, 0, 0, 0, 162.6310814537805},
-        {"jakes", "MMSE", 69, 512, 35, 29, 12, 10, 4, 1, 6, 0, 0, 0, 0, 0, 0, 132.09346278386562},
-        {"jakes", "K-best", 65, 512, 43, 21, 11, 8, 4, 2, 27, 0, 0, 0, 0, 0, 0, 81.776472801919141},
-        {"jakes", "SA", 62, 512, 43, 21, 10, 8, 4, 2, 19, 0, 0, 0, 0, 0, 0, 88.709579840398291},
-        {"jakes", "GS+RA", 67, 512, 42, 22, 9, 8, 4, 2, 39, 0, 0, 0, 0, 0, 0, 111.66084933556317},
-        {"imperfect-csi", "ZF", 91, 512, 21, 43, 18, 7, 4, 3, 24, 0, 0, 0, 0, 0, 0,
-         197.8049782610473},
-        {"imperfect-csi", "MMSE", 86, 512, 22, 42, 17, 7, 4, 2, 16, 0, 0, 0, 0, 0, 0,
-         185.6100576731111},
-        {"imperfect-csi", "K-best", 91, 512, 24, 40, 19, 5, 4, 3, 61, 0, 0, 0, 0, 0, 0,
-         116.7487034590999},
-        {"imperfect-csi", "SA", 84, 512, 26, 38, 19, 5, 4, 3, 38, 0, 0, 0, 0, 0, 0,
-         120.10096831331536},
-        {"imperfect-csi", "GS+RA", 104, 512, 23, 41, 16, 13, 4, 4, 96, 0, 0, 0, 0, 0, 0,
-         171.72705442992773},
+        {"rayleigh", "ZF", 45, 512, 40, 24, 17, 6, 4, 0, 0, 0, 0, 0, 0, 0, 0, 182.1336157574122},
+        {"rayleigh", "MMSE", 52, 512, 38, 26, 16, 7, 4, 0, 0, 0, 0, 0, 0, 0, 0, 115.35527906189208},
+        {"rayleigh", "K-best", 29, 512, 50, 14, 11, 2, 4, 0, 0, 0, 0, 0, 0, 0, 0,
+         81.022633358264429},
+        {"rayleigh", "SA", 36, 512, 46, 18, 12, 3, 4, 1, 2, 0, 0, 0, 0, 0, 0, 85.959369766098931},
+        {"rayleigh", "GS+RA", 58, 512, 42, 22, 15, 4, 4, 4, 32, 0, 0, 0, 0, 0, 0,
+         113.96262372792485},
+        {"jakes", "ZF", 45, 512, 40, 24, 16, 4, 4, 1, 3, 0, 0, 0, 0, 0, 0, 194.63670125749238},
+        {"jakes", "MMSE", 64, 512, 36, 28, 13, 6, 4, 0, 0, 0, 0, 0, 0, 0, 0, 133.24641309897979},
+        {"jakes", "K-best", 45, 512, 46, 18, 14, 2, 4, 1, 26, 0, 0, 0, 0, 0, 0, 79.754999032450627},
+        {"jakes", "SA", 42, 512, 47, 17, 14, 4, 4, 1, 19, 0, 0, 0, 0, 0, 0, 88.330296797877807},
+        {"jakes", "GS+RA", 74, 512, 39, 25, 19, 3, 4, 4, 33, 0, 0, 0, 0, 0, 0, 106.88905020517544},
+        {"imperfect-csi", "ZF", 99, 512, 19, 45, 14, 8, 4, 2, 45, 0, 0, 0, 0, 0, 0,
+         298.94595005947809},
+        {"imperfect-csi", "MMSE", 93, 512, 23, 41, 16, 10, 4, 2, 38, 0, 0, 0, 0, 0, 0,
+         197.72568362825817},
+        {"imperfect-csi", "K-best", 83, 512, 29, 35, 17, 6, 4, 2, 59, 0, 0, 0, 0, 0, 0,
+         127.11083963803871},
+        {"imperfect-csi", "SA", 98, 512, 23, 41, 15, 6, 4, 2, 57, 0, 0, 0, 0, 0, 0,
+         139.42279564749848},
+        {"imperfect-csi", "GS+RA", 101, 512, 25, 39, 15, 8, 4, 4, 67, 0, 0, 0, 0, 0, 0,
+         169.79493387538761},
     };
     run_matrix(config, kChannels, golden);
 }
 
 TEST(Workspace, CodedChaseArqMatchesGoldens) {
     const golden_row golden[] = {
-        {"jakes-csi", "MMSE", 386, 2048, 15, 113, 14, 34, 16, 14, 128, 16, 39, 28, 9, 5, 23,
-         1831.6979599887163},
-        {"jakes-csi", "K-best", 224, 2048, 58, 70, 33, 7, 16, 11, 132, 16, 31, 18, 8, 3, 15,
-         942.76859501359786},
+        {"jakes-csi", "MMSE", 342, 2048, 21, 107, 16, 35, 16, 8, 100, 16, 29, 16, 5, 3, 13,
+         1921.8955350323106},
+        {"jakes-csi", "K-best", 265, 2048, 57, 71, 31, 14, 16, 9, 132, 16, 29, 15, 7, 2, 13,
+         888.49940700992647},
     };
     run_matrix(coded_arq_config("chase"), kCodedArqChannel, golden);
 }
 
 TEST(Workspace, CodedPlainArqMatchesGoldens) {
     const golden_row golden[] = {
-        {"jakes-csi", "MMSE", 386, 2048, 15, 113, 14, 34, 16, 14, 128, 16, 42, 35, 5, 9, 26,
-         1831.6979599887163},
-        {"jakes-csi", "K-best", 224, 2048, 58, 70, 33, 7, 16, 11, 132, 16, 33, 21, 7, 4, 17,
-         942.76859501359786},
+        {"jakes-csi", "MMSE", 342, 2048, 21, 107, 16, 35, 16, 8, 100, 16, 30, 18, 4, 4, 14,
+         1921.8955350323106},
+        {"jakes-csi", "K-best", 265, 2048, 57, 71, 31, 14, 16, 9, 132, 16, 32, 20, 5, 4, 16,
+         888.49940700992647},
     };
     run_matrix(coded_arq_config("plain"), kCodedArqChannel, golden);
 }
