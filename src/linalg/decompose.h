@@ -139,23 +139,6 @@ template <typename T>
     return solve_upper(qr.r, qhy);
 }
 
-/// Inverse of a square full-rank matrix via QR.
-template <typename T>
-[[nodiscard]] basic_matrix<T> inverse(const basic_matrix<T>& a) {
-    const std::size_t n = a.rows();
-    if (a.cols() != n) throw std::invalid_argument("inverse: not square");
-    const auto qr = householder_qr(a);
-    const auto qh = qr.q.hermitian();
-    basic_matrix<T> out(n, n);
-    for (std::size_t c = 0; c < n; ++c) {
-        basic_vector<T> e(n);
-        for (std::size_t i = 0; i < n; ++i) e[i] = qh(i, c);
-        const auto col = solve_upper(qr.r, e);
-        for (std::size_t i = 0; i < n; ++i) out(i, c) = col[i];
-    }
-    return out;
-}
-
 /// Cholesky factorisation A = L L^H of a Hermitian positive-definite matrix;
 /// throws std::runtime_error if A is not (numerically) positive definite.
 template <typename T>
@@ -284,6 +267,40 @@ void solve_upper_into(const basic_matrix<T>& r, const basic_vector<T>& b, basic_
         if (abs_sq(r(ii, ii)) < 1e-300) throw std::runtime_error("solve_upper: singular");
         x[ii] = acc * (T{1} / r(ii, ii));
     }
+}
+
+/// Reusable intermediates of inverse_into.
+template <typename T>
+struct inverse_scratch {
+    qr_scratch<T> qr;
+    qr_result<T> factors;
+    basic_vector<T> e;    ///< column c of Q^H
+    basic_vector<T> col;  ///< column c of the inverse
+};
+
+/// Inverse of a square full-rank matrix via QR, into a reused matrix: column
+/// c solves R x = (column c of Q^H).
+template <typename T>
+void inverse_into(const basic_matrix<T>& a, inverse_scratch<T>& scratch, basic_matrix<T>& out) {
+    const std::size_t n = a.rows();
+    if (a.cols() != n) throw std::invalid_argument("inverse: not square");
+    householder_qr_into(a, scratch.qr, scratch.factors);
+    out.resize(n, n);
+    scratch.e.resize(n);
+    for (std::size_t c = 0; c < n; ++c) {
+        for (std::size_t i = 0; i < n; ++i) scratch.e[i] = conj_value(scratch.factors.q(c, i));
+        solve_upper_into(scratch.factors.r, scratch.e, scratch.col);
+        for (std::size_t i = 0; i < n; ++i) out(i, c) = scratch.col[i];
+    }
+}
+
+/// Allocating form of inverse_into.
+template <typename T>
+[[nodiscard]] basic_matrix<T> inverse(const basic_matrix<T>& a) {
+    inverse_scratch<T> scratch;
+    basic_matrix<T> out;
+    inverse_into(a, scratch, out);
+    return out;
 }
 
 /// Forward substitution into a reused vector; bit-identical to solve_lower.

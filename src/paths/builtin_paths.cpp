@@ -69,24 +69,25 @@ workspace& require_workspace(const path_context& ctx) {
 /// per-stream noise enhancement sigma^2 [(H^H H + load I)^-1]_uu.  The
 /// effective sigma^2 is floored (wireless::llr_noise_floor) so a noiseless
 /// instance yields large-but-finite confidences, and every LLR is clamped
-/// by equalized_llrs_into.  Deterministic, workspace-independent, and
-/// harden(llrs) reproduces the linear detector's hard decisions exactly:
-/// per symbol, the bit pattern minimising the max-log metric IS the nearest
-/// constellation point the detector slices to.
-void linear_soft_output(const wireless::mimo_instance& inst, double load, path_result& out) {
-    linalg::cmat a;
-    linalg::gram_into(inst.h, a);
-    for (std::size_t i = 0; i < a.rows(); ++i) a(i, i) += load;
-    const auto a_inv = linalg::inverse(a);
-    linalg::cvec hy;
-    linalg::herm_matvec_into(inst.h, inst.y, hy);
-    const linalg::cvec equalized = a_inv * hy;
+/// by equalized_llrs_into.  Deterministic, and harden(llrs) reproduces the
+/// linear detector's hard decisions exactly: per symbol, the bit pattern
+/// minimising the max-log metric IS the nearest constellation point the
+/// detector slices to.  Every intermediate lives in the workspace, whose
+/// prior contents never reach the LLRs; a warm workspace allocates nothing.
+void linear_soft_output(const wireless::mimo_instance& inst, double load, workspace& ws,
+                        path_result& out) {
+    linear_soft_scratch& s = ws.soft;
+    linalg::gram_into(inst.h, s.gram);
+    for (std::size_t i = 0; i < s.gram.rows(); ++i) s.gram(i, i) += load;
+    linalg::inverse_into(s.gram, s.inv, s.gram_inv);
+    linalg::herm_matvec_into(inst.h, inst.y, s.hy);
+    linalg::matvec_into(s.gram_inv, s.hy, s.equalized);
     const double sigma_sq = std::max(inst.noise_variance, wireless::llr_noise_floor);
-    std::vector<double> stream_nv(inst.num_users);
+    s.stream_nv.resize(inst.num_users);
     for (std::size_t u = 0; u < inst.num_users; ++u) {
-        stream_nv[u] = sigma_sq * std::max(a_inv(u, u).real(), 1e-12);
+        s.stream_nv[u] = sigma_sq * std::max(s.gram_inv(u, u).real(), 1e-12);
     }
-    wireless::equalized_llrs_into(inst, equalized, stream_nv, out.llrs);
+    wireless::equalized_llrs_into(inst, s.equalized, s.stream_nv, out.llrs);
 }
 
 /// A conventional detector as a path: one "detect" stage straight on y and
@@ -114,13 +115,13 @@ public:
     void soft_output(const path_context& ctx, path_result& out) const override {
         switch (soft_) {
             case soft_kind::zf_equalized:
-                linear_soft_output(ctx.instance, 0.0, out);
+                linear_soft_output(ctx.instance, 0.0, require_workspace(ctx), out);
                 return;
             case soft_kind::mmse_equalized:
                 linear_soft_output(ctx.instance,
                                    ctx.instance.noise_variance /
                                        wireless::mean_symbol_energy(ctx.instance.mod),
-                                   out);
+                                   require_workspace(ctx), out);
                 return;
             case soft_kind::recost:
                 wireless::flip_recost_llrs_into(ctx.instance, out.bits, out.llrs);

@@ -3,9 +3,10 @@
 //
 // A `workspace` owns everything a detection path may want to reuse across
 // channel uses: the detector scratch (QUBO reduction buffers, factorisation
-// and tree-search buffers — detect/scratch.h) and the classical-solver
-// scratch (Metropolis engine, bit/field buffers — classical/solver.h).
-// Once warm, the built-in paths run a use without touching the heap.  The
+// and tree-search buffers — detect/scratch.h), the classical-solver
+// scratch (Metropolis engine, bit/field buffers — classical/solver.h), and
+// the linear paths' soft-output buffers.  Once warm, the built-in paths run
+// a use without touching the heap, and so does the zf/mmse soft output.  The
 // built-in paths require one: they throw std::invalid_argument when
 // path_context::ws is null.
 //
@@ -22,15 +23,31 @@
 #ifndef HCQ_PATHS_WORKSPACE_H
 #define HCQ_PATHS_WORKSPACE_H
 
+#include <vector>
+
 #include "classical/solver.h"
 #include "detect/scratch.h"
+#include "linalg/decompose.h"
+#include "linalg/matrix.h"
 
 namespace hcq::paths {
+
+/// Buffers of the linear paths' post-equalisation soft output
+/// (paths/builtin_paths.cpp).
+struct linear_soft_scratch {
+    linalg::cmat gram;                         ///< H^H H + load I
+    linalg::inverse_scratch<linalg::cxd> inv;  ///< QR factors and column solves
+    linalg::cmat gram_inv;                     ///< (H^H H + load I)^-1
+    linalg::cvec hy;                           ///< H^H y
+    linalg::cvec equalized;                    ///< per-stream equalised estimates
+    std::vector<double> stream_nv;             ///< per-stream effective noise variance
+};
 
 /// Per-worker reusable state for the detection hot path.
 struct workspace {
     detect::detect_scratch detect;  ///< detector scratch + QuAMax reduction buffers
     solvers::solve_scratch solve;   ///< classical-solver / hybrid scratch
+    linear_soft_scratch soft;       ///< zf / mmse soft-output buffers
 };
 
 }  // namespace hcq::paths

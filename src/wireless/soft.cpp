@@ -22,29 +22,68 @@ std::vector<double> symbol_llrs(modulation mod, linalg::cxd equalized, double no
     return llrs;
 }
 
+namespace {
+
+/// Squared-distance minima over the PAM levels of one dimension carrying k
+/// bits (natural map, bits MSB-first): by_bit[j][v] over the levels whose
+/// bit j is v, and `any` over every level.
+struct pam_minima {
+    double by_bit[3][2];  // bits_per_dimension is at most 3
+    double any;
+};
+
+pam_minima dimension_minima(double x, std::size_t k) {
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    pam_minima m{};
+    m.any = inf;
+    for (std::size_t j = 0; j < k; ++j) m.by_bit[j][0] = m.by_bit[j][1] = inf;
+    const std::size_t levels = std::size_t{1} << k;
+    const double top = static_cast<double>(levels - 1);
+    for (std::size_t level = 0; level < levels; ++level) {
+        // pam_amplitude of the level's bits, 2 level - (2^k - 1), is exact.
+        const double diff = x - (2.0 * static_cast<double>(level) - top);
+        const double d = diff * diff;
+        m.any = std::min(m.any, d);
+        for (std::size_t j = 0; j < k; ++j) {
+            double& best = m.by_bit[j][(level >> (k - 1 - j)) & 1U];
+            best = std::min(best, d);
+        }
+    }
+    return m;
+}
+
+}  // namespace
+
+// The natural map is separable: constellation point (i << k) | q sits at
+// (amplitude of level i, amplitude of level q), and std::norm forms its
+// squared distance as fl(dI + dQ) from the per-dimension squares.  Rounding
+// is monotone, so the minimum of fl(dI + dQ) over every point carrying one
+// bit value is fl(min dI + min dQ) over the matching levels — the same
+// double a scan of all 2^bps points produces, from 2^k squares per
+// dimension and without building the constellation.
 void symbol_llrs_into(modulation mod, linalg::cxd equalized, double noise_variance,
                       std::span<double> out) {
     if (noise_variance <= 0.0) throw std::invalid_argument("symbol_llrs: noise_variance <= 0");
-    const auto points = constellation(mod);
     const std::size_t bps = bits_per_symbol(mod);
     if (out.size() != bps) throw std::invalid_argument("symbol_llrs: wrong output length");
-    double min0[8];  // bits_per_symbol is at most 6
-    double min1[8];
-    for (std::size_t b = 0; b < bps; ++b) {
-        min0[b] = std::numeric_limits<double>::infinity();
-        min1[b] = std::numeric_limits<double>::infinity();
+    const std::size_t k = bits_per_dimension(mod);
+    const bool has_quadrature = uses_quadrature(mod);
+    const pam_minima in_phase = dimension_minima(equalized.real(), k);
+    // BPSK points all sit on the real axis, so each one's Q term is im^2.
+    pam_minima quadrature{};
+    if (has_quadrature) {
+        quadrature = dimension_minima(equalized.imag(), k);
+    } else {
+        quadrature.any = equalized.imag() * equalized.imag();
     }
-    for (std::size_t pattern = 0; pattern < points.size(); ++pattern) {
-        const double dist = std::norm(equalized - points[pattern]);
-        for (std::size_t b = 0; b < bps; ++b) {
-            // `constellation` indexes by the natural-map pattern, MSB-first.
-            const bool bit = ((pattern >> (bps - 1 - b)) & 1U) != 0;
-            auto& best = bit ? min1[b] : min0[b];
-            best = std::min(best, dist);
-        }
-    }
-    for (std::size_t b = 0; b < bps; ++b) {
-        out[b] = clamp_llr((min1[b] - min0[b]) / noise_variance);
+    for (std::size_t j = 0; j < k; ++j) {
+        out[j] = clamp_llr(((in_phase.by_bit[j][1] + quadrature.any) -
+                            (in_phase.by_bit[j][0] + quadrature.any)) /
+                           noise_variance);
+        if (!has_quadrature) continue;
+        out[k + j] = clamp_llr(((in_phase.any + quadrature.by_bit[j][1]) -
+                                (in_phase.any + quadrature.by_bit[j][0])) /
+                               noise_variance);
     }
 }
 

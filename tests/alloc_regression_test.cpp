@@ -5,8 +5,9 @@
 // redesign promises: once warm, a full use — QUBO reduction (where the path
 // needs one) plus detection/solve through run_block — performs ZERO heap
 // allocations, for a linear path (zf), a sweep solver (sa), and the hybrid
-// (gsra), even as the channel content changes use to use.  A link-level case
-// extends the gate to the ARQ retransmission chain.
+// (gsra), even as the channel content changes use to use; so does the
+// linear paths' soft output (zf, mmse).  Link-level cases extend the gate to
+// the ARQ retransmission chain and to the coded (FEC) frame chain.
 //
 // This suite must NOT run under ASan/TSan (the sanitizers interpose their
 // own allocator); scripts/verify.sh builds only its named suites for the
@@ -23,6 +24,7 @@
 
 #include "arq/arq.h"
 #include "detect/transform.h"
+#include "fec/code_spec.h"
 #include "link/link_sim.h"
 #include "paths/detection_path.h"
 #include "paths/registry.h"
@@ -73,8 +75,9 @@ namespace wl = hcq::wireless;
 namespace dt = hcq::detect;
 
 /// Runs `spec` over rotating channel instances with one warm workspace and
-/// returns the allocation count of the steady-state phase.
-std::uint64_t steady_state_allocations(const char* spec) {
+/// returns the allocation count of the steady-state phase.  `soft` adds
+/// the soft_output call after each run_block.
+std::uint64_t steady_state_allocations(const char* spec, bool soft = false) {
     const auto path = pt::registry::make(std::string(spec));
     const bool needs_qubo = path->needs_qubo();
 
@@ -102,6 +105,7 @@ std::uint64_t steady_state_allocations(const char* spec) {
         const pt::path_context ctx{instance, needs_qubo ? &mq : nullptr, solve_rng, &ws};
         path->run_block(std::span<const pt::path_context>(&ctx, 1),
                         std::span<pt::path_result>(&cell, 1));
+        if (soft) path->soft_output(ctx, cell);
     };
 
     // Warm-up: two full passes size every scratch buffer to its high-water
@@ -127,6 +131,11 @@ TEST(AllocRegression, SaSteadyStateIsAllocationFree) {
 
 TEST(AllocRegression, GsraSteadyStateIsAllocationFree) {
     EXPECT_EQ(steady_state_allocations("gsra:reads=4"), 0U);
+}
+
+TEST(AllocRegression, LinearSoftOutputIsAllocationFree) {
+    EXPECT_EQ(steady_state_allocations("zf", /*soft=*/true), 0U);
+    EXPECT_EQ(steady_state_allocations("mmse", /*soft=*/true), 0U);
 }
 
 /// Heap allocations made by one run_link_simulation call.
@@ -160,6 +169,33 @@ TEST(AllocRegression, RetransmissionsReuseWorkerScratch) {
     const double per_retransmission =
         static_cast<double>(long_run - short_run) / static_cast<double>(2 * n);
     EXPECT_LT(per_retransmission, 1.5);
+}
+
+TEST(AllocRegression, CodedFramesReuseWorkerScratch) {
+    // The open-loop k7 coded link: per frame, soft output of every use,
+    // Viterbi decoding and the per-path fold.  As above, the window buffers
+    // match in both runs (stream_block < n), so the longer run's extra
+    // allocations are per-use cost; the replay's std::deque blocks stay the
+    // allowance, well under one per use.
+    hcq::link::link_config config;
+    config.num_users = 4;
+    config.mod = wl::modulation::qam16;
+    config.paths = pt::parse_spec_list("zf,mmse");
+    config.num_threads = 1;
+    config.stream_block = 256;
+    config.fec = hcq::fec::code_spec::parse("k7");
+    constexpr std::size_t n = 512;
+    config.num_uses = n;
+    // One untimed run first: the path registry and other lazy statics cost
+    // thousands of one-time allocations, more than the per-use extras, when
+    // this test runs alone in its process.
+    (void)link_allocations(config);
+    const std::uint64_t short_run = link_allocations(config);
+    config.num_uses = 2 * n;
+    const std::uint64_t long_run = link_allocations(config);
+    ASSERT_GE(long_run, short_run);
+    const double per_use = static_cast<double>(long_run - short_run) / static_cast<double>(n);
+    EXPECT_LT(per_use, 1.0);
 }
 
 // The counter itself must be live, or the zeros above prove nothing.

@@ -1,9 +1,18 @@
 // The coding layer (src/fec/): spec grammar, the interleaver permutation,
 // the hand-checked convolutional encoder, zero-noise and noisy Viterbi
-// round trips (soft decisions must beat hard ones), and the canonical LLR
-// clamp contract of wireless/soft.h that the whole soft chain leans on.
+// round trips (soft decisions must beat hard ones), bit-exact agreement of
+// the decoder and the per-symbol demapper with straightforward reference
+// scans, and the canonical LLR clamp contract of wireless/soft.h that the
+// whole soft chain leans on.
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <complex>
+#include <cstdint>
 #include <limits>
+#include <span>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,10 +21,12 @@
 #include "fec/codec.h"
 #include "fec/conv.h"
 #include "fec/interleaver.h"
+#include "fec/viterbi.h"
 #include "paths/registry.h"
 #include "paths/workspace.h"
 #include "util/rng.h"
 #include "wireless/mimo.h"
+#include "wireless/modulation.h"
 #include "wireless/soft.h"
 
 namespace {
@@ -231,6 +242,203 @@ TEST(FecCodec, DecodeIsAPureFunctionOfTheLlrs) {
     fec::codec fresh(fec::code_spec::parse("k3:interleave=4x8"));
     fresh.decode_frame(llrs, again);  // cold instance agrees too
     EXPECT_EQ(first, again);
+}
+
+// ---------------------------------------------------------------------------
+// Reference equality: the Viterbi decoder and the per-symbol demapper against
+// straightforward scans
+// ---------------------------------------------------------------------------
+
+/// Reference soft Viterbi: for every step, scans every (input bit, previous
+/// state) candidate in ascending order, skipping unreachable states, and
+/// keeps a candidate only on a strictly greater metric.  Same trellis
+/// convention and metric as fec::viterbi_decoder.
+std::vector<std::uint8_t> reference_viterbi(std::span<const double> llrs, std::size_t k,
+                                            const std::vector<std::uint32_t>& generators,
+                                            std::size_t info_bits) {
+    const std::size_t num_states = std::size_t{1} << (k - 1);
+    const std::size_t branch = generators.size();
+    const std::size_t steps = info_bits + k - 1;
+    constexpr double neg_inf = -std::numeric_limits<double>::infinity();
+    std::vector<double> metric(num_states, neg_inf);
+    std::vector<double> next_metric(num_states);
+    std::vector<std::uint8_t> decisions(steps * num_states, 0);
+    metric[0] = 0.0;
+    for (std::size_t t = 0; t < steps; ++t) {
+        const bool tail = t >= info_bits;
+        for (auto& m : next_metric) m = neg_inf;
+        for (std::uint32_t b = 0; b <= (tail ? 0U : 1U); ++b) {
+            for (std::size_t prev = 0; prev < num_states; ++prev) {
+                if (metric[prev] == neg_inf) continue;
+                const std::uint32_t full = (b << (k - 1)) | static_cast<std::uint32_t>(prev);
+                double m = metric[prev];
+                for (std::size_t j = 0; j < branch; ++j) {
+                    const double llr = llrs[t * branch + j];
+                    m += (std::popcount(full & generators[j]) & 1) != 0 ? -llr : llr;
+                }
+                const std::size_t next = full >> 1;
+                if (m > next_metric[next]) {
+                    next_metric[next] = m;
+                    decisions[t * num_states + next] = static_cast<std::uint8_t>(full & 1U);
+                }
+            }
+        }
+        std::swap(metric, next_metric);
+    }
+    std::vector<std::uint8_t> out(info_bits);
+    std::size_t state = 0;
+    for (std::size_t t = steps; t-- > 0;) {
+        const std::uint8_t lsb = decisions[t * num_states + state];
+        if (t < info_bits) out[t] = static_cast<std::uint8_t>((state << 1) >> (k - 1));
+        state = ((state << 1) | lsb) & (num_states - 1);
+    }
+    return out;
+}
+
+/// Fills `llrs` (coded order) for a codeword `coded` in one of six styles:
+/// 0 noisy soft values; 1 values drawn from {-cap, -1, 0, 1, cap}; 2 the
+/// codeword at +/-cap with erasures (0) and flips; 3 small integers;
+/// 4 decimal fractions such as 0.1 and 0.2, whose sums round differently
+/// when regrouped, so a decoder that reorders a candidate's additions picks
+/// different survivors; 5 all zeros.  Styles 1-3 and 5 are full of exact
+/// metric ties.
+void fill_tie_prone_llrs(int style, const std::vector<std::uint8_t>& coded, util::rng& rng,
+                         std::vector<double>& llrs) {
+    const double cap = wireless::llr_cap;
+    const double palette[] = {-cap, -1.0, 0.0, 1.0, cap};
+    const double fractions[] = {-0.7, -0.3, -0.2, -0.1, 0.1, 0.2, 0.3, 0.7};
+    llrs.resize(coded.size());
+    for (std::size_t i = 0; i < coded.size(); ++i) {
+        switch (style) {
+            case 0: llrs[i] = wireless::signed_llr(coded[i], 2.0) + 1.5 * rng.normal(); break;
+            case 1: llrs[i] = palette[rng.uniform_index(5)]; break;
+            case 2: {
+                const std::size_t roll = rng.uniform_index(8);
+                const auto bit = static_cast<std::uint8_t>(roll == 0 ? coded[i] ^ 1U : coded[i]);
+                llrs[i] = roll <= 2 ? 0.0 : wireless::signed_llr(bit, cap);
+                break;
+            }
+            case 3: llrs[i] = static_cast<double>(rng.uniform_index(5)) - 2.0; break;
+            case 4: llrs[i] = fractions[rng.uniform_index(8)]; break;
+            default: llrs[i] = 0.0; break;
+        }
+    }
+}
+
+TEST(FecViterbiReference, DecodeFrameMatchesScanAllPredecessors) {
+    for (const auto& kind : fec::code_spec::kinds()) {
+        const auto spec = fec::code_spec::parse(kind);
+        fec::codec codec(spec);
+        const fec::interleaver inter(spec.rows, spec.cols);
+        util::rng rng(31);
+        std::vector<std::uint8_t> coded;
+        std::vector<double> llrs;
+        std::vector<double> deinterleaved(codec.coded_bits());
+        std::vector<std::uint8_t> decoded;
+        for (int frame = 0; frame < 180; ++frame) {
+            codec.encode_frame(rng.bits(codec.info_bits()), coded);
+            fill_tie_prone_llrs(frame % 6, coded, rng, llrs);
+            codec.decode_frame(llrs, decoded);
+            inter.deinterleave<double>(llrs, deinterleaved);
+            EXPECT_EQ(decoded, reference_viterbi(deinterleaved, spec.constraint_length(),
+                                                 spec.generators(), codec.info_bits()))
+                << kind << " frame " << frame << " style " << frame % 6;
+        }
+    }
+}
+
+TEST(FecViterbiReference, OtherRatesMatchScanAllPredecessors) {
+    // code_spec only builds rate-1/2 codes; the decoder's general path
+    // (any generator count up to max_generators) is checked directly.
+    const std::pair<std::size_t, std::vector<std::uint32_t>> codes[] = {
+        {7, {0133, 0171, 0165}},                       // rate 1/3
+        {4, {017, 013, 015, 011, 016, 012, 014, 07}},  // rate 1/8
+        {2, {03}},                                     // rate 1
+    };
+    util::rng rng(37);
+    constexpr std::size_t info_bits = 40;
+    for (const auto& [k, generators] : codes) {
+        const fec::conv_encoder encoder(k, generators);
+        const fec::viterbi_decoder decoder(k, generators);
+        fec::viterbi_decoder::scratch scratch;
+        std::vector<std::uint8_t> coded;
+        std::vector<double> llrs;
+        std::vector<std::uint8_t> decoded;
+        for (int frame = 0; frame < 60; ++frame) {
+            encoder.encode(rng.bits(info_bits), coded);
+            fill_tie_prone_llrs(frame % 6, coded, rng, llrs);
+            decoder.decode(llrs, info_bits, scratch, decoded);
+            EXPECT_EQ(decoded, reference_viterbi(llrs, k, generators, info_bits))
+                << "K=" << k << " rate 1/" << generators.size() << " frame " << frame;
+        }
+    }
+}
+
+TEST(FecViterbi, RejectsMoreGeneratorsThanTheAddendTableHolds) {
+    // 33 generators used to shift a packed output word past its 32 bits.
+    const std::vector<std::uint32_t> many(33, 07);
+    EXPECT_NO_THROW((void)fec::conv_encoder(3, many));
+    EXPECT_THROW((void)fec::viterbi_decoder(3, many), std::invalid_argument);
+    const std::vector<std::uint32_t> nine(fec::viterbi_decoder::max_generators + 1, 05);
+    EXPECT_THROW((void)fec::viterbi_decoder(3, nine), std::invalid_argument);
+    const std::vector<std::uint32_t> eight(fec::viterbi_decoder::max_generators, 05);
+    EXPECT_NO_THROW((void)fec::viterbi_decoder(3, eight));
+}
+
+/// The per-symbol max-log LLRs by a scan of every constellation point.
+std::vector<double> reference_symbol_llrs(wireless::modulation mod, std::complex<double> eq,
+                                          double noise_variance) {
+    const auto points = wireless::constellation(mod);
+    const std::size_t bps = wireless::bits_per_symbol(mod);
+    std::vector<double> min0(bps, std::numeric_limits<double>::infinity());
+    std::vector<double> min1(bps, std::numeric_limits<double>::infinity());
+    for (std::size_t pattern = 0; pattern < points.size(); ++pattern) {
+        const double dist = std::norm(eq - points[pattern]);
+        for (std::size_t b = 0; b < bps; ++b) {
+            auto& best = ((pattern >> (bps - 1 - b)) & 1U) != 0 ? min1[b] : min0[b];
+            best = std::min(best, dist);
+        }
+    }
+    std::vector<double> llrs(bps);
+    for (std::size_t b = 0; b < bps; ++b) {
+        llrs[b] = wireless::clamp_llr((min1[b] - min0[b]) / noise_variance);
+    }
+    return llrs;
+}
+
+TEST(SoftDemapperReference, SymbolLlrsMatchAConstellationScan) {
+    util::rng rng(41);
+    const double noise_variances[] = {1e-12, 0.013, 0.5, 1.0, 7.25};
+    for (const auto mod : wireless::all_modulations()) {
+        const std::size_t bps = wireless::bits_per_symbol(mod);
+        // Exact lattice points and midpoints (equidistant levels tie), the
+        // origin and a negative zero, far-out values, squares that overflow
+        // to infinity, a NaN, and random draws.
+        constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+        std::vector<std::complex<double>> probes = {
+            {0.0, 0.0}, {-0.0, -0.0}, {2.0, -4.0}, {1.0, 3.0}, {-7.0, 7.0}, {8.0, -8.0},
+            {1e6, -1e6}, {-3.5, 0.25}, {1e200, 0.5}, {0.5, -1e200}, {nan, 1.0}};
+        for (const auto& p : wireless::constellation(mod)) probes.push_back(p);
+        for (int i = 0; i < 400; ++i) {
+            const double spread = i % 2 == 0 ? 1.0 : 6.0;
+            probes.emplace_back(spread * rng.normal(), spread * rng.normal());
+        }
+        for (int i = 0; i < 100; ++i) {  // on and between the integer grid
+            probes.emplace_back(static_cast<double>(rng.uniform_index(17)) - 8.0,
+                                static_cast<double>(rng.uniform_index(17)) - 8.0);
+        }
+        std::vector<double> out(bps);
+        for (const auto& eq : probes) {
+            for (const double nv : noise_variances) {
+                wireless::symbol_llrs_into(mod, eq, nv, out);
+                const auto expected = reference_symbol_llrs(mod, eq, nv);
+                for (std::size_t b = 0; b < bps; ++b) {
+                    EXPECT_EQ(out[b], expected[b])
+                        << wireless::to_string(mod) << " eq " << eq << " nv " << nv << " bit " << b;
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
