@@ -8,8 +8,8 @@
 #            -fsanitize=thread and run them (proves the parallel runner,
 #            thread pool, bounded-buffer pipeline, and link simulator
 #            race-free)
-#   --asan   additionally build the detection/link/hybrid suites with
-#            -fsanitize=address,undefined and run them (mirrors the CI
+#   --asan   additionally build the detection/link/hybrid/pipeline suites
+#            with -fsanitize=address,undefined and run them (mirrors the CI
 #            asan job)
 #   --lint   additionally run the repo contract linter (scripts/hcq_lint.py)
 #            and its selftest over the fixture tree
@@ -89,14 +89,15 @@ fi
 if [[ $run_asan -eq 1 ]]; then
     dir="build-asan"
     [[ $clean -eq 1 ]] && rm -rf "$dir"
-    echo "== ASan+UBSan: detection paths + link simulator + hybrid solver + ARQ + FEC + serve =="
+    echo "== ASan+UBSan: detection paths + link simulator + hybrid solver + pipeline + ARQ + FEC + serve =="
     cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DHCQ_SANITIZE=address \
         -DHCQ_BUILD_EXAMPLES=OFF -DHCQ_BUILD_BENCHES=OFF
-    cmake --build "$dir" -j "$jobs" --target paths_test link_test hybrid_test arq_test \
-        fec_test serve_test workspace_test
+    cmake --build "$dir" -j "$jobs" --target paths_test link_test hybrid_test pipeline_test \
+        arq_test fec_test serve_test workspace_test
     "$dir/tests/paths_test"
     "$dir/tests/link_test"
     "$dir/tests/hybrid_test"
+    "$dir/tests/pipeline_test"
     "$dir/tests/arq_test"
     "$dir/tests/fec_test"
     "$dir/tests/serve_test"

@@ -197,8 +197,7 @@ closed_loop_report closed_loop_replay(const std::vector<pipeline::stage>& stages
         return true;
     };
 
-    report.replay = pipeline::simulate_closed_loop(stages, num_frames, arrivals, rng, options,
-                                                   feedback);
+    report.replay = pipeline::simulate(stages, num_frames, arrivals, rng, options, feedback);
     report.stats.injections = report.replay.num_jobs;
     report.stats.lost_to_drops = report.replay.jobs_dropped;
     report.stats.goodput_per_us =

@@ -26,14 +26,15 @@
 //
 //  * TIMING domain (measured, varies run to run like throughput).  The
 //    measured stage traces are replayed through the Figure-2 tandem queue
-//    with feedback (pipeline::simulate_closed_loop): each completed attempt
-//    is judged late when its replayed latency exceeds the deadline and
-//    wrong with the frame-error probability MEASURED in the detection
-//    domain (a fresh channel use is statistically a fresh draw), and failed
-//    frames re-enter stage 0 as retransmission load — amplifying queueing
-//    exactly the way a real ARQ loop feeds back, which is where
-//    `drop-oldest` becomes the natural shedding policy.  This yields
-//    `replay_stats`: deadline-miss rate, delivered frames, and goodput.
+//    (pipeline::simulate, the open-loop replay's engine, given a feedback
+//    hook): each completed attempt is judged late when its replayed
+//    latency exceeds the deadline and wrong with the frame-error
+//    probability MEASURED in the detection domain (a fresh channel use is
+//    statistically a fresh draw), and failed frames re-enter stage 0 as
+//    retransmission load — amplifying queueing exactly the way a real ARQ
+//    loop feeds back, which is where `drop-oldest` becomes the natural
+//    shedding policy.  This yields `replay_stats`: deadline-miss rate,
+//    delivered frames, and goodput.
 //
 // `deadline_us` may be given as `auto`, resolving per path to the OPEN-loop
 // replay's p99 latency — the ROADMAP's "ARQ loops driven by the replay's
@@ -41,7 +42,7 @@
 //
 // Concurrency contract: `counters` and `replay_stats` are filled serially
 // by the link layer's in-order fold (detection domain) and the
-// single-threaded closed-loop simulator (timing domain) — no locks, no
+// single-threaded pipeline::simulate (timing domain) — no locks, no
 // shared mutable state, hence no thread-safety annotations here; see
 // docs/ARCHITECTURE.md, "The determinism contract as enforceable rules".
 #ifndef HCQ_ARQ_ARQ_H
@@ -158,7 +159,7 @@ struct closed_loop_report {
 /// `resolved_deadline_us` is the deadline after `auto` resolution (pass
 /// config.deadline_us when not auto).  Error draws come from a stream
 /// derived from `rng`, disjoint from the arrival/service draws.  Throws
-/// like pipeline::simulate_closed_loop, plus on an error rate outside
+/// like pipeline::simulate, plus on an error rate outside
 /// [0, 1] or a negative deadline.
 [[nodiscard]] closed_loop_report closed_loop_replay(
     const std::vector<pipeline::stage>& stages, std::size_t num_frames,

@@ -1,0 +1,14 @@
+#include "detect/detector.h"
+
+#include "detect/scratch.h"
+
+namespace hcq::detect {
+
+detection_result detector::detect(const wireless::mimo_instance& instance) const {
+    detect_scratch scratch;
+    detection_result result;
+    detect_into(instance, scratch, result);
+    return result;
+}
+
+}  // namespace hcq::detect

@@ -35,20 +35,17 @@ class detector {
 public:
     virtual ~detector() = default;
 
-    /// Runs detection on one instance.
-    [[nodiscard]] virtual detection_result detect(const wireless::mimo_instance& instance) const = 0;
+    /// Runs detection on one instance: detect_into() on fresh scratch and a
+    /// fresh result, so every call allocates.  Hot paths call detect_into().
+    [[nodiscard]] detection_result detect(const wireless::mimo_instance& instance) const;
 
-    /// detect() into a reused result through caller-owned scratch.  Contract:
-    /// bit-identical symbols/bits/ml_cost to detect() (elapsed_us and other
-    /// timing fields are wall time and may differ).  The default delegates to
-    /// detect(); the built-in detectors override it to reuse `scratch`'s
-    /// buffers and decomposition caches so a warmed-up call allocates
-    /// nothing.
+    /// Detection into a reused result through caller-owned scratch.  Each
+    /// detector reuses `scratch`'s buffers and decomposition caches, so a
+    /// warmed-up call allocates nothing.  The result is independent of what
+    /// `scratch` and `out` held before (elapsed_us and other timing fields
+    /// are wall time and vary).
     virtual void detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
-                             detection_result& out) const {
-        (void)scratch;
-        out = detect(instance);
-    }
+                             detection_result& out) const = 0;
 
     /// Short identifier used in bench output (e.g. "ZF", "SD").
     [[nodiscard]] virtual std::string name() const = 0;

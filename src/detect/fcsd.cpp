@@ -73,13 +73,6 @@ fcsd_detector::fcsd_detector(std::size_t full_levels) : full_levels_(full_levels
 
 std::string fcsd_detector::name() const { return "FCSD" + std::to_string(full_levels_); }
 
-detection_result fcsd_detector::detect(const wireless::mimo_instance& instance) const {
-    detect_scratch scratch;
-    detection_result result;
-    detect_into(instance, scratch, result);
-    return result;
-}
-
 void fcsd_detector::detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
                                 detection_result& out) const {
     const util::timer clock;

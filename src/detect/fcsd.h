@@ -15,7 +15,6 @@ class fcsd_detector final : public detector {
 public:
     explicit fcsd_detector(std::size_t full_levels = 1);
 
-    [[nodiscard]] detection_result detect(const wireless::mimo_instance& instance) const override;
     void detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
                      detection_result& out) const override;
     [[nodiscard]] std::string name() const override;

@@ -15,13 +15,6 @@ kbest_detector::kbest_detector(std::size_t k) : k_(k) {
 
 std::string kbest_detector::name() const { return "KB" + std::to_string(k_); }
 
-detection_result kbest_detector::detect(const wireless::mimo_instance& instance) const {
-    detect_scratch scratch;
-    detection_result result;
-    detect_into(instance, scratch, result);
-    return result;
-}
-
 // Index-based beam search: instead of copying whole amplitude paths into an
 // expanded list, children are (cost, parent, amplitude) nodes and the kept
 // rows are reconstructed from their parents into a double-buffered flat

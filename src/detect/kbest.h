@@ -13,7 +13,6 @@ class kbest_detector final : public detector {
 public:
     explicit kbest_detector(std::size_t k = 8);
 
-    [[nodiscard]] detection_result detect(const wireless::mimo_instance& instance) const override;
     void detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
                      detection_result& out) const override;
     [[nodiscard]] std::string name() const override;

@@ -35,13 +35,6 @@ void slice_to_result_into(const wireless::mimo_instance& instance, const linalg:
 
 }  // namespace
 
-detection_result zf_detector::detect(const wireless::mimo_instance& instance) const {
-    detect_scratch scratch;
-    detection_result result;
-    detect_into(instance, scratch, result);
-    return result;
-}
-
 void zf_detector::detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
                               detection_result& out) const {
     const util::timer clock;
@@ -51,13 +44,6 @@ void zf_detector::detect_into(const wireless::mimo_instance& instance, detect_sc
     linalg::solve_upper_into(s.ls.factors.r, s.ls.qhy, s.soft);
     slice_to_result_into(instance, s.soft, scratch, out);
     out.elapsed_us = clock.elapsed_us();
-}
-
-detection_result mmse_detector::detect(const wireless::mimo_instance& instance) const {
-    detect_scratch scratch;
-    detection_result result;
-    detect_into(instance, scratch, result);
-    return result;
 }
 
 void mmse_detector::detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,

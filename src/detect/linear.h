@@ -30,7 +30,6 @@ struct linear_scratch {
 /// Zero-forcing: x_hat = slice(H^+ y) with H^+ the least-squares pseudo-inverse.
 class zf_detector final : public detector {
 public:
-    [[nodiscard]] detection_result detect(const wireless::mimo_instance& instance) const override;
     void detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
                      detection_result& out) const override;
     [[nodiscard]] std::string name() const override { return "ZF"; }
@@ -40,7 +39,6 @@ public:
 /// With sigma^2 == 0 this degenerates to zero-forcing.
 class mmse_detector final : public detector {
 public:
-    [[nodiscard]] detection_result detect(const wireless::mimo_instance& instance) const override;
     void detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
                      detection_result& out) const override;
     [[nodiscard]] std::string name() const override { return "MMSE"; }

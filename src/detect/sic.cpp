@@ -10,13 +10,6 @@
 
 namespace hcq::detect {
 
-detection_result sic_detector::detect(const wireless::mimo_instance& instance) const {
-    detect_scratch scratch;
-    detection_result result;
-    detect_into(instance, scratch, result);
-    return result;
-}
-
 void sic_detector::detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
                                detection_result& out) const {
     const util::timer clock;

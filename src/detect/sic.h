@@ -13,7 +13,6 @@ namespace hcq::detect {
 /// ZF-based ordered SIC.
 class sic_detector final : public detector {
 public:
-    [[nodiscard]] detection_result detect(const wireless::mimo_instance& instance) const override;
     void detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
                      detection_result& out) const override;
     [[nodiscard]] std::string name() const override { return "SIC"; }

@@ -69,13 +69,6 @@ void descend(search_state& state, std::size_t level, double partial_cost) {
 sphere_detector::sphere_detector(double initial_radius_sq)
     : initial_radius_sq_(initial_radius_sq) {}
 
-detection_result sphere_detector::detect(const wireless::mimo_instance& instance) const {
-    detect_scratch scratch;
-    detection_result result;
-    detect_into(instance, scratch, result);
-    return result;
-}
-
 void sphere_detector::detect_into(const wireless::mimo_instance& instance,
                                   detect_scratch& scratch, detection_result& out) const {
     const util::timer clock;

@@ -19,7 +19,6 @@ public:
     /// default) guarantees the ML point is found.
     explicit sphere_detector(double initial_radius_sq = 0.0);
 
-    [[nodiscard]] detection_result detect(const wireless::mimo_instance& instance) const override;
     void detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
                      detection_result& out) const override;
     [[nodiscard]] std::string name() const override { return "SD"; }

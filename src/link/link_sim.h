@@ -128,7 +128,7 @@ struct link_config {
 
     /// Tandem-queue replay buffering: waiting slots in front of every
     /// replayed stage, and what happens when one fills.
-    /// pipeline::unbounded_capacity restores the legacy unbounded model;
+    /// pipeline::unbounded_capacity gives buffers that never fill;
     /// 0 throws (see pipeline::simulate).
     std::size_t buffer_capacity = 256;
     pipeline::backpressure policy = pipeline::backpressure::block;

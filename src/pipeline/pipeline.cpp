@@ -1,12 +1,11 @@
 #include "pipeline/pipeline.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <limits>
-#include <memory>
-#include <optional>
 #include <queue>
 #include <stdexcept>
 
@@ -81,7 +80,7 @@ backpressure parse_backpressure(const std::string& text) {
 
 namespace {
 
-/// Per-stage accounting shared by both simulator cores.
+/// Per-stage accounting, folded into the result when the run drains.
 struct stage_accounting {
     double busy_us = 0.0;            ///< total service time
     double wait_us = 0.0;            ///< buffer wait of jobs that entered service
@@ -91,392 +90,68 @@ struct stage_accounting {
     std::size_t max_queue = 0;
 };
 
-void finalize(simulation_result& result, const std::vector<stage>& stages,
-              const std::vector<stage_accounting>& acct, metrics::running_stats& latency_stats,
-              const metrics::latency_digest& digest, bool recorded) {
-    const std::size_t k = stages.size();
-    result.jobs_dropped = result.num_jobs - result.jobs_completed;
-    result.drop_rate = result.num_jobs > 0
-                           ? static_cast<double>(result.jobs_dropped) /
-                                 static_cast<double>(result.num_jobs)
-                           : 0.0;
-    result.throughput_per_us =
-        result.makespan_us > 0.0
-            ? static_cast<double>(result.jobs_completed) / result.makespan_us
-            : 0.0;
-    result.mean_latency_us = latency_stats.mean();
-    if (recorded && !result.latencies_us.empty()) {
-        result.p50_latency_us = metrics::percentile(result.latencies_us, 50.0);
-        result.p99_latency_us = metrics::percentile(result.latencies_us, 99.0);
-    } else {
-        result.p50_latency_us = digest.p50();
-        result.p99_latency_us = digest.p99();
-    }
-    result.max_latency_us = latency_stats.max();
-    result.stage_utilization.resize(k);
-    result.mean_queue_wait_us.resize(k);
-    result.mean_queue_len.resize(k);
-    result.max_queue_len.resize(k);
-    result.stage_drops.resize(k);
-    for (std::size_t s = 0; s < k; ++s) {
-        const double capacity_us =
-            result.makespan_us * static_cast<double>(stages[s].servers());
-        result.stage_utilization[s] = capacity_us > 0.0 ? acct[s].busy_us / capacity_us : 0.0;
-        result.mean_queue_wait_us[s] =
-            acct[s].served > 0 ? acct[s].wait_us / static_cast<double>(acct[s].served) : 0.0;
-        result.mean_queue_len[s] =
-            result.makespan_us > 0.0 ? acct[s].occupancy_area_us / result.makespan_us : 0.0;
-        result.max_queue_len[s] = acct[s].max_queue;
-        result.stage_drops[s] = acct[s].drops;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Unbounded core: the legacy forward recurrence, extended with round-robin
-// multi-server stages and queue-occupancy tracking.  Kept separate from the
-// bounded core so the historical unbounded results (and RNG draw order) stay
-// bit-identical.
-// ---------------------------------------------------------------------------
-simulation_result simulate_unbounded(const std::vector<stage>& stages, std::size_t num_jobs,
-                                     const arrival_process& arrivals, util::rng& rng,
-                                     const sim_options& options) {
-    const std::size_t k = stages.size();
-    std::vector<std::vector<double>> server_free(k);
-    for (std::size_t s = 0; s < k; ++s) server_free[s].assign(stages[s].servers(), 0.0);
-    std::vector<double> enter_clamp(k, 0.0);  // in-order delivery between stages
-    std::vector<double> start_clamp(k, 0.0);  // in-order dispatch within a stage
-    // Min-heaps of service-start times of jobs still counted as queued, for
-    // peak-occupancy tracking; bounded by the actual queue build-up.
-    std::vector<std::priority_queue<double, std::vector<double>, std::greater<>>> pending(k);
-    std::vector<stage_accounting> acct(k);
-
-    simulation_result result;
-    result.num_jobs = num_jobs;
-    if (options.record_latencies) result.latencies_us.reserve(num_jobs);
-
-    metrics::latency_digest digest;
-    metrics::running_stats latency_stats;
-    double arrival = 0.0;
-    for (std::size_t j = 0; j < num_jobs; ++j) {
-        if (j > 0) {
-            arrival += arrivals.poisson
-                           ? -arrivals.interarrival_us * std::log(1.0 - rng.uniform())
-                           : arrivals.interarrival_us;
-        }
-        double ready = arrival;  // job available to the first stage
-        for (std::size_t s = 0; s < k; ++s) {
-            const double enter = std::max(ready, enter_clamp[s]);
-            enter_clamp[s] = enter;
-            double& free = server_free[s][j % stages[s].servers()];
-            const double start = std::max({enter, free, start_clamp[s]});
-            start_clamp[s] = start;
-            acct[s].wait_us += start - enter;
-            acct[s].occupancy_area_us += start - enter;
-            ++acct[s].served;
-            auto& heap = pending[s];
-            while (!heap.empty() && heap.top() <= enter) heap.pop();
-            acct[s].max_queue = std::max(acct[s].max_queue, heap.size() + 1);
-            heap.push(start);
-            const double service = stages[s].service_us(j, rng);
-            const double done = start + service;
-            acct[s].busy_us += service;
-            free = done;
-            ready = done;
-        }
-        const double latency = ready - arrival;
-        latency_stats.add(latency);
-        digest.add(latency);
-        if (options.record_latencies) result.latencies_us.push_back(latency);
-        result.makespan_us = std::max(result.makespan_us, ready);
-    }
-    result.jobs_completed = num_jobs;
-    finalize(result, stages, acct, latency_stats, digest, options.record_latencies);
-    return result;
-}
-
-// ---------------------------------------------------------------------------
-// Bounded core: a lazily-evaluated chain of stage nodes, each pulling the
-// stream from its upstream neighbour.  Memory is O(sum of buffer capacities),
-// independent of the number of jobs.
-// ---------------------------------------------------------------------------
-
-/// One job moving along the chain: its stream index, its offered arrival
-/// time (the latency baseline), and the time it left the emitting node.
-struct job_event {
-    std::size_t index = 0;
-    double arrival_us = 0.0;
-    double time_us = 0.0;
-};
-
-class node {
+/// A FIFO over one vector.  pop_front advances a head index, and the
+/// consumed prefix is erased once it is half the storage, so a warm queue
+/// allocates nothing; a std::deque keeps allocating blocks as it moves.
+template <typename T>
+class fifo {
 public:
-    virtual ~node() = default;
-    /// Next job leaving this node, in stream order; nullopt when drained.
-    virtual std::optional<job_event> next() = 0;
-    /// Backpressure hook (block policy): the job this node emitted most
-    /// recently kept occupying its server until `until_us`, because the
-    /// downstream buffer had no free slot before then.
-    virtual void hold_last_server(double until_us) = 0;
-};
-
-/// Lazily generates the offered arrival stream.
-class arrival_node final : public node {
-public:
-    arrival_node(std::size_t num_jobs, const arrival_process& arrivals, util::rng& rng)
-        : num_jobs_(num_jobs), arrivals_(arrivals), rng_(&rng) {}
-
-    std::optional<job_event> next() override {
-        if (emitted_ == num_jobs_) return std::nullopt;
-        if (emitted_ > 0) {
-            time_us_ += arrivals_.poisson
-                            ? -arrivals_.interarrival_us * std::log(1.0 - rng_->uniform())
-                            : arrivals_.interarrival_us;
+    [[nodiscard]] bool empty() const noexcept { return head_ == items_.size(); }
+    [[nodiscard]] std::size_t size() const noexcept { return items_.size() - head_; }
+    [[nodiscard]] const T& front() const noexcept { return items_[head_]; }
+    void push_back(const T& item) { items_.push_back(item); }
+    void pop_front() {
+        if (2 * ++head_ >= items_.size()) {
+            items_.erase(items_.begin(), items_.begin() + static_cast<std::ptrdiff_t>(head_));
+            head_ = 0;
         }
-        return job_event{emitted_++, time_us_, time_us_};
     }
-
-    /// The source never blocks: under the block policy an offered job simply
-    /// waits at the entrance until the first buffer admits it.
-    void hold_last_server(double) override {}
 
 private:
-    std::size_t num_jobs_;
-    arrival_process arrivals_;
-    util::rng* rng_;
-    std::size_t emitted_ = 0;
-    double time_us_ = 0.0;
+    std::vector<T> items_;
+    std::size_t head_ = 0;
 };
 
-class stage_node final : public node {
-public:
-    stage_node(const stage& st, const sim_options& options, std::size_t num_jobs, node& upstream,
-               util::rng& rng)
-        : st_(&st),
-          capacity_(options.buffer_capacity),
-          policy_(options.policy),
-          up_(&upstream),
-          rng_(&rng),
-          server_free_(st.servers(), 0.0),
-          ring_(std::min(capacity_, std::max<std::size_t>(num_jobs, 1)), 0.0) {}
+constexpr double never = std::numeric_limits<double>::infinity();
 
-    std::optional<job_event> next() override {
-        return policy_ == backpressure::block ? next_blocking() : next_dropping();
-    }
-
-    void hold_last_server(double until_us) override {
-        double& free = server_free_[last_server_];
-        free = std::max(free, until_us);
-    }
-
-    [[nodiscard]] const stage_accounting& accounting() const noexcept { return acct_; }
-
-private:
-    struct entry {
-        std::size_t index = 0;
-        double arrival_us = 0.0;
-        double enter_us = 0.0;  ///< when the job entered this stage's buffer
-    };
-
-    // -- block policy: admit one job at a time, committing it immediately;
-    //    admission time is bounded below by the slot freed when the job
-    //    `capacity_` positions earlier entered service, and the upstream
-    //    server is held until admission.
-    std::optional<job_event> next_blocking() {
-        if (queue_.empty()) {
-            auto ev = up_->next();
-            if (!ev) return std::nullopt;
-            const double t = clamp_in(ev->time_us);
-            const double slot_free =
-                served_ >= capacity_ ? ring_[(served_ - capacity_) % ring_.size()] : 0.0;
-            const double enter = std::max(t, slot_free);
-            up_->hold_last_server(enter);
-            while (!pending_starts_.empty() && pending_starts_.top() <= enter) {
-                pending_starts_.pop();
-            }
-            acct_.max_queue = std::max(acct_.max_queue, pending_starts_.size() + 1);
-            queue_.push_back({ev->index, ev->arrival_us, enter});
-        }
-        return commit_head();
-    }
-
-    // -- drop policies: pull every arrival that lands before the head enters
-    //    service, applying the drop policy at a full buffer (which may evict
-    //    the head under drop-oldest), then commit the surviving head.
-    std::optional<job_event> next_dropping() {
-        while (queue_.empty()) {
-            auto ev = take_upstream();
-            if (!ev) return std::nullopt;
-            admit_dropping(*ev);
-        }
-        for (;;) {
-            const double start = head_start();
-            const job_event* peeked = peek_upstream();
-            if (peeked == nullptr || std::max(peeked->time_us, in_clamp_) >= start) break;
-            const auto ev = take_upstream();
-            admit_dropping(*ev);
-        }
-        return commit_head();
-    }
-
-    void admit_dropping(const job_event& ev) {
-        const double t = clamp_in(ev.time_us);
-        if (queue_.size() == capacity_) {
-            ++acct_.drops;
-            if (policy_ == backpressure::drop_newest) return;
-            acct_.occupancy_area_us += t - queue_.front().enter_us;
-            queue_.pop_front();
-        }
-        queue_.push_back({ev.index, ev.arrival_us, t});
-        acct_.max_queue = std::max(acct_.max_queue, queue_.size());
-    }
-
-    [[nodiscard]] double head_start() const {
-        const std::size_t server = served_ % server_free_.size();
-        return std::max({queue_.front().enter_us, server_free_[server], start_clamp_});
-    }
-
-    job_event commit_head() {
-        const entry e = queue_.front();
-        queue_.pop_front();
-        const std::size_t server = served_ % server_free_.size();
-        const double start = std::max({e.enter_us, server_free_[server], start_clamp_});
-        start_clamp_ = start;
-        const double service = st_->service_us(e.index, *rng_);
-        const double done = start + service;
-        acct_.busy_us += service;
-        acct_.wait_us += start - e.enter_us;
-        acct_.occupancy_area_us += start - e.enter_us;
-        ++acct_.served;
-        server_free_[server] = done;
-        last_server_ = server;
-        if (policy_ == backpressure::block) {
-            pending_starts_.push(start);
-            ring_[served_ % ring_.size()] = start;
-        }
-        ++served_;
-        return {e.index, e.arrival_us, done};
-    }
-
-    /// In-order delivery: a job cannot be acted on before its predecessor
-    /// arrived, so arrival times at this stage are monotonicised.
-    double clamp_in(double time_us) {
-        in_clamp_ = std::max(in_clamp_, time_us);
-        return in_clamp_;
-    }
-
-    const job_event* peek_upstream() {
-        if (!lookahead_) lookahead_ = up_->next();
-        return lookahead_ ? &*lookahead_ : nullptr;
-    }
-
-    std::optional<job_event> take_upstream() {
-        if (lookahead_) {
-            auto ev = *lookahead_;
-            lookahead_.reset();
-            return ev;
-        }
-        return up_->next();
-    }
-
-    const stage* st_;
-    std::size_t capacity_;
-    backpressure policy_;
-    node* up_;
-    util::rng* rng_;
-    std::vector<double> server_free_;
-    std::vector<double> ring_;  ///< service-start times, for slot-free lookup
-    std::deque<entry> queue_;
-    std::optional<job_event> lookahead_;
-    std::priority_queue<double, std::vector<double>, std::greater<>> pending_starts_;
-    std::size_t served_ = 0;
-    std::size_t last_server_ = 0;
-    double in_clamp_ = 0.0;
-    double start_clamp_ = 0.0;
-    stage_accounting acct_;
-};
-
-simulation_result simulate_bounded(const std::vector<stage>& stages, std::size_t num_jobs,
-                                   const arrival_process& arrivals, util::rng& rng,
-                                   const sim_options& options) {
-    arrival_node source(num_jobs, arrivals, rng);
-    std::vector<std::unique_ptr<stage_node>> nodes;
-    nodes.reserve(stages.size());
-    node* tail = &source;
-    for (const auto& st : stages) {
-        nodes.push_back(std::make_unique<stage_node>(st, options, num_jobs, *tail, rng));
-        tail = nodes.back().get();
-    }
-
-    simulation_result result;
-    result.num_jobs = num_jobs;
-    if (options.record_latencies) result.latencies_us.reserve(num_jobs);
-    metrics::latency_digest digest;
-    metrics::running_stats latency_stats;
-    while (const auto ev = tail->next()) {
-        const double latency = ev->time_us - ev->arrival_us;
-        ++result.jobs_completed;
-        latency_stats.add(latency);
-        digest.add(latency);
-        if (options.record_latencies) result.latencies_us.push_back(latency);
-        result.makespan_us = std::max(result.makespan_us, ev->time_us);
-    }
-
-    std::vector<stage_accounting> acct;
-    acct.reserve(nodes.size());
-    for (const auto& n : nodes) acct.push_back(n->accounting());
-    finalize(result, stages, acct, latency_stats, digest, options.record_latencies);
-    return result;
-}
-
-// ---------------------------------------------------------------------------
-// Closed-loop core: an event-driven simulator over the same stage vocabulary,
-// because feedback (a completed job re-entering stage 0 as a retransmission)
-// makes the stream cyclic — neither feed-forward recurrence above can express
-// a job whose arrival time depends on a later job's departure.  See the
-// header comment on simulate_closed_loop for the semantic contract.
-// ---------------------------------------------------------------------------
-
-constexpr double cl_inf = std::numeric_limits<double>::infinity();
-
-/// One attempt traversing the chain.
-struct cl_job {
+/// One injection traversing the chain.
+struct job {
     std::size_t frame = 0;
     std::size_t attempt = 0;
-    std::size_t inject_seq = 0;  ///< global injection index (trace cycling)
+    std::size_t inject_seq = 0;  ///< global injection index (service-model job index)
     double offered_us = 0.0;     ///< arrival of attempt 0
     double injected_us = 0.0;    ///< entry of THIS attempt into the chain
     double enter_us = 0.0;       ///< admission into the current stage's buffer
 };
 
-/// Event kinds, processed at equal times in rank order: completions first
-/// (they free slots and may block), then injections (they may evict a head
-/// under drop-oldest), then service starts (they commit the head).
-enum class cl_kind { done = 0, offered = 1, start = 2 };
-
-struct cl_event {
+/// The only scheduled event: a service completion.  Equal times run in
+/// scheduling order.
+struct service_end {
     double time_us = 0.0;
-    cl_kind kind = cl_kind::start;
-    std::uint64_t seq = 0;  ///< FIFO tie-break: creation order is deterministic
+    std::uint64_t seq = 0;
     std::size_t stage = 0;
-    std::uint64_t epoch = 0;       ///< start events: stale when != stage epoch
-    std::size_t inject_seq = 0;    ///< done events: which active entry finished
+    std::size_t server = 0;
 };
 
-struct cl_event_later {
-    bool operator()(const cl_event& a, const cl_event& b) const {
+struct ends_later {
+    bool operator()(const service_end& a, const service_end& b) const {
         if (a.time_us != b.time_us) return a.time_us > b.time_us;
-        if (a.kind != b.kind) return static_cast<int>(a.kind) > static_cast<int>(b.kind);
         return a.seq > b.seq;
     }
 };
 
-class cl_engine {
+/// A buffer head due to start service now; stale when `epoch` is not the
+/// stage's current one.
+struct due_start {
+    std::size_t stage = 0;
+    std::uint64_t epoch = 0;
+};
+
+class engine {
 public:
-    cl_engine(const std::vector<stage>& stages, std::size_t num_frames,
-              const arrival_process& arrivals, util::rng& rng, const sim_options& options,
-              const feedback_fn& feedback)
-        : stages_(&stages),
-          num_frames_(num_frames),
+    engine(const std::vector<stage>& stages, std::size_t num_jobs, const arrival_process& arrivals,
+           util::rng& rng, const sim_options& options, const feedback_fn& feedback)
+        : num_jobs_(num_jobs),
           arrivals_(arrivals),
           rng_(&rng),
           options_(options),
@@ -484,246 +159,243 @@ public:
           state_(stages.size()) {
         for (std::size_t s = 0; s < stages.size(); ++s) {
             state_[s].st = &stages[s];
-            state_[s].server_free.assign(stages[s].servers(), 0.0);
+            state_[s].servers.resize(stages[s].servers());
         }
-        result_.num_jobs = 0;
-        if (options_.record_latencies) result_.latencies_us.reserve(num_frames);
+        if (options_.record_latencies) result_.latencies_us.reserve(num_jobs);
     }
 
+    /// Runs every event of one instant — completions, then due starts, then
+    /// the arrival — before advancing the clock to the next completion or
+    /// arrival.  A head only ever becomes due at the current instant (its
+    /// buffer entry, its server's release and the stage's last start are
+    /// all past), so only completions need the heap.
     simulation_result run() {
-        push_offered(0.0);
-        while (!events_.empty()) {
-            const cl_event ev = events_.top();
-            events_.pop();
-            switch (ev.kind) {
-                case cl_kind::offered: on_offered(ev); break;
-                case cl_kind::done: on_done(ev); break;
-                case cl_kind::start: on_start(ev); break;
+        for (;;) {
+            if (!ends_.empty() && ends_.top().time_us <= now_) {
+                const service_end ev = ends_.top();
+                ends_.pop();
+                state_[ev.stage].servers[ev.server].finished = true;
+                flush(ev.stage);
+            } else if (!due_.empty()) {
+                const due_start d = due_.front();
+                due_.pop_front();
+                if (d.epoch == state_[d.stage].epoch) start_head(d.stage);
+            } else if (offered_ < num_jobs_ && next_arrival_us_ <= now_) {
+                arrive_offered();
+            } else if (offered_ < num_jobs_ || !ends_.empty()) {
+                now_ = offered_ < num_jobs_ ? next_arrival_us_ : never;
+                if (!ends_.empty()) now_ = std::min(now_, ends_.top().time_us);
+            } else {
+                break;
             }
         }
-        std::vector<stage_accounting> acct;
-        acct.reserve(state_.size());
-        for (const auto& st : state_) acct.push_back(st.acct);
-        finalize(result_, *stages_, acct, latency_stats_, digest_, options_.record_latencies);
-        return std::move(result_);
+        return finish();
     }
 
 private:
-    /// A job that entered service, in start (hand-off) order.
-    struct cl_active {
-        cl_job job;
-        std::size_t server = 0;
-        double done_us = 0.0;
-        bool finished = false;
+    struct server {
+        double free_us = 0.0;   ///< release time; `never` while a job holds it
+        bool finished = false;  ///< its job's service ended, hand-off pending
     };
 
-    struct cl_stage_state {
+    struct in_service {
+        job j;
+        std::size_t server = 0;
+    };
+
+    struct stage_state {
         const stage* st = nullptr;
-        std::deque<cl_job> waiting;        ///< admitted, not yet in service
-        std::vector<double> server_free;   ///< release time; cl_inf while occupied
-        std::deque<cl_active> active;      ///< in service / awaiting hand-off
-        bool head_blocked = false;         ///< active front done, downstream full
-        std::size_t served = 0;            ///< round-robin dispatch counter
-        double last_start = 0.0;           ///< in-order dispatch clamp
-        double in_clamp = 0.0;             ///< monotone admission clamp
-        std::uint64_t epoch = 0;           ///< invalidates scheduled starts
+        fifo<job> waiting;            ///< admitted, not yet in service
+        fifo<in_service> active;      ///< holding a server, in service-start order
+        std::vector<server> servers;
+        bool head_blocked = false;    ///< active front finished, downstream full (block)
+        std::size_t next_server = 0;  ///< round-robin: the head's server
+        double last_start = 0.0;      ///< in-order dispatch: no start before it
+        std::uint64_t epoch = 0;      ///< invalidates queued due starts
         stage_accounting acct;
     };
 
-    void push_event(double time_us, cl_kind kind, std::size_t stage_index, std::uint64_t epoch,
-                    std::size_t inject_seq) {
-        events_.push({time_us, kind, next_event_seq_++, stage_index, epoch, inject_seq});
-    }
-
-    void push_offered(double time_us) {
-        if (offered_ == num_frames_) return;
-        push_event(time_us, cl_kind::offered, 0, 0, 0);
-    }
-
-    void on_offered(const cl_event& ev) {
-        cl_job job;
-        job.frame = offered_++;
-        job.offered_us = ev.time_us;
-        job.inject_seq = next_inject_seq_++;
-        inject(job, ev.time_us);
-        if (offered_ < num_frames_) {
-            const double gap = arrivals_.poisson
-                                   ? -arrivals_.interarrival_us * std::log(1.0 - rng_->uniform())
-                                   : arrivals_.interarrival_us;
-            push_offered(ev.time_us + gap);
+    void arrive_offered() {
+        job j;
+        j.frame = offered_++;
+        j.offered_us = now_;
+        j.inject_seq = next_inject_seq_++;
+        inject(j);
+        if (offered_ < num_jobs_) {
+            next_arrival_us_ =
+                now_ + (arrivals_.poisson
+                            ? -arrivals_.interarrival_us * std::log(1.0 - rng_->uniform())
+                            : arrivals_.interarrival_us);
         }
     }
 
-    /// Injection at stage 0 — an offered frame or a fed-back retransmission.
-    void inject(cl_job job, double t) {
-        job.injected_us = t;
+    /// An offered job or a fed-back retransmission enters stage 0.  Under
+    /// block a full first buffer parks it in the entrance queue.
+    void inject(job j) {
+        j.injected_us = now_;
         ++result_.num_jobs;
-        auto& st = state_[0];
-        if (st.waiting.size() >= options_.buffer_capacity) {
-            if (options_.policy == backpressure::block) {
-                entrance_.push_back(job);  // the source never blocks; it queues
-                return;
-            }
-            if (options_.policy == backpressure::drop_newest) {
-                ++st.acct.drops;
-                return;
-            }
-            evict_oldest(0, t);
+        if (options_.policy == backpressure::block &&
+            state_[0].waiting.size() >= options_.buffer_capacity) {
+            entrance_.push_back(j);
+            return;
         }
-        enter_stage(0, job, t);
+        arrive(0, j);
     }
 
-    /// Hand-off arrival at an interior stage (s >= 1).  Under block the
-    /// caller verified space; under the drop policies the policy applies.
-    void handoff_arrive(std::size_t s, cl_job job, double t) {
+    /// A job reaches stage s's buffer.  Under block the caller has checked
+    /// for a free slot; under the drop policies a full buffer sheds a job.
+    void arrive(std::size_t s, job j) {
         auto& st = state_[s];
         if (st.waiting.size() >= options_.buffer_capacity) {
-            if (options_.policy == backpressure::drop_newest) {
-                ++st.acct.drops;
-                return;
-            }
-            evict_oldest(s, t);
+            ++st.acct.drops;
+            if (options_.policy == backpressure::drop_newest) return;
+            st.acct.occupancy_area_us += now_ - st.waiting.front().enter_us;
+            st.waiting.pop_front();
         }
-        enter_stage(s, job, t);
-    }
-
-    void evict_oldest(std::size_t s, double t) {
-        auto& st = state_[s];
-        const cl_job victim = st.waiting.front();
-        st.waiting.pop_front();
-        ++st.acct.drops;
-        st.acct.occupancy_area_us += t - victim.enter_us;
-    }
-
-    void enter_stage(std::size_t s, cl_job job, double t) {
-        auto& st = state_[s];
-        st.in_clamp = std::max(st.in_clamp, t);
-        job.enter_us = st.in_clamp;
-        st.waiting.push_back(job);
+        j.enter_us = now_;
+        st.waiting.push_back(j);
         st.acct.max_queue = std::max(st.acct.max_queue, st.waiting.size());
         schedule_head(s);
     }
 
-    /// (Re)schedules the service start of stage s's head, invalidating any
-    /// outstanding start event.  A head whose designated round-robin server
-    /// is still occupied is rescheduled when that server releases.
+    /// Queues stage s's head to start now if its round-robin server is free,
+    /// superseding any start queued earlier.  A head whose server is held
+    /// is rescheduled when that server releases.
     void schedule_head(std::size_t s) {
         auto& st = state_[s];
         ++st.epoch;
         if (st.waiting.empty()) return;
-        const std::size_t k = st.served % st.server_free.size();
-        const double start =
-            std::max({st.waiting.front().enter_us, st.server_free[k], st.last_start});
-        if (!std::isfinite(start)) return;
-        push_event(start, cl_kind::start, s, st.epoch, 0);
+        const server& sv = st.servers[st.next_server];
+        if (sv.free_us == never) return;
+        assert(std::max({st.waiting.front().enter_us, sv.free_us, st.last_start}) == now_);
+        due_.push_back({s, st.epoch});
     }
 
-    void on_start(const cl_event& ev) {
-        auto& st = state_[ev.stage];
-        if (ev.epoch != st.epoch) return;  // superseded
-        cl_job job = st.waiting.front();
+    void start_head(std::size_t s) {
+        auto& st = state_[s];
+        const job j = st.waiting.front();
         st.waiting.pop_front();
-        const std::size_t k = st.served % st.server_free.size();
-        const double start = std::max({job.enter_us, st.server_free[k], st.last_start});
-        st.last_start = start;
-        ++st.served;
-        const double service = st.st->service_us(job.inject_seq, *rng_);
-        const double done = start + service;
+        const std::size_t k = st.next_server;
+        if (++st.next_server == st.servers.size()) st.next_server = 0;
+        st.last_start = now_;
+        const double service = st.st->service_us(j.inject_seq, *rng_);
         st.acct.busy_us += service;
-        st.acct.wait_us += start - job.enter_us;
-        st.acct.occupancy_area_us += start - job.enter_us;
+        st.acct.wait_us += now_ - j.enter_us;
+        st.acct.occupancy_area_us += now_ - j.enter_us;
         ++st.acct.served;
-        st.server_free[k] = cl_inf;  // occupied until the job hands off
-        st.active.push_back({job, k, done, false});
-        push_event(done, cl_kind::done, ev.stage, 0, job.inject_seq);
-        admit_released_slot(ev.stage, start);  // the head's waiting slot freed
-        schedule_head(ev.stage);
+        st.servers[k] = {never, false};
+        st.active.push_back({j, k});
+        ends_.push({now_ + service, next_end_seq_++, s, k});
+        admit_released_slot(s);
+        schedule_head(s);
     }
 
-    /// A waiting slot freed at stage s at time t (its head entered service):
-    /// under block, admit the longest-waiting excluded job — the upstream
-    /// blocked hand-off, or an entrance-queued injection at stage 0.
-    void admit_released_slot(std::size_t s, double t) {
+    /// Under block, a slot just freed at stage s goes to the job that has
+    /// waited for it longest: the upstream stage's parked hand-off, or at
+    /// stage 0 the front of the entrance queue.
+    void admit_released_slot(std::size_t s) {
         if (options_.policy != backpressure::block) return;
         if (s == 0) {
             if (entrance_.empty()) return;
-            const cl_job job = entrance_.front();
+            const job j = entrance_.front();
             entrance_.pop_front();
-            enter_stage(0, job, t);
+            arrive(0, j);
             return;
         }
         auto& up = state_[s - 1];
         if (!up.head_blocked) return;
         up.head_blocked = false;
-        flush(s - 1, t);  // retries the delayed hand-off, now with space
+        flush(s - 1);
     }
 
-    void on_done(const cl_event& ev) {
-        auto& st = state_[ev.stage];
-        for (auto& entry : st.active) {
-            if (entry.job.inject_seq == ev.inject_seq) {
-                entry.finished = true;
-                break;
-            }
-        }
-        flush(ev.stage, ev.time_us);
-    }
-
-    /// Hands finished jobs downstream in service-start order (in-order
-    /// delivery).  All hand-offs happen at the current event time; a full
-    /// downstream buffer under block parks the front and holds its server.
-    void flush(std::size_t s, double now) {
+    /// Hands stage s's finished jobs on in service-start order, releasing
+    /// each one's server; under block a full downstream buffer parks the
+    /// front job, holding its server.
+    void flush(std::size_t s) {
         auto& st = state_[s];
-        while (!st.active.empty() && st.active.front().finished && !st.head_blocked) {
-            if (s + 1 < state_.size() && options_.policy == backpressure::block &&
+        const bool last = s + 1 == state_.size();
+        while (!st.head_blocked && !st.active.empty() &&
+               st.servers[st.active.front().server].finished) {
+            if (!last && options_.policy == backpressure::block &&
                 state_[s + 1].waiting.size() >= options_.buffer_capacity) {
                 st.head_blocked = true;
                 return;
             }
-            const cl_active entry = st.active.front();
+            const in_service done = st.active.front();
             st.active.pop_front();
-            st.server_free[entry.server] = now;
+            st.servers[done.server] = {now_, false};
             schedule_head(s);
-            if (s + 1 < state_.size()) {
-                handoff_arrive(s + 1, entry.job, now);
+            if (last) {
+                complete(done.j);
             } else {
-                complete(entry.job, now);
+                arrive(s + 1, done.j);
             }
         }
     }
 
-    void complete(const cl_job& job, double t) {
+    void complete(const job& j) {
         ++result_.jobs_completed;
-        const double latency = t - job.injected_us;
+        const double latency = now_ - j.injected_us;
         latency_stats_.add(latency);
         digest_.add(latency);
         if (options_.record_latencies) result_.latencies_us.push_back(latency);
-        result_.makespan_us = std::max(result_.makespan_us, t);
-        const bool reenter =
-            *feedback_ && (*feedback_)({job.frame, job.attempt, job.offered_us,
-                                        job.injected_us, t});
-        if (reenter) {
-            cl_job retx;
-            retx.frame = job.frame;
-            retx.attempt = job.attempt + 1;
+        result_.makespan_us = now_;  // exits happen in time order
+        if (*feedback_ &&
+            (*feedback_)({j.frame, j.attempt, j.offered_us, j.injected_us, now_})) {
+            job retx;
+            retx.frame = j.frame;
+            retx.attempt = j.attempt + 1;
             retx.inject_seq = next_inject_seq_++;
-            retx.offered_us = job.offered_us;
-            inject(retx, t);
+            retx.offered_us = j.offered_us;
+            inject(retx);
         }
     }
 
-    const std::vector<stage>* stages_;
-    std::size_t num_frames_;
+    simulation_result finish() {
+        simulation_result& r = result_;
+        r.jobs_dropped = r.num_jobs - r.jobs_completed;
+        r.drop_rate = r.num_jobs > 0 ? static_cast<double>(r.jobs_dropped) /
+                                           static_cast<double>(r.num_jobs)
+                                     : 0.0;
+        r.throughput_per_us =
+            r.makespan_us > 0.0 ? static_cast<double>(r.jobs_completed) / r.makespan_us : 0.0;
+        r.mean_latency_us = latency_stats_.mean();
+        if (options_.record_latencies && !r.latencies_us.empty()) {
+            r.p50_latency_us = metrics::percentile(r.latencies_us, 50.0);
+            r.p99_latency_us = metrics::percentile(r.latencies_us, 99.0);
+        } else {
+            r.p50_latency_us = digest_.p50();
+            r.p99_latency_us = digest_.p99();
+        }
+        r.max_latency_us = latency_stats_.max();
+        for (const stage_state& st : state_) {
+            const stage_accounting& a = st.acct;
+            const double capacity_us = r.makespan_us * static_cast<double>(st.servers.size());
+            r.stage_utilization.push_back(capacity_us > 0.0 ? a.busy_us / capacity_us : 0.0);
+            r.mean_queue_wait_us.push_back(
+                a.served > 0 ? a.wait_us / static_cast<double>(a.served) : 0.0);
+            r.mean_queue_len.push_back(
+                r.makespan_us > 0.0 ? a.occupancy_area_us / r.makespan_us : 0.0);
+            r.max_queue_len.push_back(a.max_queue);
+            r.stage_drops.push_back(a.drops);
+        }
+        return std::move(r);
+    }
+
+    std::size_t num_jobs_;
     arrival_process arrivals_;
     util::rng* rng_;
     sim_options options_;
     const feedback_fn* feedback_;
-    std::vector<cl_stage_state> state_;
-    std::deque<cl_job> entrance_;  ///< injections awaiting a first-buffer slot (block)
-    std::priority_queue<cl_event, std::vector<cl_event>, cl_event_later> events_;
-    std::uint64_t next_event_seq_ = 0;
+    std::vector<stage_state> state_;
+    fifo<job> entrance_;  ///< injections awaiting a first-buffer slot (block)
+    fifo<due_start> due_;
+    std::priority_queue<service_end, std::vector<service_end>, ends_later> ends_;
+    std::uint64_t next_end_seq_ = 0;
     std::size_t next_inject_seq_ = 0;
     std::size_t offered_ = 0;
+    double now_ = 0.0;
+    double next_arrival_us_ = 0.0;
     simulation_result result_;
     metrics::latency_digest digest_;
     metrics::running_stats latency_stats_;
@@ -731,36 +403,20 @@ private:
 
 }  // namespace
 
-simulation_result simulate_closed_loop(const std::vector<stage>& stages, std::size_t num_frames,
-                                       const arrival_process& arrivals, util::rng& rng,
-                                       const sim_options& options, const feedback_fn& feedback) {
-    if (stages.empty()) throw std::invalid_argument("simulate_closed_loop: no stages");
-    if (num_frames == 0) throw std::invalid_argument("simulate_closed_loop: no jobs");
-    if (arrivals.interarrival_us <= 0.0) {
-        throw std::invalid_argument("simulate_closed_loop: bad interarrival");
-    }
-    if (options.buffer_capacity == 0) {
-        throw std::invalid_argument(
-            "simulate_closed_loop: buffer capacity 0 can never admit work; use a capacity >= 1 "
-            "or pipeline::unbounded_capacity");
-    }
-    return cl_engine(stages, num_frames, arrivals, rng, options, feedback).run();
-}
-
 simulation_result simulate(const std::vector<stage>& stages, std::size_t num_jobs,
                            const arrival_process& arrivals, util::rng& rng,
-                           const sim_options& options) {
+                           const sim_options& options, const feedback_fn& feedback) {
     if (stages.empty()) throw std::invalid_argument("simulate: no stages");
     if (num_jobs == 0) throw std::invalid_argument("simulate: no jobs");
-    if (arrivals.interarrival_us <= 0.0) throw std::invalid_argument("simulate: bad interarrival");
+    if (!(arrivals.interarrival_us > 0.0) || !std::isfinite(arrivals.interarrival_us)) {
+        throw std::invalid_argument("simulate: bad interarrival");
+    }
     if (options.buffer_capacity == 0) {
         throw std::invalid_argument(
             "simulate: buffer capacity 0 can never admit work; use a capacity >= 1 or "
             "pipeline::unbounded_capacity");
     }
-    return options.buffer_capacity == unbounded_capacity
-               ? simulate_unbounded(stages, num_jobs, arrivals, rng, options)
-               : simulate_bounded(stages, num_jobs, arrivals, rng, options);
+    return engine(stages, num_jobs, arrivals, rng, options, feedback).run();
 }
 
 util::table summary_table(const simulation_result& result,

@@ -4,51 +4,73 @@
 // passes through a fixed sequence of processing stages (e.g. a classical
 // greedy-search unit, then a quantum reverse-annealing unit).  While the
 // quantum unit processes channel use N, the classical unit may already work
-// on N+1 — exactly the overlap the figure depicts.  The simulator is a
-// tandem queue:
+// on N+1 — exactly the overlap the figure depicts.  simulate() replays that
+// tandem queue as one event loop over virtual time.  With one server per
+// stage and buffers that never fill it reduces to the tandem recurrence
 //     start[k][j] = max(done[k-1][j], free_k),
 //     done[k][j]  = start[k][j] + service_k(j).
 //
 // Modelling semantics, explicitly:
-//   * Stage buffers are bounded by sim_options::buffer_capacity (waiting
-//     slots per stage; unbounded_capacity restores the legacy
-//     grow-without-bound behaviour).  A full buffer applies the selected
-//     backpressure policy: `block` stalls the upstream stage (and, at the
-//     first stage, delays admission of offered arrivals) until a slot
-//     frees; `drop_oldest` evicts the longest-waiting queued job in favour
-//     of the newcomer; `drop_newest` discards the arriving job.  Capacity 0
-//     is a configuration error (a stage could never accept work) and
-//     throws — see simulate().
-//   * Jobs traverse the pipeline strictly in stream order (in-order
-//     delivery between stages); a stage with S servers dispatches jobs
-//     round-robin (job n of the stage's served stream goes to server
-//     n mod S) — the paper's §5 "K annealer devices serving one stream"
-//     lever made literal.
-//   * `stage_utilization[k]` is busy time / (makespan x servers) — the
-//     fraction of the stage's total service capacity spent serving,
-//     measured against the LAST departure time.  Early stages that finish
-//     and then idle while the tail drains report lower utilisation than an
-//     in-isolation measurement would.
-//   * Latency statistics cover completed jobs only; dropped jobs count into
-//     drop_rate/stage_drops and into queue-occupancy time while queued, but
-//     have no latency.
+//   * Buffers.  Each stage has sim_options::buffer_capacity waiting slots
+//     (jobs in service not counted; unbounded_capacity never fills;
+//     capacity 0 throws).  A job arriving at a full buffer meets the
+//     backpressure policy: `block` keeps it where it is — a finished job
+//     stays in its upstream server, an injection waits in an unbounded
+//     entrance queue in injection order (the source never blocks) — until
+//     a slot frees; `drop_oldest` evicts the longest-waiting queued job for
+//     the newcomer; `drop_newest` discards the newcomer.  Under the drop
+//     policies a retransmission meeting a full buffer is dropped like any
+//     arrival.  A slot frees when its job enters service.
+//   * Order.  Jobs hand off between stages and exit the last stage in the
+//     order they entered service (in-order delivery): a finished job waits
+//     for its predecessors at the same stage.
+//   * Servers.  A stage with S servers dispatches round-robin — job n of
+//     the stage's served stream goes to server n mod S, the paper's §5 "K
+//     annealer devices serving one stream" lever made literal — and the
+//     head of the buffer waits for its designated server.  A server is held
+//     until its job HANDS OFF (or exits), not merely until service ends:
+//     under `block` a full downstream buffer stalls it, and a faster sibling
+//     waits for in-order delivery.
+//   * Equal times.  Events at one instant run in a fixed order: service
+//     completions in scheduling order, with the hand-offs, exits and
+//     re-injections they release; then service starts, which free buffer
+//     slots; then the offered arrival.  So an arrival at the instant a slot
+//     frees is admitted, while a hand-off at that instant still finds the
+//     slot taken.
+//   * Feedback.  When a `feedback` hook is given it sees every completed
+//     traversal in exit order; returning true re-injects the frame at stage
+//     0 at that same instant (the ARQ retransmission), where it competes
+//     with fresh arrivals for the same buffers.
+//   * Randomness.  Poisson inter-arrival gaps and lognormal service times
+//     draw from the one `rng`; service times are drawn in service-start
+//     order, the gap to the next arrival when an arrival is processed.
+//     Trace-backed stages serve injection j in trace[j mod size].
+//   * Accounting.  `num_jobs` counts injections (offered jobs plus
+//     retransmissions); latencies cover completed traversals only, each
+//     measured from that traversal's injection.  `stage_utilization[k]` is
+//     busy time / (makespan x servers), against the LAST departure, so
+//     early stages that idle while the tail drains report lower
+//     utilisation than an in-isolation measurement would.  Dropped jobs
+//     count into drop_rate/stage_drops and into queue-occupancy time while
+//     queued, but have no latency.
 //
 // The simulator reports the link-layer quantities of interest: sustained
 // throughput, per-channel-use latency percentiles (the ARQ turnaround
 // budget), drop rates, stage utilisation, and queue occupancy.  For
 // million-job streaming runs set record_latencies = false: percentiles then
 // come from a fixed-memory metrics::latency_digest (~0.4% relative error)
-// instead of an O(jobs) vector.  Service models may be synthetic (constant /
+// instead of an O(jobs) vector.  Once its queues are warm the loop
+// allocates nothing per job.  Service models may be synthetic (constant /
 // lognormal) or measured traces recorded from the real solver code paths by
 // the end-to-end link simulator (link/link_sim.h).
 //
-// Concurrency contract: simulate()/simulate_closed_loop() are
-// SINGLE-THREADED event simulators over virtual time — stage "parallelism"
-// is modelled in the event equations, not executed on threads.  There are
-// deliberately no locks and no thread-safety annotations here; a mutex in
-// this layer would signal a design error.  Callers may run many simulations
-// concurrently on disjoint inputs (the link layer does); see
-// docs/ARCHITECTURE.md, "The determinism contract as enforceable rules".
+// Concurrency contract: simulate() is a SINGLE-THREADED event simulator
+// over virtual time — stage "parallelism" is modelled in the event
+// equations, not executed on threads.  There are deliberately no locks and
+// no thread-safety annotations here; a mutex in this layer would signal a
+// design error.  Callers may run many simulations concurrently on disjoint
+// inputs (the link layer does); see docs/ARCHITECTURE.md, "The determinism
+// contract as enforceable rules".
 #ifndef HCQ_PIPELINE_PIPELINE_H
 #define HCQ_PIPELINE_PIPELINE_H
 
@@ -116,7 +138,7 @@ enum class backpressure {
 /// Parses the canonical names; throws std::invalid_argument listing them.
 [[nodiscard]] backpressure parse_backpressure(const std::string& text);
 
-/// Sentinel capacity restoring the legacy unbounded-buffer behaviour.
+/// Sentinel capacity: a buffer that never fills.
 inline constexpr std::size_t unbounded_capacity = static_cast<std::size_t>(-1);
 
 /// Simulation knobs beyond the stage list and arrival process.
@@ -134,13 +156,13 @@ struct sim_options {
 
 /// Aggregate simulation outcome.
 struct simulation_result {
-    std::size_t num_jobs = 0;                ///< offered jobs (arrivals)
-    std::size_t jobs_completed = 0;          ///< jobs that left the last stage
-    std::size_t jobs_dropped = 0;            ///< offered - completed
-    double drop_rate = 0.0;                  ///< dropped / offered
+    std::size_t num_jobs = 0;                ///< injections (arrivals + retransmissions)
+    std::size_t jobs_completed = 0;          ///< traversals that left the last stage
+    std::size_t jobs_dropped = 0;            ///< injected - completed
+    double drop_rate = 0.0;                  ///< dropped / injected
     double makespan_us = 0.0;                ///< last departure time
     double throughput_per_us = 0.0;          ///< completed jobs / makespan
-    double mean_latency_us = 0.0;            ///< arrival -> final departure
+    double mean_latency_us = 0.0;            ///< injection -> final departure
     double p50_latency_us = 0.0;
     double p99_latency_us = 0.0;
     double max_latency_us = 0.0;
@@ -154,13 +176,34 @@ struct simulation_result {
     std::vector<double> latencies_us;
 };
 
-/// Runs `num_jobs` channel uses through the stages.  Throws
-/// std::invalid_argument on an empty stage list, non-positive parameters, or
-/// a zero buffer capacity (a stage could never accept work — pass
-/// unbounded_capacity for the legacy no-backpressure model).
+/// One completed traversal, as the feedback hook sees it.
+struct completion {
+    std::size_t frame = 0;       ///< offered-frame index
+    std::size_t attempt = 0;     ///< 0 = first transmission
+    double offered_us = 0.0;     ///< arrival time of attempt 0
+    double injected_us = 0.0;    ///< entry time of THIS attempt into the chain
+    double done_us = 0.0;        ///< exit time from the last stage
+
+    /// Replayed end-to-end latency of this attempt (the ARQ deadline view).
+    [[nodiscard]] double latency_us() const noexcept { return done_us - injected_us; }
+};
+
+/// Feedback decision, invoked once per completed traversal in exit order:
+/// return true to re-inject the frame at stage 0 (attempt + 1) at done_us.
+/// The hook must eventually return false for every frame (e.g. by capping
+/// attempts) or the simulation never drains.
+using feedback_fn = std::function<bool(const completion&)>;
+
+/// Runs `num_jobs` offered channel uses through the stages; with a
+/// `feedback` hook, completed traversals may re-enter as retransmissions
+/// (open loop when empty).  Throws std::invalid_argument on an empty stage
+/// list, zero jobs, a non-positive or non-finite interarrival, or a zero
+/// buffer capacity (a stage could never accept work — pass
+/// unbounded_capacity for buffers that never fill).
 [[nodiscard]] simulation_result simulate(const std::vector<stage>& stages,
                                          std::size_t num_jobs, const arrival_process& arrivals,
-                                         util::rng& rng, const sim_options& options = {});
+                                         util::rng& rng, const sim_options& options = {},
+                                         const feedback_fn& feedback = {});
 
 /// Renders a simulation_result as a two-column metric/value util::table
 /// (throughput, drop rate, latency percentiles, then per-stage utilisation,
@@ -180,61 +223,6 @@ struct simulation_result {
                                                     std::size_t reads_per_use,
                                                     double programming_us = 0.0,
                                                     std::size_t quantum_devices = 1);
-
-// ---------------------------------------------------------------------------
-// Closed-loop (feedback) simulation — the ARQ re-entry extension.
-//
-// The open-loop simulate() above is a feed-forward tandem queue: a job
-// leaves the last stage and is gone.  The link layer's ARQ loop needs the
-// opposite: a frame whose attempt *failed* (wrong bits, or an answer
-// arriving past the retransmission deadline) re-enters the FIRST stage as a
-// retransmission and competes with fresh arrivals for the same bounded
-// buffers — which is when `drop_oldest` becomes the natural shedding policy.
-//
-// simulate_closed_loop() is an event-driven core (the feed-forward
-// recurrences cannot express a cycle) with the same modelling vocabulary:
-// bounded per-stage waiting buffers, block / drop-oldest / drop-newest
-// backpressure, round-robin multi-server stages (job n of a stage's served
-// stream goes to server n mod S), strict in-order hand-off between stages.
-// Semantics that differ from the feed-forward cores, explicitly:
-//   * A server is released when its job HANDS OFF to the next stage (or
-//     exits), not when service ends — under `block` a full downstream
-//     buffer therefore holds the server exactly like hold_last_server();
-//     under the drop policies hand-off is immediate, so the two coincide
-//     except while a faster sibling server waits for in-order delivery.
-//   * Offered arrivals that meet a full first buffer under `block` wait in
-//     an unbounded entrance queue (the source never blocks), exactly like
-//     the open-loop core; fed-back retransmissions join the same entrance
-//     discipline in re-entry order.  Under the drop policies a fed-back
-//     retransmission meeting a full buffer is dropped like any arrival —
-//     a lost frame, counted in stage_drops.
-//   * simulation_result::num_jobs counts every INJECTION (offered frames
-//     plus retransmissions); latency statistics are per completed
-//     traversal, measured from that attempt's injection time.
-struct completion {
-    std::size_t frame = 0;       ///< offered-frame index
-    std::size_t attempt = 0;     ///< 0 = first transmission
-    double offered_us = 0.0;     ///< arrival time of attempt 0
-    double injected_us = 0.0;    ///< entry time of THIS attempt into the chain
-    double done_us = 0.0;        ///< exit time from the last stage
-
-    /// Replayed end-to-end latency of this attempt (the ARQ deadline view).
-    [[nodiscard]] double latency_us() const noexcept { return done_us - injected_us; }
-};
-
-/// Feedback decision, invoked once per completed traversal in exit order:
-/// return true to re-enqueue the frame at stage 0 (attempt + 1) at time
-/// done_us.  The callback must eventually return false for every frame
-/// (e.g. by capping attempts) or the simulation never drains.
-using feedback_fn = std::function<bool(const completion&)>;
-
-/// Runs `num_frames` offered jobs through the stages with feedback re-entry.
-/// Validation matches simulate(); `feedback` may be empty (open loop).
-[[nodiscard]] simulation_result simulate_closed_loop(const std::vector<stage>& stages,
-                                                     std::size_t num_frames,
-                                                     const arrival_process& arrivals,
-                                                     util::rng& rng, const sim_options& options,
-                                                     const feedback_fn& feedback);
 
 }  // namespace hcq::pipeline
 

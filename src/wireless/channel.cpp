@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace hcq::wireless {
 
@@ -57,7 +58,14 @@ double noise_variance_for_snr(modulation mod, std::size_t num_users, double snr_
     if (num_users == 0) throw std::invalid_argument("noise_variance_for_snr: no users");
     const double signal_power = static_cast<double>(num_users) * mean_symbol_energy(mod);
     const double snr_linear = std::pow(10.0, snr_db / 10.0);
-    return signal_power / snr_linear;
+    const double variance = signal_power / snr_linear;
+    // NaN dB, or an SNR so low that 10^(snr/10) underflows to 0, would
+    // otherwise hand the detectors NaN or infinite noise.
+    if (!std::isfinite(variance)) {
+        throw std::invalid_argument("noise_variance_for_snr: SNR " + std::to_string(snr_db) +
+                                    " dB gives a non-finite noise variance");
+    }
+    return variance;
 }
 
 }  // namespace hcq::wireless

@@ -36,7 +36,9 @@ void add_awgn(util::rng& rng, linalg::cvec& y, double noise_variance);
 
 /// Noise variance realising an average per-receive-antenna SNR of `snr_db`
 /// for `num_users` transmitters of the given modulation through a unit-mean-
-/// square-gain channel.
+/// square-gain channel.  +inf dB gives 0 (noiseless).  Throws
+/// std::invalid_argument on zero users, or when the variance is not finite:
+/// a NaN SNR, or one so low (about -3000 dB) that 10^(snr/10) underflows.
 [[nodiscard]] double noise_variance_for_snr(modulation mod, std::size_t num_users,
                                             double snr_db);
 

@@ -2,12 +2,52 @@
 // quantum stages).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <vector>
+
 #include "pipeline/pipeline.h"
 #include "util/rng.h"
 
 namespace {
 
 namespace pl = hcq::pipeline;
+
+/// Reference for single-server stages whose buffers never fill: the tandem
+/// recurrence start = max(ready, free), done = start + service, with job j
+/// served in trace[j % size] at every stage and arrivals every
+/// `interarrival_us`, accumulated the way simulate() accumulates them.
+struct reference_run {
+    std::vector<double> latencies_us;
+    double makespan_us = 0.0;
+    std::vector<double> wait_us;  ///< per stage, summed over jobs
+    std::vector<double> busy_us;  ///< per stage
+};
+
+reference_run reference_tandem(const std::vector<std::vector<double>>& traces,
+                               std::size_t num_jobs, double interarrival_us) {
+    reference_run r;
+    r.wait_us.assign(traces.size(), 0.0);
+    r.busy_us.assign(traces.size(), 0.0);
+    std::vector<double> free(traces.size(), 0.0);
+    double arrival = 0.0;
+    for (std::size_t j = 0; j < num_jobs; ++j) {
+        if (j > 0) arrival += interarrival_us;
+        double ready = arrival;
+        for (std::size_t s = 0; s < traces.size(); ++s) {
+            const double start = std::max(ready, free[s]);
+            const double service = traces[s][j % traces[s].size()];
+            r.wait_us[s] += start - ready;
+            r.busy_us[s] += service;
+            ready = free[s] = start + service;
+        }
+        r.latencies_us.push_back(ready - arrival);
+        r.makespan_us = std::max(r.makespan_us, ready);
+    }
+    return r;
+}
 
 TEST(Stage, ConstantServiceTime) {
     hcq::util::rng rng(1);
@@ -114,6 +154,11 @@ TEST(Simulate, Validation) {
                  std::invalid_argument);
     EXPECT_THROW((void)pl::simulate(stages, 10, {.interarrival_us = 0.0}, rng),
                  std::invalid_argument);
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+        EXPECT_THROW((void)pl::simulate(stages, 10, {.interarrival_us = bad}, rng),
+                     std::invalid_argument);
+    }
 }
 
 TEST(Simulate, UtilizationBounded) {
@@ -215,28 +260,80 @@ TEST(Bounded, CapacityZeroIsAConfigurationError) {
 }
 
 TEST(Bounded, AmpleCapacityMatchesUnboundedExactly) {
-    // With deterministic service models and more slots than jobs, the
-    // bounded core must reproduce the unbounded recurrence bit for bit.
+    // With more slots than jobs no buffer ever fills, so every policy (and
+    // unbounded buffers) must reproduce the unbounded recurrence bit for bit.
     const std::vector<pl::stage> stages{pl::stage::from_trace("a", {1.0, 2.0, 0.5}),
                                         pl::stage::constant("b", 1.5)};
-    hcq::util::rng rng_a(31);
-    const auto unbounded = pl::simulate(stages, 60, {.interarrival_us = 1.0}, rng_a);
-    for (const auto policy : {pl::backpressure::block, pl::backpressure::drop_oldest,
-                              pl::backpressure::drop_newest}) {
-        SCOPED_TRACE(pl::to_string(policy));
-        hcq::util::rng rng_b(31);
-        const auto bounded =
-            pl::simulate(stages, 60, {.interarrival_us = 1.0}, rng_b,
-                         {.buffer_capacity = 1000, .policy = policy});
-        EXPECT_EQ(bounded.jobs_completed, unbounded.jobs_completed);
-        EXPECT_EQ(bounded.jobs_dropped, 0u);
-        EXPECT_DOUBLE_EQ(bounded.makespan_us, unbounded.makespan_us);
-        ASSERT_EQ(bounded.latencies_us.size(), unbounded.latencies_us.size());
-        for (std::size_t j = 0; j < bounded.latencies_us.size(); ++j) {
-            EXPECT_DOUBLE_EQ(bounded.latencies_us[j], unbounded.latencies_us[j]);
+    const reference_run want = reference_tandem({{1.0, 2.0, 0.5}, {1.5}}, 60, 1.0);
+    for (const std::size_t capacity : {pl::unbounded_capacity, std::size_t{1000}}) {
+        for (const auto policy : {pl::backpressure::block, pl::backpressure::drop_oldest,
+                                  pl::backpressure::drop_newest}) {
+            SCOPED_TRACE(pl::to_string(policy));
+            SCOPED_TRACE(capacity);
+            hcq::util::rng rng(31);
+            const auto bounded =
+                pl::simulate(stages, 60, {.interarrival_us = 1.0}, rng,
+                             {.buffer_capacity = capacity, .policy = policy});
+            EXPECT_EQ(bounded.jobs_completed, 60u);
+            EXPECT_EQ(bounded.jobs_dropped, 0u);
+            EXPECT_DOUBLE_EQ(bounded.makespan_us, want.makespan_us);
+            ASSERT_EQ(bounded.latencies_us.size(), want.latencies_us.size());
+            for (std::size_t j = 0; j < bounded.latencies_us.size(); ++j) {
+                EXPECT_DOUBLE_EQ(bounded.latencies_us[j], want.latencies_us[j]);
+            }
+            EXPECT_DOUBLE_EQ(bounded.mean_queue_wait_us[0], want.wait_us[0] / 60.0);
+            EXPECT_DOUBLE_EQ(bounded.mean_queue_wait_us[1], want.wait_us[1] / 60.0);
         }
-        EXPECT_DOUBLE_EQ(bounded.mean_queue_wait_us[0], unbounded.mean_queue_wait_us[0]);
-        EXPECT_DOUBLE_EQ(bounded.mean_queue_wait_us[1], unbounded.mean_queue_wait_us[1]);
+    }
+}
+
+TEST(Reference, RandomTieFreeTracesMatchTheRecurrenceExactly) {
+    // Seeded random single-server chains of 1-4 stages with continuous
+    // service times (so distinct events never share an instant), paced
+    // below and above the bottleneck, under buffers that never fill: every
+    // latency, the makespan and each stage's wait and utilisation equal the
+    // recurrence's.
+    constexpr std::size_t jobs = 150;
+    for (std::uint64_t seed = 0; seed < 24; ++seed) {
+        hcq::util::rng gen(9000 + seed);
+        const std::size_t num_stages = 1 + seed % 4;
+        std::vector<std::vector<double>> traces(num_stages);
+        std::vector<pl::stage> stages;
+        double bottleneck_us = 0.0;
+        for (std::size_t s = 0; s < num_stages; ++s) {
+            traces[s].resize(1 + gen.uniform_index(8));
+            double sum = 0.0;
+            for (double& v : traces[s]) {
+                v = 0.5 + 3.0 * gen.uniform();
+                sum += v;
+            }
+            bottleneck_us = std::max(bottleneck_us, sum / static_cast<double>(traces[s].size()));
+            stages.push_back(pl::stage::from_trace("s", traces[s]));
+        }
+        for (const double load : {0.7, 1.3}) {
+            const double interarrival_us = bottleneck_us / load;
+            const reference_run want = reference_tandem(traces, jobs, interarrival_us);
+            for (const std::size_t capacity : {pl::unbounded_capacity, jobs}) {
+                for (const auto policy : {pl::backpressure::block, pl::backpressure::drop_oldest,
+                                          pl::backpressure::drop_newest}) {
+                    SCOPED_TRACE(testing::Message() << "seed " << seed << " load " << load
+                                                    << " capacity " << capacity << " "
+                                                    << pl::to_string(policy));
+                    hcq::util::rng rng(seed);
+                    const auto got =
+                        pl::simulate(stages, jobs, {.interarrival_us = interarrival_us}, rng,
+                                     {.buffer_capacity = capacity, .policy = policy});
+                    ASSERT_EQ(got.jobs_completed, jobs);
+                    EXPECT_EQ(got.latencies_us, want.latencies_us);
+                    EXPECT_EQ(got.makespan_us, want.makespan_us);
+                    for (std::size_t s = 0; s < num_stages; ++s) {
+                        EXPECT_EQ(got.mean_queue_wait_us[s],
+                                  want.wait_us[s] / static_cast<double>(jobs));
+                        EXPECT_EQ(got.stage_utilization[s], want.busy_us[s] / want.makespan_us);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -340,6 +437,18 @@ TEST(MultiServer, RoundRobinDoublesThroughput) {
     EXPECT_THROW((void)stages[0].with_servers(0), std::invalid_argument);
 }
 
+TEST(MultiServer, InOrderHandOffHoldsTheServerHandComputed) {
+    // Two servers alternating 10-us and 1-us jobs, one arrival per us.  Job 1
+    // finishes at 2 but leaves behind job 0 at 10, holding server 1 until
+    // then; jobs 2 and 3 both start at 10 and job 3 leaves behind job 2 at 20.
+    hcq::util::rng rng(39);
+    const std::vector<pl::stage> stages{
+        pl::stage::from_trace("bank", {10.0, 1.0}).with_servers(2)};
+    const auto result = pl::simulate(stages, 4, {.interarrival_us = 1.0}, rng);
+    EXPECT_EQ(result.latencies_us, (std::vector<double>{10.0, 9.0, 18.0, 17.0}));
+    EXPECT_EQ(result.makespan_us, 20.0);
+}
+
 TEST(MultiServer, HybridBuilderReplicatesTheQuantumStage) {
     const auto stages = pl::make_hybrid_stages(3.0, 2.2, 10, 1.5, 4);
     ASSERT_EQ(stages.size(), 2u);
@@ -384,27 +493,29 @@ TEST(Bounded, OverloadedDropRunReportsOccupancy) {
 }
 
 // ---------------------------------------------------------------------------
-// Closed-loop (feedback) simulation — the ARQ re-entry core.
+// Closed-loop (feedback) simulation — ARQ re-entry.
 // ---------------------------------------------------------------------------
 
 TEST(ClosedLoop, NoFeedbackMatchesOpenLoopOnDeterministicStages) {
     // With an empty feedback hook and deterministic single-server stages the
-    // event-driven core must reproduce the feed-forward recurrence exactly.
+    // replay must reproduce the open-loop recurrence exactly.
     const std::vector<pl::stage> stages{pl::stage::constant("a", 10.0),
                                         pl::stage::constant("b", 5.0)};
     for (const double interarrival : {6.0, 12.0}) {
         SCOPED_TRACE(interarrival);
-        hcq::util::rng rng_open(1);
-        const auto open = pl::simulate(stages, 100, {.interarrival_us = interarrival},
-                                       rng_open, {});
+        const reference_run open = reference_tandem({{10.0}, {5.0}}, 100, interarrival);
         hcq::util::rng rng_closed(1);
-        const auto closed = pl::simulate_closed_loop(
-            stages, 100, {.interarrival_us = interarrival}, rng_closed, {}, {});
-        EXPECT_EQ(closed.num_jobs, open.num_jobs);
-        EXPECT_EQ(closed.jobs_completed, open.jobs_completed);
+        const auto closed =
+            pl::simulate(stages, 100, {.interarrival_us = interarrival}, rng_closed, {}, {});
+        EXPECT_EQ(closed.num_jobs, 100u);
+        EXPECT_EQ(closed.jobs_completed, 100u);
         EXPECT_DOUBLE_EQ(closed.makespan_us, open.makespan_us);
-        EXPECT_DOUBLE_EQ(closed.mean_latency_us, open.mean_latency_us);
-        EXPECT_DOUBLE_EQ(closed.max_latency_us, open.max_latency_us);
+        EXPECT_NEAR(closed.mean_latency_us,
+                    std::accumulate(open.latencies_us.begin(), open.latencies_us.end(), 0.0) /
+                        100.0,
+                    1e-9);
+        EXPECT_DOUBLE_EQ(closed.max_latency_us,
+                         *std::max_element(open.latencies_us.begin(), open.latencies_us.end()));
         ASSERT_EQ(closed.latencies_us.size(), open.latencies_us.size());
         for (std::size_t j = 0; j < open.latencies_us.size(); ++j) {
             EXPECT_DOUBLE_EQ(closed.latencies_us[j], open.latencies_us[j]);
@@ -418,7 +529,7 @@ TEST(ClosedLoop, FeedbackReentersAtCompletionTime) {
     const std::vector<pl::stage> stages{pl::stage::constant("s", 10.0)};
     hcq::util::rng rng(1);
     std::vector<pl::completion> seen;
-    const auto result = pl::simulate_closed_loop(
+    const auto result = pl::simulate(
         stages, 1, {.interarrival_us = 5.0}, rng, {},
         [&](const pl::completion& c) {
             seen.push_back(c);
@@ -443,7 +554,7 @@ TEST(ClosedLoop, RetransmissionsCompeteWithFreshArrivals) {
     // the four traversals serialise on the single server -> makespan 40.
     const std::vector<pl::stage> stages{pl::stage::constant("s", 10.0)};
     hcq::util::rng rng(1);
-    const auto result = pl::simulate_closed_loop(
+    const auto result = pl::simulate(
         stages, 2, {.interarrival_us = 1.0}, rng, {},
         [](const pl::completion& c) { return c.attempt < 1; });
     EXPECT_EQ(result.num_jobs, 4u);
@@ -458,7 +569,7 @@ TEST(ClosedLoop, BlockPolicyNeverDropsUnderFeedbackOverload) {
     const pl::sim_options options{.buffer_capacity = 1,
                                   .policy = pl::backpressure::block,
                                   .record_latencies = false};
-    const auto result = pl::simulate_closed_loop(
+    const auto result = pl::simulate(
         stages, 60, {.interarrival_us = 2.0}, rng, options,
         [](const pl::completion& c) { return c.attempt < 2; });
     EXPECT_EQ(result.num_jobs, 60u * 3u);
@@ -477,7 +588,7 @@ TEST(ClosedLoop, DropOldestShedsRetransmissionOverload) {
     const pl::sim_options options{.buffer_capacity = 2,
                                   .policy = pl::backpressure::drop_oldest,
                                   .record_latencies = false};
-    const auto result = pl::simulate_closed_loop(
+    const auto result = pl::simulate(
         stages, 100, {.interarrival_us = 3.0}, rng, options,
         [](const pl::completion& c) { return c.attempt < 2; });
     EXPECT_GT(result.jobs_dropped, 0u);
@@ -495,10 +606,10 @@ TEST(ClosedLoop, MultiServerStageServesRetransmissions) {
     const auto two = std::vector<pl::stage>{pl::stage::constant("q", 10.0).with_servers(2)};
     const auto feedback = [](const pl::completion& c) { return c.attempt < 1; };
     hcq::util::rng rng1(1);
-    const auto serial = pl::simulate_closed_loop(one, 50, {.interarrival_us = 1.0}, rng1, {},
+    const auto serial = pl::simulate(one, 50, {.interarrival_us = 1.0}, rng1, {},
                                                  feedback);
     hcq::util::rng rng2(1);
-    const auto banked = pl::simulate_closed_loop(two, 50, {.interarrival_us = 1.0}, rng2, {},
+    const auto banked = pl::simulate(two, 50, {.interarrival_us = 1.0}, rng2, {},
                                                  feedback);
     EXPECT_EQ(serial.jobs_completed, 100u);
     EXPECT_EQ(banked.jobs_completed, 100u);
@@ -509,14 +620,14 @@ TEST(ClosedLoop, MultiServerStageServesRetransmissions) {
 TEST(ClosedLoop, ValidatesLikeTheOpenLoop) {
     hcq::util::rng rng(1);
     const std::vector<pl::stage> stages{pl::stage::constant("s", 1.0)};
-    EXPECT_THROW((void)pl::simulate_closed_loop({}, 5, {}, rng, {}, {}),
+    EXPECT_THROW((void)pl::simulate({}, 5, {}, rng, {}, {}),
                  std::invalid_argument);
-    EXPECT_THROW((void)pl::simulate_closed_loop(stages, 0, {}, rng, {}, {}),
+    EXPECT_THROW((void)pl::simulate(stages, 0, {}, rng, {}, {}),
                  std::invalid_argument);
-    EXPECT_THROW((void)pl::simulate_closed_loop(stages, 5, {.interarrival_us = 0.0}, rng, {},
+    EXPECT_THROW((void)pl::simulate(stages, 5, {.interarrival_us = 0.0}, rng, {},
                                                 {}),
                  std::invalid_argument);
-    EXPECT_THROW((void)pl::simulate_closed_loop(stages, 5, {}, rng,
+    EXPECT_THROW((void)pl::simulate(stages, 5, {}, rng,
                                                 {.buffer_capacity = 0}, {}),
                  std::invalid_argument);
 }

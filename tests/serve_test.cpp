@@ -6,6 +6,7 @@
 // serve::request_seed(tenant, seq, seed).
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -400,7 +401,11 @@ TEST(ServeServer, UnknownSpecGetsBadRequestAndConnectionSurvives) {
     const auto resp = cl.call(req);
     EXPECT_EQ(resp.state, serve::status::bad_request);
     EXPECT_FALSE(resp.message.empty());
-    // The frame itself was well-formed, so the connection stays usable.
+    // A NaN SNR would give NaN noise and an ok response with ml_cost NaN.
+    serve::request nan_snr = small_request(1, 2);
+    nan_snr.snr_db = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(cl.call(nan_snr).state, serve::status::bad_request);
+    // The frames themselves were well-formed, so the connection stays usable.
     serve::request good = small_request(1, 1);
     expect_served_matches_in_process(cl.call(good), good);
 }

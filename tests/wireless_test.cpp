@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "wireless/channel.h"
@@ -280,6 +281,16 @@ TEST(Channel, NoiseVarianceForSnr) {
     EXPECT_NEAR(wl::noise_variance_for_snr(modulation::qpsk, 4, 10.0), 0.8, 1e-12);
     EXPECT_THROW((void)wl::noise_variance_for_snr(modulation::qpsk, 0, 0.0),
                  std::invalid_argument);
+    // A non-finite variance is rejected: NaN dB, and SNRs so low that
+    // 10^(snr/10) underflows to 0.  +inf dB is the noiseless limit.
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             -std::numeric_limits<double>::infinity(), -4000.0}) {
+        EXPECT_THROW((void)wl::noise_variance_for_snr(modulation::qpsk, 4, bad),
+                     std::invalid_argument);
+    }
+    EXPECT_EQ(wl::noise_variance_for_snr(modulation::qpsk, 4,
+                                         std::numeric_limits<double>::infinity()),
+              0.0);
 }
 
 TEST(Mimo, NoiselessInstanceSatisfiesModel) {
