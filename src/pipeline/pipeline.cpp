@@ -118,7 +118,7 @@ constexpr double never = std::numeric_limits<double>::infinity();
 struct job {
     std::size_t frame = 0;
     std::size_t attempt = 0;
-    std::size_t inject_seq = 0;  ///< global injection index (service-model job index)
+    std::size_t inject_seq = 0;  ///< injection index (the service-model job index)
     double offered_us = 0.0;     ///< arrival of attempt 0
     double injected_us = 0.0;    ///< entry of THIS attempt into the chain
     double enter_us = 0.0;       ///< admission into the current stage's buffer
@@ -171,6 +171,7 @@ public:
     /// all past), so only completions need the heap.
     simulation_result run() {
         for (;;) {
+            const bool arrival_next = offered_ < num_jobs_ && !offered_held_;
             if (!ends_.empty() && ends_.top().time_us <= now_) {
                 const service_end ev = ends_.top();
                 ends_.pop();
@@ -180,15 +181,16 @@ public:
                 const due_start d = due_.front();
                 due_.pop_front();
                 if (d.epoch == state_[d.stage].epoch) start_head(d.stage);
-            } else if (offered_ < num_jobs_ && next_arrival_us_ <= now_) {
+            } else if (arrival_next && next_arrival_us_ <= now_) {
                 arrive_offered();
-            } else if (offered_ < num_jobs_ || !ends_.empty()) {
-                now_ = offered_ < num_jobs_ ? next_arrival_us_ : never;
+            } else if (arrival_next || !ends_.empty()) {
+                now_ = arrival_next ? next_arrival_us_ : never;
                 if (!ends_.empty()) now_ = std::min(now_, ends_.top().time_us);
             } else {
                 break;
             }
         }
+        assert(offered_ == num_jobs_);
         return finish();
     }
 
@@ -215,27 +217,45 @@ private:
         stage_accounting acct;
     };
 
+    [[nodiscard]] bool first_buffer_blocks() const {
+        return options_.policy == backpressure::block &&
+               state_[0].waiting.size() >= options_.buffer_capacity;
+    }
+
+    /// The clock reached the next offered arrival.  Under block a full first
+    /// buffer holds it at the source, which keeps only its arrival time and
+    /// draws no further gap until it is admitted, so a backlog of offered
+    /// jobs costs no memory.
     void arrive_offered() {
+        if (first_buffer_blocks()) {
+            offered_held_ = true;
+            return;
+        }
+        admit_offered();
+    }
+
+    /// Offered job `offered_` enters stage 0, at its arrival time or, when
+    /// held, once a first-buffer slot frees; its latency counts from its
+    /// arrival.  An arrival the source fell behind on is held at once.
+    void admit_offered() {
         job j;
         j.frame = offered_++;
-        j.offered_us = now_;
-        j.inject_seq = next_inject_seq_++;
-        inject(j);
+        j.offered_us = j.injected_us = next_arrival_us_;
         if (offered_ < num_jobs_) {
-            next_arrival_us_ =
-                now_ + (arrivals_.poisson
-                            ? -arrivals_.interarrival_us * std::log(1.0 - rng_->uniform())
-                            : arrivals_.interarrival_us);
+            next_arrival_us_ += arrivals_.poisson
+                                    ? -arrivals_.interarrival_us * std::log(1.0 - rng_->uniform())
+                                    : arrivals_.interarrival_us;
         }
+        inject(j);
+        offered_held_ = offered_ < num_jobs_ && next_arrival_us_ < now_;
     }
 
     /// An offered job or a fed-back retransmission enters stage 0.  Under
-    /// block a full first buffer parks it in the entrance queue.
+    /// block a retransmission meeting a full first buffer waits in the
+    /// entrance queue.
     void inject(job j) {
-        j.injected_us = now_;
-        ++result_.num_jobs;
-        if (options_.policy == backpressure::block &&
-            state_[0].waiting.size() >= options_.buffer_capacity) {
+        j.inject_seq = result_.num_jobs++;
+        if (first_buffer_blocks()) {
             entrance_.push_back(j);
             return;
         }
@@ -292,14 +312,19 @@ private:
 
     /// Under block, a slot just freed at stage s goes to the job that has
     /// waited for it longest: the upstream stage's parked hand-off, or at
-    /// stage 0 the front of the entrance queue.
+    /// stage 0 the earlier of the entrance queue's front and the held
+    /// offered arrival, the retransmission on a tie.
     void admit_released_slot(std::size_t s) {
         if (options_.policy != backpressure::block) return;
         if (s == 0) {
-            if (entrance_.empty()) return;
-            const job j = entrance_.front();
-            entrance_.pop_front();
-            arrive(0, j);
+            if (!entrance_.empty() &&
+                (!offered_held_ || entrance_.front().injected_us <= next_arrival_us_)) {
+                const job j = entrance_.front();
+                entrance_.pop_front();
+                arrive(0, j);
+            } else if (offered_held_) {
+                admit_offered();
+            }
             return;
         }
         auto& up = state_[s - 1];
@@ -345,8 +370,8 @@ private:
             job retx;
             retx.frame = j.frame;
             retx.attempt = j.attempt + 1;
-            retx.inject_seq = next_inject_seq_++;
             retx.offered_us = j.offered_us;
+            retx.injected_us = now_;
             inject(retx);
         }
     }
@@ -388,14 +413,14 @@ private:
     sim_options options_;
     const feedback_fn* feedback_;
     std::vector<stage_state> state_;
-    fifo<job> entrance_;  ///< injections awaiting a first-buffer slot (block)
+    fifo<job> entrance_;  ///< retransmissions awaiting a first-buffer slot (block)
     fifo<due_start> due_;
     std::priority_queue<service_end, std::vector<service_end>, ends_later> ends_;
     std::uint64_t next_end_seq_ = 0;
-    std::size_t next_inject_seq_ = 0;
-    std::size_t offered_ = 0;
+    std::size_t offered_ = 0;       ///< offered jobs admitted so far
+    bool offered_held_ = false;     ///< next offered arrival waits for a slot (block)
     double now_ = 0.0;
-    double next_arrival_us_ = 0.0;
+    double next_arrival_us_ = 0.0;  ///< arrival time of offered job `offered_`
     simulation_result result_;
     metrics::latency_digest digest_;
     metrics::running_stats latency_stats_;

@@ -14,13 +14,17 @@
 //   * Buffers.  Each stage has sim_options::buffer_capacity waiting slots
 //     (jobs in service not counted; unbounded_capacity never fills;
 //     capacity 0 throws).  A job arriving at a full buffer meets the
-//     backpressure policy: `block` keeps it where it is — a finished job
-//     stays in its upstream server, an injection waits in an unbounded
-//     entrance queue in injection order (the source never blocks) — until
-//     a slot frees; `drop_oldest` evicts the longest-waiting queued job for
-//     the newcomer; `drop_newest` discards the newcomer.  Under the drop
-//     policies a retransmission meeting a full buffer is dropped like any
-//     arrival.  A slot frees when its job enters service.
+//     backpressure policy: `block` keeps it where it is until a slot
+//     frees — a finished job stays in its upstream server, an offered
+//     arrival is held at the source, which keeps only its arrival time and
+//     generates nothing further meanwhile (so an overload backlog costs no
+//     memory), and a retransmission waits in an entrance queue; a freed
+//     first-buffer slot goes to the earlier of the held arrival and the
+//     queue's front, the retransmission on a tie.  `drop_oldest` evicts the
+//     longest-waiting queued job for the newcomer; `drop_newest` discards
+//     the newcomer.  Under the drop policies a retransmission meeting a
+//     full buffer is dropped like any arrival.  A slot frees when its job
+//     enters service.
 //   * Order.  Jobs hand off between stages and exit the last stage in the
 //     order they entered service (in-order delivery): a finished job waits
 //     for its predecessors at the same stage.
@@ -43,11 +47,14 @@
 //     with fresh arrivals for the same buffers.
 //   * Randomness.  Poisson inter-arrival gaps and lognormal service times
 //     draw from the one `rng`; service times are drawn in service-start
-//     order, the gap to the next arrival when an arrival is processed.
-//     Trace-backed stages serve injection j in trace[j mod size].
+//     order, the gap to the next arrival when an offered job enters stage
+//     0 (for a held arrival, when it is admitted).  Trace-backed stages
+//     serve injection j in trace[j mod size].
 //   * Accounting.  `num_jobs` counts injections (offered jobs plus
-//     retransmissions); latencies cover completed traversals only, each
-//     measured from that traversal's injection.  `stage_utilization[k]` is
+//     retransmissions; a held offered job is injected when admitted, a
+//     retransmission when it completes).  Latencies cover completed
+//     traversals only, each measured from that traversal's injection — for
+//     a held offered job, from its arrival.  `stage_utilization[k]` is
 //     busy time / (makespan x servers), against the LAST departure, so
 //     early stages that idle while the tail drains report lower
 //     utilisation than an in-isolation measurement would.  Dropped jobs

@@ -7,7 +7,9 @@
 // allocations, for a linear path (zf), a sweep solver (sa), and the hybrid
 // (gsra), even as the channel content changes use to use; so does the
 // linear paths' soft output (zf, mmse).  Link-level cases extend the gate to
-// the ARQ retransmission chain and to the coded (FEC) frame chain.
+// the ARQ retransmission chain and to the coded (FEC) frame chain, and a
+// memory case pins that an overloaded block-policy replay holds memory set
+// by its buffers, not by the number of jobs.
 //
 // This suite must NOT run under ASan/TSan (the sanitizers interpose their
 // own allocator); scripts/verify.sh builds only its named suites for the
@@ -29,26 +31,30 @@
 #include "paths/detection_path.h"
 #include "paths/registry.h"
 #include "paths/workspace.h"
+#include "pipeline/pipeline.h"
 #include "util/rng.h"
 #include "wireless/mimo.h"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 
 }  // namespace
 
 // Counting wrappers for every replaceable allocation form the library can
-// reach (plain, aligned, array).  Deallocation is not counted: the gate is
-// about acquiring memory on the hot path.
+// reach (plain, aligned, array): calls and requested bytes.  Deallocation is
+// not counted: the gate is about acquiring memory on the hot path.
 void* operator new(std::size_t size) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
     if (void* p = std::malloc(size ? size : 1)) return p;
     throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, std::align_val_t align) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
     if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
                                      (size + static_cast<std::size_t>(align) - 1) &
                                          ~(static_cast<std::size_t>(align) - 1))) {
@@ -201,12 +207,43 @@ TEST(AllocRegression, CodedFramesReuseWorkerScratch) {
     EXPECT_LT(per_use, 0.1);
 }
 
-// The counter itself must be live, or the zeros above prove nothing.
+/// Bytes requested by one streaming open-loop replay of `num_jobs` offered
+/// jobs at twice the bottleneck's rate into 16-slot block-policy buffers.
+std::uint64_t overloaded_block_replay_bytes(std::size_t num_jobs) {
+    const std::vector<hcq::pipeline::stage> stages{hcq::pipeline::stage::constant("a", 2.0),
+                                                   hcq::pipeline::stage::constant("b", 1.0)};
+    hcq::util::rng rng(5);
+    const std::uint64_t before = g_allocated_bytes.load(std::memory_order_relaxed);
+    const auto result = hcq::pipeline::simulate(
+        stages, num_jobs, {.interarrival_us = 1.0}, rng,
+        {.buffer_capacity = 16,
+         .policy = hcq::pipeline::backpressure::block,
+         .record_latencies = false});
+    const std::uint64_t bytes = g_allocated_bytes.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(result.jobs_completed, num_jobs);
+    return bytes;
+}
+
+TEST(AllocRegression, OverloadedBlockReplayMemoryIsIndependentOfJobs) {
+    // At load 2 about half the offered jobs are still waiting for the first
+    // buffer when the last one arrives.  The source holds only the next
+    // pending arrival time, so doubling the stream must not grow what the
+    // replay requests (queueing every waiting job adds about 3 MB here).
+    constexpr std::size_t n = 20000;
+    const std::uint64_t short_run = overloaded_block_replay_bytes(n);
+    const std::uint64_t long_run = overloaded_block_replay_bytes(2 * n);
+    EXPECT_LT(static_cast<double>(long_run) - static_cast<double>(short_run), 4096.0);
+}
+
+// The counters themselves must be live, or the zeros above prove nothing.
 TEST(AllocRegression, CounterObservesAllocations) {
     const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const std::uint64_t bytes_before = g_allocated_bytes.load(std::memory_order_relaxed);
     std::vector<double>* v = new std::vector<double>(1024);
     delete v;
     EXPECT_GT(g_allocations.load(std::memory_order_relaxed), before);
+    EXPECT_GE(g_allocated_bytes.load(std::memory_order_relaxed) - bytes_before,
+              1024 * sizeof(double));
 }
 
 }  // namespace

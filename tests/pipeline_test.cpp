@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <numeric>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "metrics/stats.h"
 #include "pipeline/pipeline.h"
 #include "util/rng.h"
 
@@ -21,6 +23,7 @@ namespace pl = hcq::pipeline;
 /// `interarrival_us`, accumulated the way simulate() accumulates them.
 struct reference_run {
     std::vector<double> latencies_us;
+    hcq::metrics::running_stats latency;  ///< over latencies_us, in exit order
     double makespan_us = 0.0;
     std::vector<double> wait_us;  ///< per stage, summed over jobs
     std::vector<double> busy_us;  ///< per stage
@@ -44,6 +47,7 @@ reference_run reference_tandem(const std::vector<std::vector<double>>& traces,
             ready = free[s] = start + service;
         }
         r.latencies_us.push_back(ready - arrival);
+        r.latency.add(ready - arrival);
         r.makespan_us = std::max(r.makespan_us, ready);
     }
     return r;
@@ -510,12 +514,8 @@ TEST(ClosedLoop, NoFeedbackMatchesOpenLoopOnDeterministicStages) {
         EXPECT_EQ(closed.num_jobs, 100u);
         EXPECT_EQ(closed.jobs_completed, 100u);
         EXPECT_DOUBLE_EQ(closed.makespan_us, open.makespan_us);
-        EXPECT_NEAR(closed.mean_latency_us,
-                    std::accumulate(open.latencies_us.begin(), open.latencies_us.end(), 0.0) /
-                        100.0,
-                    1e-9);
-        EXPECT_DOUBLE_EQ(closed.max_latency_us,
-                         *std::max_element(open.latencies_us.begin(), open.latencies_us.end()));
+        EXPECT_DOUBLE_EQ(closed.mean_latency_us, open.latency.mean());
+        EXPECT_DOUBLE_EQ(closed.max_latency_us, open.latency.max());
         ASSERT_EQ(closed.latencies_us.size(), open.latencies_us.size());
         for (std::size_t j = 0; j < open.latencies_us.size(); ++j) {
             EXPECT_DOUBLE_EQ(closed.latencies_us[j], open.latencies_us[j]);
@@ -547,6 +547,65 @@ TEST(ClosedLoop, FeedbackReentersAtCompletionTime) {
     EXPECT_EQ(result.num_jobs, 2u);
     EXPECT_EQ(result.jobs_completed, 2u);
     EXPECT_DOUBLE_EQ(result.makespan_us, 20.0);
+}
+
+TEST(ClosedLoop, HeldArrivalAndRetransmissionTakeTheFirstSlotInTimeOrder) {
+    // 3 us service, one slot, block, arrivals every 1 us, frame 0
+    // retransmitted once.  f2 (arrived 2) is held at the source when r0
+    // (injected 3) finds the slot taken, so the slot freed at 3 goes to f2;
+    // f3 also arrives at 3, and the slot freed at 6 goes to r0 (a tie, the
+    // retransmission first), then f3.  Exits: f0 at 3, f1 at 6, f2 at 9,
+    // r0 at 12, f3 at 15.
+    const std::vector<pl::stage> stages{pl::stage::constant("s", 3.0)};
+    hcq::util::rng rng(1);
+    std::vector<pl::completion> seen;
+    const auto result = pl::simulate(
+        stages, 4, {.interarrival_us = 1.0}, rng,
+        {.buffer_capacity = 1, .policy = pl::backpressure::block},
+        [&](const pl::completion& c) {
+            seen.push_back(c);
+            return c.frame == 0 && c.attempt == 0;
+        });
+    EXPECT_EQ(result.num_jobs, 5u);
+    EXPECT_EQ(result.latencies_us, (std::vector<double>{3.0, 5.0, 7.0, 9.0, 12.0}));
+    EXPECT_DOUBLE_EQ(result.makespan_us, 15.0);
+    ASSERT_EQ(seen.size(), 5u);
+    EXPECT_EQ(seen[3].frame, 0u);
+    EXPECT_EQ(seen[3].attempt, 1u);
+    EXPECT_DOUBLE_EQ(seen[3].injected_us, 3.0);
+    EXPECT_EQ(seen[4].frame, 3u);
+    EXPECT_DOUBLE_EQ(seen[4].injected_us, 3.0);  // latency counts from the arrival
+}
+
+TEST(ClosedLoop, ArrivalsTheSourceFellBehindOnPrecedeLaterRetransmissions) {
+    // Two servers, one slot, block, arrivals every 1 us; services 3, 4, 0
+    // repeating in service-start order; even frames retransmitted once.
+    // At 5 both servers free: the first slot goes to f3 (held since 3), and
+    // the second to f4 — it arrived at 4, while the source was held, so it
+    // is held at once and still precedes r2 (injected 5).
+    auto starts = std::make_shared<std::size_t>(0);
+    const std::vector<pl::stage> stages{pl::stage(
+        "seq",
+        [starts](std::size_t, hcq::util::rng&) {
+            constexpr double services[] = {3.0, 4.0, 0.0};
+            return services[(*starts)++ % 3];
+        },
+        2)};
+    hcq::util::rng rng(1);
+    std::vector<std::pair<std::size_t, std::size_t>> exits;  // (frame, attempt)
+    const auto result = pl::simulate(
+        stages, 5, {.interarrival_us = 1.0}, rng,
+        {.buffer_capacity = 1, .policy = pl::backpressure::block},
+        [&](const pl::completion& c) {
+            exits.emplace_back(c.frame, c.attempt);
+            return c.attempt == 0 && c.frame % 2 == 0;
+        });
+    const std::vector<std::pair<std::size_t, std::size_t>> want_exits{
+        {0, 0}, {1, 0}, {2, 0}, {0, 1}, {3, 0}, {4, 0}, {2, 1}, {4, 1}};
+    EXPECT_EQ(exits, want_exits);
+    EXPECT_EQ(result.latencies_us,
+              (std::vector<double>{3.0, 4.0, 3.0, 5.0, 6.0, 5.0, 7.0, 4.0}));
+    EXPECT_DOUBLE_EQ(result.makespan_us, 13.0);
 }
 
 TEST(ClosedLoop, RetransmissionsCompeteWithFreshArrivals) {
