@@ -120,7 +120,7 @@ struct job {
     std::size_t attempt = 0;
     std::size_t inject_seq = 0;  ///< injection index (the service-model job index)
     double offered_us = 0.0;     ///< arrival of attempt 0
-    double injected_us = 0.0;    ///< entry of THIS attempt into the chain
+    double injected_us = 0.0;    ///< arrival of THIS attempt at stage 0 (latency baseline)
     double enter_us = 0.0;       ///< admission into the current stage's buffer
 };
 

@@ -188,7 +188,7 @@ struct completion {
     std::size_t frame = 0;       ///< offered-frame index
     std::size_t attempt = 0;     ///< 0 = first transmission
     double offered_us = 0.0;     ///< arrival time of attempt 0
-    double injected_us = 0.0;    ///< entry time of THIS attempt into the chain
+    double injected_us = 0.0;    ///< arrival of THIS attempt at stage 0, before any blocked wait
     double done_us = 0.0;        ///< exit time from the last stage
 
     /// Replayed end-to-end latency of this attempt (the ARQ deadline view).
