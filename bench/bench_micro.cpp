@@ -1,9 +1,9 @@
 // Kernel micro-benchmarks (google-benchmark): the per-operation costs that
 // determine how many emulated anneal reads per second the library sustains,
 // plus the classical detectors' costs (relevant to Section 5's classical-
-// initialiser tradeoff) and the coded link's soft chain (soft output and
-// Viterbi).  Detectors and soft output run the warm-scratch forms the link
-// hot path calls.
+// initialiser tradeoff), synthesis and stream derivation, and the coded
+// link's soft chain (soft output and Viterbi).  Every kernel the link hot
+// path runs is timed in its warm-scratch `_into` form.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 
 #include "classical/greedy.h"
 #include "classical/metropolis.h"
+#include "classical/solver.h"
 #include "core/device.h"
 #include "core/experiment.h"
 #include "detect/kbest.h"
@@ -25,6 +26,7 @@
 #include "qubo/generator.h"
 #include "util/rng.h"
 #include "wireless/channel.h"
+#include "wireless/channel_spec.h"
 #include "wireless/mimo.h"
 #include "wireless/soft.h"
 
@@ -82,42 +84,87 @@ void bm_greedy_search(benchmark::State& state) {
     const auto& e = instance32();
     hcq::util::rng rng(11);
     const hcq::solvers::greedy_search gs;
+    hcq::solvers::solve_scratch scratch;
+    hcq::solvers::initial_state init;
+    gs.initialize_into(e.reduced.model, rng, scratch, init);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(gs.initialize(e.reduced.model, rng));
+        gs.initialize_into(e.reduced.model, rng, scratch, init);
+        benchmark::DoNotOptimize(init.bits.data());
+        benchmark::ClobberMemory();
     }
 }
 BENCHMARK(bm_greedy_search);
 
 void bm_ml_to_qubo_transform(benchmark::State& state) {
     const auto& e = instance32();
+    hcq::detect::qubo_scratch scratch;
+    hcq::detect::ml_qubo mq;
+    hcq::detect::ml_to_qubo_into(e.instance, scratch, mq);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(hcq::detect::ml_to_qubo(e.instance));
+        hcq::detect::ml_to_qubo_into(e.instance, scratch, mq);
+        benchmark::DoNotOptimize(&mq);
+        benchmark::ClobberMemory();
     }
 }
 BENCHMARK(bm_ml_to_qubo_transform);
 
-void bm_anneal_read_ra(benchmark::State& state) {
+/// Times one anneal_once_into read of `schedule` on the 32-variable
+/// instance; `initial` is null for forward schedules.
+void run_anneal_read(benchmark::State& state, const an::anneal_schedule& schedule,
+                     const hcq::qubo::bit_vector* initial) {
     const auto& e = instance32();
     const an::annealer_emulator device;
-    const auto schedule = an::anneal_schedule::reverse(0.45, 1.0);
     hcq::util::rng rng(13);
+    hcq::solvers::solve_scratch scratch;
+    hcq::qubo::bit_vector read;
+    device.anneal_once_into(e.reduced.model, schedule, rng, initial, scratch, read);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            device.anneal_once(e.reduced.model, schedule, rng, e.optimal_bits));
+        device.anneal_once_into(e.reduced.model, schedule, rng, initial, scratch, read);
+        benchmark::DoNotOptimize(read.data());
+        benchmark::ClobberMemory();
     }
+}
+
+void bm_anneal_read_ra(benchmark::State& state) {
+    run_anneal_read(state, an::anneal_schedule::reverse(0.45, 1.0), &instance32().optimal_bits);
 }
 BENCHMARK(bm_anneal_read_ra);
 
 void bm_anneal_read_fa(benchmark::State& state) {
-    const auto& e = instance32();
-    const an::annealer_emulator device;
-    const auto schedule = an::anneal_schedule::forward(1.0, 0.41, 1.0);
-    hcq::util::rng rng(13);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(device.anneal_once(e.reduced.model, schedule, rng));
-    }
+    run_anneal_read(state, an::anneal_schedule::forward(1.0, 0.41, 1.0), nullptr);
 }
 BENCHMARK(bm_anneal_read_fa);
+
+/// The per-use stream derivation every synthesis, solve cell and anneal
+/// read starts from.
+void bm_rng_derive(benchmark::State& state) {
+    const hcq::util::rng base(29);
+    std::uint64_t id = 0;
+    for (auto _ : state) benchmark::DoNotOptimize(base.derive(id++));
+}
+BENCHMARK(bm_rng_derive);
+
+/// One 4x4 16-QAM use synthesised from the i.i.d. Rayleigh process at
+/// 16 dB, as link and serve run it, into a warm instance (the i.i.d.
+/// process ignores the use time).
+void bm_synthesize_use(benchmark::State& state) {
+    wl::mimo_config mimo;
+    mimo.mod = wl::modulation::qam16;
+    mimo.num_users = 4;
+    mimo.num_antennas = 4;
+    mimo.noise_variance = wl::noise_variance_for_snr(mimo.mod, 4, 16.0);
+    hcq::util::rng rng(31);
+    const auto process =
+        wl::make_channel_process(wl::channel_spec::parse("rayleigh"), 4, 4, rng);
+    wl::mimo_instance inst;
+    wl::synthesize_at_coded_into(rng, mimo, *process, 0.0, 0.0, {}, inst);
+    for (auto _ : state) {
+        wl::synthesize_at_coded_into(rng, mimo, *process, 0.0, 0.0, {}, inst);
+        benchmark::DoNotOptimize(inst.y.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(bm_synthesize_use);
 
 /// Times `det.detect_into` with a scratch warmed by one untimed call.
 template <typename Detector>

@@ -8,9 +8,10 @@
 #            -fsanitize=thread and run them (proves the parallel runner,
 #            thread pool, bounded-buffer pipeline, and link simulator
 #            race-free)
-#   --asan   additionally build the detection/link/hybrid/pipeline suites
-#            with -fsanitize=address,undefined and run them (mirrors the CI
-#            asan job)
+#   --asan   additionally build the kernel/solver/detection/link/hybrid/
+#            pipeline suites (and the QUBO deserializer's) with
+#            -fsanitize=address,undefined and run them (mirrors the CI asan
+#            job)
 #   --lint   additionally run the repo contract linter (scripts/hcq_lint.py)
 #            and its selftest over the fixture tree
 #   --tidy   additionally run the clang-tidy gate (scripts/run_tidy.sh);
@@ -89,11 +90,19 @@ fi
 if [[ $run_asan -eq 1 ]]; then
     dir="build-asan"
     [[ $clean -eq 1 ]] && rm -rf "$dir"
-    echo "== ASan+UBSan: detection paths + link simulator + hybrid solver + pipeline + ARQ + FEC + serve =="
+    echo "== ASan+UBSan: kernels + solvers + detection paths + link simulator + hybrid solver + pipeline + ARQ + FEC + serve =="
     cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DHCQ_SANITIZE=address \
         -DHCQ_BUILD_EXAMPLES=OFF -DHCQ_BUILD_BENCHES=OFF
-    cmake --build "$dir" -j "$jobs" --target paths_test link_test hybrid_test pipeline_test \
+    cmake --build "$dir" -j "$jobs" --target linalg_test solvers_test device_test detect_test \
+        wireless_test qubo_test extensions_test paths_test link_test hybrid_test pipeline_test \
         arq_test fec_test serve_test workspace_test
+    "$dir/tests/linalg_test"
+    "$dir/tests/solvers_test"
+    "$dir/tests/device_test"
+    "$dir/tests/detect_test"
+    "$dir/tests/wireless_test"
+    "$dir/tests/qubo_test"
+    "$dir/tests/extensions_test"
     "$dir/tests/paths_test"
     "$dir/tests/link_test"
     "$dir/tests/hybrid_test"

@@ -1,71 +1,13 @@
+// hcq-hot-path: steady-state code in this file must not allocate — reuse
+// workspace scratch (enforced by the hot-path-alloc lint rule).
 #include "classical/greedy.h"
 
-#include <algorithm>
 #include <cmath>
 #include <numeric>
 
 #include "util/timer.h"
 
 namespace hcq::solvers {
-
-initial_state greedy_search::initialize(const qubo::qubo_model& q, util::rng&) const {
-    const util::timer clock;
-    const std::size_t n = q.num_variables();
-    initial_state out;
-    out.bits.assign(n, 0);
-    if (n == 0) {
-        out.energy = 0.0;
-        out.elapsed_us = clock.elapsed_us();
-        return out;
-    }
-
-    // Ising linear terms: h_i = Q_ii / 2 + (1/4) * sum_{k != i} c_ik.
-    std::vector<double> h(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto row = q.row(i);
-        double acc = row[i] / 2.0;
-        for (std::size_t k = 0; k < n; ++k) {
-            if (k != i) acc += row[k] / 4.0;
-        }
-        h[i] = acc;
-    }
-
-    std::vector<std::size_t> rank(n);
-    std::iota(rank.begin(), rank.end(), 0);
-    std::stable_sort(rank.begin(), rank.end(), [&](std::size_t a, std::size_t b) {
-        return order_ == rank_order::most_decided_first
-                   ? std::fabs(h[a]) > std::fabs(h[b])
-                   : std::fabs(h[a]) < std::fabs(h[b]);
-    });
-
-    // Partial local fields over the set variables only:
-    //   field_i = Q_ii + sum_{set k} c_ik q_k.
-    std::vector<double> field(n);
-    for (std::size_t i = 0; i < n; ++i) field[i] = q.row(i)[i];
-    std::vector<bool> is_set(n, false);
-
-    for (std::size_t step = 0; step < n; ++step) {
-        const std::size_t i = rank[step];
-        std::uint8_t value = 0;
-        if (step == 0) {
-            value = h[i] > 0.0 ? 0 : 1;  // paper: first bit by the sign of h_i
-        } else {
-            value = field[i] > 0.0 ? 0 : 1;  // minimise the partial energy
-        }
-        out.bits[i] = value;
-        is_set[i] = true;
-        if (value == 1) {
-            const auto row = q.row(i);
-            for (std::size_t j = 0; j < n; ++j) {
-                if (j != i && !is_set[j]) field[j] += row[j];
-            }
-        }
-    }
-
-    out.energy = q.energy(out.bits);
-    out.elapsed_us = clock.elapsed_us();
-    return out;
-}
 
 void greedy_search::initialize_into(const qubo::qubo_model& q, util::rng&, solve_scratch& scratch,
                                     initial_state& out) const {
@@ -78,6 +20,7 @@ void greedy_search::initialize_into(const qubo::qubo_model& q, util::rng&, solve
         return;
     }
 
+    // Ising linear terms: h_i = Q_ii / 2 + (1/4) * sum_{k != i} c_ik.
     std::vector<double>& h = scratch.real_a;
     h.assign(n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -89,9 +32,9 @@ void greedy_search::initialize_into(const qubo::qubo_model& q, util::rng&, solve
         h[i] = acc;
     }
 
-    // Stable insertion sort of the rank order: any stable sort produces the
-    // identical permutation, and unlike std::stable_sort this one never
-    // touches the heap (N is a handful of bits per user).
+    // Stable insertion sort of the rank order: any stable sort gives the
+    // same permutation, and this one never touches the heap (N is a handful
+    // of bits per user).
     std::vector<std::size_t>& rank = scratch.index_a;
     rank.resize(n);
     std::iota(rank.begin(), rank.end(), 0);
@@ -109,6 +52,8 @@ void greedy_search::initialize_into(const qubo::qubo_model& q, util::rng&, solve
         rank[j] = key;
     }
 
+    // Partial local fields over the set variables only:
+    //   field_i = Q_ii + sum_{set k} c_ik q_k.
     std::vector<double>& field = scratch.real_b;
     field.resize(n);
     for (std::size_t i = 0; i < n; ++i) field[i] = q.row(i)[i];
@@ -119,9 +64,9 @@ void greedy_search::initialize_into(const qubo::qubo_model& q, util::rng&, solve
         const std::size_t i = rank[step];
         std::uint8_t value = 0;
         if (step == 0) {
-            value = h[i] > 0.0 ? 0 : 1;
+            value = h[i] > 0.0 ? 0 : 1;  // paper: first bit by the sign of h_i
         } else {
-            value = field[i] > 0.0 ? 0 : 1;
+            value = field[i] > 0.0 ? 0 : 1;  // minimise the partial energy
         }
         out.bits[i] = value;
         is_set[i] = 1;

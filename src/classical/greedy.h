@@ -35,8 +35,6 @@ public:
         : order_(order) {}
 
     /// Deterministic: ignores `rng`.
-    [[nodiscard]] initial_state initialize(const qubo::qubo_model& q,
-                                           util::rng& rng) const override;
     void initialize_into(const qubo::qubo_model& q, util::rng& rng, solve_scratch& scratch,
                          initial_state& out) const override;
     [[nodiscard]] std::string name() const override { return "GS"; }

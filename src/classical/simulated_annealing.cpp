@@ -19,59 +19,58 @@ simulated_annealing::simulated_annealing(sa_config config) : config_(config) {
     }
 }
 
-sample_set simulated_annealing::solve(const qubo::qubo_model& q, util::rng& rng) const {
-    const double scale = q.max_abs_coefficient();
-    const double t_hot = std::max(config_.hot_fraction * scale, 1e-12);
-    const double t_cold = std::max(config_.cold_fraction * scale, 1e-15);
-    const double ratio =
-        config_.num_sweeps > 1
-            ? std::pow(t_cold / t_hot, 1.0 / static_cast<double>(config_.num_sweeps - 1))
-            : 1.0;
+namespace {
 
-    sample_set out;
-    out.reserve(config_.num_reads);
-    for (std::size_t read = 0; read < config_.num_reads; ++read) {
-        metropolis_engine engine(q, rng.bits(q.num_variables()));
+/// The one read loop behind solve and solve_best_into: each read draws a
+/// uniform start into `start`, cools it through the geometric schedule in
+/// `engine`, and hands the finished engine to `take`.
+template <typename Take>
+void run_reads(const sa_config& config, const qubo::qubo_model& q, util::rng& rng,
+               metropolis_engine& engine, qubo::bit_vector& start, Take&& take) {
+    const double scale = q.max_abs_coefficient();
+    const double t_hot = std::max(config.hot_fraction * scale, 1e-12);
+    const double t_cold = std::max(config.cold_fraction * scale, 1e-15);
+    const double ratio =
+        config.num_sweeps > 1
+            ? std::pow(t_cold / t_hot, 1.0 / static_cast<double>(config.num_sweeps - 1))
+            : 1.0;
+    for (std::size_t read = 0; read < config.num_reads; ++read) {
+        rng.bits_into(q.num_variables(), start);
+        engine.reset(q, start);
         double temperature = t_hot;
-        for (std::size_t s = 0; s < config_.num_sweeps; ++s) {
+        for (std::size_t s = 0; s < config.num_sweeps; ++s) {
             engine.sweep(temperature, rng);
             temperature *= ratio;
         }
-        out.add(engine.state(), engine.energy());
+        take(engine);
     }
+}
+
+}  // namespace
+
+sample_set simulated_annealing::solve(const qubo::qubo_model& q, util::rng& rng) const {
+    solve_scratch scratch;
+    sample_set out;
+    out.reserve(config_.num_reads);
+    run_reads(config_, q, rng, scratch.engine, scratch.bits_a,
+              [&](const metropolis_engine& engine) { out.add(engine.state(), engine.energy()); });
     return out;
 }
 
 double simulated_annealing::solve_best_into(const qubo::qubo_model& q, util::rng& rng,
                                             solve_scratch& scratch, qubo::bit_vector& best) const {
-    // Same reads, same sweeps, same RNG draws as solve(); only the winning
-    // state is kept.  The strict < keeps the FIRST lowest-energy read, which
-    // is exactly sample_set::best()'s tie-break.
-    const double scale = q.max_abs_coefficient();
-    const double t_hot = std::max(config_.hot_fraction * scale, 1e-12);
-    const double t_cold = std::max(config_.cold_fraction * scale, 1e-15);
-    const double ratio =
-        config_.num_sweeps > 1
-            ? std::pow(t_cold / t_hot, 1.0 / static_cast<double>(config_.num_sweeps - 1))
-            : 1.0;
-
-    metropolis_engine& engine = scratch.engine;
+    // The strict < keeps the FIRST lowest-energy read, which is exactly
+    // sample_set::best()'s tie-break.
     double best_energy = 0.0;
     bool has_best = false;
-    for (std::size_t read = 0; read < config_.num_reads; ++read) {
-        rng.bits_into(q.num_variables(), scratch.bits_a);
-        engine.reset(q, scratch.bits_a);
-        double temperature = t_hot;
-        for (std::size_t s = 0; s < config_.num_sweeps; ++s) {
-            engine.sweep(temperature, rng);
-            temperature *= ratio;
-        }
-        if (!has_best || engine.energy() < best_energy) {
-            has_best = true;
-            best_energy = engine.energy();
-            best.assign(engine.state().begin(), engine.state().end());
-        }
-    }
+    run_reads(config_, q, rng, scratch.engine, scratch.bits_a,
+              [&](const metropolis_engine& engine) {
+                  if (!has_best || engine.energy() < best_energy) {
+                      has_best = true;
+                      best_energy = engine.energy();
+                      best.assign(engine.state().begin(), engine.state().end());
+                  }
+              });
     return best_energy;
 }
 

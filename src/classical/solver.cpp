@@ -1,3 +1,5 @@
+// hcq-hot-path: steady-state code in this file must not allocate — reuse
+// workspace scratch (enforced by the hot-path-alloc lint rule).
 #include "classical/solver.h"
 
 #include <stdexcept>
@@ -14,17 +16,10 @@ double solver::solve_best_into(const qubo::qubo_model& q, util::rng& rng, solve_
     return b.energy;
 }
 
-void initializer::initialize_into(const qubo::qubo_model& q, util::rng& rng, solve_scratch&,
-                                  initial_state& out) const {
-    out = initialize(q, rng);
-}
-
-initial_state random_initializer::initialize(const qubo::qubo_model& q, util::rng& rng) const {
-    const util::timer clock;
+initial_state initializer::initialize(const qubo::qubo_model& q, util::rng& rng) const {
+    solve_scratch scratch;
     initial_state out;
-    out.bits = rng.bits(q.num_variables());
-    out.energy = q.energy(out.bits);
-    out.elapsed_us = clock.elapsed_us();
+    initialize_into(q, rng, scratch, out);
     return out;
 }
 
@@ -39,15 +34,14 @@ void random_initializer::initialize_into(const qubo::qubo_model& q, util::rng& r
 fixed_initializer::fixed_initializer(qubo::bit_vector bits, std::string label)
     : bits_(std::move(bits)), label_(std::move(label)) {}
 
-initial_state fixed_initializer::initialize(const qubo::qubo_model& q, util::rng&) const {
+void fixed_initializer::initialize_into(const qubo::qubo_model& q, util::rng&, solve_scratch&,
+                                        initial_state& out) const {
     if (bits_.size() != q.num_variables()) {
         throw std::invalid_argument("fixed_initializer: bit count mismatch");
     }
-    initial_state out;
-    out.bits = bits_;
+    out.bits.assign(bits_.begin(), bits_.end());
     out.energy = q.energy(out.bits);
     out.elapsed_us = 0.0;
-    return out;
 }
 
 }  // namespace hcq::solvers

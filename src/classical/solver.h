@@ -67,14 +67,14 @@ class initializer {
 public:
     virtual ~initializer() = default;
 
-    [[nodiscard]] virtual initial_state initialize(const qubo::qubo_model& q,
-                                                   util::rng& rng) const = 0;
-
-    /// initialize() into reused buffers (same draws, same state); the default
-    /// delegates to initialize().  Overrides use `scratch` so a warmed-up
-    /// call performs no allocations.
+    /// Produces the candidate state into reused buffers.  Implementations
+    /// keep their intermediates in `scratch`, so a warmed-up call performs
+    /// no allocations.
     virtual void initialize_into(const qubo::qubo_model& q, util::rng& rng,
-                                 solve_scratch& scratch, initial_state& out) const;
+                                 solve_scratch& scratch, initial_state& out) const = 0;
+
+    /// Allocating form of initialize_into: runs it on a fresh scratch.
+    [[nodiscard]] initial_state initialize(const qubo::qubo_model& q, util::rng& rng) const;
 
     [[nodiscard]] virtual std::string name() const = 0;
 };
@@ -83,8 +83,6 @@ public:
 /// initial state", Figure 6 centre panel).
 class random_initializer final : public initializer {
 public:
-    [[nodiscard]] initial_state initialize(const qubo::qubo_model& q,
-                                           util::rng& rng) const override;
     void initialize_into(const qubo::qubo_model& q, util::rng& rng, solve_scratch& scratch,
                          initial_state& out) const override;
     [[nodiscard]] std::string name() const override { return "random"; }
@@ -96,8 +94,8 @@ class fixed_initializer final : public initializer {
 public:
     explicit fixed_initializer(qubo::bit_vector bits, std::string label = "fixed");
 
-    [[nodiscard]] initial_state initialize(const qubo::qubo_model& q,
-                                           util::rng& rng) const override;
+    void initialize_into(const qubo::qubo_model& q, util::rng& rng, solve_scratch& scratch,
+                         initial_state& out) const override;
     [[nodiscard]] std::string name() const override { return label_; }
 
 private:

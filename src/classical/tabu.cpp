@@ -16,14 +16,11 @@ tabu_search::tabu_search(tabu_config config) : config_(config) {
     if (config_.max_iterations == 0) throw std::invalid_argument("tabu_search: no iterations");
 }
 
-initial_state tabu_search::initialize(const qubo::qubo_model& q, util::rng& rng) const {
+void tabu_search::initialize_into(const qubo::qubo_model& q, util::rng& rng,
+                                  solve_scratch& scratch, initial_state& out) const {
     const util::timer clock;
-    const auto samples = solve(q, rng);
-    initial_state out;
-    out.bits = samples.best().bits;
-    out.energy = samples.best().energy;
+    out.energy = solve_best_into(q, rng, scratch, out.bits);
     out.elapsed_us = clock.elapsed_us();
-    return out;
 }
 
 sample_set tabu_search::solve(const qubo::qubo_model& q, util::rng& rng) const {

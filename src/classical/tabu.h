@@ -24,8 +24,9 @@ public:
     [[nodiscard]] sample_set solve(const qubo::qubo_model& q, util::rng& rng) const override;
     double solve_best_into(const qubo::qubo_model& q, util::rng& rng, solve_scratch& scratch,
                            qubo::bit_vector& best) const override;
-    [[nodiscard]] initial_state initialize(const qubo::qubo_model& q,
-                                           util::rng& rng) const override;
+    /// The search's best state, timed as the classical-module cost.
+    void initialize_into(const qubo::qubo_model& q, util::rng& rng, solve_scratch& scratch,
+                         initial_state& out) const override;
     [[nodiscard]] std::string name() const override { return "Tabu"; }
 
     [[nodiscard]] const tabu_config& config() const noexcept { return config_; }

@@ -1,3 +1,5 @@
+// hcq-hot-path: steady-state code in this file must not allocate — reuse
+// workspace scratch (enforced by the hot-path-alloc lint rule).
 #include "core/device.h"
 
 #include <cmath>
@@ -33,61 +35,9 @@ std::size_t annealer_emulator::sweeps_for(const anneal_schedule& schedule) const
 qubo::bit_vector annealer_emulator::anneal_once(
     const qubo::qubo_model& q, const anneal_schedule& schedule, util::rng& rng,
     const std::optional<qubo::bit_vector>& initial) const {
-    qubo::bit_vector start;
-    if (schedule.starts_classical()) {
-        if (!initial.has_value()) {
-            throw std::invalid_argument(
-                "annealer_emulator: reverse schedule requires a programmed initial state");
-        }
-        if (initial->size() != q.num_variables()) {
-            throw std::invalid_argument("annealer_emulator: initial state size mismatch");
-        }
-        start = *initial;
-    } else {
-        start = rng.bits(q.num_variables());
-    }
-
-    const double scale = std::max(q.max_abs_coefficient(), 1e-12);
-
-    // Analog control error: the device executes a per-read perturbation of
-    // the programmed problem, not the problem itself.  (Energies reported
-    // upstream are always evaluated on the true model.)
-    const qubo::qubo_model* executed = &q;
-    qubo::qubo_model perturbed;
-    if (config_.control_noise > 0.0) {
-        perturbed = q;
-        const double sigma = config_.control_noise * scale;
-        const std::size_t n = q.num_variables();
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t j = i; j < n; ++j) {
-                if (i == j || q.coefficient(i, j) != 0.0) {
-                    perturbed.add_term(i, j, rng.normal(0.0, sigma));
-                }
-            }
-        }
-        executed = &perturbed;
-    }
-
-    solvers::metropolis_engine engine(*executed, std::move(start));
-    const double t0 = config_.temperature_scale * scale;
-    const double freeze_below = config_.freeze_fraction * scale;
-    const std::size_t sweeps = sweeps_for(schedule);
-    const double dt = schedule.duration_us() / static_cast<double>(sweeps);
-
-    for (std::size_t k = 0; k < sweeps; ++k) {
-        const double t_mid = (static_cast<double>(k) + 0.5) * dt;
-        const double s = schedule.s_at(t_mid);
-        const double temperature = t0 * config_.map.fluctuation(s);
-        if (temperature < freeze_below) continue;  // frozen register: no dynamics
-        engine.sweep(temperature, rng);
-    }
-
-    qubo::bit_vector out = engine.state();
-    if (config_.readout_flip_probability > 0.0) {
-        for (auto& bit : out) {
-            if (rng.bernoulli(config_.readout_flip_probability)) bit ^= 1U;
-        }
-    }
+    solvers::solve_scratch scratch;
+    qubo::bit_vector out;
+    anneal_once_into(q, schedule, rng, initial ? &*initial : nullptr, scratch, out);
     return out;
 }
 
@@ -96,8 +46,7 @@ void annealer_emulator::anneal_once_into(const qubo::qubo_model& q,
                                          const qubo::bit_vector* initial,
                                          solvers::solve_scratch& scratch,
                                          qubo::bit_vector& out) const {
-    // Mirrors anneal_once draw for draw; the start state, engine, and read
-    // buffer live in the caller's scratch.
+    // The start state and the engine live in the caller's scratch.
     qubo::bit_vector& start = scratch.bits_a;
     if (schedule.starts_classical()) {
         if (initial == nullptr) {
@@ -114,6 +63,9 @@ void annealer_emulator::anneal_once_into(const qubo::qubo_model& q,
 
     const double scale = std::max(q.max_abs_coefficient(), 1e-12);
 
+    // Analog control error: the device executes a per-read perturbation of
+    // the programmed problem, not the problem itself.  (Energies reported
+    // upstream are always evaluated on the true model.)
     const qubo::qubo_model* executed = &q;
     qubo::qubo_model perturbed;
     if (config_.control_noise > 0.0) {
@@ -183,13 +135,14 @@ solvers::sample_set annealer_emulator::sample(
     // One fresh salt per call so repeated calls with the same generator see
     // different, but fully deterministic, streams.
     const util::rng stream_base(rng());
+    solvers::solve_scratch scratch;
     solvers::sample_set out;
     out.reserve(num_reads);
     for (std::size_t read = 0; read < num_reads; ++read) {
         util::rng stream = stream_base.derive(read);
-        auto bits = anneal_once(q, schedule, stream, initial);
-        const double energy = q.energy(bits);
-        out.add(std::move(bits), energy);
+        anneal_once_into(q, schedule, stream, initial ? &*initial : nullptr, scratch,
+                         scratch.bits_c);
+        out.add(scratch.bits_c, q.energy(scratch.bits_c));
     }
     return out;
 }

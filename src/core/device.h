@@ -64,24 +64,25 @@ class annealer_emulator {
 public:
     explicit annealer_emulator(annealer_config config = {});
 
-    /// One anneal: executes `schedule` and returns the measured state.
-    /// `initial` is required (non-nullopt) iff the schedule starts classical
-    /// (reverse annealing); forward-start schedules ignore it.
+    /// One anneal, the allocating form of anneal_once_into: executes
+    /// `schedule` and returns the measured state.  `initial` is required
+    /// (non-nullopt) iff the schedule starts classical (reverse annealing).
     [[nodiscard]] qubo::bit_vector anneal_once(
         const qubo::qubo_model& q, const anneal_schedule& schedule, util::rng& rng,
         const std::optional<qubo::bit_vector>& initial = std::nullopt) const;
 
     /// num_reads independent anneals (each from the same initial state for
     /// reverse schedules, as on hardware).  Internally derives one RNG
-    /// stream per read, so results are independent of read order.
+    /// stream per read, so results are independent of read order; every
+    /// read runs anneal_once_into on one scratch per call.
     [[nodiscard]] solvers::sample_set sample(
         const qubo::qubo_model& q, const anneal_schedule& schedule, std::size_t num_reads,
         util::rng& rng, const std::optional<qubo::bit_vector>& initial = std::nullopt) const;
 
-    /// anneal_once into a reused buffer (same RNG draws, same state);
-    /// `initial` may be nullptr for forward-start schedules.  Uses
-    /// scratch.engine and scratch.bits_a; with the default config (no control
-    /// noise) a warmed-up call performs no allocations.
+    /// anneal_once into a reused buffer; `initial` may be nullptr for
+    /// forward-start schedules.  Uses scratch.engine and scratch.bits_a;
+    /// with the default config (no control noise) a warmed-up call performs
+    /// no allocations.
     void anneal_once_into(const qubo::qubo_model& q, const anneal_schedule& schedule,
                           util::rng& rng, const qubo::bit_vector* initial,
                           solvers::solve_scratch& scratch, qubo::bit_vector& out) const;

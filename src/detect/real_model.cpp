@@ -1,23 +1,15 @@
+// hcq-hot-path: steady-state code in this file must not allocate — reuse
+// workspace scratch (enforced by the hot-path-alloc lint rule).
 #include "detect/real_model.h"
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "linalg/decompose.h"
 #include "linalg/real_embed.h"
 
 namespace hcq::detect {
-
-namespace {
-
-std::vector<double> pam_alphabet(std::size_t bits_per_dim) {
-    const double max_amp = std::pow(2.0, static_cast<double>(bits_per_dim)) - 1.0;
-    std::vector<double> out;
-    for (double a = -max_amp; a <= max_amp; a += 2.0) out.push_back(a);
-    return out;
-}
-
-}  // namespace
 
 namespace {
 
@@ -60,34 +52,9 @@ const real_model& make_real_model_into(const wireless::mimo_instance& instance,
 }
 
 real_model make_real_model(const wireless::mimo_instance& instance) {
-    real_model model;
-    model.mod = instance.mod;
-    model.num_users = instance.num_users;
-    model.quadrature = wireless::uses_quadrature(instance.mod);
-    model.alphabet = pam_alphabet(wireless::bits_per_dimension(instance.mod));
-
-    linalg::rmat a_real;
-    linalg::rvec y_real = linalg::real_embedding(instance.y);
-    if (model.quadrature) {
-        a_real = linalg::real_embedding(instance.h);
-        model.dims = 2 * instance.num_users;
-    } else {
-        // BPSK: stack [Re H; Im H], imaginary transmit components are zero.
-        const auto& h = instance.h;
-        a_real = linalg::rmat(2 * h.rows(), h.cols());
-        for (std::size_t r = 0; r < h.rows(); ++r) {
-            for (std::size_t c = 0; c < h.cols(); ++c) {
-                a_real(r, c) = h(r, c).real();
-                a_real(h.rows() + r, c) = h(r, c).imag();
-            }
-        }
-        model.dims = instance.num_users;
-    }
-
-    const auto qr = linalg::householder_qr(a_real);
-    model.r = qr.r;
-    model.y_eff = qr.q.hermitian() * y_real;
-    return model;
+    lattice_scratch scratch;
+    make_real_model_into(instance, scratch);
+    return std::move(scratch.model);
 }
 
 detection_result assemble_result(const wireless::mimo_instance& instance,

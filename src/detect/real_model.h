@@ -64,7 +64,7 @@ struct lattice_scratch {
 [[nodiscard]] real_model make_real_model(const wireless::mimo_instance& instance);
 
 /// make_real_model into the scratch's buffers, returning the scratch-owned
-/// model.  Bit-identical to make_real_model.
+/// model.
 const real_model& make_real_model_into(const wireless::mimo_instance& instance,
                                        lattice_scratch& scratch);
 
@@ -74,8 +74,8 @@ const real_model& make_real_model_into(const wireless::mimo_instance& instance,
                                                const std::vector<double>& amplitudes,
                                                std::size_t nodes_visited);
 
-/// assemble_result into a reused result (bit-identical fields); the residual
-/// buffer serves the ml_cost evaluation.
+/// assemble_result into a reused result; the residual buffer serves the
+/// ml_cost evaluation.
 void assemble_result_into(const wireless::mimo_instance& instance,
                           const std::vector<double>& amplitudes, std::size_t nodes_visited,
                           linalg::cvec& residual_scratch, detection_result& out);

@@ -87,12 +87,11 @@ public:
         return data_[r * cols_ + c];
     }
 
-    /// Conjugate transpose (plain transpose for real T).
+    /// Conjugate transpose (plain transpose for real T); allocating form of
+    /// hermitian_into.
     [[nodiscard]] basic_matrix hermitian() const {
-        basic_matrix out(cols_, rows_);
-        for (std::size_t r = 0; r < rows_; ++r) {
-            for (std::size_t c = 0; c < cols_; ++c) out(c, r) = conj_value((*this)(r, c));
-        }
+        basic_matrix out;
+        hermitian_into(*this, out);
         return out;
     }
 
@@ -132,17 +131,10 @@ public:
     friend basic_matrix operator*(basic_matrix a, T scalar) { return a *= scalar; }
     friend basic_matrix operator*(T scalar, basic_matrix a) { return a *= scalar; }
 
-    /// Matrix product.
+    /// Matrix product; allocating form of multiply_into.
     friend basic_matrix operator*(const basic_matrix& a, const basic_matrix& b) {
-        if (a.cols_ != b.rows_) throw std::invalid_argument("matrix multiply: shape mismatch");
-        basic_matrix out(a.rows_, b.cols_);
-        for (std::size_t r = 0; r < a.rows_; ++r) {
-            for (std::size_t k = 0; k < a.cols_; ++k) {
-                const T ark = a(r, k);
-                if (ark == T{}) continue;
-                for (std::size_t c = 0; c < b.cols_; ++c) out(r, c) += ark * b(k, c);
-            }
-        }
+        basic_matrix out;
+        multiply_into(a, b, out);
         return out;
     }
 
@@ -231,19 +223,6 @@ using cvec = basic_vector<cxd>;
 using rmat = basic_matrix<double>;
 using rvec = basic_vector<double>;
 
-/// Matrix-vector product.
-template <typename T>
-[[nodiscard]] basic_vector<T> operator*(const basic_matrix<T>& m, const basic_vector<T>& v) {
-    if (m.cols() != v.size()) throw std::invalid_argument("matrix-vector: shape mismatch");
-    basic_vector<T> out(m.rows());
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-        T acc{};
-        for (std::size_t c = 0; c < m.cols(); ++c) acc += m(r, c) * v[c];
-        out[r] = acc;
-    }
-    return out;
-}
-
 /// Inner product a^H b (conjugates the first argument for complex T).
 template <typename T>
 [[nodiscard]] T inner(const basic_vector<T>& a, const basic_vector<T>& b) {
@@ -256,16 +235,14 @@ template <typename T>
 // ---------------------------------------------------------------------------
 // Write-into kernels for the detection hot path.
 //
-// Each kernel reuses the caller's output buffer (resize reuses capacity) and
-// performs the SAME floating-point operations in the SAME order as the
-// allocating operator it replaces — the library's golden statistics are
-// pinned bit-for-bit, so these are restructurings of storage, never of
-// arithmetic.  Loops run over raw row pointers so both supported compilers
+// Each kernel reuses the caller's output buffer (resize reuses capacity);
+// hermitian() and both operator* forms are these kernels run on a fresh
+// buffer.  Loops run over raw row pointers so both supported compilers
 // auto-vectorise them at -O2 without intrinsics.
 // ---------------------------------------------------------------------------
 
-/// out = a * b; bit-identical to operator* (same k-ascending accumulation,
-/// same skip of exact-zero a(r, k) terms).
+/// out = a * b, accumulating over k in ascending order and skipping
+/// exact-zero a(r, k) terms.
 template <typename T>
 void multiply_into(const basic_matrix<T>& a, const basic_matrix<T>& b, basic_matrix<T>& out) {
     if (a.cols() != b.rows()) throw std::invalid_argument("matrix multiply: shape mismatch");
@@ -282,7 +259,7 @@ void multiply_into(const basic_matrix<T>& a, const basic_matrix<T>& b, basic_mat
     }
 }
 
-/// out = m * v; bit-identical to the matrix-vector operator*.
+/// out = m * v, each entry accumulated in ascending column order.
 template <typename T>
 void matvec_into(const basic_matrix<T>& m, const basic_vector<T>& v, basic_vector<T>& out) {
     if (m.cols() != v.size()) throw std::invalid_argument("matrix-vector: shape mismatch");
@@ -297,9 +274,16 @@ void matvec_into(const basic_matrix<T>& m, const basic_vector<T>& v, basic_vecto
     }
 }
 
+/// Matrix-vector product; allocating form of matvec_into.
+template <typename T>
+[[nodiscard]] basic_vector<T> operator*(const basic_matrix<T>& m, const basic_vector<T>& v) {
+    basic_vector<T> out;
+    matvec_into(m, v, out);
+    return out;
+}
+
 /// out = m.hermitian() * v without materialising the transpose: entry i is
-/// sum_j conj(m(j, i)) * v[j] accumulated in ascending j — exactly the
-/// operation sequence of the allocating m.hermitian() * v.
+/// sum_j conj(m(j, i)) * v[j] accumulated in ascending j.
 template <typename T>
 void herm_matvec_into(const basic_matrix<T>& m, const basic_vector<T>& v, basic_vector<T>& out) {
     if (m.rows() != v.size()) throw std::invalid_argument("herm_matvec_into: shape mismatch");
@@ -320,9 +304,9 @@ void hermitian_into(const basic_matrix<T>& a, basic_matrix<T>& out) {
     }
 }
 
-/// out = a.hermitian() * a without materialising the transpose; bit-identical
-/// to the allocating form (the zero-skip tests conj(a(k, r)), which is zero
-/// exactly when a(k, r) is).
+/// out = a.hermitian() * a without materialising the transpose: row r
+/// accumulates conj(a(k, r)) * a(k, .) over ascending k, skipping exact-zero
+/// a(k, r) terms.
 template <typename T>
 void gram_into(const basic_matrix<T>& a, basic_matrix<T>& out) {
     out.resize(a.cols(), a.cols());

@@ -6,43 +6,6 @@
 
 namespace hcq::linalg {
 
-rmat real_embedding(const cmat& h) {
-    const std::size_t m = h.rows();
-    const std::size_t n = h.cols();
-    rmat out(2 * m, 2 * n);
-    for (std::size_t r = 0; r < m; ++r) {
-        for (std::size_t c = 0; c < n; ++c) {
-            const double re = h(r, c).real();
-            const double im = h(r, c).imag();
-            out(r, c) = re;
-            out(r, n + c) = -im;
-            out(m + r, c) = im;
-            out(m + r, n + c) = re;
-        }
-    }
-    return out;
-}
-
-rvec real_embedding(const cvec& v) {
-    const std::size_t m = v.size();
-    rvec out(2 * m);
-    for (std::size_t i = 0; i < m; ++i) {
-        out[i] = v[i].real();
-        out[m + i] = v[i].imag();
-    }
-    return out;
-}
-
-cvec complex_from_embedding(const rvec& v) {
-    if (v.size() % 2 != 0) {
-        throw std::invalid_argument("complex_from_embedding: odd-sized vector");
-    }
-    const std::size_t m = v.size() / 2;
-    cvec out(m);
-    for (std::size_t i = 0; i < m; ++i) out[i] = cxd(v[i], v[m + i]);
-    return out;
-}
-
 void real_embedding_into(const cmat& h, rmat& out) {
     const std::size_t m = h.rows();
     const std::size_t n = h.cols();
@@ -75,6 +38,24 @@ void complex_from_embedding_into(const rvec& v, cvec& out) {
     const std::size_t m = v.size() / 2;
     out.resize(m);
     for (std::size_t i = 0; i < m; ++i) out[i] = cxd(v[i], v[m + i]);
+}
+
+rmat real_embedding(const cmat& h) {
+    rmat out;
+    real_embedding_into(h, out);
+    return out;
+}
+
+rvec real_embedding(const cvec& v) {
+    rvec out;
+    real_embedding_into(v, out);
+    return out;
+}
+
+cvec complex_from_embedding(const rvec& v) {
+    cvec out;
+    complex_from_embedding_into(v, out);
+    return out;
 }
 
 }  // namespace hcq::linalg

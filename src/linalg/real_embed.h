@@ -21,9 +21,9 @@ namespace hcq::linalg {
 /// imaginary parts; size must be even.
 [[nodiscard]] cvec complex_from_embedding(const rvec& v);
 
-// Write-into variants: same layout, same element order, but the output
-// buffer is reused (resize keeps capacity) so hot callers embed without
-// allocating after warm-up.
+// Write-into forms: the output buffer is reused (resize keeps capacity) so
+// hot callers embed without allocating after warm-up.  The allocating forms
+// above run these on a fresh buffer.
 
 /// real_embedding(cmat) into a reused matrix.
 void real_embedding_into(const cmat& h, rmat& out);

@@ -382,9 +382,9 @@ link_report run_link_simulation(const link_config& config) {
         }
     };
 
-    // Batched detection granularity: run_block amortises per-call overhead
-    // over a chunk of uses while leaving enough tasks per window for the
-    // pool to balance.  Pure scheduling — every cell still draws from its
+    // Batched detection granularity: one pool task runs run_block over a
+    // chunk of uses, amortising task dispatch while leaving enough tasks
+    // per window for the pool to balance.  Pure scheduling — every cell still draws from its
     // globally-indexed stream, so the chunk size affects no statistic.
     constexpr std::size_t run_chunk = 64;
 

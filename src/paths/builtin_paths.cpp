@@ -4,7 +4,6 @@
 // detection_path interface.  Registered lazily by registry.cpp through
 // detail::register_builtin_paths() — see the registry header for why.
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -36,12 +35,6 @@ namespace {
 void set_stage(path_result& out, std::size_t index, const char* name, double service_us) {
     out.stages[index].name = name;
     out.stages[index].service_us = service_us;
-}
-
-void check_block_sizes(std::span<const path_context> ctxs, std::span<path_result> out) {
-    if (ctxs.size() != out.size()) {
-        throw std::invalid_argument("detection_path::run_block: span length mismatch");
-    }
 }
 
 /// Guard for QUBO-consuming paths: the caller promised a shared reduction
@@ -103,15 +96,17 @@ public:
         : det_(std::move(det)), name_(std::move(display_name)), spec_(std::move(spec)),
           soft_(soft) {}
 
-    [[nodiscard]] path_result run(const path_context& ctx) const override {
-        path_result out;
-        run_cell(ctx, out);
-        return out;
+    void run_into(const path_context& ctx, path_result& out) const override {
+        workspace& ws = require_workspace(ctx);
+        const util::timer clock;
+        detect::detection_result& detected = ws.detect.result;
+        det_->detect_into(ctx.instance, ws.detect, detected);
+        out.bits = detected.bits;  // copy-assign: reuses out's capacity
+        out.ml_cost = detected.ml_cost;
+        out.stages.resize(1);
+        set_stage(out, 0, "detect", clock.elapsed_us());
     }
-    void run_block(std::span<const path_context> ctxs, std::span<path_result> out) const override {
-        check_block_sizes(ctxs, out);
-        for (std::size_t i = 0; i < ctxs.size(); ++i) run_cell(ctxs[i], out[i]);
-    }
+
     void soft_output(const path_context& ctx, path_result& out) const override {
         switch (soft_) {
             case soft_kind::zf_equalized:
@@ -133,17 +128,6 @@ public:
     [[nodiscard]] std::vector<std::string> stage_names() const override { return {"detect"}; }
 
 private:
-    void run_cell(const path_context& ctx, path_result& out) const {
-        workspace& ws = require_workspace(ctx);
-        const util::timer clock;
-        detect::detection_result& detected = ws.detect.result;
-        det_->detect_into(ctx.instance, ws.detect, detected);
-        out.bits = detected.bits;  // copy-assign: reuses out's capacity
-        out.ml_cost = detected.ml_cost;
-        out.stages.resize(1);
-        set_stage(out, 0, "detect", clock.elapsed_us());
-    }
-
     std::shared_ptr<const detect::detector> det_;
     std::string name_;
     path_spec spec_;
@@ -158,15 +142,17 @@ public:
     qubo_solver_path(std::shared_ptr<const solvers::solver> solver, path_spec spec)
         : solver_(std::move(solver)), spec_(std::move(spec)) {}
 
-    [[nodiscard]] path_result run(const path_context& ctx) const override {
-        path_result out;
-        run_cell(ctx, out);
-        return out;
+    void run_into(const path_context& ctx, path_result& out) const override {
+        require_qubo(ctx);
+        workspace& ws = require_workspace(ctx);
+        const util::timer clock;
+        solver_->solve_best_into(ctx.reduced->model, ctx.rng, ws.solve, out.bits);
+        const double solve_us = clock.elapsed_us();
+        out.ml_cost = ctx.instance.ml_cost_bits(out.bits, ws.detect.symbols, ws.detect.residual);
+        out.stages.resize(1);
+        set_stage(out, 0, "solve", solve_us);
     }
-    void run_block(std::span<const path_context> ctxs, std::span<path_result> out) const override {
-        check_block_sizes(ctxs, out);
-        for (std::size_t i = 0; i < ctxs.size(); ++i) run_cell(ctxs[i], out[i]);
-    }
+
     /// Energy-gap soft output: the single-bit-flip ML recost of the
     /// detected word — by the transform round-trip invariant these gaps
     /// equal the QUBO flip deltas at the solver's answer, and unlike a
@@ -184,17 +170,6 @@ public:
     }
 
 private:
-    void run_cell(const path_context& ctx, path_result& out) const {
-        require_qubo(ctx);
-        workspace& ws = require_workspace(ctx);
-        const util::timer clock;
-        solver_->solve_best_into(ctx.reduced->model, ctx.rng, ws.solve, out.bits);
-        const double solve_us = clock.elapsed_us();
-        out.ml_cost = ctx.instance.ml_cost_bits(out.bits, ws.detect.symbols, ws.detect.residual);
-        out.stages.resize(1);
-        set_stage(out, 0, "solve", solve_us);
-    }
-
     std::shared_ptr<const solvers::solver> solver_;
     path_spec spec_;
 };
@@ -268,15 +243,32 @@ public:
         }
     }
 
-    [[nodiscard]] path_result run(const path_context& ctx) const override {
-        path_result out;
-        run_cell(ctx, out);
-        return out;
+    void run_into(const path_context& ctx, path_result& out) const override {
+        require_qubo(ctx);
+        workspace& ws = require_workspace(ctx);
+        hybrid::hybrid_solver::timings times;
+        double detect_us = 0.0;
+        if (adapter_ != nullptr) {
+            adapter_->hybrid().solve_best_into(ctx.reduced->model, ctx.rng, ws.solve, out.bits,
+                                               times);
+        } else {
+            // kbest initialiser: detect on the channel use itself (measured
+            // classical time), then seed the reverse anneal with the result.
+            // Constructing the per-use initialiser copies the seed bits, so
+            // this branch is not allocation-free — it is an
+            // application-specific variant, not one of the hot-path defaults.
+            const auto detected = detector_->detect(ctx.instance);
+            const solvers::fixed_initializer init(detected.bits, "KB");
+            const hybrid::hybrid_solver solver(init, *device_, schedule_, reads_);
+            solver.solve_best_into(ctx.reduced->model, ctx.rng, ws.solve, out.bits, times);
+            detect_us = detected.elapsed_us;
+        }
+        out.ml_cost = ctx.instance.ml_cost_bits(out.bits, ws.detect.symbols, ws.detect.residual);
+        out.stages.resize(2);
+        set_stage(out, 0, "classical", detect_us + times.classical_us);
+        set_stage(out, 1, "quantum", times.quantum_us);
     }
-    void run_block(std::span<const path_context> ctxs, std::span<path_result> out) const override {
-        check_block_sizes(ctxs, out);
-        for (std::size_t i = 0; i < ctxs.size(); ++i) run_cell(ctxs[i], out[i]);
-    }
+
     /// Energy-gap soft output, like qubo_solver_path.
     void soft_output(const path_context& ctx, path_result& out) const override {
         wireless::flip_recost_llrs_into(ctx.instance, out.bits, out.llrs);
@@ -298,36 +290,6 @@ public:
     }
 
 private:
-    void run_cell(const path_context& ctx, path_result& out) const {
-        require_qubo(ctx);
-        workspace& ws = require_workspace(ctx);
-        if (adapter_ != nullptr) {
-            hybrid::hybrid_solver::timings times;
-            adapter_->hybrid().solve_best_into(ctx.reduced->model, ctx.rng, ws.solve, out.bits,
-                                               times);
-            out.ml_cost =
-                ctx.instance.ml_cost_bits(out.bits, ws.detect.symbols, ws.detect.residual);
-            out.stages.resize(2);
-            set_stage(out, 0, "classical", times.classical_us);
-            set_stage(out, 1, "quantum", times.quantum_us);
-            return;
-        }
-        // kbest initialiser: detect on the channel use itself (measured
-        // classical time), then seed the reverse anneal with the result.
-        // Constructing the per-use initialiser copies the seed bits, so this
-        // branch is not allocation-free — it is an application-specific
-        // variant, not one of the hot-path defaults.
-        const auto detected = detector_->detect(ctx.instance);
-        const solvers::fixed_initializer init(detected.bits, "KB");
-        const hybrid::hybrid_solver solver(init, *device_, schedule_, reads_);
-        const auto result = solver.solve(ctx.reduced->model, ctx.rng);
-        out.bits = result.best_bits;
-        out.ml_cost = ctx.instance.ml_cost_bits(out.bits);
-        out.stages.resize(2);
-        set_stage(out, 0, "classical", detected.elapsed_us + result.classical_us);
-        set_stage(out, 1, "quantum", result.quantum_us);
-    }
-
     std::shared_ptr<const hybrid::hybrid_solver_adapter> adapter_;  ///< gs / tabu
     std::shared_ptr<const detect::kbest_detector> detector_;        ///< kbest only
     std::shared_ptr<const anneal::annealer_emulator> device_;       ///< kbest only

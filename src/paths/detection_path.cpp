@@ -19,12 +19,18 @@ const util::spec::grammar& path_grammar() {
 
 }  // namespace
 
+path_result detection_path::run(const path_context& ctx) const {
+    path_result out;
+    run_into(ctx, out);
+    return out;
+}
+
 void detection_path::run_block(std::span<const path_context> ctxs,
                                std::span<path_result> out) const {
     if (ctxs.size() != out.size()) {
         throw std::invalid_argument("detection_path::run_block: span length mismatch");
     }
-    for (std::size_t i = 0; i < ctxs.size(); ++i) out[i] = run(ctxs[i]);
+    for (std::size_t i = 0; i < ctxs.size(); ++i) run_into(ctxs[i], out[i]);
 }
 
 void detection_path::soft_output(const path_context& /*ctx*/, path_result& out) const {

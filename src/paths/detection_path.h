@@ -98,8 +98,8 @@ struct path_result {
     /// Per-stage timings, matching stage_names() in order and count.
     std::vector<stage_time> stages;
     /// Per-bit LLRs of the detected word, filled ONLY by an explicit
-    /// soft_output() call (run/run_block leave it untouched, so the hard
-    /// path pays nothing).  Canonical layout and sign convention of
+    /// soft_output() call (run_into leaves it untouched, so the hard path
+    /// pays nothing).  Canonical layout and sign convention of
     /// wireless/soft.h: user-major I-then-Q, positive favours bit 0, values
     /// clamped into [-llr_cap, llr_cap].  The vector is resized in place —
     /// a reused result in a warmed-up workspace loop stays allocation-free.
@@ -112,32 +112,29 @@ class detection_path {
 public:
     virtual ~detection_path() = default;
 
-    /// Detects one channel use.  Must be const-thread-safe (called
-    /// concurrently from pool workers) and must draw randomness only from
-    /// `ctx.rng`.
-    [[nodiscard]] virtual path_result run(const path_context& ctx) const = 0;
+    /// Detects one channel use into `out`, which the caller may reuse across
+    /// uses (rewrite bits, ml_cost and stages; leave llrs alone).  Must be
+    /// const-thread-safe (called concurrently from pool workers), draw
+    /// randomness only from `ctx.rng`, and not let bits or ml_cost depend
+    /// on what `out` held before.
+    virtual void run_into(const path_context& ctx, path_result& out) const = 0;
 
-    /// Detects a batch of channel uses, writing result i of `ctxs[i]` into
-    /// `out[i]` (reused by the caller across batches — a warmed-up result
-    /// vector plus workspace-carrying contexts make the built-in paths
-    /// allocation-free per use).  Contract: out[i] carries exactly what
-    /// run(ctxs[i]) would return (timings excepted), so callers may batch or
-    /// not freely.  The default is that loop; built-in paths override run()'s
-    /// innards rather than this, and out-of-tree paths need not override
-    /// anything.  Throws std::invalid_argument on span length mismatch.
-    virtual void run_block(std::span<const path_context> ctxs,
-                           std::span<path_result> out) const;
+    /// Allocating form of run_into: detects one use into a fresh result.
+    [[nodiscard]] path_result run(const path_context& ctx) const;
+
+    /// run_into over a batch: result i of `ctxs[i]` goes into `out[i]`.
+    /// Throws std::invalid_argument on span length mismatch.
+    void run_block(std::span<const path_context> ctxs, std::span<path_result> out) const;
 
     /// Fills `out.llrs` with per-bit soft information for the detection
     /// carried by `out` (which must hold this path's result for `ctx`, i.e.
-    /// soft_output is called after run / run_block on the same context).
-    /// Mirrors the `run_block` opt-in pattern: the soft path is an
-    /// explicit second call, so paths — and callers — that never ask for
-    /// LLRs are byte-for-byte unaffected, and out-of-tree paths compile
-    /// unchanged: the DEFAULT emits clamped hard decisions (+/-llr_cap from
-    /// out.bits), which downstream decoding treats as maximal-confidence
-    /// soft values.  Overrides must be deterministic (no ctx.rng draws) and
-    /// independent of what ctx.ws holds, so LLRs — like bits — are
+    /// soft_output is called after run_into on the same context).  The
+    /// soft path is an explicit second call, so paths — and callers — that
+    /// never ask for LLRs are byte-for-byte unaffected, and out-of-tree
+    /// paths need not override it: the DEFAULT emits clamped hard decisions
+    /// (+/-llr_cap from out.bits), which downstream decoding treats as
+    /// maximal-confidence soft values.  Overrides must be deterministic (no
+    /// ctx.rng draws) and independent of what ctx.ws holds, so LLRs — like bits — are
     /// bit-identical at any thread count and stream block.  The built-in
     /// overrides: linear paths produce post-equalisation max-log LLRs
     /// (wireless::equalized_llrs_into) with every intermediate in ctx.ws

@@ -69,9 +69,8 @@ double qubo_model::local_field(std::size_t i, std::span<const std::uint8_t> bits
 }
 
 std::vector<double> qubo_model::local_fields(std::span<const std::uint8_t> bits) const {
-    if (bits.size() != n_) throw std::invalid_argument("qubo_model::local_fields: wrong bit count");
-    std::vector<double> fields(n_);
-    for (std::size_t i = 0; i < n_; ++i) fields[i] = local_field(i, bits);
+    std::vector<double> fields;
+    local_fields_into(bits, fields);
     return fields;
 }
 

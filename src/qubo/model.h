@@ -77,7 +77,7 @@ public:
     /// All local fields at once (O(N^2)).
     [[nodiscard]] std::vector<double> local_fields(std::span<const std::uint8_t> bits) const;
 
-    /// local_fields into a reused buffer (bit-identical values).
+    /// local_fields into a reused buffer.
     void local_fields_into(std::span<const std::uint8_t> bits, std::vector<double>& fields) const;
 
     /// Energy change if q_i were flipped.

@@ -45,6 +45,10 @@ qubo_model read_qubo(std::istream& is) {
     if (header.fail() || n_tag != "n" || offset_tag != "offset") {
         throw std::invalid_argument("read_qubo: malformed size line: '" + line + "'");
     }
+    if (n > max_read_variables) {  // n * n sizes the model and `seen` below
+        throw std::invalid_argument("read_qubo: size line '" + line + "' exceeds the " +
+                                    std::to_string(max_read_variables) + "-variable cap");
+    }
 
     qubo_model q(n);
     q.set_offset(offset);

@@ -9,6 +9,7 @@
 #ifndef HCQ_QUBO_SERIALIZE_H
 #define HCQ_QUBO_SERIALIZE_H
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
@@ -19,8 +20,14 @@ namespace hcq::qubo {
 /// Writes `q` in the v1 text format.
 void write_qubo(std::ostream& os, const qubo_model& q);
 
+/// Largest variable count read_qubo accepts.  The biggest model the library
+/// builds has 384 variables (64 users x 64-QAM); a size line above the cap
+/// is malformed input, not a request for a dense model of n * n doubles.
+inline constexpr std::size_t max_read_variables = 4096;
+
 /// Parses the v1 text format; throws std::invalid_argument on malformed
-/// input (bad header, indices out of range, duplicate terms).
+/// input (bad header, a size above max_read_variables, indices out of
+/// range, duplicate terms).
 [[nodiscard]] qubo_model read_qubo(std::istream& is);
 
 /// Convenience round-trips through strings.

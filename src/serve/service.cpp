@@ -41,31 +41,28 @@ batch_result run_batch(const request& req) {
                 "-byte soft-payload cap (shrink num_uses or drop want_soft)");
         }
     }
-    std::optional<wireless::channel_spec> channel;
-    if (!req.channel.empty()) channel = wireless::channel_spec::parse(req.channel);
-
-    // Identical resolution order to link::run_link_simulation: the channel
-    // spec's snr_db override wins, est_err applies only with a spec, and the
-    // frozen correlated-fading realisation draws from the fading domain.
+    // Channel resolution as in link::run_link_simulation: the request's
+    // spec, else the i.i.d. kind of the setting (random-phase when
+    // noiseless, Rayleigh otherwise); the spec's snr_db wins, and correlated
+    // fading freezes from the fading domain.
+    const wireless::channel_spec channel = wireless::channel_spec::parse(
+        !req.channel.empty()
+            ? req.channel
+            : wireless::to_string(req.noiseless ? wireless::channel_model::unit_gain_random_phase
+                                                : wireless::channel_model::rayleigh));
     const std::uint64_t master = request_seed(req.tenant_id, req.request_seq, req.seed);
-    const double snr_db = (channel && channel->snr_db) ? *channel->snr_db : req.snr_db;
-    const double csi_est_err = channel ? channel->est_err : 0.0;
-    std::unique_ptr<const wireless::channel_process> process;
-    if (channel) {
-        process = wireless::make_channel_process(
-            *channel, req.num_users, req.num_users,
-            util::rng(master).derive(link::stream_domains::fading));
-    }
+    const auto process = wireless::make_channel_process(
+        channel, req.num_users, req.num_users,
+        util::rng(master).derive(link::stream_domains::fading));
 
     wireless::mimo_config mimo;
     mimo.mod = mod;
     mimo.num_users = req.num_users;
     mimo.num_antennas = req.num_users;
-    mimo.channel = req.noiseless ? wireless::channel_model::unit_gain_random_phase
-                                 : wireless::channel_model::rayleigh;
     mimo.noise_variance =
         req.noiseless ? 0.0
-                      : wireless::noise_variance_for_snr(mod, req.num_users, snr_db);
+                      : wireless::noise_variance_for_snr(mod, req.num_users,
+                                                         channel.snr_db.value_or(req.snr_db));
 
     const util::rng synth_base = util::rng(master).derive(link::stream_domains::synthesis);
     const util::rng solve_base = util::rng(master).derive(link::stream_domains::solve);
@@ -88,12 +85,8 @@ batch_result run_batch(const request& req) {
     for (std::uint32_t u = 0; u < req.num_uses; ++u) {
         util::rng synth_rng = synth_base.derive(u);
         util::timer synth_clock;
-        if (process) {
-            wireless::synthesize_at_into(synth_rng, mimo, *process, static_cast<double>(u),
-                                         csi_est_err, instance);
-        } else {
-            wireless::synthesize_into(synth_rng, mimo, instance);
-        }
+        wireless::synthesize_at_coded_into(synth_rng, mimo, *process, static_cast<double>(u),
+                                           channel.est_err, {}, instance);
         result.synth_us += synth_clock.elapsed_us();
 
         if (needs_qubo) {

@@ -95,9 +95,6 @@ public:
     iid_process(channel_model model, std::size_t num_antennas, std::size_t num_users)
         : model_(model), num_antennas_(num_antennas), num_users_(num_users) {}
 
-    [[nodiscard]] linalg::cmat at(double /*t*/, util::rng& use_rng) const override {
-        return draw_channel(use_rng, model_, num_antennas_, num_users_);
-    }
     void at_into(double /*t*/, util::rng& use_rng, linalg::cmat& out) const override {
         draw_channel_into(use_rng, model_, num_antennas_, num_users_, out);
     }
@@ -159,12 +156,6 @@ public:
                 phase_q_.push_back(s.phase_q);
             }
         }
-    }
-
-    [[nodiscard]] linalg::cmat at(double t, util::rng& use_rng) const override {
-        linalg::cmat h;
-        at_into(t, use_rng, h);
-        return h;
     }
 
     void at_into(double t, util::rng& /*use_rng*/, linalg::cmat& h) const override {

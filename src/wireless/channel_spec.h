@@ -87,25 +87,24 @@ struct channel_spec {
 };
 
 /// One frozen channel realisation across a stream.  Instances are immutable
-/// after construction; `at` is const-thread-safe.
+/// after construction; `at_into` is const-thread-safe.
 class channel_process {
 public:
     virtual ~channel_process() = default;
 
-    /// The TRUE channel at time `t` (channel uses).  Correlated kinds
-    /// evaluate their frozen tap processes closed-form and leave `use_rng`
-    /// untouched; i.i.d. kinds ignore `t` and draw from `use_rng` exactly
-    /// like draw_channel (same draw order — the first consumer of the
-    /// per-use stream).
-    [[nodiscard]] virtual linalg::cmat at(double t, util::rng& use_rng) const = 0;
+    /// The TRUE channel at time `t` (channel uses), into a reused matrix so
+    /// warmed-up evaluation is allocation-free.  Correlated kinds evaluate
+    /// their frozen tap processes closed-form (out of flattened contiguous
+    /// sinusoid banks) and leave `use_rng` untouched; i.i.d. kinds ignore
+    /// `t` and draw from `use_rng` exactly like draw_channel (same draw
+    /// order — the first consumer of the per-use stream).
+    virtual void at_into(double t, util::rng& use_rng, linalg::cmat& out) const = 0;
 
-    /// at() into a reused matrix — identical draws and element values; the
-    /// built-in kinds override this to make warmed-up evaluation
-    /// allocation-free (the correlated kinds additionally evaluate their
-    /// sinusoid banks out of flattened contiguous storage).  The default
-    /// delegates to at().
-    virtual void at_into(double t, util::rng& use_rng, linalg::cmat& out) const {
-        out = at(t, use_rng);
+    /// Allocating form of at_into.
+    [[nodiscard]] linalg::cmat at(double t, util::rng& use_rng) const {
+        linalg::cmat h;
+        at_into(t, use_rng, h);
+        return h;
     }
 
     /// True when consecutive uses are correlated (jakes/watterson).

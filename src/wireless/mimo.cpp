@@ -6,17 +6,14 @@
 namespace hcq::wireless {
 
 double mimo_instance::ml_cost(const linalg::cvec& x) const {
-    if (x.size() != num_users) throw std::invalid_argument("ml_cost: wrong symbol count");
-    linalg::cvec residual = y;
-    residual -= h * x;
-    const double n = residual.norm2();
-    return n * n;
+    linalg::cvec residual;
+    return ml_cost(x, residual);
 }
 
 double mimo_instance::ml_cost(const linalg::cvec& x, linalg::cvec& residual_scratch) const {
     if (x.size() != num_users) throw std::invalid_argument("ml_cost: wrong symbol count");
-    // residual = y - H x via the into-kernel: identical arithmetic to
-    // `residual = y; residual -= h * x;` without the matvec temporary.
+    if (y.size() != h.rows()) throw std::invalid_argument("ml_cost: observation size mismatch");
+    // residual = y - H x, with H x formed in the residual buffer itself.
     linalg::matvec_into(h, x, residual_scratch);
     for (std::size_t i = 0; i < residual_scratch.size(); ++i) {
         residual_scratch[i] = y[i] - residual_scratch[i];
@@ -26,7 +23,9 @@ double mimo_instance::ml_cost(const linalg::cvec& x, linalg::cvec& residual_scra
 }
 
 double mimo_instance::ml_cost_bits(std::span<const std::uint8_t> bits) const {
-    return ml_cost(modulate(mod, bits));
+    linalg::cvec symbols;
+    linalg::cvec residual;
+    return ml_cost_bits(bits, symbols, residual);
 }
 
 double mimo_instance::ml_cost_bits(std::span<const std::uint8_t> bits,
@@ -92,14 +91,8 @@ mimo_instance synthesize_at(util::rng& rng, const mimo_config& config,
                             const channel_process& process, double t,
                             double csi_error_variance) {
     mimo_instance inst;
-    synthesize_at_into(rng, config, process, t, csi_error_variance, inst);
-    return inst;
-}
-
-void synthesize_at_into(util::rng& rng, const mimo_config& config,
-                        const channel_process& process, double t, double csi_error_variance,
-                        mimo_instance& inst) {
     synthesize_at_coded_into(rng, config, process, t, csi_error_variance, {}, inst);
+    return inst;
 }
 
 void synthesize_at_coded_into(util::rng& rng, const mimo_config& config,

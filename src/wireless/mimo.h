@@ -48,8 +48,9 @@ struct mimo_instance {
     /// Maximum-likelihood cost ||y - H x||^2 of a candidate symbol vector.
     [[nodiscard]] double ml_cost(const linalg::cvec& x) const;
 
-    /// ml_cost with a caller-owned residual buffer — bit-identical value,
-    /// no allocation after warm-up.
+    /// ml_cost with a caller-owned residual buffer — no allocation after
+    /// warm-up.  Throws std::invalid_argument when x does not hold
+    /// num_users symbols or y does not match the rows of h.
     double ml_cost(const linalg::cvec& x, linalg::cvec& residual_scratch) const;
 
     /// ML cost of a candidate bit string (natural map).
@@ -92,11 +93,6 @@ void synthesize_into(util::rng& rng, const mimo_config& config, mimo_instance& i
                                           const channel_process& process, double t,
                                           double csi_error_variance);
 
-/// synthesize_at into a reused instance (same draws, same fields).
-void synthesize_at_into(util::rng& rng, const mimo_config& config,
-                        const channel_process& process, double t, double csi_error_variance,
-                        mimo_instance& inst);
-
 /// synthesize_into with the transmitted bits OVERRIDDEN by `tx_bits` — how
 /// the coded link (src/fec) puts a frame's coded bits on the air.  Draw-
 /// order contract: the rng is consumed EXACTLY as synthesize_into consumes
@@ -108,8 +104,9 @@ void synthesize_at_into(util::rng& rng, const mimo_config& config,
 void synthesize_coded_into(util::rng& rng, const mimo_config& config,
                            std::span<const std::uint8_t> tx_bits, mimo_instance& inst);
 
-/// The coded-bits override of synthesize_at_into, same draw-order contract
-/// (estimation-error draws still strictly last).
+/// synthesize_at into a reused instance, with the tx bits overridden as in
+/// synthesize_coded_into (an empty `tx_bits` keeps the drawn bits).  Same
+/// draw-order contract (estimation-error draws still strictly last).
 void synthesize_at_coded_into(util::rng& rng, const mimo_config& config,
                               const channel_process& process, double t,
                               double csi_error_variance,

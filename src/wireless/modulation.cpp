@@ -75,21 +75,6 @@ double pam_amplitude(std::span<const std::uint8_t> bits) {
     return amp;
 }
 
-std::vector<std::uint8_t> pam_bits(double value, std::size_t k) {
-    if (k == 0 || k > 16) throw std::invalid_argument("pam_bits: bad dimension size");
-    const double max_amp = std::pow(2.0, static_cast<double>(k)) - 1.0;
-    // Slice to the nearest odd integer within the lattice.
-    double sliced = 2.0 * std::round((value - 1.0) / 2.0) + 1.0;
-    sliced = std::clamp(sliced, -max_amp, max_amp);
-    // amplitude = 2*level - (2^k - 1) with level in [0, 2^k); invert.
-    const auto level = static_cast<std::uint32_t>((sliced + max_amp) / 2.0);
-    std::vector<std::uint8_t> bits(k);
-    for (std::size_t j = 0; j < k; ++j) {
-        bits[j] = static_cast<std::uint8_t>((level >> (k - 1 - j)) & 1U);
-    }
-    return bits;
-}
-
 cxd modulate_symbol(modulation mod, std::span<const std::uint8_t> bits) {
     const std::size_t need = bits_per_symbol(mod);
     if (bits.size() != need) {
@@ -100,16 +85,6 @@ cxd modulate_symbol(modulation mod, std::span<const std::uint8_t> bits) {
     const double re = pam_amplitude(bits.subspan(0, k));
     const double im = uses_quadrature(mod) ? pam_amplitude(bits.subspan(k, k)) : 0.0;
     return {re, im};
-}
-
-std::vector<std::uint8_t> demodulate_symbol(modulation mod, cxd symbol) {
-    const std::size_t k = bits_per_dimension(mod);
-    std::vector<std::uint8_t> bits = pam_bits(symbol.real(), k);
-    if (uses_quadrature(mod)) {
-        const auto qbits = pam_bits(symbol.imag(), k);
-        bits.insert(bits.end(), qbits.begin(), qbits.end());
-    }
-    return bits;
 }
 
 std::vector<cxd> constellation(modulation mod) {
@@ -127,34 +102,13 @@ std::vector<cxd> constellation(modulation mod) {
     return points;
 }
 
-linalg::cvec modulate(modulation mod, std::span<const std::uint8_t> bits) {
-    const std::size_t per = bits_per_symbol(mod);
-    if (bits.size() % per != 0) {
-        throw std::invalid_argument("modulate: bit count not a multiple of bits/symbol");
-    }
-    const std::size_t n = bits.size() / per;
-    linalg::cvec out(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = modulate_symbol(mod, bits.subspan(i * per, per));
-    }
-    return out;
-}
-
-std::vector<std::uint8_t> demodulate(modulation mod, const linalg::cvec& symbols) {
-    std::vector<std::uint8_t> bits;
-    bits.reserve(symbols.size() * bits_per_symbol(mod));
-    for (std::size_t i = 0; i < symbols.size(); ++i) {
-        const auto sb = demodulate_symbol(mod, symbols[i]);
-        bits.insert(bits.end(), sb.begin(), sb.end());
-    }
-    return bits;
-}
-
 void pam_bits_into(double value, std::size_t k, std::uint8_t* out) {
     if (k == 0 || k > 16) throw std::invalid_argument("pam_bits: bad dimension size");
     const double max_amp = std::pow(2.0, static_cast<double>(k)) - 1.0;
+    // Slice to the nearest odd integer within the lattice.
     double sliced = 2.0 * std::round((value - 1.0) / 2.0) + 1.0;
     sliced = std::clamp(sliced, -max_amp, max_amp);
+    // amplitude = 2*level - (2^k - 1) with level in [0, 2^k); invert.
     const auto level = static_cast<std::uint32_t>((sliced + max_amp) / 2.0);
     for (std::size_t j = 0; j < k; ++j) {
         out[j] = static_cast<std::uint8_t>((level >> (k - 1 - j)) & 1U);
@@ -185,6 +139,31 @@ void demodulate_into(modulation mod, const linalg::cvec& symbols, std::vector<st
     for (std::size_t i = 0; i < symbols.size(); ++i) {
         demodulate_symbol_into(mod, symbols[i], out.data() + i * per);
     }
+}
+
+std::vector<std::uint8_t> pam_bits(double value, std::size_t k) {
+    if (k == 0 || k > 16) throw std::invalid_argument("pam_bits: bad dimension size");
+    std::vector<std::uint8_t> bits(k);
+    pam_bits_into(value, k, bits.data());
+    return bits;
+}
+
+std::vector<std::uint8_t> demodulate_symbol(modulation mod, cxd symbol) {
+    std::vector<std::uint8_t> bits(bits_per_symbol(mod));
+    demodulate_symbol_into(mod, symbol, bits.data());
+    return bits;
+}
+
+linalg::cvec modulate(modulation mod, std::span<const std::uint8_t> bits) {
+    linalg::cvec out;
+    modulate_into(mod, bits, out);
+    return out;
+}
+
+std::vector<std::uint8_t> demodulate(modulation mod, const linalg::cvec& symbols) {
+    std::vector<std::uint8_t> bits;
+    demodulate_into(mod, symbols, bits);
+    return bits;
 }
 
 std::uint32_t gray_encode(std::uint32_t value) noexcept { return value ^ (value >> 1); }

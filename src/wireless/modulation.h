@@ -73,11 +73,12 @@ enum class modulation { bpsk, qpsk, qam16, qam64 };
 /// Hard-demaps a symbol vector to bits.
 [[nodiscard]] std::vector<std::uint8_t> demodulate(modulation mod, const linalg::cvec& symbols);
 
-// Write-into variants for the detection hot path: identical slicing and bit
-// maps, but bits land in caller-owned storage so repeated calls allocate
-// nothing after warm-up.
+// Write-into forms for the detection hot path: bits land in caller-owned
+// storage so repeated calls allocate nothing after warm-up.  pam_bits,
+// demodulate_symbol, modulate and demodulate above run these on a fresh
+// buffer.
 
-/// pam_bits written to out[0..k): same slicing, no vector.
+/// pam_bits written to out[0..k).
 void pam_bits_into(double value, std::size_t k, std::uint8_t* out);
 
 /// demodulate_symbol written to out[0..bits_per_symbol(mod)).

@@ -5,11 +5,11 @@
 // redesign promises: once warm, a full use — QUBO reduction (where the path
 // needs one) plus detection/solve through run_block — performs ZERO heap
 // allocations, for a linear path (zf), a sweep solver (sa), and the hybrid
-// (gsra), even as the channel content changes use to use; so does the
-// linear paths' soft output (zf, mmse).  Link-level cases extend the gate to
-// the ARQ retransmission chain and to the coded (FEC) frame chain, and a
-// memory case pins that an overloaded block-policy replay holds memory set
-// by its buffers, not by the number of jobs.
+// (gsra, greedy- and tabu-seeded), even as the channel content changes use
+// to use; so does the linear paths' soft output (zf, mmse).  Link-level
+// cases extend the gate to the ARQ retransmission chain and to the coded
+// (FEC) frame chain, and a memory case pins that an overloaded block-policy
+// replay holds memory set by its buffers, not by the number of jobs.
 //
 // This suite must NOT run under ASan/TSan (the sanitizers interpose their
 // own allocator); scripts/verify.sh builds only its named suites for the
@@ -137,6 +137,10 @@ TEST(AllocRegression, SaSteadyStateIsAllocationFree) {
 
 TEST(AllocRegression, GsraSteadyStateIsAllocationFree) {
     EXPECT_EQ(steady_state_allocations("gsra:reads=4"), 0U);
+}
+
+TEST(AllocRegression, TabuSeededGsraSteadyStateIsAllocationFree) {
+    EXPECT_EQ(steady_state_allocations("gsra:reads=4,init=tabu"), 0U);
 }
 
 TEST(AllocRegression, LinearSoftOutputIsAllocationFree) {

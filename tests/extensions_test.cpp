@@ -136,6 +136,12 @@ TEST(Serialize, RejectsMalformedInput) {
                  std::invalid_argument);
     EXPECT_THROW((void)q::from_string("hcq-qubo v1\nn 2 offset 0\n0 1 abc\n"),
                  std::invalid_argument);
+    // Sizes whose n * n wraps std::size_t: to 0 (2^32) and to 1 ("-1" reads
+    // as SIZE_MAX).
+    EXPECT_THROW((void)q::from_string("hcq-qubo v1\nn 4294967296 offset 0\n0 1 1\n"),
+                 std::invalid_argument);
+    EXPECT_THROW((void)q::from_string("hcq-qubo v1\nn -1 offset 0\n0 1 1\n"),
+                 std::invalid_argument);
 }
 
 TEST(DeviceNoise, ZeroNoiseMatchesBaseline) {

@@ -219,12 +219,10 @@ TEST(Registry, DuplicateRegistrationIsRejected) {
 /// extension recipe from docs/ARCHITECTURE.md end to end.
 class all_zero_path final : public pt::detection_path {
 public:
-    [[nodiscard]] pt::path_result run(const pt::path_context& ctx) const override {
-        pt::path_result out;
+    void run_into(const pt::path_context& ctx, pt::path_result& out) const override {
         out.bits.assign(ctx.instance.num_bits(), 0);
         out.ml_cost = ctx.instance.ml_cost_bits(out.bits);
         out.stages = {{"detect", 0.0}};
-        return out;
     }
     [[nodiscard]] std::string name() const override { return "Zero"; }
     [[nodiscard]] pt::path_spec spec() const override { return {"zero", {}}; }

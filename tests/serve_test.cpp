@@ -251,6 +251,31 @@ TEST(ServeGolden, RunBatchMatchesLinkSimulationUnderChannelSpec) {
     EXPECT_EQ(batch.sum_ml_cost, path.sum_ml_cost);
 }
 
+TEST(ServeGolden, NoiselessRunBatchMatchesLinkSimulation) {
+    serve::request req = small_request(3, 9);
+    req.noiseless = true;
+    req.spec = "sa:reads=1,sweeps=2";
+    req.num_uses = 10;
+
+    link::link_config config;
+    config.num_uses = req.num_uses;
+    config.num_users = req.num_users;
+    config.mod = wireless::modulation::qam16;
+    config.channel = wireless::channel_model::unit_gain_random_phase;
+    config.noiseless = true;
+    config.paths = paths::parse_spec_list(req.spec);
+    config.seed = serve::request_seed(req.tenant_id, req.request_seq, req.seed);
+
+    const auto batch = serve::run_batch(req);
+    const auto report = link::run_link_simulation(config);
+    const auto& path = report.paths.at(0);
+    EXPECT_EQ(batch.bit_errors, path.ber.errors());
+    EXPECT_EQ(batch.total_bits, path.ber.total_bits());
+    EXPECT_EQ(batch.exact_frames, path.exact_frames);
+    EXPECT_EQ(batch.sum_ml_cost, path.sum_ml_cost);
+    EXPECT_GT(batch.bit_errors, 0u);  // two sweeps leave errors to compare
+}
+
 // ---------------------------------------------------------------------------
 // Server: echo/roundtrip and the served-vs-in-process golden
 // ---------------------------------------------------------------------------
