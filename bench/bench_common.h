@@ -46,7 +46,7 @@ struct context {
 
     context(int argc, const char* const argv[]) : flags(argc, argv) {
         scale = util::parse_scale(flags);
-        seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+        seed = flags.get_size("seed", 7);
         csv = flags.get_bool("csv", false);
         json = flags.get_bool("json", false);
         if (argc > 0) {

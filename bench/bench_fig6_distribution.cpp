@@ -15,7 +15,6 @@
 #include "classical/greedy.h"
 #include "core/device.h"
 #include "core/experiment.h"
-#include "core/parallel_runner.h"
 #include "core/sweep.h"
 #include "metrics/delta_e.h"
 #include "metrics/histogram.h"
@@ -103,11 +102,9 @@ int main(int argc, char** argv) {
     const std::vector<algorithm> algos{algorithm::fa, algorithm::ra_random,
                                        algorithm::ra_greedy};
 
-    const hy::parallel_runner runner;
-
     for (const auto mod : wl::all_modulations()) {
         const std::size_t users = wl::users_for_variables(mod, num_vars);
-        const auto corpus = runner.make_corpus(ctx.seed, instances, users, mod);
+        const auto corpus = hy::make_paper_corpus(ctx.seed, instances, users, mod);
         const an::annealer_emulator device;
 
         hcq::util::table t({"Delta-E% bin", "FA", "RA(random)", "RA(GS)"});

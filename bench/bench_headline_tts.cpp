@@ -17,7 +17,6 @@
 #include "classical/greedy.h"
 #include "core/device.h"
 #include "core/experiment.h"
-#include "core/parallel_runner.h"
 #include "core/sweep.h"
 #include "metrics/delta_e.h"
 #include "metrics/stats.h"
@@ -83,14 +82,13 @@ int main(int argc, char** argv) {
     const std::size_t instances = ctx.scaled(8);
     const std::size_t reads = ctx.scaled(300);
     const an::annealer_emulator device;
-    const hy::parallel_runner runner;
 
     // --- Part A: the paper's headline workload, 8-user 16-QAM. ---
     std::cout << "[A] 8-user 16-QAM (32 variables), " << instances << " instances, " << reads
               << " reads/setting\n";
     {
-        const auto corpus = runner.make_corpus(ctx.seed + 500, instances, 8,
-                                               wl::modulation::qam16);
+        const auto corpus =
+            hy::make_paper_corpus(ctx.seed + 500, instances, 8, wl::modulation::qam16);
         std::vector<outcome> outcomes(instances);
         hcq::util::parallel_for(instances, [&](std::size_t i) {
             hcq::util::rng rng(hcq::util::rng(ctx.seed + 17).derive(i)());
@@ -126,8 +124,8 @@ int main(int argc, char** argv) {
                         "hybrid TTS wins"});
     for (const auto mod : wl::all_modulations()) {
         const std::size_t users = wl::users_for_variables(mod, 36);
-        const auto corpus = runner.make_corpus(ctx.seed + static_cast<std::uint64_t>(mod),
-                                               instances, users, mod);
+        const auto corpus = hy::make_paper_corpus(ctx.seed + static_cast<std::uint64_t>(mod),
+                                                  instances, users, mod);
         std::vector<outcome> outcomes(instances);
         hcq::util::parallel_for(instances, [&](std::size_t i) {
             hcq::util::rng rng(hcq::util::rng(ctx.seed + 29).derive(i)());

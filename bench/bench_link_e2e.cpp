@@ -41,12 +41,12 @@ int main(int argc, char** argv) {
                "Figure 2 (pipelined structure) with measured stage latencies; "
                "Section 4.2 workload");
 
-    const std::size_t uses = ctx.scaled(static_cast<std::size_t>(ctx.flags.get_int("uses", 100)));
+    const std::size_t uses = ctx.scaled(ctx.flags.get_size("uses", 100));
     const double load = ctx.flags.get_double("load", 0.9);
-    const std::size_t threads = static_cast<std::size_t>(ctx.flags.get_int("threads", 0));
+    const std::size_t threads = ctx.flags.get_size("threads", 0);
     const auto path_specs =
         paths::parse_spec_list(ctx.flags.get_string("paths", "zf,kbest,sphere,sa,gsra"));
-    const auto buffer = static_cast<std::size_t>(ctx.flags.get_int("buffer", 256));
+    const auto buffer = ctx.flags.get_size("buffer", 256);
     const auto policy = pipeline::parse_backpressure(ctx.flags.get_string("policy", "block"));
     const bool arq_on = ctx.flags.has("arq");
     const arq::arq_config arq_config =

@@ -33,10 +33,10 @@ int main(int argc, char** argv) {
                "Kim et al., HotNets'20, Section 3 (pipeline, taken to the wire)");
 
     const std::string spec = ctx.flags.get_string("spec", "kxra:k=4");
-    const auto uses = static_cast<std::uint32_t>(ctx.flags.get_int("uses", 32));
-    const auto workers = static_cast<std::size_t>(ctx.flags.get_int("workers", 4));
-    const auto capacity = static_cast<std::size_t>(ctx.flags.get_int("capacity", 8));
-    const auto connections = static_cast<std::size_t>(ctx.flags.get_int("connections", 4));
+    const auto uses = static_cast<std::uint32_t>(ctx.flags.get_size("uses", 32));
+    const auto workers = ctx.flags.get_size("workers", 4);
+    const auto capacity = ctx.flags.get_size("capacity", 8);
+    const auto connections = ctx.flags.get_size("connections", 4);
 
     serve::server_config server_config;
     server_config.port = 0;

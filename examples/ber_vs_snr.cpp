@@ -28,8 +28,8 @@
 int main(int argc, char** argv) {
     using namespace hcq;
     const util::flag_set flags(argc, argv);
-    const std::size_t frames = static_cast<std::size_t>(flags.get_int("frames", 150));
-    const std::size_t users = static_cast<std::size_t>(flags.get_int("users", 4));
+    const std::size_t frames = flags.get_size("frames", 150);
+    const std::size_t users = flags.get_size("users", 4);
     const auto mod = wireless::modulation::qam16;
 
     std::vector<std::unique_ptr<detect::detector>> detectors;

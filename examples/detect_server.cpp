@@ -53,9 +53,14 @@ int main(int argc, char** argv) try {
     }
 
     serve::server_config config;
-    config.port = static_cast<std::uint16_t>(flags.get_int("port", 7788));
-    config.num_workers = static_cast<std::size_t>(flags.get_int("workers", 4));
-    config.admission_capacity = static_cast<std::size_t>(flags.get_int("buffer", 256));
+    const std::size_t port = flags.get_size("port", 7788);
+    if (port > 65535) {
+        std::cerr << "detect_server: --port must be at most 65535, got " << port << "\n";
+        return 2;
+    }
+    config.port = static_cast<std::uint16_t>(port);
+    config.num_workers = flags.get_size("workers", 4);
+    config.admission_capacity = flags.get_size("buffer", 256);
     config.policy = pipeline::parse_backpressure(flags.get_string("policy", "block"));
     const std::string backend = flags.get_string("backend", "");
     if (backend == "epoll") {

@@ -27,8 +27,8 @@
 int main(int argc, char** argv) try {
     using namespace hcq;
     const util::flag_set flags(argc, argv);
-    const std::size_t uses = static_cast<std::size_t>(flags.get_int("uses", 1000));
-    const std::size_t reads = static_cast<std::size_t>(flags.get_int("reads", 50));
+    const std::size_t uses = flags.get_size("uses", 1000);
+    const std::size_t reads = flags.get_size("reads", 50);
 
     // Build the paper's hybrid structure from its spec string and measure
     // real stage costs on a representative channel use.

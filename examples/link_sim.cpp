@@ -101,8 +101,8 @@ int main(int argc, char** argv) try {
     }
 
     link::link_config config;
-    config.num_uses = static_cast<std::size_t>(flags.get_int("uses", 120));
-    config.num_users = static_cast<std::size_t>(flags.get_int("users", 4));
+    config.num_uses = flags.get_size("uses", 120);
+    config.num_users = flags.get_size("users", 4);
     config.mod = wireless::parse_modulation(flags.get_string("mod", "qam16"));
     config.snr_db = flags.get_double("snr", 16.0);
     config.noiseless = flags.get_bool("noiseless", false);
@@ -112,9 +112,9 @@ int main(int argc, char** argv) try {
     }
     if (flags.has("paths")) config.paths = paths::parse_spec_list(flags.get_string("paths", ""));
     config.offered_load = flags.get_double("load", 0.9);
-    config.num_threads = static_cast<std::size_t>(flags.get_int("threads", 0));
-    config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-    const auto buffer = static_cast<std::size_t>(flags.get_int("buffer", 256));
+    config.num_threads = flags.get_size("threads", 0);
+    config.seed = flags.get_size("seed", 1);
+    const auto buffer = flags.get_size("buffer", 256);
     config.buffer_capacity = buffer == 0 ? pipeline::unbounded_capacity : buffer;
     config.policy = pipeline::parse_backpressure(flags.get_string("policy", "block"));
     if (flags.has("arq")) config.arq = arq::parse_arq(flags.get_string("arq", ""));

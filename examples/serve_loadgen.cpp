@@ -48,7 +48,12 @@ int main(int argc, char** argv) try {
     }
 
     serve::loadgen_config config;
-    config.port = static_cast<std::uint16_t>(flags.get_int("port", 0));
+    const std::size_t port = flags.get_size("port", 0);
+    if (port > 65535) {
+        std::cerr << "serve_loadgen: --port must be at most 65535, got " << port << "\n";
+        return 2;
+    }
+    config.port = static_cast<std::uint16_t>(port);
     const std::string mode = flags.get_string("mode", "closed");
     if (mode == "closed") {
         config.mode = serve::loadgen_mode::closed_loop;
@@ -59,16 +64,16 @@ int main(int argc, char** argv) try {
                   << "' (accepted: closed, open)\n";
         return 2;
     }
-    config.num_connections = static_cast<std::size_t>(flags.get_int("connections", 4));
-    config.total_requests = static_cast<std::size_t>(flags.get_int("requests", 64));
+    config.num_connections = flags.get_size("connections", 4);
+    config.total_requests = flags.get_size("requests", 64);
     config.offered_rps = flags.get_double("rps", 100.0);
     config.duration_s = flags.get_double("duration_s", 1.0);
-    config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    config.seed = flags.get_size("seed", 1);
 
     serve::request& req = config.request_template;
     req.seed = config.seed;
-    req.num_uses = static_cast<std::uint32_t>(flags.get_int("uses", 32));
-    req.num_users = static_cast<std::uint32_t>(flags.get_int("users", 4));
+    req.num_uses = static_cast<std::uint32_t>(flags.get_size("uses", 32));
+    req.num_users = static_cast<std::uint32_t>(flags.get_size("users", 4));
     req.snr_db = flags.get_double("snr", 16.0);
     req.noiseless = flags.get_bool("noiseless", false);
     req.mod = flags.get_string("mod", "qam16");
@@ -81,9 +86,8 @@ int main(int argc, char** argv) try {
     if (config.port == 0) {
         serve::server_config server_config;
         server_config.port = 0;
-        server_config.num_workers = static_cast<std::size_t>(flags.get_int("workers", 4));
-        server_config.admission_capacity =
-            static_cast<std::size_t>(flags.get_int("buffer", 256));
+        server_config.num_workers = flags.get_size("workers", 4);
+        server_config.admission_capacity = flags.get_size("buffer", 256);
         server_config.policy =
             pipeline::parse_backpressure(flags.get_string("policy", "block"));
         hosted = std::make_unique<serve::tcp_server>(server_config);

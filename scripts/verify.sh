@@ -5,7 +5,7 @@
 # Usage:  scripts/verify.sh [--tsan] [--asan] [--lint] [--tidy] [--clean]
 #                           [--help]
 #   --tsan   additionally build the threading-sensitive suites with
-#            -fsanitize=thread and run them (proves the parallel runner,
+#            -fsanitize=thread and run them (proves the corpus builder,
 #            thread pool, bounded-buffer pipeline, and link simulator
 #            race-free)
 #   --asan   additionally build the kernel/solver/detection/link/hybrid/
@@ -72,7 +72,7 @@ done
 if [[ $run_tsan -eq 1 ]]; then
     dir="build-verify-tsan"
     [[ $clean -eq 1 ]] && rm -rf "$dir"
-    echo "== TSan: parallel runner + thread pool + link simulator + pipeline + ARQ + serve =="
+    echo "== TSan: corpus builder + thread pool + link simulator + pipeline + ARQ + serve =="
     cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DHCQ_SANITIZE=thread \
         -DHCQ_BUILD_EXAMPLES=OFF -DHCQ_BUILD_BENCHES=OFF
     cmake --build "$dir" -j "$jobs" --target parallel_runner_test util_test link_test \

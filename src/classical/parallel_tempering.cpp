@@ -19,7 +19,8 @@ parallel_tempering::parallel_tempering(pt_config config) : config_(config) {
     }
 }
 
-sample_set parallel_tempering::solve(const qubo::qubo_model& q, util::rng& rng) const {
+double parallel_tempering::solve_best_into(const qubo::qubo_model& q, util::rng& rng,
+                                           solve_scratch&, qubo::bit_vector& best) const {
     const double scale = std::max(q.max_abs_coefficient(), 1e-12);
     const std::size_t r = config_.num_replicas;
     std::vector<double> temperature(r);
@@ -37,10 +38,11 @@ sample_set parallel_tempering::solve(const qubo::qubo_model& q, util::rng& rng) 
             std::make_unique<metropolis_engine>(q, rng.bits(q.num_variables())));
     }
 
-    sample_set out;
-    out.reserve(config_.num_rounds + 1);
-    qubo::bit_vector best_bits = replicas.back()->state();
-    double best_energy = replicas.back()->energy();
+    // `best` tracks the first lowest-energy end-of-round cold state; `held`
+    // the first lowest-energy state any replica held, the start included.
+    double cold_energy = 0.0;
+    qubo::bit_vector held = replicas.back()->state();
+    double held_energy = replicas.back()->energy();
 
     for (std::size_t round = 0; round < config_.num_rounds; ++round) {
         for (std::size_t k = 0; k < r; ++k) {
@@ -61,16 +63,23 @@ sample_set parallel_tempering::solve(const qubo::qubo_model& q, util::rng& rng) 
             }
         }
         const auto& cold = *replicas.back();
-        out.add(cold.state(), cold.energy());
+        if (round == 0 || cold.energy() < cold_energy) {
+            cold_energy = cold.energy();
+            best.assign(cold.state().begin(), cold.state().end());
+        }
         for (const auto& rep : replicas) {
-            if (rep->energy() < best_energy) {
-                best_energy = rep->energy();
-                best_bits = rep->state();
+            if (rep->energy() < held_energy) {
+                held_energy = rep->energy();
+                held = rep->state();
             }
         }
     }
-    out.add(std::move(best_bits), best_energy);
-    return out;
+    // A held state only replaces the cold one when strictly lower.
+    if (held_energy < cold_energy) {
+        best.assign(held.begin(), held.end());
+        return held_energy;
+    }
+    return cold_energy;
 }
 
 }  // namespace hcq::solvers

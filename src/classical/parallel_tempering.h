@@ -17,14 +17,15 @@ struct pt_config {
     double cold_fraction = 1e-2;       ///< T_cold = cold_fraction * max|Q|
 };
 
-/// Parallel tempering over a geometric temperature ladder; returns the
-/// end-of-round states of the coldest replica as samples (plus the overall
-/// best state seen).
+/// Parallel tempering over a geometric temperature ladder.  Returns the
+/// first lowest-energy end-of-round state of the coldest replica, or the
+/// lowest state any replica held when that is strictly lower.
 class parallel_tempering final : public solver {
 public:
     explicit parallel_tempering(pt_config config = {});
 
-    [[nodiscard]] sample_set solve(const qubo::qubo_model& q, util::rng& rng) const override;
+    double solve_best_into(const qubo::qubo_model& q, util::rng& rng, solve_scratch& scratch,
+                           qubo::bit_vector& best) const override;
     [[nodiscard]] std::string name() const override { return "PT"; }
 
     [[nodiscard]] const pt_config& config() const noexcept { return config_; }

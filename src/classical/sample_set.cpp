@@ -45,8 +45,4 @@ std::vector<double> sample_set::energies() const {
     return out;
 }
 
-void sample_set::merge(const sample_set& other) {
-    samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
-}
-
 }  // namespace hcq::solvers

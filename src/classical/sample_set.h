@@ -48,9 +48,6 @@ public:
     /// All energies, in insertion order (for distribution plots).
     [[nodiscard]] std::vector<double> energies() const;
 
-    /// Merges another set into this one.
-    void merge(const sample_set& other);
-
 private:
     std::vector<sample> samples_;
 };

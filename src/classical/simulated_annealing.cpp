@@ -19,58 +19,32 @@ simulated_annealing::simulated_annealing(sa_config config) : config_(config) {
     }
 }
 
-namespace {
-
-/// The one read loop behind solve and solve_best_into: each read draws a
-/// uniform start into `start`, cools it through the geometric schedule in
-/// `engine`, and hands the finished engine to `take`.
-template <typename Take>
-void run_reads(const sa_config& config, const qubo::qubo_model& q, util::rng& rng,
-               metropolis_engine& engine, qubo::bit_vector& start, Take&& take) {
+double simulated_annealing::solve_best_into(const qubo::qubo_model& q, util::rng& rng,
+                                            solve_scratch& scratch, qubo::bit_vector& best) const {
     const double scale = q.max_abs_coefficient();
-    const double t_hot = std::max(config.hot_fraction * scale, 1e-12);
-    const double t_cold = std::max(config.cold_fraction * scale, 1e-15);
+    const double t_hot = std::max(config_.hot_fraction * scale, 1e-12);
+    const double t_cold = std::max(config_.cold_fraction * scale, 1e-15);
     const double ratio =
-        config.num_sweeps > 1
-            ? std::pow(t_cold / t_hot, 1.0 / static_cast<double>(config.num_sweeps - 1))
+        config_.num_sweeps > 1
+            ? std::pow(t_cold / t_hot, 1.0 / static_cast<double>(config_.num_sweeps - 1))
             : 1.0;
-    for (std::size_t read = 0; read < config.num_reads; ++read) {
-        rng.bits_into(q.num_variables(), start);
-        engine.reset(q, start);
+    // Each read cools a uniform random start through the geometric
+    // schedule; the strict < keeps the FIRST lowest-energy read.
+    metropolis_engine& engine = scratch.engine;
+    double best_energy = 0.0;
+    for (std::size_t read = 0; read < config_.num_reads; ++read) {
+        rng.bits_into(q.num_variables(), scratch.bits_a);
+        engine.reset(q, scratch.bits_a);
         double temperature = t_hot;
-        for (std::size_t s = 0; s < config.num_sweeps; ++s) {
+        for (std::size_t s = 0; s < config_.num_sweeps; ++s) {
             engine.sweep(temperature, rng);
             temperature *= ratio;
         }
-        take(engine);
+        if (read == 0 || engine.energy() < best_energy) {
+            best_energy = engine.energy();
+            best.assign(engine.state().begin(), engine.state().end());
+        }
     }
-}
-
-}  // namespace
-
-sample_set simulated_annealing::solve(const qubo::qubo_model& q, util::rng& rng) const {
-    solve_scratch scratch;
-    sample_set out;
-    out.reserve(config_.num_reads);
-    run_reads(config_, q, rng, scratch.engine, scratch.bits_a,
-              [&](const metropolis_engine& engine) { out.add(engine.state(), engine.energy()); });
-    return out;
-}
-
-double simulated_annealing::solve_best_into(const qubo::qubo_model& q, util::rng& rng,
-                                            solve_scratch& scratch, qubo::bit_vector& best) const {
-    // The strict < keeps the FIRST lowest-energy read, which is exactly
-    // sample_set::best()'s tie-break.
-    double best_energy = 0.0;
-    bool has_best = false;
-    run_reads(config_, q, rng, scratch.engine, scratch.bits_a,
-              [&](const metropolis_engine& engine) {
-                  if (!has_best || engine.energy() < best_energy) {
-                      has_best = true;
-                      best_energy = engine.energy();
-                      best.assign(engine.state().begin(), engine.state().end());
-                  }
-              });
     return best_energy;
 }
 

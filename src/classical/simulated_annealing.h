@@ -21,7 +21,6 @@ class simulated_annealing final : public solver {
 public:
     explicit simulated_annealing(sa_config config = {});
 
-    [[nodiscard]] sample_set solve(const qubo::qubo_model& q, util::rng& rng) const override;
     double solve_best_into(const qubo::qubo_model& q, util::rng& rng, solve_scratch& scratch,
                            qubo::bit_vector& best) const override;
     [[nodiscard]] std::string name() const override { return "SA"; }

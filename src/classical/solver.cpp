@@ -8,14 +8,6 @@
 
 namespace hcq::solvers {
 
-double solver::solve_best_into(const qubo::qubo_model& q, util::rng& rng, solve_scratch&,
-                               qubo::bit_vector& best) const {
-    const sample_set samples = solve(q, rng);
-    const sample& b = samples.best();
-    best.assign(b.bits.begin(), b.bits.end());
-    return b.energy;
-}
-
 initial_state initializer::initialize(const qubo::qubo_model& q, util::rng& rng) const {
     solve_scratch scratch;
     initial_state out;

@@ -4,12 +4,10 @@
 #ifndef HCQ_CLASSICAL_SOLVER_H
 #define HCQ_CLASSICAL_SOLVER_H
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "classical/metropolis.h"
-#include "classical/sample_set.h"
 #include "qubo/model.h"
 #include "util/rng.h"
 
@@ -40,23 +38,17 @@ struct solve_scratch {
     initial_state init;                ///< hybrid classical-module output
 };
 
-/// A full classical QUBO solver: returns one or more samples.
+/// A full classical QUBO solver: runs its reads and keeps the best state.
 class solver {
 public:
     virtual ~solver() = default;
 
-    /// Runs the solver, drawing randomness from `rng`.
-    [[nodiscard]] virtual sample_set solve(const qubo::qubo_model& q, util::rng& rng) const = 0;
-
-    /// Best-sample fast path: runs the same reads as solve() but keeps only
-    /// the winning state, written into `best` (reused buffer), returning its
-    /// energy.  Contract: identical RNG consumption and identical selection
-    /// to solve(q, rng).best() — the first strictly-lowest-energy read wins —
-    /// so callers that only need the best sample can switch freely.  The
-    /// default delegates to solve(); overrides reuse `scratch` to make the
-    /// warmed-up call allocation-free.
+    /// Runs the solver, drawing randomness only from `rng`, and writes the
+    /// winning state into `best` (reused buffer), returning its energy.
+    /// Among equal-energy reads the first one wins.  Implementations keep
+    /// their intermediates in `scratch`.
     virtual double solve_best_into(const qubo::qubo_model& q, util::rng& rng,
-                                   solve_scratch& scratch, qubo::bit_vector& best) const;
+                                   solve_scratch& scratch, qubo::bit_vector& best) const = 0;
 
     /// Short identifier for bench output.
     [[nodiscard]] virtual std::string name() const = 0;

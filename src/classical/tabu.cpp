@@ -23,17 +23,6 @@ void tabu_search::initialize_into(const qubo::qubo_model& q, util::rng& rng,
     out.elapsed_us = clock.elapsed_us();
 }
 
-sample_set tabu_search::solve(const qubo::qubo_model& q, util::rng& rng) const {
-    // Single implementation of the search trajectory: the best-sample fast
-    // path below, wrapped into a one-sample set.
-    solve_scratch scratch;
-    qubo::bit_vector best;
-    const double best_energy = solve_best_into(q, rng, scratch, best);
-    sample_set out;
-    out.add(std::move(best), best_energy);
-    return out;
-}
-
 double tabu_search::solve_best_into(const qubo::qubo_model& q, util::rng& rng,
                                     solve_scratch& scratch, qubo::bit_vector& best) const {
     const std::size_t n = q.num_variables();

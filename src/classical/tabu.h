@@ -21,7 +21,6 @@ class tabu_search final : public solver, public initializer {
 public:
     explicit tabu_search(tabu_config config = {});
 
-    [[nodiscard]] sample_set solve(const qubo::qubo_model& q, util::rng& rng) const override;
     double solve_best_into(const qubo::qubo_model& q, util::rng& rng, solve_scratch& scratch,
                            qubo::bit_vector& best) const override;
     /// The search's best state, timed as the classical-module cost.

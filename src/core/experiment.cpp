@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "metrics/delta_e.h"
+#include "util/thread_pool.h"
 
 namespace hcq::hybrid {
 
@@ -22,12 +23,11 @@ std::vector<experiment_instance> make_paper_corpus(std::uint64_t seed, std::size
                                                    wireless::modulation mod) {
     if (count == 0) throw std::invalid_argument("make_paper_corpus: zero instances");
     const util::rng base(seed);
-    std::vector<experiment_instance> corpus;
-    corpus.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
+    std::vector<experiment_instance> corpus(count);
+    util::pool_for_each(count, [&](std::size_t i) {
         util::rng stream = base.derive(i);
-        corpus.push_back(make_paper_instance(stream, num_users, mod));
-    }
+        corpus[i] = make_paper_instance(stream, num_users, mod);
+    });
     return corpus;
 }
 

@@ -37,7 +37,10 @@ struct experiment_instance {
 [[nodiscard]] experiment_instance make_paper_instance(util::rng& rng, std::size_t num_users,
                                                       wireless::modulation mod);
 
-/// `count` deterministic instances (seed + index streams).
+/// `count` deterministic instances: instance i is made from
+/// util::rng(seed).derive(i).  Built on util::pool_for_each; every instance
+/// owns its stream and its slot, so the corpus is the same at any thread
+/// count.
 [[nodiscard]] std::vector<experiment_instance> make_paper_corpus(std::uint64_t seed,
                                                                  std::size_t count,
                                                                  std::size_t num_users,

@@ -19,9 +19,9 @@ namespace hcq::link {
 namespace {
 
 // Stream-id tags keeping channel-use synthesis draws disjoint from solver
-// draws (same scheme as parallel_runner::sweep_stream_domain); the canonical
-// values live in link_sim.h (stream_domains) because the serving front end
-// derives from the same domains to reproduce served batches bit-for-bit.
+// draws; the canonical values live in link_sim.h (stream_domains) because
+// the serving front end derives from the same domains to reproduce served
+// batches bit-for-bit.
 //
 // ARQ retransmission streams: attempt r of use u draws from
 // derive(arq_*_domain).derive(u [* num_paths + p]).derive(r) — globally

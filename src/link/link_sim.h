@@ -29,9 +29,9 @@
 //
 // Determinism: every channel use draws from an RNG stream derived from
 // (seed, domain, use index) and every (use, path) solve from
-// (seed, domain, use * num_paths + path), following the parallel_runner
-// scheme — the thread pool decides only *when* a cell runs, never *what* it
-// computes, and aggregation is serial in use order.  All link-layer
+// (seed, domain, use * num_paths + path) — the thread pool decides only
+// *when* a cell runs, never *what* it computes, and aggregation is serial in
+// use order.  All link-layer
 // statistics (BER, ML costs, exact-frame counts) are therefore bit-identical
 // at any thread count AND any stream_block size; only the measured wall
 // times vary run to run.  The golden-value tests in tests/link_test.cpp pin

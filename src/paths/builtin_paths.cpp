@@ -3,17 +3,17 @@
 // hybrid GS+RA structure (core/hybrid_solver.h) behind the one
 // detection_path interface.  Registered lazily by registry.cpp through
 // detail::register_builtin_paths() — see the registry header for why.
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
-
-#include <algorithm>
 
 #include "classical/greedy.h"
 #include "classical/parallel_tempering.h"
 #include "classical/simulated_annealing.h"
 #include "classical/tabu.h"
-#include "core/parallel_runner.h"
+#include "core/hybrid_solver.h"
 #include "core/schedule.h"
 #include "detect/fcsd.h"
 #include "detect/kbest.h"
@@ -136,10 +136,10 @@ private:
 
 /// A classical QUBO heuristic as a path: one "solve" stage on the shared
 /// reduction; the detected word is the best sample, costed against the
-/// instance.  Doubles as a sweep solver through as_solver().
+/// instance.
 class qubo_solver_path final : public detection_path {
 public:
-    qubo_solver_path(std::shared_ptr<const solvers::solver> solver, path_spec spec)
+    qubo_solver_path(std::unique_ptr<const solvers::solver> solver, path_spec spec)
         : solver_(std::move(solver)), spec_(std::move(spec)) {}
 
     void run_into(const path_context& ctx, path_result& out) const override {
@@ -165,21 +165,17 @@ public:
     [[nodiscard]] path_spec spec() const override { return spec_; }
     [[nodiscard]] bool needs_qubo() const noexcept override { return true; }
     [[nodiscard]] std::vector<std::string> stage_names() const override { return {"solve"}; }
-    [[nodiscard]] std::shared_ptr<const solvers::solver> as_solver() const override {
-        return solver_;
-    }
 
 private:
-    std::shared_ptr<const solvers::solver> solver_;
+    std::unique_ptr<const solvers::solver> solver_;
     path_spec spec_;
 };
 
 /// The paper's hybrid structure as a path: "classical" (measured initialiser
 /// wall time) and "quantum" (programmed annealer occupancy: schedule
-/// duration x reads) stages.  Owns its initialiser and device through the
-/// owning hybrid_solver_adapter, so the path — and any solver handed out by
-/// as_solver() — is safe to construct from temporaries and to outlive this
-/// translation unit's statics.
+/// duration x reads) stages.  Owns its initialiser, its device and the one
+/// hybrid_solver over them; that solver points at the path's own members,
+/// so the path is neither copyable nor movable.
 ///
 /// `devices` > 1 is the paper's §5 multi-device scaling lever (registry kind
 /// "kxra"): K interchangeable annealer devices round-robin one stream.  The
@@ -193,8 +189,7 @@ private:
 /// solver D-Wave hybridises with, doubling as an initialiser), or `kbest`
 /// (an application-specific tree-search initialiser: the K-best detector,
 /// width 8, run on the channel use itself and fed to the reverse anneal as
-/// a fixed initial state).  `kbest` consumes the MIMO instance, so it has
-/// no pure-QUBO solver form — as_solver() returns nullptr for it.
+/// a fixed initial state).
 class gs_ra_path final : public detection_path {
 public:
     enum class init_kind { gs, tabu, kbest };
@@ -224,42 +219,32 @@ public:
           reads_(reads),
           devices_(devices),
           spec_(std::move(spec)) {
-        auto device = std::make_shared<const anneal::annealer_emulator>();
         switch (init) {
-            case init_kind::gs:
-                adapter_ = std::make_shared<const hybrid::hybrid_solver_adapter>(
-                    std::make_shared<const solvers::greedy_search>(), std::move(device),
-                    schedule_, reads_);
-                break;
-            case init_kind::tabu:
-                adapter_ = std::make_shared<const hybrid::hybrid_solver_adapter>(
-                    std::make_shared<const solvers::tabu_search>(), std::move(device),
-                    schedule_, reads_);
-                break;
-            case init_kind::kbest:
-                detector_ = std::make_shared<const detect::kbest_detector>(8);
-                device_ = std::move(device);
-                break;
+            case init_kind::gs: init_ = std::make_unique<const solvers::greedy_search>(); break;
+            case init_kind::tabu: init_ = std::make_unique<const solvers::tabu_search>(); break;
+            case init_kind::kbest: return;  // seeded per use from the channel itself
         }
+        solver_.emplace(*init_, device_, schedule_, reads_);
     }
+    gs_ra_path(const gs_ra_path&) = delete;
+    gs_ra_path& operator=(const gs_ra_path&) = delete;
 
     void run_into(const path_context& ctx, path_result& out) const override {
         require_qubo(ctx);
         workspace& ws = require_workspace(ctx);
         hybrid::hybrid_solver::timings times;
         double detect_us = 0.0;
-        if (adapter_ != nullptr) {
-            adapter_->hybrid().solve_best_into(ctx.reduced->model, ctx.rng, ws.solve, out.bits,
-                                               times);
+        if (solver_.has_value()) {
+            solver_->solve_best_into(ctx.reduced->model, ctx.rng, ws.solve, out.bits, times);
         } else {
             // kbest initialiser: detect on the channel use itself (measured
             // classical time), then seed the reverse anneal with the result.
             // Constructing the per-use initialiser copies the seed bits, so
             // this branch is not allocation-free — it is an
             // application-specific variant, not one of the hot-path defaults.
-            const auto detected = detector_->detect(ctx.instance);
+            const auto detected = detector_.detect(ctx.instance);
             const solvers::fixed_initializer init(detected.bits, "KB");
-            const hybrid::hybrid_solver solver(init, *device_, schedule_, reads_);
+            const hybrid::hybrid_solver solver(init, device_, schedule_, reads_);
             solver.solve_best_into(ctx.reduced->model, ctx.rng, ws.solve, out.bits, times);
             detect_us = detected.elapsed_us;
         }
@@ -274,7 +259,7 @@ public:
         wireless::flip_recost_llrs_into(ctx.instance, out.bits, out.llrs);
     }
     [[nodiscard]] std::string name() const override {
-        const std::string base = adapter_ != nullptr ? adapter_->name() : "KB+RA";
+        const std::string base = solver_.has_value() ? solver_->name() : "KB+RA";
         return devices_ > 1 ? base + "x" + std::to_string(devices_) : base;
     }
     [[nodiscard]] path_spec spec() const override { return spec_; }
@@ -285,18 +270,16 @@ public:
     [[nodiscard]] std::vector<std::size_t> stage_servers() const override {
         return {1, devices_};
     }
-    [[nodiscard]] std::shared_ptr<const solvers::solver> as_solver() const override {
-        return adapter_;  // nullptr for init=kbest: it needs the MIMO instance
-    }
 
 private:
-    std::shared_ptr<const hybrid::hybrid_solver_adapter> adapter_;  ///< gs / tabu
-    std::shared_ptr<const detect::kbest_detector> detector_;        ///< kbest only
-    std::shared_ptr<const anneal::annealer_emulator> device_;       ///< kbest only
+    std::unique_ptr<const solvers::initializer> init_;  ///< gs / tabu
+    anneal::annealer_emulator device_;
     anneal::anneal_schedule schedule_;
     std::size_t reads_;
     std::size_t devices_;
     path_spec spec_;
+    std::optional<hybrid::hybrid_solver> solver_;  ///< over init_ and device_; gs / tabu
+    detect::kbest_detector detector_{8};           ///< kbest only
 };
 
 path_info zf_info() {
@@ -383,7 +366,7 @@ path_info sa_info() {
                 config.hot_fraction = spec_double(spec, "hot", config.hot_fraction);
                 config.cold_fraction = spec_double(spec, "cold", config.cold_fraction);
                 return std::make_shared<const qubo_solver_path>(
-                    std::make_shared<const solvers::simulated_annealing>(config),
+                    std::make_unique<const solvers::simulated_annealing>(config),
                     path_spec{"sa",
                               {{"reads", std::to_string(config.num_reads)},
                                {"sweeps", std::to_string(config.num_sweeps)},
@@ -404,7 +387,7 @@ path_info tabu_info() {
                 config.max_iterations = spec_positive_size(spec, "iters", config.max_iterations);
                 config.stall_limit = spec_positive_size(spec, "stall", config.stall_limit);
                 return std::make_shared<const qubo_solver_path>(
-                    std::make_shared<const solvers::tabu_search>(config),
+                    std::make_unique<const solvers::tabu_search>(config),
                     path_spec{"tabu",
                               {{"tenure", std::to_string(config.tenure)},
                                {"iters", std::to_string(config.max_iterations)},
@@ -429,7 +412,7 @@ path_info pt_info() {
                 config.hot_fraction = spec_double(spec, "hot", config.hot_fraction);
                 config.cold_fraction = spec_double(spec, "cold", config.cold_fraction);
                 return std::make_shared<const qubo_solver_path>(
-                    std::make_shared<const solvers::parallel_tempering>(config),
+                    std::make_unique<const solvers::parallel_tempering>(config),
                     path_spec{"pt",
                               {{"replicas", std::to_string(config.num_replicas)},
                                {"rounds", std::to_string(config.num_rounds)},
@@ -446,8 +429,7 @@ path_info gsra_info() {
                      {"sp", "reverse-anneal switch/pause location s_p in (0,1) (default 0.29)"},
                      {"pause_us", "pause time t_p in us (default 1)"},
                      {"init",
-                      "classical initialiser: gs (default), tabu, or kbest "
-                      "(paper section 5; kbest has no sweep-solver form)"}},
+                      "classical initialiser: gs (default), tabu, or kbest (paper section 5)"}},
             .factory = [](const path_spec& spec) -> std::shared_ptr<const detection_path> {
                 const auto init = gs_ra_path::parse_init(spec);
                 const std::size_t reads = spec_positive_size(spec, "reads", 80);
@@ -471,8 +453,7 @@ path_info kxra_info() {
                      {"sp", "reverse-anneal switch/pause location s_p in (0,1) (default 0.29)"},
                      {"pause_us", "pause time t_p in us (default 1)"},
                      {"init",
-                      "classical initialiser: gs (default), tabu, or kbest "
-                      "(paper section 5; kbest has no sweep-solver form)"}},
+                      "classical initialiser: gs (default), tabu, or kbest (paper section 5)"}},
             .factory = [](const path_spec& spec) -> std::shared_ptr<const detection_path> {
                 const auto init = gs_ra_path::parse_init(spec);
                 const std::size_t devices = spec_positive_size(spec, "k", 2);

@@ -15,7 +15,7 @@
 // a parser, a switch, and a config struct.
 //
 // Determinism contract: a path must draw randomness only from `ctx.rng`.
-// Callers (link::run_link_simulation, hybrid::parallel_runner) hand every
+// Callers (link::run_link_simulation, the serving front end) hand every
 // (use, path) cell its own derived stream, which is what keeps BER/ML-cost
 // statistics bit-identical at any thread count.  Only the timings in
 // `path_result::stages` are measured wall time (or programmed device
@@ -23,13 +23,11 @@
 #ifndef HCQ_PATHS_DETECTION_PATH_H
 #define HCQ_PATHS_DETECTION_PATH_H
 
-#include <memory>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "classical/solver.h"
 #include "detect/transform.h"
 #include "util/rng.h"
 #include "wireless/mimo.h"
@@ -168,14 +166,6 @@ public:
     /// servers.  Default: one device per stage.
     [[nodiscard]] virtual std::vector<std::size_t> stage_servers() const {
         return std::vector<std::size_t>(stage_names().size(), 1);
-    }
-
-    /// The path's QUBO-solver form for (instances x solvers) sweeps
-    /// (hybrid::parallel_runner), or nullptr when the path has none (the
-    /// conventional detectors, which never touch a QUBO).  The returned
-    /// solver owns everything it references and may outlive the path.
-    [[nodiscard]] virtual std::shared_ptr<const solvers::solver> as_solver() const {
-        return nullptr;
     }
 };
 

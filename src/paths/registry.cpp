@@ -156,37 +156,4 @@ std::vector<std::shared_ptr<const detection_path>> registry::make_all(
     return paths;
 }
 
-std::shared_ptr<const solvers::solver> registry::make_solver(const std::string& spec_text) {
-    const auto path = make(spec_text);
-    auto solver = path->as_solver();
-    if (solver == nullptr) {
-        // Probe each kind with a default instance to render the capable
-        // list; a kind whose factory rejects an empty spec (e.g. a
-        // user-registered path with mandatory keys) is simply skipped so its
-        // exception cannot mask this one.
-        std::vector<std::string> capable;
-        for (const auto& info : entries()) {
-            try {
-                if (registry::make(path_spec{info.kind, {}})->as_solver() != nullptr) {
-                    capable.push_back(info.kind);
-                }
-            } catch (const std::exception&) {
-                // not constructible from defaults — cannot recommend it
-            }
-        }
-        throw std::invalid_argument("paths: '" + path->spec().kind +
-                                    "' has no QUBO-solver form (solver-capable paths: " +
-                                    join(capable, ", ") + ")");
-    }
-    return solver;
-}
-
-std::vector<std::shared_ptr<const solvers::solver>> registry::make_solvers(
-    const std::vector<std::string>& spec_texts) {
-    std::vector<std::shared_ptr<const solvers::solver>> solvers;
-    solvers.reserve(spec_texts.size());
-    for (const auto& text : spec_texts) solvers.push_back(make_solver(text));
-    return solvers;
-}
-
 }  // namespace hcq::paths

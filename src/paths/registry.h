@@ -82,16 +82,6 @@ public:
     /// One path per spec, in order.
     [[nodiscard]] static std::vector<std::shared_ptr<const detection_path>> make_all(
         const std::vector<path_spec>& specs);
-
-    /// The QUBO-solver form of a path, for (instances x solvers) sweeps.
-    /// Throws std::invalid_argument when the path has no solver form
-    /// (conventional detectors), listing the kinds that do.
-    [[nodiscard]] static std::shared_ptr<const solvers::solver> make_solver(
-        const std::string& spec_text);
-
-    /// Spec-built solver list for hybrid::parallel_runner::sweep.
-    [[nodiscard]] static std::vector<std::shared_ptr<const solvers::solver>> make_solvers(
-        const std::vector<std::string>& spec_texts);
 };
 
 /// Registers a path kind at namespace scope:

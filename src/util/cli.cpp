@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "util/spec.h"
+
 namespace hcq::util {
 
 namespace {
@@ -58,24 +60,18 @@ std::string flag_set::get_string(const std::string& name, const std::string& fal
     return lookup(name).value_or(fallback);
 }
 
-long flag_set::get_int(const std::string& name, long fallback) const {
+std::size_t flag_set::get_size(const std::string& name, std::size_t fallback) const {
     const auto v = lookup(name);
     if (!v) return fallback;
-    try {
-        return std::stol(*v);
-    } catch (const std::exception&) {
-        throw std::invalid_argument("flag --" + name + ": not an integer: '" + *v + "'");
-    }
+    if (const auto value = spec::parse_size_value(*v)) return *value;
+    throw std::invalid_argument("flag --" + name + ": not a non-negative integer: '" + *v + "'");
 }
 
 double flag_set::get_double(const std::string& name, double fallback) const {
     const auto v = lookup(name);
     if (!v) return fallback;
-    try {
-        return std::stod(*v);
-    } catch (const std::exception&) {
-        throw std::invalid_argument("flag --" + name + ": not a number: '" + *v + "'");
-    }
+    if (const auto value = spec::parse_double_value(*v)) return *value;
+    throw std::invalid_argument("flag --" + name + ": not a number: '" + *v + "'");
 }
 
 bool flag_set::get_bool(const std::string& name, bool fallback) const {

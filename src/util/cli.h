@@ -6,6 +6,7 @@
 #ifndef HCQ_UTIL_CLI_H
 #define HCQ_UTIL_CLI_H
 
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
@@ -24,7 +25,11 @@ public:
 
     [[nodiscard]] std::string get_string(const std::string& name,
                                          const std::string& fallback) const;
-    [[nodiscard]] long get_int(const std::string& name, long fallback) const;
+    /// A count or size: throws std::invalid_argument naming the flag unless
+    /// the whole value is a non-negative integer that fits std::size_t.
+    [[nodiscard]] std::size_t get_size(const std::string& name, std::size_t fallback) const;
+    /// Throws std::invalid_argument naming the flag unless the whole value
+    /// parses as a number.
     [[nodiscard]] double get_double(const std::string& name, double fallback) const;
     [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -87,6 +88,55 @@ std::size_t parse_size(const std::string& text, const std::string& key, const st
 
 std::string format_value(double value) {
     return util::spec::format_value(value);
+}
+
+/// The checks every spec passes before a process is built, parsed or hand-
+/// built: why the first failing one fails, or nullopt.  Values are checked
+/// finite in the kind's key order, then against their ranges.
+std::optional<std::string> range_error(const channel_spec& spec, const kind_info& info) {
+    for (const std::string key : info.keys) {
+        const std::optional<double> value = key == "doppler_hz"    ? spec.doppler_hz
+                                            : key == "spread_hz"   ? spec.spread_hz
+                                            : key == "use_rate_hz" ? spec.use_rate_hz
+                                            : key == "est_err"     ? spec.est_err
+                                            : key == "snr_db"      ? spec.snr_db
+                                                                   : std::nullopt;
+        if (value.has_value() && !std::isfinite(*value)) {
+            return "bad value '" + format_value(*value) + "' for key '" + key +
+                   "' (expected a finite number)";
+        }
+    }
+    if (spec.est_err < 0.0) {
+        return "est_err must be >= 0 (got " + format_value(spec.est_err) + ")";
+    }
+    if (!info.correlated) return std::nullopt;
+    if (!(spec.use_rate_hz > 0.0)) {
+        return "use_rate_hz must be > 0 (got " + format_value(spec.use_rate_hz) + ")";
+    }
+    if (spec.sinusoids < 4 || spec.sinusoids > 4096) {
+        return "sinusoids must be in [4, 4096] (got " + std::to_string(spec.sinusoids) + ")";
+    }
+    const double nyquist = spec.use_rate_hz / 2.0;
+    if (spec.kind == "jakes") {
+        if (!(spec.doppler_hz > 0.0) || spec.doppler_hz > nyquist) {
+            return "doppler_hz must be in (0, use_rate_hz/2] = (0, " + format_value(nyquist) +
+                   "] (got " + format_value(spec.doppler_hz) + ")";
+        }
+        return std::nullopt;
+    }
+    // watterson
+    if (spec.taps < 1 || spec.taps > 4) {
+        return "taps must be in [1, 4] (got " + std::to_string(spec.taps) + ")";
+    }
+    if (!(spec.spread_hz > 0.0) || spec.spread_hz > nyquist) {
+        return "spread_hz must be in (0, use_rate_hz/2] = (0, " + format_value(nyquist) +
+               "] (got " + format_value(spec.spread_hz) + ")";
+    }
+    if (spec.doppler_hz < 0.0 || spec.doppler_hz > nyquist) {
+        return "doppler_hz (Doppler shift) must be in [0, use_rate_hz/2] = [0, " +
+               format_value(nyquist) + "] (got " + format_value(spec.doppler_hz) + ")";
+    }
+    return std::nullopt;
 }
 
 /// i.i.d. process: reproduces draw_channel byte-for-byte from the per-use rng.
@@ -244,43 +294,7 @@ channel_spec channel_spec::parse(const std::string& text) {
             if (kind == "watterson") spec.doppler_hz = 0.0;  // Doppler SHIFT default
         });
 
-    // Range validation, each error naming the key and the accepted range.
-    if (spec.est_err < 0.0) {
-        bad_spec(text, "est_err must be >= 0 (got " + format_value(spec.est_err) + ")");
-    }
-    if (info->correlated) {
-        if (!(spec.use_rate_hz > 0.0)) {
-            bad_spec(text,
-                     "use_rate_hz must be > 0 (got " + format_value(spec.use_rate_hz) + ")");
-        }
-        if (spec.sinusoids < 4 || spec.sinusoids > 4096) {
-            bad_spec(text, "sinusoids must be in [4, 4096] (got " +
-                               std::to_string(spec.sinusoids) + ")");
-        }
-        const double nyquist = spec.use_rate_hz / 2.0;
-        if (spec.kind == "jakes") {
-            if (!(spec.doppler_hz > 0.0) || spec.doppler_hz > nyquist) {
-                bad_spec(text, "doppler_hz must be in (0, use_rate_hz/2] = (0, " +
-                                   format_value(nyquist) + "] (got " +
-                                   format_value(spec.doppler_hz) + ")");
-            }
-        } else {  // watterson
-            if (spec.taps < 1 || spec.taps > 4) {
-                bad_spec(text,
-                         "taps must be in [1, 4] (got " + std::to_string(spec.taps) + ")");
-            }
-            if (!(spec.spread_hz > 0.0) || spec.spread_hz > nyquist) {
-                bad_spec(text, "spread_hz must be in (0, use_rate_hz/2] = (0, " +
-                                   format_value(nyquist) + "] (got " +
-                                   format_value(spec.spread_hz) + ")");
-            }
-            if (spec.doppler_hz < 0.0 || spec.doppler_hz > nyquist) {
-                bad_spec(text, "doppler_hz (Doppler shift) must be in [0, use_rate_hz/2] = [0, " +
-                                   format_value(nyquist) + "] (got " +
-                                   format_value(spec.doppler_hz) + ")");
-            }
-        }
-    }
+    if (const auto why = range_error(spec, *info)) bad_spec(text, *why);
     return spec;
 }
 
@@ -359,16 +373,19 @@ std::unique_ptr<const channel_process> make_channel_process(const channel_spec& 
     if (num_antennas == 0 || num_users == 0) {
         throw std::invalid_argument("make_channel_process: empty dimensions");
     }
-    // Re-validate so hand-built specs get the same range checks as parsed ones.
-    const channel_spec validated = channel_spec::parse(spec.to_string());
-    if (validated.kind == "rayleigh") {
+    // Hand-built specs get the same checks as parsed ones; the spec text is
+    // only formatted for the error message.
+    if (const auto why = range_error(spec, info_for(spec.kind, spec.kind))) {
+        bad_spec(spec.to_string(), *why);
+    }
+    if (spec.kind == "rayleigh") {
         return std::make_unique<iid_process>(channel_model::rayleigh, num_antennas, num_users);
     }
-    if (validated.kind == "random-phase") {
+    if (spec.kind == "random-phase") {
         return std::make_unique<iid_process>(channel_model::unit_gain_random_phase,
                                              num_antennas, num_users);
     }
-    return std::make_unique<correlated_process>(validated, num_antennas, num_users, base);
+    return std::make_unique<correlated_process>(spec, num_antennas, num_users, base);
 }
 
 }  // namespace hcq::wireless

@@ -2,6 +2,10 @@
 // substitution's contract (see DESIGN.md).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "classical/metropolis.h"
 #include "core/device.h"
 #include "core/schedule.h"
@@ -206,6 +210,46 @@ TEST(Device, SampleEnergiesMatchModel) {
     const auto samples = device.sample(m, an::anneal_schedule::forward_plain(1.0), 15, rng);
     for (const auto& s : samples.all()) {
         EXPECT_NEAR(s.energy, m.energy(s.bits), 1e-10);
+    }
+}
+
+TEST(Device, BestOnlySampleMatchesBestOfTheSampleSet) {
+    // sample_best_into keeps only the winning read: the same bits and energy
+    // as sample(...).best(), after the same rng draws.  Inputs: random
+    // QUBOs, field-free ferromagnetic chains (all-zeros and all-ones are both
+    // ground states) and all-zero models (every read ties).
+    std::vector<q::qubo_model> models;
+    hcq::util::rng make(31);
+    for (std::size_t i = 0; i < 30; ++i) {
+        models.push_back(q::random_qubo(make, 3 + i % 10, 0.7, -1.0, 1.0));
+    }
+    for (std::size_t n = 2; n <= 7; ++n) {
+        models.push_back(q::to_qubo(q::ferromagnetic_chain(n, -1.0, 0.0)));
+    }
+    for (std::size_t n = 1; n <= 4; ++n) models.emplace_back(n);
+
+    const an::annealer_emulator device;
+    const auto forward = an::anneal_schedule::forward(1.0, 0.45, 1.0);
+    const auto reverse = an::anneal_schedule::reverse(0.45, 1.0);
+    hcq::solvers::solve_scratch scratch;
+    for (std::size_t i = 0; i < models.size(); ++i) {
+        const q::qubo_model& m = models[i];
+        const q::bit_vector initial = make.bits(m.num_variables());
+        for (const bool is_reverse : {false, true}) {
+            SCOPED_TRACE("input " + std::to_string(i) + (is_reverse ? " reverse" : " forward"));
+            const an::anneal_schedule& schedule = is_reverse ? reverse : forward;
+            hcq::util::rng want_rng(hcq::util::rng(5).derive(i)());
+            hcq::util::rng got_rng = want_rng;
+            const auto samples =
+                device.sample(m, schedule, 6, want_rng,
+                              is_reverse ? std::optional(initial) : std::nullopt);
+            q::bit_vector best;
+            const double energy = device.sample_best_into(
+                m, schedule, 6, got_rng, is_reverse ? &initial : nullptr, scratch, best);
+            EXPECT_EQ(best, samples.best().bits);
+            EXPECT_EQ(energy, samples.best().energy);
+            EXPECT_EQ(got_rng(), want_rng());
+        }
     }
 }
 

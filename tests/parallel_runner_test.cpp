@@ -1,40 +1,23 @@
-// Tests for the batched experiment runner: statistics must be bit-identical
-// to the serial reference path at any thread count, corpus fan-out must match
-// make_paper_corpus exactly, and the hybrid adapter must slot into sweeps
-// next to the classical solvers.
+// Tests for the pool-parallel experiment drivers: util::pool_for_each, the
+// corpus builder make_paper_corpus, and best_forward_reverse.  Their results
+// must be bit-identical to a serial reference, whatever the thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "classical/greedy.h"
-#include "classical/parallel_tempering.h"
-#include "classical/simulated_annealing.h"
-#include "classical/tabu.h"
 #include "core/device.h"
-#include "core/parallel_runner.h"
-#include "core/schedule.h"
+#include "core/experiment.h"
 #include "core/sweep.h"
-#include "paths/registry.h"
 #include "util/thread_pool.h"
 
 namespace {
 
 namespace an = hcq::anneal;
 namespace hy = hcq::hybrid;
-namespace so = hcq::solvers;
 namespace wl = hcq::wireless;
-
-void expect_same_samples(const so::sample_set& a, const so::sample_set& b) {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].bits, b[i].bits);
-        EXPECT_DOUBLE_EQ(a[i].energy, b[i].energy);
-    }
-}
 
 std::vector<std::size_t> thread_counts_under_test() {
     return {1, 4, std::max<std::size_t>(1, std::thread::hardware_concurrency())};
@@ -65,176 +48,28 @@ TEST(PoolForEach, PropagatesTaskException) {
 }
 
 TEST(ParallelRunner, CorpusMatchesSerialReferenceAtAnyThreadCount) {
-    const auto reference = hy::make_paper_corpus(4242, 6, 4, wl::modulation::qam16);
-    for (const std::size_t threads : thread_counts_under_test()) {
-        const hy::parallel_runner runner({.num_threads = threads});
-        const auto corpus = runner.make_corpus(4242, 6, 4, wl::modulation::qam16);
-        ASSERT_EQ(corpus.size(), reference.size());
-        for (std::size_t i = 0; i < corpus.size(); ++i) {
-            EXPECT_EQ(corpus[i].optimal_bits, reference[i].optimal_bits);
-            EXPECT_DOUBLE_EQ(corpus[i].optimal_energy, reference[i].optimal_energy);
-            EXPECT_EQ(corpus[i].instance.tx_bits, reference[i].instance.tx_bits);
-            const auto& h = corpus[i].instance.h;
-            const auto& hr = reference[i].instance.h;
-            ASSERT_EQ(h.rows(), hr.rows());
-            ASSERT_EQ(h.cols(), hr.cols());
-            for (std::size_t r = 0; r < h.rows(); ++r) {
-                for (std::size_t c = 0; c < h.cols(); ++c) {
-                    EXPECT_EQ(h(r, c), hr(r, c));
-                }
+    // make_paper_corpus builds on the pool; instance i must still be exactly
+    // the serial make_paper_instance over util::rng(seed).derive(i).
+    const auto corpus = hy::make_paper_corpus(4242, 6, 4, wl::modulation::qam16);
+    ASSERT_EQ(corpus.size(), 6u);
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+        hcq::util::rng stream = hcq::util::rng(4242).derive(i);
+        const auto reference = hy::make_paper_instance(stream, 4, wl::modulation::qam16);
+        EXPECT_EQ(corpus[i].optimal_bits, reference.optimal_bits);
+        EXPECT_DOUBLE_EQ(corpus[i].optimal_energy, reference.optimal_energy);
+        EXPECT_EQ(corpus[i].instance.tx_bits, reference.instance.tx_bits);
+        const auto& h = corpus[i].instance.h;
+        const auto& hr = reference.instance.h;
+        ASSERT_EQ(h.rows(), hr.rows());
+        ASSERT_EQ(h.cols(), hr.cols());
+        for (std::size_t r = 0; r < h.rows(); ++r) {
+            for (std::size_t c = 0; c < h.cols(); ++c) {
+                EXPECT_EQ(h(r, c), hr(r, c));
             }
         }
     }
-    EXPECT_THROW((void)hy::parallel_runner().make_corpus(1, 0, 4, wl::modulation::qpsk),
+    EXPECT_THROW((void)hy::make_paper_corpus(1, 0, 4, wl::modulation::qpsk),
                  std::invalid_argument);
-}
-
-TEST(ParallelRunner, SweepIsThreadCountInvariant) {
-    const auto corpus = hy::make_paper_corpus(77, 3, 3, wl::modulation::qpsk);
-    const so::simulated_annealing sa({.num_reads = 4, .num_sweeps = 30});
-    const so::tabu_search tabu({.tenure = 5, .max_iterations = 60, .stall_limit = 20});
-    const so::parallel_tempering pt({.num_replicas = 4, .num_rounds = 10});
-    const std::vector<const so::solver*> solvers{&sa, &tabu, &pt};
-
-    const hy::parallel_runner serial({.num_threads = 1});
-    const auto reference = serial.sweep(corpus, solvers, 99);
-    ASSERT_EQ(reference.runs.size(), corpus.size() * solvers.size());
-
-    for (const std::size_t threads : thread_counts_under_test()) {
-        const hy::parallel_runner runner({.num_threads = threads});
-        const auto report = runner.sweep(corpus, solvers, 99);
-        ASSERT_EQ(report.runs.size(), reference.runs.size());
-        EXPECT_EQ(report.num_instances, reference.num_instances);
-        EXPECT_EQ(report.num_solvers, reference.num_solvers);
-        for (std::size_t k = 0; k < report.runs.size(); ++k) {
-            const auto& got = report.runs[k];
-            const auto& want = reference.runs[k];
-            EXPECT_EQ(got.instance_index, want.instance_index);
-            EXPECT_EQ(got.solver_index, want.solver_index);
-            EXPECT_EQ(got.solver_name, want.solver_name);
-            EXPECT_DOUBLE_EQ(got.best_energy, want.best_energy);
-            EXPECT_DOUBLE_EQ(got.p_star, want.p_star);
-            EXPECT_DOUBLE_EQ(got.mean_delta_e, want.mean_delta_e);
-            expect_same_samples(got.samples, want.samples);
-        }
-        expect_same_samples(report.merged, reference.merged);
-    }
-}
-
-TEST(ParallelRunner, SweepMatchesHandWrittenSerialLoop) {
-    const auto corpus = hy::make_paper_corpus(31, 2, 3, wl::modulation::qpsk);
-    const so::simulated_annealing sa({.num_reads = 3, .num_sweeps = 25});
-    const so::tabu_search tabu({.tenure = 4, .max_iterations = 40, .stall_limit = 15});
-    const std::vector<const so::solver*> solvers{&sa, &tabu};
-
-    const hy::parallel_runner runner({.num_threads = 4});
-    const auto report = runner.sweep(corpus, solvers, 7);
-
-    const hcq::util::rng base =
-        hcq::util::rng(7).derive(hy::parallel_runner::sweep_stream_domain);
-    for (std::size_t i = 0; i < corpus.size(); ++i) {
-        for (std::size_t s = 0; s < solvers.size(); ++s) {
-            hcq::util::rng stream = base.derive(i * solvers.size() + s);
-            const auto expected = solvers[s]->solve(corpus[i].reduced.model, stream);
-            expect_same_samples(report.at(i, s).samples, expected);
-        }
-    }
-}
-
-TEST(ParallelRunner, HybridAdapterSweepsNextToClassicalSolvers) {
-    const auto corpus = hy::make_paper_corpus(55, 2, 3, wl::modulation::qpsk);
-    // Regression for the old reference-holding adapter: both the initialiser
-    // and the device are temporaries in the constructor expression — the
-    // adapter owns them via shared_ptr, so nothing dangles.
-    const hy::hybrid_solver_adapter hybrid(std::make_shared<const so::greedy_search>(),
-                                           std::make_shared<const an::annealer_emulator>(),
-                                           an::anneal_schedule::reverse(0.45, 1.0), 8);
-    EXPECT_EQ(hybrid.name(), "GS+RA");
-    const so::simulated_annealing sa({.num_reads = 3, .num_sweeps = 25});
-    const std::vector<const so::solver*> solvers{&hybrid, &sa};
-
-    const hy::parallel_runner serial({.num_threads = 1});
-    const auto reference = serial.sweep(corpus, solvers, 13);
-    const hy::parallel_runner threaded({.num_threads = 4});
-    const auto report = threaded.sweep(corpus, solvers, 13);
-
-    for (std::size_t i = 0; i < corpus.size(); ++i) {
-        // Initial candidate plus eight annealer reads.
-        ASSERT_EQ(report.at(i, 0).samples.size(), 9u);
-        EXPECT_GE(report.at(i, 0).p_star, 0.0);
-        EXPECT_LE(report.at(i, 0).p_star, 1.0);
-        expect_same_samples(report.at(i, 0).samples, reference.at(i, 0).samples);
-    }
-    EXPECT_GE(report.mean_p_star(0), 0.0);
-}
-
-TEST(ParallelRunner, AdapterConstructedFromTemporariesOutlivesItsScope) {
-    // Build the adapter in an inner scope from temporaries only, then use it
-    // afterwards — under ASan this would flag the pre-fix dangling design.
-    std::unique_ptr<const hy::hybrid_solver_adapter> adapter;
-    {
-        adapter = std::make_unique<const hy::hybrid_solver_adapter>(
-            std::make_shared<const so::greedy_search>(),
-            std::make_shared<const an::annealer_emulator>(),
-            an::anneal_schedule::reverse(0.45, 1.0), 4);
-    }
-    hcq::util::rng make(12);
-    const auto e = hy::make_paper_instance(make, 2, wl::modulation::qpsk);
-    hcq::util::rng rng(13);
-    const auto samples = adapter->solve(e.reduced.model, rng);
-    EXPECT_EQ(samples.size(), 5u);  // initial candidate + 4 reads
-
-    EXPECT_THROW(hy::hybrid_solver_adapter(nullptr,
-                                           std::make_shared<const an::annealer_emulator>(),
-                                           an::anneal_schedule::reverse(0.45, 1.0), 4),
-                 std::invalid_argument);
-    EXPECT_THROW(hy::hybrid_solver_adapter(std::make_shared<const so::greedy_search>(), nullptr,
-                                           an::anneal_schedule::reverse(0.45, 1.0), 4),
-                 std::invalid_argument);
-}
-
-TEST(ParallelRunner, SpecBuiltSolverListSweepIsThreadCountInvariant) {
-    // The ISSUE's "spec-built solver lists": the whole sweep roster comes
-    // from registry spec strings, hybrid structure included.
-    const auto corpus = hy::make_paper_corpus(77, 3, 3, wl::modulation::qpsk);
-    const auto solvers = hcq::paths::registry::make_solvers(
-        {"sa:reads=3,sweeps=25", "tabu:tenure=4,iters=40,stall=15", "gsra:reads=6,sp=0.45"});
-    ASSERT_EQ(solvers.size(), 3u);
-    EXPECT_EQ(solvers[0]->name(), "SA");
-    EXPECT_EQ(solvers[1]->name(), "Tabu");
-    EXPECT_EQ(solvers[2]->name(), "GS+RA");
-
-    const hy::parallel_runner serial({.num_threads = 1});
-    const auto reference = serial.sweep(corpus, solvers, 42);
-    for (const std::size_t threads : thread_counts_under_test()) {
-        const hy::parallel_runner runner({.num_threads = threads});
-        const auto report = runner.sweep(corpus, solvers, 42);
-        ASSERT_EQ(report.runs.size(), reference.runs.size());
-        for (std::size_t k = 0; k < report.runs.size(); ++k) {
-            EXPECT_EQ(report.runs[k].solver_name, reference.runs[k].solver_name);
-            EXPECT_DOUBLE_EQ(report.runs[k].best_energy, reference.runs[k].best_energy);
-            expect_same_samples(report.runs[k].samples, reference.runs[k].samples);
-        }
-    }
-}
-
-TEST(ParallelRunner, SweepValidatesArguments) {
-    const auto corpus = hy::make_paper_corpus(5, 1, 3, wl::modulation::bpsk);
-    const so::simulated_annealing sa({.num_reads = 1, .num_sweeps = 5});
-    const hy::parallel_runner runner;
-    EXPECT_THROW((void)runner.sweep({}, {&sa}, 1), std::invalid_argument);
-    EXPECT_THROW((void)runner.sweep(corpus, std::vector<const so::solver*>{}, 1),
-                 std::invalid_argument);
-    EXPECT_THROW((void)runner.sweep(corpus, std::vector<const so::solver*>{nullptr}, 1),
-                 std::invalid_argument);
-    // The owned-solver overload forwards null checks too.
-    EXPECT_THROW((void)runner.sweep(
-                     corpus, std::vector<std::shared_ptr<const so::solver>>{nullptr}, 1),
-                 std::invalid_argument);
-    const auto report = runner.sweep(corpus, {&sa}, 1);
-    EXPECT_THROW((void)report.at(1, 0), std::out_of_range);
-    EXPECT_THROW((void)report.at(0, 1), std::out_of_range);
-    EXPECT_THROW((void)report.mean_p_star(1), std::out_of_range);
 }
 
 TEST(Sweep, BestForwardReverseIsThreadCountInvariant) {

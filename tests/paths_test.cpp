@@ -167,7 +167,6 @@ TEST(Registry, KxraDeclaresItsDeviceBank) {
     EXPECT_TRUE(kxra->needs_qubo());
     EXPECT_EQ(kxra->stage_names(), (std::vector<std::string>{"classical", "quantum"}));
     EXPECT_EQ(kxra->stage_servers(), (std::vector<std::size_t>{1, 4}));
-    EXPECT_NE(kxra->as_solver(), nullptr);  // bridges into parallel_runner sweeps
     // Defaults: k=2.
     EXPECT_EQ(pt::registry::make("kxra")->stage_servers(), (std::vector<std::size_t>{1, 2}));
     EXPECT_THROW((void)pt::registry::make("kxra:k=0"), std::invalid_argument);
@@ -252,53 +251,16 @@ TEST(Registry, UserRegisteredPathRunsThroughTheLinkSimulator) {
     EXPECT_GT(zero.ber.errors(), 0u);  // all-zero is a terrible detector
 }
 
-TEST(Registry, SolverFormsBridgeIntoSweeps) {
-    for (const char* spec : {"sa:reads=2,sweeps=10", "tabu:iters=20", "pt:rounds=4",
-                             "gsra:reads=4", "kxra:k=2,reads=4"}) {
-        SCOPED_TRACE(spec);
-        const auto solver = pt::registry::make_solver(spec);
-        ASSERT_NE(solver, nullptr);
-        hcq::util::rng rng(11);
-        const auto q = hcq::qubo::random_qubo(rng, 8, 1.0);
-        hcq::util::rng solve_rng(12);
-        const auto samples = solver->solve(q, solve_rng);
-        EXPECT_GT(samples.size(), 0u);
-    }
-
-    const auto message = thrown_message([] { (void)pt::registry::make_solver("zf"); });
-    EXPECT_NE(message.find("no QUBO-solver form"), std::string::npos);
-    EXPECT_NE(message.find("sa"), std::string::npos);
-    EXPECT_NE(message.find("gsra"), std::string::npos);
-}
-
-TEST(Registry, SolverOutlivesThePathThatMadeIt) {
-    // The gsra path owns its initialiser and device through shared_ptr; the
-    // solver it hands out must keep them alive after the path is gone.
-    std::shared_ptr<const hcq::solvers::solver> solver;
-    {
-        const auto path = pt::registry::make("gsra:reads=4,sp=0.45");
-        solver = path->as_solver();
-    }
-    hcq::util::rng rng(21);
-    const auto q = hcq::qubo::random_qubo(rng, 6, 1.0);
-    hcq::util::rng solve_rng(22);
-    const auto samples = solver->solve(q, solve_rng);
-    EXPECT_EQ(samples.size(), 5u);  // initial candidate + 4 reads
-    EXPECT_EQ(solver->name(), "GS+RA");
-}
-
 TEST(Registry, ConventionalPathsHaveNoSolverFormAndNeedNoQubo) {
     for (const char* kind : {"zf", "mmse", "kbest", "sphere", "sic", "fcsd"}) {
         SCOPED_TRACE(kind);
         const auto path = pt::registry::make(kind);
         EXPECT_FALSE(path->needs_qubo());
-        EXPECT_EQ(path->as_solver(), nullptr);
     }
     for (const char* kind : {"sa", "tabu", "pt", "gsra", "kxra"}) {
         SCOPED_TRACE(kind);
         const auto path = pt::registry::make(kind);
         EXPECT_TRUE(path->needs_qubo());
-        EXPECT_NE(path->as_solver(), nullptr);
     }
 }
 
@@ -331,14 +293,6 @@ TEST(Registry, GsraInitialiserKey) {
 
     // The registry help advertises the key.
     EXPECT_NE(pt::registry::help().find("init"), std::string::npos);
-}
-
-TEST(Registry, GsraInitialiserSolverForms) {
-    // tabu keeps a pure-QUBO solver form for sweeps; kbest consumes the
-    // MIMO instance and therefore has none.
-    EXPECT_EQ(pt::registry::make_solver("gsra:init=tabu")->name(), "Tabu+RA");
-    EXPECT_EQ(pt::registry::make("gsra:init=kbest")->as_solver(), nullptr);
-    EXPECT_THROW((void)pt::registry::make_solver("gsra:init=kbest"), std::invalid_argument);
 }
 
 TEST(Registry, QuboPathRejectsMissingReduction) {

@@ -2,6 +2,13 @@
 // paper's GS), the Metropolis engine, SA, tabu, parallel tempering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "classical/greedy.h"
 #include "classical/metropolis.h"
 #include "classical/parallel_tempering.h"
@@ -18,6 +25,14 @@ namespace {
 
 namespace q = hcq::qubo;
 namespace sv = hcq::solvers;
+
+/// One best-only solve on fresh scratch, as a (bits, energy) sample.
+sv::sample solve_best(const sv::solver& solver, const q::qubo_model& m, hcq::util::rng& rng) {
+    sv::solve_scratch scratch;
+    sv::sample out;
+    out.energy = solver.solve_best_into(m, rng, scratch, out.bits);
+    return out;
+}
 
 TEST(SampleSet, BestAndMean) {
     sv::sample_set s;
@@ -49,9 +64,7 @@ TEST(SampleSet, SuccessCounting) {
 TEST(SampleSet, MergeAndEnergies) {
     sv::sample_set a;
     a.add({0}, 1.0);
-    sv::sample_set b;
-    b.add({1}, 2.0);
-    a.merge(b);
+    a.add({1}, 2.0);
     EXPECT_EQ(a.size(), 2u);
     const auto energies = a.energies();
     EXPECT_DOUBLE_EQ(energies[0], 1.0);
@@ -222,9 +235,7 @@ TEST(SimulatedAnnealing, FindsOptimumOnSmallInstance) {
     const auto exact = q::brute_force_minimize(m);
     const sv::simulated_annealing sa({.num_reads = 20, .num_sweeps = 200});
     auto srng = rng.derive(1);
-    const auto samples = sa.solve(m, srng);
-    EXPECT_EQ(samples.size(), 20u);
-    EXPECT_NEAR(samples.best().energy, exact.best_energy, 1e-9);
+    EXPECT_NEAR(solve_best(sa, m, srng).energy, exact.best_energy, 1e-9);
 }
 
 TEST(SimulatedAnnealing, ConfigValidation) {
@@ -240,9 +251,9 @@ TEST(SimulatedAnnealing, ConfigValidation) {
 TEST(Tabu, FindsOptimumOnFerromagneticChain) {
     const auto m = q::to_qubo(q::ferromagnetic_chain(10));
     hcq::util::rng rng(16);
-    const auto samples = sv::tabu_search().solve(m, rng);
+    const auto best = solve_best(sv::tabu_search(), m, rng);
     const auto exact = q::brute_force_minimize(m);
-    EXPECT_NEAR(samples.best().energy, exact.best_energy, 1e-9);
+    EXPECT_NEAR(best.energy, exact.best_energy, 1e-9);
 }
 
 TEST(Tabu, FindsOptimumOnRandomSmallInstances) {
@@ -252,8 +263,7 @@ TEST(Tabu, FindsOptimumOnRandomSmallInstances) {
         const auto m = q::random_qubo(rng, 10, 1.0, -1.0, 1.0);
         const auto exact = q::brute_force_minimize(m);
         auto trng = rng.derive(trial);
-        const auto samples = sv::tabu_search().solve(m, trng);
-        if (samples.best().energy <= exact.best_energy + 1e-9) ++hits;
+        if (solve_best(sv::tabu_search(), m, trng).energy <= exact.best_energy + 1e-9) ++hits;
     }
     EXPECT_GE(hits, 8);  // tabu should nearly always crack 10-variable QUBOs
 }
@@ -277,26 +287,151 @@ TEST(ParallelTempering, FindsOptimumOnSpinGlass) {
     const sv::parallel_tempering pt(
         {.num_replicas = 8, .num_rounds = 120, .sweeps_per_round = 2});
     auto prng = rng.derive(7);
-    const auto samples = pt.solve(m, prng);
-    EXPECT_NEAR(samples.best().energy, exact.best_energy, 1e-9);
+    EXPECT_NEAR(solve_best(pt, m, prng).energy, exact.best_energy, 1e-9);
 }
 
 TEST(ParallelTempering, SampleCountAndValidation) {
     hcq::util::rng rng(20);
     const auto m = q::random_qubo(rng, 6, 1.0, -1.0, 1.0);
     const sv::parallel_tempering pt({.num_replicas = 4, .num_rounds = 10});
-    const auto samples = pt.solve(m, rng);
-    EXPECT_EQ(samples.size(), 11u);  // one per round + final best
+    const auto best = solve_best(pt, m, rng);
+    EXPECT_NEAR(best.energy, m.energy(best.bits), 1e-12);
     EXPECT_THROW(sv::parallel_tempering({.num_replicas = 1}), std::invalid_argument);
     EXPECT_THROW(sv::parallel_tempering({.num_rounds = 0}), std::invalid_argument);
     EXPECT_EQ(pt.name(), "PT");
 }
 
-TEST(ParallelTempering, BestNeverWorseThanColdReplicaMean) {
-    hcq::util::rng rng(21);
-    const auto m = q::random_qubo(rng, 16, 1.0, -1.0, 1.0);
-    const auto samples = sv::parallel_tempering().solve(m, rng);
-    EXPECT_LE(samples.best().energy, samples.mean_energy() + 1e-12);
+// ---------------------------------------------------------------------------
+// Best-only selection rule.  The solvers keep only their winning state; these
+// reference loops rebuild the sample sets they stand for (every SA read's
+// final state; PT's cold replica after each round, then the lowest state any
+// replica held), and sample_set::best() over them must pick the same bits
+// and energy after the same rng draws.
+// ---------------------------------------------------------------------------
+
+sv::sample_set sa_reference_samples(const sv::sa_config& config, const q::qubo_model& m,
+                                    hcq::util::rng& rng) {
+    const double scale = m.max_abs_coefficient();
+    const double t_hot = std::max(config.hot_fraction * scale, 1e-12);
+    const double t_cold = std::max(config.cold_fraction * scale, 1e-15);
+    const double ratio =
+        config.num_sweeps > 1
+            ? std::pow(t_cold / t_hot, 1.0 / static_cast<double>(config.num_sweeps - 1))
+            : 1.0;
+    sv::metropolis_engine engine;
+    q::bit_vector start;
+    sv::sample_set out;
+    for (std::size_t read = 0; read < config.num_reads; ++read) {
+        rng.bits_into(m.num_variables(), start);
+        engine.reset(m, start);
+        double temperature = t_hot;
+        for (std::size_t s = 0; s < config.num_sweeps; ++s) {
+            engine.sweep(temperature, rng);
+            temperature *= ratio;
+        }
+        out.add(engine.state(), engine.energy());
+    }
+    return out;
+}
+
+sv::sample_set pt_reference_samples(const sv::pt_config& config, const q::qubo_model& m,
+                                    hcq::util::rng& rng) {
+    const double scale = std::max(m.max_abs_coefficient(), 1e-12);
+    const std::size_t r = config.num_replicas;
+    std::vector<double> temperature(r);
+    const double t_hot = config.hot_fraction * scale;
+    const double t_cold = config.cold_fraction * scale;
+    const double ratio = std::pow(t_cold / t_hot, 1.0 / static_cast<double>(r - 1));
+    for (std::size_t k = 0; k < r; ++k) {
+        temperature[k] = t_hot * std::pow(ratio, static_cast<double>(k));
+    }
+    std::vector<std::unique_ptr<sv::metropolis_engine>> replicas;
+    for (std::size_t k = 0; k < r; ++k) {
+        replicas.push_back(
+            std::make_unique<sv::metropolis_engine>(m, rng.bits(m.num_variables())));
+    }
+    sv::sample_set out;
+    q::bit_vector held = replicas.back()->state();
+    double held_energy = replicas.back()->energy();
+    for (std::size_t round = 0; round < config.num_rounds; ++round) {
+        for (std::size_t k = 0; k < r; ++k) {
+            for (std::size_t s = 0; s < config.sweeps_per_round; ++s) {
+                replicas[k]->sweep(temperature[k], rng);
+            }
+        }
+        for (std::size_t k = round % 2; k + 1 < r; k += 2) {
+            const double beta_a = 1.0 / temperature[k];
+            const double beta_b = 1.0 / temperature[k + 1];
+            const double delta =
+                (beta_b - beta_a) * (replicas[k + 1]->energy() - replicas[k]->energy());
+            if (delta >= 0.0 || rng.uniform() < std::exp(delta)) {
+                std::swap(replicas[k], replicas[k + 1]);
+            }
+        }
+        out.add(replicas.back()->state(), replicas.back()->energy());
+        for (const auto& rep : replicas) {
+            if (rep->energy() < held_energy) {
+                held_energy = rep->energy();
+                held = rep->state();
+            }
+        }
+    }
+    out.add(held, held_energy);
+    return out;
+}
+
+/// Seeded random QUBOs, ferromagnetic chains with no field (all-zeros and
+/// all-ones both ground states), and all-zero models (every state ties).
+std::vector<q::qubo_model> selection_inputs() {
+    std::vector<q::qubo_model> models;
+    hcq::util::rng rng(2024);
+    for (std::size_t i = 0; i < 40; ++i) {
+        models.push_back(q::random_qubo(rng, 3 + i % 12, 0.7, -1.0, 1.0));
+    }
+    for (std::size_t n = 2; n <= 11; ++n) {
+        models.push_back(q::to_qubo(q::ferromagnetic_chain(n, -1.0, 0.0)));
+    }
+    for (std::size_t n = 1; n <= 6; ++n) models.emplace_back(n);
+    return models;
+}
+
+template <typename Reference>
+void expect_best_of_reference(const sv::solver& solver, Reference&& reference) {
+    const auto models = selection_inputs();
+    for (std::size_t i = 0; i < models.size(); ++i) {
+        SCOPED_TRACE("input " + std::to_string(i));
+        hcq::util::rng want_rng(hcq::util::rng(77).derive(i)());
+        hcq::util::rng got_rng = want_rng;
+        const sv::sample want = reference(models[i], want_rng).best();
+        const sv::sample got = solve_best(solver, models[i], got_rng);
+        EXPECT_EQ(got.bits, want.bits);
+        EXPECT_EQ(got.energy, want.energy);
+        EXPECT_EQ(got_rng(), want_rng());
+    }
+}
+
+TEST(BestOnlySelection, SimulatedAnnealingKeepsTheBestOfItsReads) {
+    for (const sv::sa_config config :
+         {sv::sa_config{.num_reads = 6, .num_sweeps = 4},
+          sv::sa_config{.num_reads = 3, .num_sweeps = 1, .hot_fraction = 0.5},
+          sv::sa_config{.num_reads = 5, .num_sweeps = 40}}) {
+        expect_best_of_reference(sv::simulated_annealing(config),
+                                 [&](const q::qubo_model& m, hcq::util::rng& rng) {
+                                     return sa_reference_samples(config, m, rng);
+                                 });
+    }
+}
+
+TEST(BestOnlySelection, ParallelTemperingKeepsTheBestColdStateUnlessBeaten) {
+    for (const sv::pt_config config :
+         {sv::pt_config{.num_replicas = 4, .num_rounds = 6, .sweeps_per_round = 1},
+          sv::pt_config{.num_replicas = 3, .num_rounds = 1, .sweeps_per_round = 1},
+          sv::pt_config{}}) {
+        expect_best_of_reference(sv::parallel_tempering(config),
+                                 [&](const q::qubo_model& m, hcq::util::rng& rng) {
+                                     return pt_reference_samples(config, m, rng);
+                                 });
+    }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -341,13 +342,13 @@ flag_set parse(std::initializer_list<const char*> args) {
 
 TEST(Cli, ParsesEqualsForm) {
     const auto flags = parse({"--reads=100", "--sp=0.41"});
-    EXPECT_EQ(flags.get_int("reads", 0), 100);
+    EXPECT_EQ(flags.get_size("reads", 0), 100);
     EXPECT_DOUBLE_EQ(flags.get_double("sp", 0.0), 0.41);
 }
 
 TEST(Cli, ParsesSpaceForm) {
     const auto flags = parse({"--reads", "250"});
-    EXPECT_EQ(flags.get_int("reads", 0), 250);
+    EXPECT_EQ(flags.get_size("reads", 0), 250);
 }
 
 TEST(Cli, BareBooleanFlag) {
@@ -358,7 +359,7 @@ TEST(Cli, BareBooleanFlag) {
 
 TEST(Cli, FallbacksWhenMissing) {
     const auto flags = parse({});
-    EXPECT_EQ(flags.get_int("reads", 7), 7);
+    EXPECT_EQ(flags.get_size("reads", 7), 7);
     EXPECT_EQ(flags.get_string("mode", "auto"), "auto");
 }
 
@@ -371,22 +372,33 @@ TEST(Cli, PositionalCollected) {
 
 TEST(Cli, RejectsMalformedNumbers) {
     const auto flags = parse({"--reads=abc"});
-    EXPECT_THROW((void)flags.get_int("reads", 0), std::invalid_argument);
+    EXPECT_THROW((void)flags.get_size("reads", 0), std::invalid_argument);
     EXPECT_THROW((void)flags.get_double("reads", 0.0), std::invalid_argument);
     EXPECT_THROW((void)flags.get_bool("reads", false), std::invalid_argument);
+
+    // Trailing text and negative counts are errors, not prefixes or wraps.
+    const auto trailing = parse({"--uses=12abc", "--load=0.9x", "--count=-1"});
+    EXPECT_THROW((void)trailing.get_size("uses", 0), std::invalid_argument);
+    EXPECT_THROW((void)trailing.get_double("load", 0.0), std::invalid_argument);
+    EXPECT_THROW((void)trailing.get_size("count", 0), std::invalid_argument);
+    try {
+        (void)trailing.get_size("count", 0);
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("--count"), std::string::npos);
+    }
 }
 
 TEST(Cli, EnvironmentFallback) {
     ::setenv("HCQ_TEST_ENV_FLAG", "41", 1);
     const auto flags = parse({});
-    EXPECT_EQ(flags.get_int("test-env-flag", 0), 41);
+    EXPECT_EQ(flags.get_size("test-env-flag", 0), 41);
     ::unsetenv("HCQ_TEST_ENV_FLAG");
 }
 
 TEST(Cli, CommandLineBeatsEnvironment) {
     ::setenv("HCQ_PRIORITY", "1", 1);
     const auto flags = parse({"--priority=2"});
-    EXPECT_EQ(flags.get_int("priority", 0), 2);
+    EXPECT_EQ(flags.get_size("priority", 0), 2);
     ::unsetenv("HCQ_PRIORITY");
 }
 

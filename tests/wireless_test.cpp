@@ -8,6 +8,7 @@
 #include <set>
 
 #include "wireless/channel.h"
+#include "wireless/channel_spec.h"
 #include "wireless/mimo.h"
 #include "wireless/modulation.h"
 
@@ -352,6 +353,22 @@ TEST(Mimo, DeterministicGivenSeed) {
     const auto i2 = wl::noiseless_paper_instance(b, 3, modulation::qpsk);
     EXPECT_EQ(i1.tx_bits, i2.tx_bits);
     EXPECT_NEAR((i1.h - i2.h).norm_fro(), 0.0, 0.0);
+}
+
+TEST(ChannelSpec, ProcessIsBuiltFromTheSpecAsGiven) {
+    // A spec's values reach the frozen taps unrounded: use_rate_hz = 1000/3
+    // is not its 15-digit reprint, while the 17-digit text of 1000/3 is.
+    auto exact = wl::channel_spec::parse("jakes:doppler_hz=5");
+    exact.use_rate_hz = 1000.0 / 3;
+    const auto reprint = wl::channel_spec::parse("jakes:doppler_hz=5,use_rate_hz=333.333333333333");
+    const auto full = wl::channel_spec::parse("jakes:doppler_hz=5,use_rate_hz=333.33333333333331");
+    const auto h_at = [](const wl::channel_spec& spec) {
+        hcq::util::rng use_rng(1);
+        return wl::make_channel_process(spec, 2, 2, hcq::util::rng(9))->at(1e6, use_rng);
+    };
+    const auto h_exact = h_at(exact);
+    EXPECT_GT((h_exact - h_at(reprint)).norm_fro(), 0.0);
+    EXPECT_EQ((h_exact - h_at(full)).norm_fro(), 0.0);
 }
 
 }  // namespace
