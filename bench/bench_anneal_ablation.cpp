@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
                         "FA p* @best sp", "RA window contrast"});
 
     std::vector<std::array<double, 4>> results(variants.size());
-    hcq::util::parallel_for(variants.size(), [&](std::size_t v) {
+    hcq::util::pool_for_each(variants.size(), [&](std::size_t v) {
         const an::annealer_emulator device(variants[v].config);
         const double tp = variants[v].t_p;
         hcq::metrics::running_stats ra_best, fa_best, ra_high;

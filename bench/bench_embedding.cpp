@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
     };
     std::vector<row_data> rows(strengths.size());
 
-    hcq::util::parallel_for(strengths.size(), [&](std::size_t k) {
+    hcq::util::pool_for_each(strengths.size(), [&](std::size_t k) {
         for (std::size_t i = 0; i < instances; ++i) {
             hcq::util::rng rng(hcq::util::rng(ctx.seed + 7 * k).derive(i)());
             const auto e = hy::make_paper_instance(rng, users, mod);

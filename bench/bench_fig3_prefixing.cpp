@@ -27,7 +27,7 @@ struct cell {
 cell measure(std::uint64_t seed, std::size_t num_users, wl::modulation mod,
              std::size_t num_instances, bool iterate) {
     std::vector<std::size_t> fixed_counts(num_instances, 0);
-    hcq::util::parallel_for(num_instances, [&](std::size_t i) {
+    hcq::util::pool_for_each(num_instances, [&](std::size_t i) {
         hcq::util::rng rng(hcq::util::rng(seed).derive(i * 4096 + num_users * 8 +
                                                        static_cast<std::size_t>(mod))());
         const auto inst = wl::noiseless_paper_instance(rng, num_users, mod);

@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
         double optimum_rate[3] = {0.0, 0.0, 0.0};
         double chosen_sp[3] = {0.0, 0.0, 0.0};
 
-        hcq::util::parallel_for(algos.size(), [&](std::size_t a) {
+        hcq::util::pool_for_each(algos.size(), [&](std::size_t a) {
             const algorithm algo = algos[a];
             double total = 0.0;
             double sp_total = 0.0;

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
             harvested[b] += bins.states[b].size();
             const std::size_t use = std::min(states_per_bin, bins.states[b].size());
             std::vector<hy::schedule_eval> evals(use);
-            hcq::util::parallel_for(use, [&](std::size_t s) {
+            hcq::util::pool_for_each(use, [&](std::size_t s) {
                 hcq::util::rng srng(hcq::util::rng(ctx.seed + 31 * i).derive(b * 1000 + s)());
                 evals[s] = hy::evaluate_schedule(device, e.reduced.model,
                                                  an::anneal_schedule::reverse(sp, 1.0), reads,

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     };
     std::vector<row> rows(grid.size());
 
-    hcq::util::parallel_for(grid.size(), [&](std::size_t g) {
+    hcq::util::pool_for_each(grid.size(), [&](std::size_t g) {
         const double sp = grid[g];
         row& r = rows[g];
         r.sp = sp;

@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
         const auto corpus =
             hy::make_paper_corpus(ctx.seed + 500, instances, 8, wl::modulation::qam16);
         std::vector<outcome> outcomes(instances);
-        hcq::util::parallel_for(instances, [&](std::size_t i) {
+        hcq::util::pool_for_each(instances, [&](std::size_t i) {
             hcq::util::rng rng(hcq::util::rng(ctx.seed + 17).derive(i)());
             outcomes[i] = best_parameter_duel(device, corpus[i], reads, rng);
         });
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
         const auto corpus = hy::make_paper_corpus(ctx.seed + static_cast<std::uint64_t>(mod),
                                                   instances, users, mod);
         std::vector<outcome> outcomes(instances);
-        hcq::util::parallel_for(instances, [&](std::size_t i) {
+        hcq::util::pool_for_each(instances, [&](std::size_t i) {
             hcq::util::rng rng(hcq::util::rng(ctx.seed + 29).derive(i)());
             outcomes[i] = best_parameter_duel(device, corpus[i], reads, rng);
         });

@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
         };
         std::vector<agg> aggs(inits.size());
 
-        hcq::util::parallel_for(inits.size(), [&](std::size_t k) {
+        hcq::util::pool_for_each(inits.size(), [&](std::size_t k) {
             for (std::size_t i = 0; i < corpus.size(); ++i) {
                 const auto& e = corpus[i];
                 hcq::util::rng rng(hcq::util::rng(ctx.seed + 91 * k).derive(i)());

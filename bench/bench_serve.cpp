@@ -19,6 +19,9 @@
 //   --workers=4        server worker threads
 //   --capacity=8       admission-queue slots (small, to make shedding visible)
 //   --connections=4    loadgen connections
+#include <cstdint>
+#include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -33,7 +36,13 @@ int main(int argc, char** argv) {
                "Kim et al., HotNets'20, Section 3 (pipeline, taken to the wire)");
 
     const std::string spec = ctx.flags.get_string("spec", "kxra:k=4");
-    const auto uses = static_cast<std::uint32_t>(ctx.flags.get_size("uses", 32));
+    const std::size_t uses_flag = ctx.flags.get_size("uses", 32);
+    if (uses_flag > std::numeric_limits<std::uint32_t>::max()) {
+        std::cerr << "bench_serve: --uses must be at most "
+                  << std::numeric_limits<std::uint32_t>::max() << ", got " << uses_flag << "\n";
+        return 2;
+    }
+    const auto uses = static_cast<std::uint32_t>(uses_flag);
     const auto workers = ctx.flags.get_size("workers", 4);
     const auto capacity = ctx.flags.get_size("capacity", 8);
     const auto connections = ctx.flags.get_size("connections", 4);

@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
     const an::annealer_emulator device;
     const auto zf_path = hcq::paths::registry::make("zf");
 
-    hcq::util::parallel_for(strengths.size(), [&](std::size_t k) {
-        hcq::paths::workspace ws;  // one per task: parallel_for runs tasks concurrently
+    hcq::util::pool_for_each(strengths.size(), [&](std::size_t k) {
+        hcq::paths::workspace ws;  // one per task: pool_for_each runs tasks concurrently
         for (std::size_t i = 0; i < instances; ++i) {
             hcq::util::rng rng(hcq::util::rng(ctx.seed + 11 * k).derive(i)());
             wl::mimo_config config;

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     for (const double snr_db : {8.0, 12.0, 16.0, 20.0, 24.0}) {
         std::vector<metrics::ber_counter> frame_counters(frames * (detectors.size() + 1));
 
-        util::parallel_for(frames, [&](std::size_t f) {
+        util::pool_for_each(frames, [&](std::size_t f) {
             util::rng rng(util::rng(99).derive(f * 100 + static_cast<std::size_t>(snr_db))());
             wireless::mimo_config config;
             config.mod = mod;

@@ -11,7 +11,7 @@
 //
 // Usage: ./examples/detect_server
 //   [--port=7788] [--workers=4] [--buffer=256]
-//   [--policy=block|drop-oldest|drop-newest] [--backend=epoll|poll]
+//   [--policy=block|drop-oldest|drop-newest]
 //   [--paths=kxra:k=4] [--channel=jakes:doppler_hz=5]
 //   [--run_s=0 (0 = until SIGINT/SIGTERM)] [--help]
 #include <atomic>
@@ -43,7 +43,6 @@ int main(int argc, char** argv) try {
                      "         block: full queue pauses socket reads (TCP backpressure)\n"
                      "         drop-newest: full queue answers BUSY immediately\n"
                      "         drop-oldest: evict the longest-waiting request with BUSY\n"
-                     "       --backend=epoll|poll (readiness multiplexer)\n"
                      "       --paths=<spec,...>  pre-resolve these specs at startup\n"
                      "       --channel=<spec>    validate a channel spec at startup\n"
                      "       --run_s=0           serve for N seconds (0 = until signal)\n\n"
@@ -62,16 +61,6 @@ int main(int argc, char** argv) try {
     config.num_workers = flags.get_size("workers", 4);
     config.admission_capacity = flags.get_size("buffer", 256);
     config.policy = pipeline::parse_backpressure(flags.get_string("policy", "block"));
-    const std::string backend = flags.get_string("backend", "");
-    if (backend == "epoll") {
-        config.poll_backend = serve::poller::backend::epoll_backend;
-    } else if (backend == "poll") {
-        config.poll_backend = serve::poller::backend::poll_backend;
-    } else if (!backend.empty()) {
-        std::cerr << "detect_server: unknown --backend '" << backend
-                  << "' (accepted: epoll, poll)\n";
-        return 2;
-    }
 
     // Fail fast on a bad bank or channel spec before binding the port.
     if (flags.has("paths")) {
@@ -91,10 +80,7 @@ int main(int argc, char** argv) try {
     std::cout << "detect_server listening on 127.0.0.1:" << server.port() << " ("
               << config.num_workers << " workers, admission "
               << config.admission_capacity << " slots, policy "
-              << pipeline::to_string(config.policy) << ", "
-              << (config.poll_backend == serve::poller::backend::epoll_backend ? "epoll"
-                                                                               : "poll")
-              << ")\n";
+              << pipeline::to_string(config.policy) << ")\n";
 
     std::signal(SIGINT, on_signal);
     std::signal(SIGTERM, on_signal);

@@ -17,8 +17,11 @@
 //   [--snr=16] [--noiseless] [--channel=<spec>] [--deadline_us=0] [--seed=1]
 //   [--workers=4] [--buffer=256] [--policy=block|drop-oldest|drop-newest]
 //   [--help]
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <utility>
 
 #include "paths/registry.h"
 #include "serve/client.h"
@@ -70,10 +73,21 @@ int main(int argc, char** argv) try {
     config.duration_s = flags.get_double("duration_s", 1.0);
     config.seed = flags.get_size("seed", 1);
 
+    // Both travel as 32-bit request fields: reject what would wrap.
+    const std::size_t uses = flags.get_size("uses", 32);
+    const std::size_t users = flags.get_size("users", 4);
+    for (const auto& [flag, value] : {std::pair{"uses", uses}, std::pair{"users", users}}) {
+        if (value > std::numeric_limits<std::uint32_t>::max()) {
+            std::cerr << "serve_loadgen: --" << flag << " must be at most "
+                      << std::numeric_limits<std::uint32_t>::max() << ", got " << value << "\n";
+            return 2;
+        }
+    }
+
     serve::request& req = config.request_template;
     req.seed = config.seed;
-    req.num_uses = static_cast<std::uint32_t>(flags.get_size("uses", 32));
-    req.num_users = static_cast<std::uint32_t>(flags.get_size("users", 4));
+    req.num_uses = static_cast<std::uint32_t>(uses);
+    req.num_users = static_cast<std::uint32_t>(users);
     req.snr_db = flags.get_double("snr", 16.0);
     req.noiseless = flags.get_bool("noiseless", false);
     req.mod = flags.get_string("mod", "qam16");

@@ -34,9 +34,6 @@ public:
     /// Lowest-energy sample; throws std::logic_error when empty.
     [[nodiscard]] const sample& best() const;
 
-    /// Mean sample energy; throws std::logic_error when empty.
-    [[nodiscard]] double mean_energy() const;
-
     /// Number of samples with energy <= reference + tolerance (the
     /// ground-state hit count when `reference` is the optimum).
     [[nodiscard]] std::size_t count_at_or_below(double reference, double tolerance = 1e-6) const;
@@ -44,9 +41,6 @@ public:
     /// Fraction of samples at or below the reference energy — the paper's
     /// per-anneal success probability p*.
     [[nodiscard]] double success_probability(double reference, double tolerance = 1e-6) const;
-
-    /// All energies, in insertion order (for distribution plots).
-    [[nodiscard]] std::vector<double> energies() const;
 
 private:
     std::vector<sample> samples_;

@@ -42,46 +42,6 @@ std::size_t quality_binned_states::total() const {
     return acc;
 }
 
-quality_binned_states harvest_initial_states(const experiment_instance& e,
-                                             double bin_width_percent, double max_percent,
-                                             std::size_t attempts, util::rng& rng) {
-    if (bin_width_percent <= 0.0 || max_percent <= 0.0) {
-        throw std::invalid_argument("harvest_initial_states: bad bin parameters");
-    }
-    const std::size_t n = e.num_variables();
-    quality_binned_states out;
-    out.bin_width_percent = bin_width_percent;
-    out.max_percent = max_percent;
-    out.states.resize(
-        static_cast<std::size_t>(std::ceil(max_percent / bin_width_percent)));
-
-    const auto consider = [&](qubo::bit_vector bits) {
-        const double energy = e.reduced.model.energy(bits);
-        const double gap = metrics::delta_e_percent(energy, e.optimal_energy);
-        // The paper's quality bins cover 0 < Delta-E_IS% (the Delta-E_IS = 0
-        // case is the separately-studied ground-state reference).
-        if (gap <= 1e-9 || gap >= max_percent) return;
-        const std::size_t bin = metrics::delta_e_bin(gap, bin_width_percent);
-        if (bin < out.states.size()) out.states[bin].push_back(std::move(bits));
-    };
-
-    for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
-        if (attempt % 2 == 0) {
-            // Perturbation walk: flip 1..n/3 random distinct bits of the optimum.
-            qubo::bit_vector bits = e.optimal_bits;
-            const std::size_t max_flips = std::max<std::size_t>(1, n / 3);
-            const std::size_t flips = 1 + rng.uniform_index(max_flips);
-            for (std::size_t f = 0; f < flips; ++f) {
-                bits[rng.uniform_index(n)] ^= 1U;
-            }
-            consider(std::move(bits));
-        } else {
-            consider(rng.bits(n));
-        }
-    }
-    return out;
-}
-
 quality_binned_states harvest_annealer_states(const experiment_instance& e,
                                               const anneal::annealer_emulator& device,
                                               double bin_width_percent, double max_percent,

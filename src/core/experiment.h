@@ -62,18 +62,6 @@ struct quality_binned_states {
     [[nodiscard]] std::size_t total() const;
 };
 
-/// Harvests candidate initial states by random perturbation walks away from
-/// the optimum plus uniform sampling, keeping those with Delta-E_IS% below
-/// `max_percent`.  Cheap and deterministic in budget, but perturbation
-/// states are not locally relaxed — their wrong bits are often trivial to
-/// repair regardless of the bin, so prefer `harvest_annealer_states` for the
-/// Figure-7/8 quality studies.
-[[nodiscard]] quality_binned_states harvest_initial_states(const experiment_instance& e,
-                                                           double bin_width_percent,
-                                                           double max_percent,
-                                                           std::size_t attempts,
-                                                           util::rng& rng);
-
 /// Harvests candidate initial states the way the paper does (Section 4.3:
 /// "We obtain sample states of various Delta-E_IS% using over 750,000
 /// samples"): forward-anneal the device across a range of pause locations

@@ -1,3 +1,5 @@
+// hcq-hot-path: steady-state code in this file must not allocate — reuse
+// workspace scratch (enforced by the hot-path-alloc lint rule).
 #include "detect/transform.h"
 
 #include <cmath>

@@ -11,34 +11,10 @@
 #include "paths/registry.h"
 #include "paths/workspace.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
-#include "wireless/mimo.h"
 #include "wireless/soft.h"
 
 namespace hcq::link {
 namespace {
-
-// Stream-id tags keeping channel-use synthesis draws disjoint from solver
-// draws; the canonical values live in link_sim.h (stream_domains) because
-// the serving front end derives from the same domains to reproduce served
-// batches bit-for-bit.
-//
-// ARQ retransmission streams: attempt r of use u draws from
-// derive(arq_*_domain).derive(u [* num_paths + p]).derive(r) — globally
-// indexed, so ARQ counters inherit the thread-count / stream-block
-// invariance, and disjoint from the open-loop streams, so enabling
-// ARQ never perturbs the golden open-loop statistics.
-//
-// Correlated-fading tap parameters (wireless/channel_spec.h) freeze from the
-// fading stream — disjoint from every domain above, so configuring a channel
-// spec never perturbs the synthesis/solve draws, and `--channel` unset
-// stays byte-identical to the pre-spec implementation.
-constexpr std::uint64_t synth_stream_domain = stream_domains::synthesis;
-constexpr std::uint64_t solve_stream_domain = stream_domains::solve;
-constexpr std::uint64_t arq_synth_domain = stream_domains::arq_synthesis;
-constexpr std::uint64_t arq_solve_domain = stream_domains::arq_solve;
-constexpr std::uint64_t fading_stream_domain = stream_domains::fading;
-constexpr std::uint64_t fec_stream_domain = stream_domains::fec;
 
 // An ARQ retransmission goes back on the air one channel use after the
 // attempt it repeats: attempt r of frame u sees the fading process at
@@ -100,14 +76,6 @@ replay_setup build_replay(const path_report& path, const link_config& config) {
     return setup;
 }
 
-pipeline::simulation_result replay_traces(const path_report& path, const link_config& config) {
-    const replay_setup setup = build_replay(path, config);
-    util::rng arrivals_rng(config.seed);  // unused by deterministic arrivals
-    return pipeline::simulate(setup.stages, config.num_uses,
-                              {.interarrival_us = setup.interarrival_us}, arrivals_rng,
-                              setup.options);
-}
-
 /// Per-(frame, path) outcome of the frame chain — the attempt-0 verdict plus
 /// the ARQ retransmissions when engaged — filled by the pool workers and
 /// folded serially.  An uncoded frame is one channel use.  Memory is
@@ -121,30 +89,36 @@ struct frame_cell {
     std::vector<double> retx_service_us;  ///< measured service per retransmission
 };
 
+/// What the serial fold needs of one attempt-0 channel use: its measured
+/// front-end times and the bits it carried.
+struct use_record {
+    double synth_us = 0.0;
+    double reduce_us = 0.0;  ///< 0 when no path needs the reduction
+    qubo::bit_vector tx_bits;
+};
+
 /// Everything one pool slot reuses across windows.  util::thread_pool::
 /// for_each_slot hands a slot to one thread at a time, so none of this is
-/// locked; and none of it is a statistic — which slot runs a cell never
-/// changes what the cell computes.
+/// locked; and none of it is a statistic — which slot runs a frame never
+/// changes what the frame computes.
 struct worker {
     paths::workspace ws;
     std::optional<fec::codec> codec;     ///< coded links: trellis tables + decode scratch
+    qubo::bit_vector coded;              ///< the current frame's coded bits
     std::vector<std::uint8_t> use_bits;  ///< one use's zero-padded coded bits
     std::vector<double> llrs;            ///< one attempt's frame LLRs
     std::vector<double> combined_llrs;   ///< chase-combining accumulator
     std::vector<std::uint8_t> decoded;   ///< retransmission decode
 
-    /// The current frame's retransmitted uses, attempt-major
-    /// ([(r - 1) * uses_per_frame + j]): synthesised once per attempt and
-    /// reduced at most once, however many paths retransmit the frame.
-    std::vector<wireless::mimo_instance> retx_instances;
-    std::vector<detect::ml_qubo> retx_mqs;
-    std::vector<double> retx_reduce_us;
+    /// The current frame's uses, attempt-major ([attempt * uses_per_frame +
+    /// j]): synthesised once per attempt and reduced at most once, however
+    /// many paths run the attempt.
+    std::vector<wireless::mimo_instance> uses;
+    std::vector<detect::ml_qubo> mqs;
+    std::vector<double> reduce_us;
     std::size_t attempts_synthesized = 0;          ///< of the current frame
     std::size_t attempts_reduced = 0;              ///< of the current frame
-    std::vector<paths::path_result> retx_results;  ///< one attempt's per-use results
-
-    std::vector<util::rng> rngs;            ///< one detection batch's solve streams
-    std::vector<paths::path_context> ctxs;  ///< one detection batch's contexts
+    std::vector<paths::path_result> retx_results;  ///< one retransmission's per-use results
 };
 
 /// Coded bits of use `j` of a frame, zero-padded to a whole channel use (the
@@ -229,8 +203,6 @@ link_report run_link_simulation(const link_config& config) {
     }
 
     const std::size_t num_paths = paths.size();
-    const bool needs_qubo = std::any_of(paths.begin(), paths.end(),
-                                        [](const auto& path) { return path->needs_qubo(); });
 
     // Replay samples stride uniformly across the stream so long replays are
     // not driven by warm-up-era service times alone.
@@ -280,30 +252,31 @@ link_report run_link_simulation(const link_config& config) {
         }
     }
 
-    const util::rng synth_base = util::rng(config.seed).derive(synth_stream_domain);
-    const util::rng solve_base = util::rng(config.seed).derive(solve_stream_domain);
-    const util::rng arq_synth_base = util::rng(config.seed).derive(arq_synth_domain);
-    const util::rng arq_solve_base = util::rng(config.seed).derive(arq_solve_domain);
-    const util::rng fec_base = util::rng(config.seed).derive(fec_stream_domain);
+    // Stream bases (link/use_kernel.h).  Attempt r of use u retransmits from
+    // derive(arq_*).derive(u [* num_paths + p]).derive(r) — globally indexed,
+    // so ARQ counters inherit the thread-count / stream-block invariance, and
+    // disjoint from the open-loop streams, so enabling ARQ never perturbs the
+    // golden open-loop statistics.
+    const util::rng synth_base = util::rng(config.seed).derive(stream_domains::synthesis);
+    const util::rng solve_base = util::rng(config.seed).derive(stream_domains::solve);
+    const util::rng arq_synth_base = util::rng(config.seed).derive(stream_domains::arq_synthesis);
+    const util::rng arq_solve_base = util::rng(config.seed).derive(stream_domains::arq_solve);
+    const util::rng fec_base = util::rng(config.seed).derive(stream_domains::fec);
 
-    // Channel resolution: one frozen realisation per run (correlated taps
-    // drawn from the dedicated fading domain), plus the spec's SNR override
-    // and CSI estimation-error variance.  With no spec, the i.i.d. process
-    // of `config.channel` stands in — byte-identical to the plain channel
-    // draw by the channel_spec.h contract — so every synthesis is one call.
-    const wireless::channel_spec channel =
+    // Channel resolution: the spec, or the i.i.d. process of
+    // `config.channel` standing in for it — byte-identical to the plain
+    // channel draw by the channel_spec.h contract.
+    const use_kernel kernel(
         config.channel_spec ? *config.channel_spec
-                            : wireless::channel_spec::parse(wireless::to_string(config.channel));
-    const auto process = wireless::make_channel_process(
-        channel, config.num_users, config.num_users,
-        util::rng(config.seed).derive(fading_stream_domain));
+                            : wireless::channel_spec::parse(wireless::to_string(config.channel)),
+        config.mod, config.num_users, config.noiseless, config.snr_db, config.seed);
 
     // Frame geometry.  An uncoded frame is one channel use.  One coded frame
     // (rows x cols interleaved bits) spans ceil(coded_bits / bits_per_use)
     // consecutive channel uses with the final use zero-padded; the stream
     // must carry whole frames.
     const bool coded = config.fec.has_value();
-    const std::size_t bits_per_use = config.num_users * wireless::bits_per_symbol(config.mod);
+    const std::size_t bits_per_use = kernel.bits_per_use();
     const std::size_t coded_bits = coded ? config.fec->coded_bits() : 0;
     const std::size_t uses_per_frame =
         coded ? (coded_bits + bits_per_use - 1) / bits_per_use : 1;
@@ -317,14 +290,9 @@ link_report run_link_simulation(const link_config& config) {
     const std::size_t max_retx = config.arq ? config.arq->max_retx : 0;
     const bool chase = config.arq && config.arq->combining == arq::combining_mode::chase;
 
-    // The stream is processed in fixed-size windows of whole frames, each in
-    // three phases with a barrier between them: (A) synthesise every frame's
-    // uses and build the shared QUBO reductions, (B) run every (path, use)
-    // detection cell batched through detection_path::run_block — plus the
-    // soft_output call a coded frame's decode needs — and (C) run every
-    // (frame, path) chain: the attempt-0 verdict and the ARQ
-    // retransmissions.  Workers fill disjoint slots in parallel, then the
-    // window is folded serially in use and frame order into the
+    // The stream is processed in fixed-size windows of whole frames.  Each
+    // window is one pool pass, one task per frame, filling disjoint slots;
+    // then the window is folded serially in use and frame order into the
     // constant-size aggregates above.  All buffers below persist across
     // windows, so after the first window the steady state reuses their
     // capacity; peak memory is O(stream_block x paths), independent of
@@ -335,27 +303,10 @@ link_report run_link_simulation(const link_config& config) {
         std::max(uses_per_frame,
                  std::min(config.stream_block, config.num_uses) / uses_per_frame * uses_per_frame);
     const std::size_t frames_per_block = block / uses_per_frame;
-    std::vector<wireless::mimo_instance> instances(block);
-    std::vector<detect::ml_qubo> mqs(block);
-    std::vector<double> synth_us(block, 0.0);
-    std::vector<double> reduce_us(block, 0.0);
+    std::vector<use_record> records(block);
     std::vector<paths::path_result> cells(num_paths * block);  // path-major: [p * block + i]
     std::vector<qubo::bit_vector> frame_info(frames_per_block);
-    std::vector<qubo::bit_vector> frame_coded(frames_per_block);
     std::vector<frame_cell> frame_cells(num_paths * frames_per_block);  // [p * frames + f]
-
-    const wireless::mimo_config mimo = [&] {
-        wireless::mimo_config m;
-        m.mod = config.mod;
-        m.num_users = config.num_users;
-        m.num_antennas = config.num_users;
-        m.noise_variance =
-            config.noiseless
-                ? 0.0
-                : wireless::noise_variance_for_snr(config.mod, config.num_users,
-                                                   channel.snr_db.value_or(config.snr_db));
-        return m;
-    }();
 
     // Per-path length of the error run currently open in the serial fold —
     // carried across windows so burst statistics are stream_block-invariant.
@@ -364,113 +315,61 @@ link_report run_link_simulation(const link_config& config) {
     // One pool for the whole stream and one worker per pool slot;
     // num_threads == 1 degrades to a serial loop on worker 0.
     std::optional<util::thread_pool> pool;
-    if (config.num_threads != 1 && block > 1) pool.emplace(config.num_threads);
+    if (config.num_threads != 1 && frames_per_block > 1) pool.emplace(config.num_threads);
     std::vector<worker> workers(pool ? pool->size() : 1);
     for (worker& w : workers) {
         if (coded) w.codec.emplace(*config.fec);
-        w.retx_instances.resize(max_retx * uses_per_frame);
-        w.retx_mqs.resize(max_retx * uses_per_frame);
-        w.retx_reduce_us.resize(max_retx * uses_per_frame);
+        w.uses.resize((max_retx + 1) * uses_per_frame);
+        w.mqs.resize((max_retx + 1) * uses_per_frame);
+        w.reduce_us.resize((max_retx + 1) * uses_per_frame);
         w.retx_results.resize(uses_per_frame);
     }
-    const auto run_all = [&](std::size_t count, const auto& task) {
-        if (pool && count > 1) {
-            pool->for_each_slot(count,
-                                [&](std::size_t slot, std::size_t i) { task(workers[slot], i); });
-        } else {
-            for (std::size_t i = 0; i < count; ++i) task(workers[0], i);
-        }
-    };
-
-    // Batched detection granularity: one pool task runs run_block over a
-    // chunk of uses, amortising task dispatch while leaving enough tasks
-    // per window for the pool to balance.  Pure scheduling — every cell still draws from its
-    // globally-indexed stream, so the chunk size affects no statistic.
-    constexpr std::size_t run_chunk = 64;
 
     for (std::size_t base = 0; base < config.num_uses; base += block) {
         const std::size_t window = std::min(block, config.num_uses - base);
         const std::size_t window_frames = window / uses_per_frame;
 
-        // The bits use j of frame fi puts on the air: the coded frame's
-        // zero-padded slice, or none — an uncoded use carries its own draw.
-        const auto air_bits = [&](worker& w, std::size_t fi,
-                                  std::size_t j) -> std::span<const std::uint8_t> {
-            if (!coded) return {};
-            pad_use_bits(frame_coded[fi], j, bits_per_use, w.use_bits);
-            return w.use_bits;
-        };
-
-        // Phase A: synthesise the channel uses (channel draw + modulation)
-        // and build the shared QUBO reductions (QuAMax transform) frame at a
-        // time.  A coded frame first draws its information bits from the
-        // fec stream (indexed by GLOBAL frame) and encodes + interleaves
-        // them once; its uses then carry the coded bits in place of the
-        // (still consumed) uniform tx-bit draws.  The reduction is skipped —
-        // trace stays zero — when only conventional detectors are configured.
-        const auto synth_frame = [&](worker& w, std::size_t fi) {
-            if (coded) {
-                util::rng info_rng = fec_base.derive(base / uses_per_frame + fi);
-                info_rng.bits_into(w.codec->info_bits(), frame_info[fi]);
-                w.codec->encode_frame(frame_info[fi], frame_coded[fi]);
-            }
-            for (std::size_t j = 0; j < uses_per_frame; ++j) {
-                const std::size_t i = fi * uses_per_frame + j;
-                const std::size_t u = base + i;
-                util::rng synth_rng = synth_base.derive(u);
-                const std::span<const std::uint8_t> bits = air_bits(w, fi, j);
-                util::timer synth_clock;
-                wireless::synthesize_at_coded_into(synth_rng, mimo, *process,
-                                                   static_cast<double>(u), channel.est_err, bits,
-                                                   instances[i]);
-                synth_us[i] = synth_clock.elapsed_us();
-                reduce_us[i] = 0.0;
-                if (needs_qubo) {
-                    util::timer reduce_clock;
-                    detect::ml_to_qubo_into(instances[i], w.ws.detect.qubo, mqs[i]);
-                    reduce_us[i] = reduce_clock.elapsed_us();
+        // Attempt `attempt` of frame fi on the air, at worker offset
+        // attempt * uses_per_frame: synthesised when the first path asks
+        // for it and QUBO-reduced when the first QUBO path does (paths ask
+        // for attempts in order, so two counters track what exists).
+        // Attempt 0 draws from the use's synthesis stream at t = u; attempt
+        // r from the (use, attempt) ARQ stream, the fading process one lag
+        // later per attempt.  A coded frame puts the same coded bits on the
+        // air every attempt; an uncoded use draws its own.
+        const auto on_air = [&](worker& w, std::size_t fi, std::size_t attempt, bool reduce) {
+            const std::size_t i0 = fi * uses_per_frame;
+            const std::size_t k0 = attempt * uses_per_frame;
+            if (attempt == w.attempts_synthesized) {
+                for (std::size_t j = 0; j < uses_per_frame; ++j) {
+                    const std::size_t u = base + i0 + j;
+                    util::rng rng = attempt == 0 ? synth_base.derive(u)
+                                                 : arq_synth_base.derive(u).derive(attempt);
+                    std::span<const std::uint8_t> bits;
+                    if (coded) {
+                        pad_use_bits(w.coded, j, bits_per_use, w.use_bits);
+                        bits = w.use_bits;
+                    }
+                    const double t =
+                        static_cast<double>(u) + static_cast<double>(attempt) * retx_lag_uses;
+                    const double synth_us = kernel.synthesize(rng, t, bits, w.uses[k0 + j]);
+                    if (attempt == 0) {
+                        records[i0 + j].synth_us = synth_us;
+                        records[i0 + j].reduce_us = 0.0;
+                        records[i0 + j].tx_bits = w.uses[j].tx_bits;
+                    }
                 }
+                ++w.attempts_synthesized;
             }
-        };
-        run_all(window_frames, synth_frame);
-
-        // Runs path p on a batch of uses through run_block into `out`, plus
-        // the soft output a coded frame's decode needs — the detection step
-        // of phase B and of every retransmission attempt.  Each cell draws
-        // from solve_rng(j), a stream indexed by the GLOBAL use, so no
-        // statistic depends on the batching or on which worker — and hence
-        // which workspace — runs it.
-        const auto detect_batch = [&](worker& w, std::size_t p,
-                                      std::span<const wireless::mimo_instance> uses,
-                                      std::span<const detect::ml_qubo> reductions,
-                                      const auto& solve_rng, std::span<paths::path_result> out) {
-            w.rngs.clear();
-            for (std::size_t j = 0; j < uses.size(); ++j) w.rngs.push_back(solve_rng(j));
-            w.ctxs.clear();
-            for (std::size_t j = 0; j < uses.size(); ++j) {
-                const detect::ml_qubo* reduced = path_needs_qubo[p] != 0 ? &reductions[j] : nullptr;
-                w.ctxs.push_back({uses[j], reduced, w.rngs[j], &w.ws});
-            }
-            paths[p]->run_block(w.ctxs, out);
-            if (coded) {
-                for (std::size_t j = 0; j < uses.size(); ++j) {
-                    paths[p]->soft_output(w.ctxs[j], out[j]);
+            if (reduce && attempt == w.attempts_reduced) {
+                for (std::size_t j = 0; j < uses_per_frame; ++j) {
+                    w.reduce_us[k0 + j] = use_kernel::reduce(w.uses[k0 + j], w.ws, w.mqs[k0 + j]);
+                    if (attempt == 0) records[i0 + j].reduce_us = w.reduce_us[j];
                 }
+                ++w.attempts_reduced;
             }
+            return k0;
         };
-
-        // Phase B: every configured path detects every use, in chunks.
-        const std::size_t chunks_per_path = (window + run_chunk - 1) / run_chunk;
-        run_all(num_paths * chunks_per_path, [&](worker& w, std::size_t task) {
-            const std::size_t p = task / chunks_per_path;
-            const std::size_t c0 = (task % chunks_per_path) * run_chunk;
-            const std::size_t n = std::min(run_chunk, window - c0);
-            detect_batch(
-                w, p, std::span<const wireless::mimo_instance>(instances).subspan(c0, n),
-                std::span<const detect::ml_qubo>(mqs).subspan(c0, n),
-                [&](std::size_t j) { return solve_base.derive((base + c0 + j) * num_paths + p); },
-                std::span<paths::path_result>(cells).subspan(p * block + c0, n));
-        });
 
         // The frame's verdict on one attempt.  Beyond which bits go on the
         // air and whether soft output is computed, this is the only place
@@ -481,11 +380,10 @@ link_report run_link_simulation(const link_config& config) {
         // frame's information bits.  Decoding is a pure function of the
         // LLRs and the combining order is the attempt order, so verdicts
         // inherit the invariances.
-        const auto judge = [&](worker& w, std::size_t fi, std::size_t attempt,
-                               std::span<const wireless::mimo_instance> uses,
+        const auto judge = [&](worker& w, std::size_t fi, std::size_t attempt, std::size_t k0,
                                std::span<const paths::path_result> results,
                                std::vector<std::uint8_t>& decoded) {
-            if (!coded) return results[0].bits == uses[0].tx_bits;
+            if (!coded) return results[0].bits == w.uses[k0].tx_bits;
             w.llrs.resize(coded_bits);
             for (std::size_t j = 0; j < uses_per_frame; ++j) {
                 gather_use_llrs(results[j].llrs, j, bits_per_use, coded_bits, w.llrs);
@@ -496,99 +394,77 @@ link_report run_link_simulation(const link_config& config) {
             return decoded == frame_info[fi];
         };
 
-        // Attempt r >= 1 of frame fi on the air: fresh channel uses from the
-        // (use, attempt) synthesis streams — the SAME coded bits on a coded
-        // link, freshly drawn bits on an uncoded one — and the fading
-        // process one lag later per attempt.  Shared across paths like the
-        // open-loop uses: synthesised once per frame and QUBO-reduced at
-        // most once (paths ask for attempts in order, so two counters track
-        // what exists); each path's service still counts the reduction time
-        // its own pipeline would spend.  Returns the attempt's memo offset.
-        const auto retransmit = [&](worker& w, std::size_t fi, std::size_t attempt,
-                                    bool reduce) {
-            const std::size_t k0 = (attempt - 1) * uses_per_frame;
-            if (attempt > w.attempts_synthesized) {
-                for (std::size_t j = 0; j < uses_per_frame; ++j) {
-                    const std::size_t u = base + fi * uses_per_frame + j;
-                    util::rng retx_synth = arq_synth_base.derive(u).derive(attempt);
-                    const std::span<const std::uint8_t> bits = air_bits(w, fi, j);
-                    wireless::synthesize_at_coded_into(
-                        retx_synth, mimo, *process,
-                        static_cast<double>(u) + static_cast<double>(attempt) * retx_lag_uses,
-                        channel.est_err, bits, w.retx_instances[k0 + j]);
-                }
-                w.attempts_synthesized = attempt;
-            }
-            if (reduce && attempt > w.attempts_reduced) {
-                for (std::size_t j = 0; j < uses_per_frame; ++j) {
-                    util::timer reduce_clock;
-                    detect::ml_to_qubo_into(w.retx_instances[k0 + j], w.ws.detect.qubo,
-                                            w.retx_mqs[k0 + j]);
-                    w.retx_reduce_us[k0 + j] = reduce_clock.elapsed_us();
-                }
-                w.attempts_reduced = attempt;
-            }
-            return k0;
-        };
-
-        // Phase C: every (frame, path) chain — attempt 0 is the window's
-        // detection; while arq::needs_retx asks for it, attempt r re-solves
-        // the frame on its retransmitted uses with solve streams indexed by
-        // the GLOBAL (use * num_paths + p, attempt).  Only run when a
-        // verdict is consumed: by the coded statistics or by ARQ.
-        const auto frame_chain = [&](worker& w, std::size_t fi) {
+        // One frame end to end.  A coded frame first draws its information
+        // bits from the fec stream (indexed by GLOBAL frame) and encodes +
+        // interleaves them once.  Then every path runs its chain: attempt 0,
+        // then attempt r while arq::needs_retx asks for it, each detected
+        // with solve streams indexed by the GLOBAL (use * num_paths + p) —
+        // and the attempt — so no statistic depends on which worker, and
+        // hence which workspace, runs the frame.  Attempt 0's results land
+        // in the window's cells for the fold; a retransmission's service
+        // counts the reduction time its own pipeline would spend.
+        const auto run_frame = [&](worker& w, std::size_t fi) {
             const std::size_t i0 = fi * uses_per_frame;
+            if (coded) {
+                util::rng info_rng = fec_base.derive(base / uses_per_frame + fi);
+                info_rng.bits_into(w.codec->info_bits(), frame_info[fi]);
+                w.codec->encode_frame(frame_info[fi], w.coded);
+            }
             w.attempts_synthesized = 0;
             w.attempts_reduced = 0;
             for (std::size_t p = 0; p < num_paths; ++p) {
                 frame_cell& fc = frame_cells[p * frames_per_block + fi];
-                bool ok = judge(w, fi, 0,
-                                std::span<const wireless::mimo_instance>(instances)
-                                    .subspan(i0, uses_per_frame),
-                                std::span<const paths::path_result>(cells).subspan(
-                                    p * block + i0, uses_per_frame),
-                                fc.decoded0);
-                fc.first_ok = ok;
-                fc.wrong = ok ? 0 : 1;
+                const bool wants_qubo = path_needs_qubo[p] != 0;
+                fc.wrong = 0;
                 fc.retx_service_us.clear();  // keeps capacity across windows
                 std::size_t attempt = 0;
-                while (config.arq && arq::needs_retx(*config.arq, ok, attempt)) {
-                    ++attempt;
-                    const bool wants_qubo = path_needs_qubo[p] != 0;
-                    const std::size_t k0 = retransmit(w, fi, attempt, wants_qubo);
-                    const auto uses = std::span<const wireless::mimo_instance>(w.retx_instances)
-                                          .subspan(k0, uses_per_frame);
-                    detect_batch(
-                        w, p, uses,
-                        std::span<const detect::ml_qubo>(w.retx_mqs).subspan(k0, uses_per_frame),
-                        [&](std::size_t j) {
-                            return arq_solve_base.derive((base + i0 + j) * num_paths + p)
-                                .derive(attempt);
-                        },
-                        w.retx_results);
-                    double service_sum = 0.0;
+                bool ok = false;
+                for (;;) {
+                    const std::size_t k0 = on_air(w, fi, attempt, wants_qubo);
+                    const std::span<paths::path_result> results =
+                        attempt == 0 ? std::span<paths::path_result>(cells).subspan(
+                                           p * block + i0, uses_per_frame)
+                                     : std::span<paths::path_result>(w.retx_results);
+                    double service_us = 0.0;
                     for (std::size_t j = 0; j < uses_per_frame; ++j) {
-                        if (wants_qubo) service_sum += w.retx_reduce_us[k0 + j];
-                        for (const auto& st : w.retx_results[j].stages) {
-                            service_sum += st.service_us;
-                        }
+                        const std::size_t solve_cell = (base + i0 + j) * num_paths + p;
+                        util::rng solve_rng =
+                            attempt == 0 ? solve_base.derive(solve_cell)
+                                         : arq_solve_base.derive(solve_cell).derive(attempt);
+                        use_kernel::detect(*paths[p], w.uses[k0 + j],
+                                           wants_qubo ? &w.mqs[k0 + j] : nullptr, solve_rng,
+                                           w.ws, coded, results[j]);
+                        if (wants_qubo) service_us += w.reduce_us[k0 + j];
+                        for (const auto& st : results[j].stages) service_us += st.service_us;
                     }
-                    ok = judge(w, fi, attempt, uses, w.retx_results, w.decoded);
+                    ok = judge(w, fi, attempt, k0, results, attempt == 0 ? fc.decoded0 : w.decoded);
                     if (!ok) ++fc.wrong;
-                    fc.retx_service_us.push_back(service_sum);
+                    if (attempt == 0) {
+                        fc.first_ok = ok;
+                    } else {
+                        fc.retx_service_us.push_back(service_us);
+                    }
+                    if (!config.arq || !arq::needs_retx(*config.arq, ok, attempt)) break;
+                    ++attempt;
                 }
                 fc.attempts = attempt + 1;
                 fc.final_ok = ok;
             }
         };
-        if (coded || config.arq) run_all(window_frames, frame_chain);
+        if (pool && window_frames > 1) {
+            pool->for_each_slot(window_frames, [&](std::size_t slot, std::size_t fi) {
+                run_frame(workers[slot], fi);
+            });
+        } else {
+            for (std::size_t fi = 0; fi < window_frames; ++fi) run_frame(workers[0], fi);
+        }
 
         // Serial aggregation in use order, then in frame order: the merged
         // statistics never depend on the scheduling order above.
         for (std::size_t i = 0; i < window; ++i) {
-            const qubo::bit_vector& tx_bits = instances[i].tx_bits;
-            report.synthesis.add(synth_us[i]);
-            report.reduction.add(reduce_us[i]);
+            const use_record& rec = records[i];
+            report.synthesis.add(rec.synth_us);
+            report.reduction.add(rec.reduce_us);
             for (std::size_t p = 0; p < num_paths; ++p) {
                 path_report& path = report.paths[p];
                 const paths::path_result& cell = cells[p * block + i];
@@ -598,8 +474,8 @@ link_report run_link_simulation(const link_config& config) {
                                            " stage timings but declared " +
                                            std::to_string(solve_stages[p].size()));
                 }
-                path.ber.add_frame(tx_bits, cell.bits);
-                if (cell.bits == tx_bits) {
+                path.ber.add_frame(rec.tx_bits, cell.bits);
+                if (cell.bits == rec.tx_bits) {
                     ++path.exact_frames;
                     error_run[p] = 0;
                 } else {
@@ -610,11 +486,11 @@ link_report run_link_simulation(const link_config& config) {
                 }
                 path.sum_ml_cost += cell.ml_cost;
 
-                path.stages[0].add(synth_us[i]);
+                path.stages[0].add(rec.synth_us);
                 double service_sum = 0.0;
                 if (path_needs_qubo[p] != 0) {  // has the shared qubo stage
-                    path.stages[1].add(reduce_us[i]);
-                    service_sum += reduce_us[i];
+                    path.stages[1].add(rec.reduce_us);
+                    service_sum += rec.reduce_us;
                 }
                 for (std::size_t s = 0; s < cell.stages.size(); ++s) {
                     path.stages[first_solve_stage[p] + s].add(cell.stages[s].service_us);
@@ -643,12 +519,18 @@ link_report run_link_simulation(const link_config& config) {
         }
     }
 
+    // Tandem-queue replays of the measured traces: one setup per path
+    // drives both the open-loop replay and, under ARQ, the closed-loop one,
+    // so the two see identical load.
     for (std::size_t p = 0; p < num_paths; ++p) {
         path_report& path = report.paths[p];
-        path.replay = replay_traces(path, config);
+        const replay_setup setup = build_replay(path, config);
+        util::rng arrivals_rng(config.seed);  // unused by deterministic arrivals
+        path.replay = pipeline::simulate(setup.stages, config.num_uses,
+                                         {.interarrival_us = setup.interarrival_us},
+                                         arrivals_rng, setup.options);
         if (config.arq) {
-            // Closed-loop replay: same stages and pacing as the open-loop
-            // replay, with failed frames re-entering the chain.  `auto`
+            // Closed loop: failed frames re-enter the chain.  `auto`
             // deadlines resolve to the open-loop replay's p99 — the ARQ
             // loop driven by the replay's own latency budget.  With FEC on,
             // the measured attempt_error_rate is frame-based while the
@@ -658,7 +540,6 @@ link_report run_link_simulation(const link_config& config) {
             const double resolved_deadline_us = config.arq->deadline_auto
                                                     ? path.replay.p99_latency_us
                                                     : config.arq->deadline_us;
-            const replay_setup setup = build_replay(path, config);
             util::rng replay_rng(config.seed);
             auto closed = arq::closed_loop_replay(
                 setup.stages, config.num_uses, ar.counters.attempt_error_rate(),

@@ -3,10 +3,10 @@
 //
 // Where the figure benches study solvers on frozen corpora and
 // pipeline/pipeline.h studies queueing on synthetic service models, this
-// layer closes the loop: it generates successive wireless channel uses
-// (wireless/channel.h + wireless/mimo.h + modulation), reduces each to QUBO
-// form through the QuAMax transform (detect/transform.h) when any path needs
-// it, and dispatches the solves across util::thread_pool side by side.
+// layer closes the loop: it runs successive wireless channel uses through
+// link::use_kernel (link/use_kernel.h) — synthesis, the QuAMax reduction
+// when any path needs it, then every configured path's solve — with frames
+// spread across util::thread_pool workers.
 //
 // Detection paths are *not* hard-coded: each entry of link_config::paths is
 // a paths::path_spec ("zf", "kbest:width=16", "gsra:reads=80,sp=0.29",
@@ -20,34 +20,37 @@
 // rates and queue occupancy.
 //
 // Scaling: the stream is processed in fixed-size windows of
-// link_config::stream_block uses — the workers fill one window in parallel,
-// then the statistics are folded serially in use order into constant-size
-// aggregates (exact BER / ML-cost / exact-frame counters plus
-// metrics::latency_digest summaries and a bounded replay sample per stage).
-// Memory is therefore O(stream_block x paths), independent of num_uses —
-// million-use runs are first-class.
+// link_config::stream_block uses.  Each window is one pool pass with one
+// task per frame: the frame's uses are synthesised, reduced at most once,
+// and run through every path's frame chain (attempt 0, then any ARQ
+// retransmissions).  The statistics are then folded serially in use order
+// into constant-size aggregates (exact BER / ML-cost / exact-frame counters
+// plus metrics::latency_digest summaries and a bounded replay sample per
+// stage).  Memory is therefore O(stream_block x paths), independent of
+// num_uses — million-use runs are first-class.
 //
 // Determinism: every channel use draws from an RNG stream derived from
 // (seed, domain, use index) and every (use, path) solve from
 // (seed, domain, use * num_paths + path) — the thread pool decides only
-// *when* a cell runs, never *what* it computes, and aggregation is serial in
-// use order.  All link-layer
-// statistics (BER, ML costs, exact-frame counts) are therefore bit-identical
-// at any thread count AND any stream_block size; only the measured wall
-// times vary run to run.  The golden-value tests in tests/link_test.cpp pin
-// these statistics to the values the pre-registry (enum-dispatch, per-cell
-// storage) implementation produced; tests/workspace_test.cpp pins the
-// coded, burst, and ARQ statistics as well.
+// *when* a frame runs, never *what* it computes, and aggregation is serial
+// in use order.  All link-layer statistics (BER, ML costs, exact-frame
+// counts) are therefore bit-identical at any thread count AND any
+// stream_block size; only the measured wall times vary run to run.  The
+// golden-value tests in tests/link_test.cpp pin these statistics to the
+// values the pre-registry (enum-dispatch, per-cell storage) implementation
+// produced; tests/workspace_test.cpp pins the coded, burst, and ARQ
+// statistics as well.
 //
 // Concurrency contract: lock-free steady state by design.  Workers fill
 // disjoint, preallocated per-use and per-frame slots of the current window
 // and the fold is serial.  Each worker's scratch — its workspace
-// (paths/workspace.h), FEC codec, frame buffers, and retransmission memo —
-// is one plain struct per pool slot, and util::thread_pool::for_each_slot
-// hands a slot to one thread at a time, so the only annotated locking on
-// the path is inside util::thread_pool.  TSan (verify.sh --tsan) and the
-// thread-count-invariance tests enforce the contract; see
-// docs/ARCHITECTURE.md, "The determinism contract as enforceable rules".
+// (paths/workspace.h), FEC codec, frame buffers, and the current frame's
+// uses, attempt-major — is one plain struct per pool slot, and
+// util::thread_pool::for_each_slot hands a slot to one thread at a time, so
+// the only annotated locking on the path is inside util::thread_pool.  TSan
+// (verify.sh --tsan) and the thread-count-invariance tests enforce the
+// contract; see docs/ARCHITECTURE.md, "The determinism contract as
+// enforceable rules".
 #ifndef HCQ_LINK_LINK_SIM_H
 #define HCQ_LINK_LINK_SIM_H
 
@@ -59,6 +62,7 @@
 
 #include "arq/arq.h"
 #include "fec/code_spec.h"
+#include "link/use_kernel.h"
 #include "metrics/ber.h"
 #include "metrics/digest.h"
 #include "paths/detection_path.h"
@@ -69,28 +73,6 @@
 #include "wireless/modulation.h"
 
 namespace hcq::link {
-
-/// Derived-RNG stream-domain tags of the link layer.  Channel-use synthesis
-/// draws come from rng(seed).derive(synthesis).derive(u) and the (use, path)
-/// solve draws from rng(seed).derive(solve).derive(u * num_paths + p); the
-/// ARQ and fading domains keep retransmission and frozen-tap draws disjoint.
-/// These values predate the registry redesign and must never change: the
-/// golden-value tests pin link statistics to the enum-dispatch implementation
-/// that used them, and the serving front end (serve/service.h) reproduces a
-/// served batch bit-for-bit by deriving from the SAME domains.
-namespace stream_domains {
-inline constexpr std::uint64_t synthesis = 0x6c696e6b5f434855ULL;       // "link_CHU"
-inline constexpr std::uint64_t solve = 0x6c696e6b5f534c56ULL;           // "link_SLV"
-inline constexpr std::uint64_t arq_synthesis = 0x6172715f5f434855ULL;   // "arq__CHU"
-inline constexpr std::uint64_t arq_solve = 0x6172715f5f534c56ULL;       // "arq__SLV"
-inline constexpr std::uint64_t fading = 0x6c696e6b5f464144ULL;          // "link_FAD"
-/// Per-frame information-bit draws of the coded link (link_config::fec):
-/// frame f's info bits come from rng(seed).derive(fec).derive(f) — disjoint
-/// from every domain above, so enabling FEC never perturbs the channel or
-/// noise draws (the coded use overrides the tx bits but still consumes the
-/// synthesis stream identically; see wireless::synthesize_coded_into).
-inline constexpr std::uint64_t fec = 0x6c696e6b5f464543ULL;             // "link_FEC"
-}  // namespace stream_domains
 
 /// Link-simulation knobs.  Defaults exercise the acceptance scenario: >= 100
 /// channel uses through wireless -> QUBO -> {linear, tree search, exact

@@ -13,7 +13,8 @@
 // Ownership model: a workspace is a plain value, never shared concurrently.
 // The link simulator keeps one per pool slot (util::thread_pool::
 // for_each_slot hands a slot to one thread at a time); the serving front end
-// keeps one per batch.  No lock is involved.
+// keeps one per batch.  Both hand it to link::use_kernel, whose reduce and
+// detect steps run in it.  No lock is involved.
 //
 // Determinism: workspaces NEVER change detection outputs.  Buffers are
 // resized in place and their values fully rewritten per use, so which

@@ -1,18 +1,13 @@
 #include "serve/service.h"
 
-#include <memory>
-#include <span>
 #include <stdexcept>
 
-#include "detect/transform.h"
-#include "link/link_sim.h"
+#include "link/use_kernel.h"
 #include "metrics/ber.h"
 #include "paths/registry.h"
 #include "paths/workspace.h"
 #include "util/rng.h"
 #include "util/timer.h"
-#include "wireless/channel_spec.h"
-#include "wireless/mimo.h"
 
 namespace hcq::serve {
 
@@ -43,26 +38,16 @@ batch_result run_batch(const request& req) {
     }
     // Channel resolution as in link::run_link_simulation: the request's
     // spec, else the i.i.d. kind of the setting (random-phase when
-    // noiseless, Rayleigh otherwise); the spec's snr_db wins, and correlated
-    // fading freezes from the fading domain.
-    const wireless::channel_spec channel = wireless::channel_spec::parse(
-        !req.channel.empty()
-            ? req.channel
-            : wireless::to_string(req.noiseless ? wireless::channel_model::unit_gain_random_phase
-                                                : wireless::channel_model::rayleigh));
+    // noiseless, Rayleigh otherwise).
     const std::uint64_t master = request_seed(req.tenant_id, req.request_seq, req.seed);
-    const auto process = wireless::make_channel_process(
-        channel, req.num_users, req.num_users,
-        util::rng(master).derive(link::stream_domains::fading));
-
-    wireless::mimo_config mimo;
-    mimo.mod = mod;
-    mimo.num_users = req.num_users;
-    mimo.num_antennas = req.num_users;
-    mimo.noise_variance =
-        req.noiseless ? 0.0
-                      : wireless::noise_variance_for_snr(mod, req.num_users,
-                                                         channel.snr_db.value_or(req.snr_db));
+    const link::use_kernel kernel(
+        wireless::channel_spec::parse(
+            !req.channel.empty()
+                ? req.channel
+                : wireless::to_string(req.noiseless
+                                          ? wireless::channel_model::unit_gain_random_phase
+                                          : wireless::channel_model::rayleigh)),
+        mod, req.num_users, req.noiseless, req.snr_db, master);
 
     const util::rng synth_base = util::rng(master).derive(link::stream_domains::synthesis);
     const util::rng solve_base = util::rng(master).derive(link::stream_domains::solve);
@@ -84,31 +69,18 @@ batch_result run_batch(const request& req) {
     paths::path_result cell;
     for (std::uint32_t u = 0; u < req.num_uses; ++u) {
         util::rng synth_rng = synth_base.derive(u);
-        util::timer synth_clock;
-        wireless::synthesize_at_coded_into(synth_rng, mimo, *process, static_cast<double>(u),
-                                           channel.est_err, {}, instance);
-        result.synth_us += synth_clock.elapsed_us();
-
-        if (needs_qubo) {
-            util::timer reduce_clock;
-            detect::ml_to_qubo_into(instance, ws.detect.qubo, mq);
-            result.qubo_us += reduce_clock.elapsed_us();
-        }
+        result.synth_us += kernel.synthesize(synth_rng, static_cast<double>(u), {}, instance);
+        if (needs_qubo) result.qubo_us += link::use_kernel::reduce(instance, ws, mq);
 
         // One path per request, so the link layer's solve-stream index
-        // u * num_paths + p is just u.
+        // u * num_paths + p is just u.  Soft output is the explicit opt-in
+        // second call of the path API; hard-decision requests pay nothing.
         util::rng solve_rng = solve_base.derive(u);
-        const paths::path_context ctx{instance, needs_qubo ? &mq : nullptr, solve_rng, &ws};
-        util::timer solve_clock;
-        path->run_block(std::span<const paths::path_context>(&ctx, 1),
-                        std::span<paths::path_result>(&cell, 1));
-        if (req.want_soft) {
-            // The explicit opt-in second call of the path API; hard-decision
-            // requests pay nothing.
-            path->soft_output(ctx, cell);
-            result.llrs.insert(result.llrs.end(), cell.llrs.begin(), cell.llrs.end());
-        }
+        const util::timer solve_clock;
+        link::use_kernel::detect(*path, instance, needs_qubo ? &mq : nullptr, solve_rng, ws,
+                                 req.want_soft, cell);
         result.solve_us += solve_clock.elapsed_us();
+        if (req.want_soft) result.llrs.insert(result.llrs.end(), cell.llrs.begin(), cell.llrs.end());
 
         ber.add_frame(instance.tx_bits, cell.bits);
         if (cell.bits == instance.tx_bits) ++result.exact_frames;
@@ -117,8 +89,7 @@ batch_result run_batch(const request& req) {
         result.bits[u] = cell.bits;  // copy: `cell` stays warm for the next use
     }
 
-    result.bits_per_use =
-        static_cast<std::size_t>(req.num_users) * wireless::bits_per_symbol(mod);
+    result.bits_per_use = kernel.bits_per_use();
     result.bit_errors = ber.errors();
     result.total_bits = ber.total_bits();
     return result;

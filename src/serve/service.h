@@ -4,9 +4,9 @@
 //
 // Determinism contract (the served-vs-in-process golden): run_batch derives
 // its master seed via serve::request_seed(tenant_id, request_seq, seed) and
-// then consumes the SAME link-layer stream domains as
-// link::run_link_simulation (link::stream_domains) — channel use u from
-// rng(master).derive(synthesis).derive(u), its solve from
+// runs every use through link::use_kernel, the link simulator's per-use
+// kernel, on the SAME stream domains (link::stream_domains) — channel use u
+// from rng(master).derive(synthesis).derive(u), its solve from
 // rng(master).derive(solve).derive(u) (one path, so the link layer's
 // u * num_paths + p collapses to u).  A served batch is therefore
 // bit-identical to a link_config{paths = {spec}, seed = request_seed(...),

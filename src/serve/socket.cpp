@@ -7,16 +7,9 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#if defined(__linux__)
-#define HCQ_SERVE_HAS_EPOLL 1
-#include <sys/epoll.h>
-#else
-#define HCQ_SERVE_HAS_EPOLL 0
-#endif
 
 namespace hcq::serve {
 namespace {
@@ -35,6 +28,13 @@ sockaddr_in loopback_addr(std::uint16_t port) {
     addr.sin_port = htons(port);
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     return addr;
+}
+
+epoll_event interest_event(int fd, bool want_read, bool want_write) {
+    epoll_event ev{};
+    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
+    ev.data.fd = fd;
+    return ev;
 }
 
 }  // namespace
@@ -186,26 +186,8 @@ void wake_pipe::drain() noexcept {
     }
 }
 
-poller::backend poller::default_backend() noexcept {
-#if HCQ_SERVE_HAS_EPOLL
-    return backend::epoll_backend;
-#else
-    return backend::poll_backend;
-#endif
-}
-
-bool poller::epoll_available() noexcept { return HCQ_SERVE_HAS_EPOLL != 0; }
-
-poller::poller(backend which) : backend_(which) {
-    if (backend_ == backend::epoll_backend) {
-#if HCQ_SERVE_HAS_EPOLL
-        epoll_fd_.reset(::epoll_create1(EPOLL_CLOEXEC));
-        if (!epoll_fd_.valid()) throw_errno("epoll_create1");
-#else
-        throw std::invalid_argument("serve: epoll backend requested on a non-Linux build; "
-                                    "use poller::backend::poll_backend");
-#endif
-    }
+poller::poller() : epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)) {
+    if (!epoll_fd_.valid()) throw_errno("epoll_create1");
 }
 
 poller::~poller() = default;
@@ -215,36 +197,18 @@ void poller::add(int fd, bool want_read, bool want_write) {
         throw std::logic_error("serve: poller::add: fd " + std::to_string(fd) +
                                " already watched (use modify)");
     }
-#if HCQ_SERVE_HAS_EPOLL
-    if (backend_ == backend::epoll_backend) {
-        epoll_event ev{};
-        ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
-        ev.data.fd = fd;
-        if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, fd, &ev) < 0) {
-            throw_errno("epoll_ctl(ADD)");
-        }
-    }
-#endif
-    watched_[fd] = interest{want_read, want_write};
+    epoll_event ev = interest_event(fd, want_read, want_write);
+    if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, fd, &ev) < 0) throw_errno("epoll_ctl(ADD)");
+    watched_.insert(fd);
 }
 
 void poller::modify(int fd, bool want_read, bool want_write) {
-    const auto it = watched_.find(fd);
-    if (it == watched_.end()) {
+    if (watched_.count(fd) == 0) {
         throw std::logic_error("serve: poller::modify: fd " + std::to_string(fd) +
                                " not watched (use add)");
     }
-#if HCQ_SERVE_HAS_EPOLL
-    if (backend_ == backend::epoll_backend) {
-        epoll_event ev{};
-        ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
-        ev.data.fd = fd;
-        if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, fd, &ev) < 0) {
-            throw_errno("epoll_ctl(MOD)");
-        }
-    }
-#endif
-    it->second = interest{want_read, want_write};
+    epoll_event ev = interest_event(fd, want_read, want_write);
+    if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, fd, &ev) < 0) throw_errno("epoll_ctl(MOD)");
 }
 
 void poller::remove(int fd) {
@@ -253,62 +217,27 @@ void poller::remove(int fd) {
         throw std::logic_error("serve: poller::remove: fd " + std::to_string(fd) +
                                " not watched");
     }
-#if HCQ_SERVE_HAS_EPOLL
-    if (backend_ == backend::epoll_backend) {
-        if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, fd, nullptr) < 0) {
-            throw_errno("epoll_ctl(DEL)");
-        }
-    }
-#endif
+    if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, fd, nullptr) < 0) throw_errno("epoll_ctl(DEL)");
     watched_.erase(it);
 }
 
 void poller::wait(std::vector<ready_event>& events, int timeout_ms) {
     events.clear();
-#if HCQ_SERVE_HAS_EPOLL
-    if (backend_ == backend::epoll_backend) {
-        epoll_event ready[64];
-        int n;
-        for (;;) {
-            n = ::epoll_wait(epoll_fd_.get(), ready, 64, timeout_ms);
-            if (n >= 0) break;
-            if (errno == EINTR) continue;
-            throw_errno("epoll_wait");
-        }
-        for (int i = 0; i < n; ++i) {
-            const auto flags = ready[i].events;
-            events.push_back(ready_event{
-                ready[i].data.fd,
-                (flags & EPOLLIN) != 0,
-                (flags & EPOLLOUT) != 0,
-                (flags & (EPOLLERR | EPOLLHUP)) != 0,
-            });
-        }
-        return;
-    }
-#endif
-    std::vector<pollfd> fds;
-    fds.reserve(watched_.size());
-    for (const auto& [fd, want] : watched_) {
-        pollfd pfd{};
-        pfd.fd = fd;
-        pfd.events = static_cast<short>((want.read ? POLLIN : 0) | (want.write ? POLLOUT : 0));
-        fds.push_back(pfd);
-    }
+    epoll_event ready[64];
     int n;
     for (;;) {
-        n = ::poll(fds.data(), fds.size(), timeout_ms);
+        n = ::epoll_wait(epoll_fd_.get(), ready, 64, timeout_ms);
         if (n >= 0) break;
         if (errno == EINTR) continue;
-        throw_errno("poll");
+        throw_errno("epoll_wait");
     }
-    for (const auto& pfd : fds) {
-        if (pfd.revents == 0) continue;
+    for (int i = 0; i < n; ++i) {
+        const auto flags = ready[i].events;
         events.push_back(ready_event{
-            pfd.fd,
-            (pfd.revents & POLLIN) != 0,
-            (pfd.revents & POLLOUT) != 0,
-            (pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0,
+            ready[i].data.fd,
+            (flags & EPOLLIN) != 0,
+            (flags & EPOLLOUT) != 0,
+            (flags & (EPOLLERR | EPOLLHUP)) != 0,
         });
     }
 }

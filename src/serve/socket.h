@@ -2,15 +2,15 @@
 //
 // This module (serve/socket.{h,cpp}) is the ONLY place in the tree allowed
 // to touch the raw socket / readiness syscalls — socket(), bind(), accept(),
-// connect(), recv(), send(), epoll_*, poll(), read()/write() on fds — a
+// connect(), recv(), send(), epoll_*, read()/write() on fds — a
 // contract enforced by the `raw-socket` rule in scripts/hcq_lint.py.  Every
 // other layer (tcp_server, session, client, tests) speaks in unique_fd,
 // io_result, and poller events, so fd lifetime bugs and EINTR/EAGAIN
 // handling live in exactly one auditable file.
 //
-// Scope: loopback TCP only.  The serving front end multiplexes local
-// clients (and CI loopback self-tests); exposing the listener beyond
-// 127.0.0.1 is a deliberate non-goal of this layer.
+// Scope: loopback TCP on Linux (the poller is epoll).  The serving front end
+// multiplexes local clients (and CI loopback self-tests); exposing the
+// listener beyond 127.0.0.1 is a deliberate non-goal of this layer.
 //
 // Concurrency contract: a poller and the fds it watches belong to ONE
 // thread (the server's IO thread).  The single cross-thread primitive is
@@ -21,7 +21,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -134,30 +134,17 @@ struct ready_event {
     bool error = false;  ///< hangup or error condition; drop the fd
 };
 
-/// Level-triggered readiness multiplexer over two interchangeable backends:
-/// epoll (Linux, O(ready) wakeups at thousands-of-sessions scale) and
-/// portable poll() (everywhere; O(watched) per wait).  Both backends are
-/// always compiled and tested; default_backend() picks epoll where it
-/// exists.  Owned by one thread — see the header comment.
+/// Level-triggered epoll readiness multiplexer (O(ready) wakeups at
+/// thousands-of-sessions scale).  Owned by one thread — see the header
+/// comment.
 class poller {
 public:
-    enum class backend { epoll_backend, poll_backend };
-
-    /// epoll on Linux, poll elsewhere.
-    [[nodiscard]] static backend default_backend() noexcept;
-
-    /// True when the epoll backend exists in this build.
-    [[nodiscard]] static bool epoll_available() noexcept;
-
-    /// Throws std::invalid_argument for backend::epoll_backend on a platform
-    /// without epoll, std::runtime_error on epoll_create failure.
-    explicit poller(backend which = default_backend());
+    /// Throws std::runtime_error on epoll_create failure.
+    poller();
     ~poller();
 
     poller(const poller&) = delete;
     poller& operator=(const poller&) = delete;
-
-    [[nodiscard]] backend which() const noexcept { return backend_; }
 
     /// Registers / updates / removes interest in `fd`.  add() on an already
     /// registered fd and modify()/remove() on an unknown fd throw
@@ -171,14 +158,8 @@ public:
     void wait(std::vector<ready_event>& events, int timeout_ms);
 
 private:
-    struct interest {
-        bool read = false;
-        bool write = false;
-    };
-
-    backend backend_;
-    unique_fd epoll_fd_;                ///< epoll backend only
-    std::map<int, interest> watched_;   ///< interest bookkeeping (both backends)
+    unique_fd epoll_fd_;
+    std::set<int> watched_;  ///< interest bookkeeping
 };
 
 }  // namespace hcq::serve

@@ -10,7 +10,7 @@
 namespace hcq::serve {
 
 tcp_server::tcp_server(server_config config)
-    : config_(config), poller_(config.poll_backend) {
+    : config_(config) {
     if (config_.num_workers == 0) {
         throw std::invalid_argument("serve: server_config.num_workers must be >= 1");
     }

@@ -1,5 +1,5 @@
 // Async TCP front end over the detection-path registry: one IO thread
-// multiplexes every client session through a serve::poller (epoll or poll),
+// multiplexes every client session through a serve::poller (epoll),
 // while a util::thread_pool of workers executes batches against the device
 // bank.  The two sides meet in a mutex-guarded admission queue (requests in)
 // and completion queue (framed responses out).
@@ -52,7 +52,6 @@ struct server_config {
     std::size_t num_workers = 4;    ///< worker-pool threads executing batches
     std::size_t admission_capacity = 256;  ///< max queued (not yet executing) requests
     pipeline::backpressure policy = pipeline::backpressure::block;
-    poller::backend poll_backend = poller::default_backend();
     int listen_backlog = 128;
 };
 

@@ -68,10 +68,6 @@ thread_pool::queue_snapshot thread_pool::snapshot() const {
     return {tasks_.size(), in_flight_};
 }
 
-std::size_t thread_pool::queued() const { return snapshot().queued; }
-
-std::size_t thread_pool::in_flight() const { return snapshot().in_flight; }
-
 void thread_pool::worker_loop() {
     for (;;) {
         std::function<void()> task;
@@ -136,11 +132,6 @@ void pool_for_each(std::size_t n, const std::function<void(std::size_t)>& fn,
     }
     thread_pool pool(num_threads);
     pool.for_each_slot(n, [&fn](std::size_t /*slot*/, std::size_t i) { fn(i); });
-}
-
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                  std::size_t num_threads) {
-    pool_for_each(n, fn, num_threads);
 }
 
 }  // namespace hcq::util

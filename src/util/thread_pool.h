@@ -65,12 +65,6 @@ public:
     };
     [[nodiscard]] queue_snapshot snapshot() const HCQ_EXCLUDES(mutex_);
 
-    /// Convenience projections of snapshot().  The two values come from
-    /// separate lock acquisitions; callers needing a consistent pair (e.g.
-    /// the serve admission control's BUSY depth report) use snapshot().
-    [[nodiscard]] std::size_t queued() const HCQ_EXCLUDES(mutex_);
-    [[nodiscard]] std::size_t in_flight() const HCQ_EXCLUDES(mutex_);
-
     /// Runs fn(slot, i) for every i in [0, n) and blocks until all complete.
     /// min(size(), n) tasks each own one slot in [0, size()) and pull
     /// indices off a shared counter, so state a caller keeps per slot is
@@ -106,10 +100,6 @@ private:
 /// the workers have drained.
 void pool_for_each(std::size_t n, const std::function<void(std::size_t)>& fn,
                    std::size_t num_threads = 0);
-
-/// Alias of pool_for_each, kept for the benches' established idiom.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                  std::size_t num_threads = 0);
 
 }  // namespace hcq::util
 

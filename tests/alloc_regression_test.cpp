@@ -143,6 +143,12 @@ TEST(AllocRegression, TabuSeededGsraSteadyStateIsAllocationFree) {
     EXPECT_EQ(steady_state_allocations("gsra:reads=4,init=tabu"), 0U);
 }
 
+TEST(AllocRegression, TreeSearchAndTabuSteadyStateIsAllocationFree) {
+    for (const char* spec : {"kbest", "sphere", "sic", "fcsd", "tabu"}) {
+        EXPECT_EQ(steady_state_allocations(spec), 0U) << spec;
+    }
+}
+
 TEST(AllocRegression, LinearSoftOutputIsAllocationFree) {
     EXPECT_EQ(steady_state_allocations("zf", /*soft=*/true), 0U);
     EXPECT_EQ(steady_state_allocations("mmse", /*soft=*/true), 0U);
@@ -155,12 +161,39 @@ std::uint64_t link_allocations(const hcq::link::link_config& config) {
     return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
+TEST(AllocRegression, OpenLoopLinkUsesAreAllocationFree) {
+    // The uncoded open-loop link on the linear + tree bank and on the
+    // tabu / GS+RA hybrid bank.  The window buffers match in both runs
+    // (stream_block < n), so the longer run's extra allocations are per-use
+    // cost: synthesis, reduction, every path's solve, the fold and the
+    // replay.
+    for (const char* bank : {"zf,mmse,kbest", "tabu,gsra:reads=8"}) {
+        hcq::link::link_config config;
+        config.num_users = 4;
+        config.mod = wl::modulation::qam16;
+        config.paths = pt::parse_spec_list(bank);
+        config.num_threads = 1;
+        config.stream_block = 256;
+        constexpr std::size_t n = 512;
+        config.num_uses = n;
+        // One untimed run first: lazy statics cost one-time allocations.
+        (void)link_allocations(config);
+        const std::uint64_t short_run = link_allocations(config);
+        config.num_uses = 2 * n;
+        const std::uint64_t long_run = link_allocations(config);
+        const double per_use =
+            (static_cast<double>(long_run) - static_cast<double>(short_run)) /
+            static_cast<double>(n);
+        EXPECT_LT(per_use, 0.1) << bank;
+    }
+}
+
 TEST(AllocRegression, RetransmissionsReuseWorkerScratch) {
     // deadline_us=0 retransmits every use max_retx = 2 times, so doubling
     // the stream from n to 2n uses adds 2n retransmissions.  The window
     // buffers are the same size in both runs (stream_block < n), so what
     // the longer run allocates extra is per-use and per-retransmission cost:
-    // a retransmission must reuse the worker's memo, instances, and results,
+    // a retransmission must reuse the worker's instances and results,
     // and the closed-loop replay allocates nothing per job.
     hcq::link::link_config config;
     config.num_users = 4;

@@ -118,41 +118,6 @@ TEST(Experiment, AdjacentSeedCorporaShareNoInstances) {
     }
 }
 
-TEST(Experiment, HarvestBinsRespectBounds) {
-    hcq::util::rng rng(52);
-    const auto e = hy::make_paper_instance(rng, 4, wl::modulation::qam16);
-    const auto bins = hy::harvest_initial_states(e, 2.0, 10.0, 3000, rng);
-    EXPECT_EQ(bins.num_bins(), 5u);
-    EXPECT_GT(bins.total(), 0u);
-    for (std::size_t b = 0; b < bins.num_bins(); ++b) {
-        for (const auto& state : bins.states[b]) {
-            const double gap =
-                hcq::metrics::delta_e_percent(e.reduced.model.energy(state), e.optimal_energy);
-            EXPECT_GE(gap, 2.0 * static_cast<double>(b) - 1e-9);
-            EXPECT_LT(gap, 2.0 * static_cast<double>(b + 1) + 1e-9);
-        }
-    }
-    EXPECT_THROW((void)hy::harvest_initial_states(e, 0.0, 10.0, 10, rng),
-                 std::invalid_argument);
-}
-
-TEST(Experiment, HarvestFindsNearOptimalStates) {
-    // On the paper's Figure-7 workload (8-user 16-QAM) the harvest must
-    // populate low-quality bins, and no harvested state may be the optimum
-    // itself (Delta-E_IS = 0 is the separately-studied reference).
-    hcq::util::rng rng(53);
-    const auto e = hy::make_paper_instance(rng, 8, wl::modulation::qam16);
-    const auto bins = hy::harvest_initial_states(e, 2.0, 10.0, 6000, rng);
-    EXPECT_GT(bins.states[0].size() + bins.states[1].size(), 0u);
-    for (const auto& bin : bins.states) {
-        for (const auto& state : bin) {
-            EXPECT_GT(hcq::metrics::delta_e_percent(e.reduced.model.energy(state),
-                                                    e.optimal_energy),
-                      0.0);
-        }
-    }
-}
-
 TEST(Experiment, AnnealerHarvestProducesBinnedRelaxedStates) {
     hcq::util::rng rng(58);
     const auto e = hy::make_paper_instance(rng, 8, wl::modulation::qam16);

@@ -378,15 +378,6 @@ TEST(ServeServer, OversizedSoftBatchIsRejectedAndConnectionSurvives) {
     expect_served_matches_in_process(cl.call(good), good);
 }
 
-TEST(ServeServer, PollBackendServesIdentically) {
-    serve::server_config config = test_server(2);
-    config.poll_backend = serve::poller::backend::poll_backend;
-    serve::tcp_server server(config);
-    serve::client cl(server.port());
-    const serve::request req = small_request(4, 2);
-    expect_served_matches_in_process(cl.call(req), req);
-}
-
 // ---------------------------------------------------------------------------
 // Hardening: malformed frames, invalid specs, config validation
 // ---------------------------------------------------------------------------
@@ -599,7 +590,7 @@ TEST(ServeLoadgen, RejectsNonsenseConfig) {
 // ---------------------------------------------------------------------------
 
 TEST(ServeSocket, PollerBookkeepingMisuseThrowsLogicError) {
-    serve::poller p(serve::poller::backend::poll_backend);
+    serve::poller p;
     serve::wake_pipe pipe;
     p.add(pipe.read_fd(), true, false);
     EXPECT_THROW(p.add(pipe.read_fd(), true, false), std::logic_error);
@@ -610,7 +601,7 @@ TEST(ServeSocket, PollerBookkeepingMisuseThrowsLogicError) {
 }
 
 TEST(ServeSocket, WakePipeInterruptsWait) {
-    serve::poller p;  // default backend (epoll on Linux)
+    serve::poller p;
     serve::wake_pipe pipe;
     p.add(pipe.read_fd(), true, false);
     pipe.wake();
