@@ -78,7 +78,7 @@ if [[ $run_tsan -eq 1 ]]; then
     cmake --build "$dir" -j "$jobs" --target parallel_runner_test util_test link_test \
         paths_test pipeline_test arq_test serve_test workspace_test
     "$dir/tests/parallel_runner_test"
-    "$dir/tests/util_test" --gtest_filter='ThreadPool.*'
+    "$dir/tests/util_test" --gtest_filter='ThreadPool.*:ParallelFor.*'
     "$dir/tests/link_test"
     "$dir/tests/paths_test"
     "$dir/tests/pipeline_test"

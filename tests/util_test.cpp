@@ -304,6 +304,36 @@ TEST(ThreadPool, ForEachSlotRethrowsAndPoolSurvives) {
     EXPECT_EQ(calls.load(), 10);
 }
 
+// The parallel-for contract of pool_for_each, as the benches and examples
+// call it.
+TEST(ParallelFor, VisitsEveryIndexOnce) {
+    std::vector<std::atomic<int>> hits(257);
+    hcq::util::pool_for_each(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); }, 4);
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, HandlesZeroAndSingle) {
+    int calls = 0;
+    hcq::util::pool_for_each(0, [&](std::size_t) { ++calls; });
+    EXPECT_EQ(calls, 0);
+    hcq::util::pool_for_each(1, [&](std::size_t) { ++calls; }, 8);
+    EXPECT_EQ(calls, 1);
+}
+
+TEST(ParallelFor, PropagatesFirstExceptionToCaller) {
+    EXPECT_THROW(hcq::util::pool_for_each(
+                     128,
+                     [](std::size_t i) {
+                         if (i == 37) throw std::runtime_error("iteration failed");
+                     },
+                     4),
+                 std::runtime_error);
+    // Serial degenerate path throws too.
+    EXPECT_THROW(hcq::util::pool_for_each(
+                     2, [](std::size_t) { throw std::runtime_error("x"); }, 1),
+                 std::runtime_error);
+}
+
 flag_set parse(std::initializer_list<const char*> args) {
     std::vector<const char*> argv{"prog"};
     argv.insert(argv.end(), args.begin(), args.end());
