@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
         for (std::size_t i = 0; i < instances; ++i) {
             hcq::util::rng rng(hcq::util::rng(ctx.seed + 3 * v).derive(i)());
             const auto e = hy::make_paper_instance(rng, 8, wl::modulation::qam16);
-            const auto gs = hcq::solvers::greedy_search().initialize(e.reduced.model, rng);
+            const auto gs = hcq::solvers::greedy_search().solve(e.reduced.model, rng);
             double best_ra = 0.0;
             double best_fa = 0.0;
             double best_sp = 0.0;

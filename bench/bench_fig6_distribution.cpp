@@ -44,7 +44,7 @@ std::vector<double> run_samples(const an::annealer_emulator& device,
             break;
         case algorithm::ra_greedy: {
             schedule = an::anneal_schedule::reverse(sp, 1.0);
-            initial = hcq::solvers::greedy_search().initialize(e.reduced.model, rng).bits;
+            initial = hcq::solvers::greedy_search().solve(e.reduced.model, rng).bits;
             break;
         }
     }

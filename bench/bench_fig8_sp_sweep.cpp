@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     const auto e = hy::make_paper_instance(rng, 8, wl::modulation::qam16);
     const an::annealer_emulator device;
 
-    const auto gs = hcq::solvers::greedy_search().initialize(e.reduced.model, rng);
+    const auto gs = hcq::solvers::greedy_search().solve(e.reduced.model, rng);
     const double gs_gap = hcq::metrics::delta_e_percent(gs.energy, e.optimal_energy);
     // Paper methodology: quality-binned initial states are annealer samples.
     const auto bins =

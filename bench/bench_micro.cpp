@@ -85,11 +85,10 @@ void bm_greedy_search(benchmark::State& state) {
     hcq::util::rng rng(11);
     const hcq::solvers::greedy_search gs;
     hcq::solvers::solve_scratch scratch;
-    hcq::solvers::initial_state init;
-    gs.initialize_into(e.reduced.model, rng, scratch, init);
+    hcq::qubo::bit_vector bits;
+    (void)gs.solve_best_into(e.reduced.model, rng, scratch, bits);
     for (auto _ : state) {
-        gs.initialize_into(e.reduced.model, rng, scratch, init);
-        benchmark::DoNotOptimize(init.bits.data());
+        benchmark::DoNotOptimize(gs.solve_best_into(e.reduced.model, rng, scratch, bits));
         benchmark::ClobberMemory();
     }
 }
@@ -171,11 +170,10 @@ template <typename Detector>
 void run_detector(benchmark::State& state, const Detector& det) {
     const auto& e = instance32();
     hcq::detect::detect_scratch scratch;
-    hcq::detect::detection_result result;
-    det.detect_into(e.instance, scratch, result);
+    std::vector<std::uint8_t> bits;
+    (void)det.detect_into(e.instance, scratch, bits);
     for (auto _ : state) {
-        det.detect_into(e.instance, scratch, result);
-        benchmark::DoNotOptimize(result.bits.data());
+        benchmark::DoNotOptimize(det.detect_into(e.instance, scratch, bits));
         benchmark::ClobberMemory();
     }
 }
@@ -228,6 +226,10 @@ BENCHMARK(bm_soft_output_zf);
 
 void bm_soft_output_mmse(benchmark::State& state) { run_soft_output(state, "mmse"); }
 BENCHMARK(bm_soft_output_mmse);
+
+/// The single-bit-flip recost LLRs of the tree-search and QUBO paths.
+void bm_soft_output_kbest(benchmark::State& state) { run_soft_output(state, "kbest"); }
+BENCHMARK(bm_soft_output_kbest);
 
 /// k7 decode_frame cycling over 256 distinct noisy frames (BPSK-over-AWGN
 /// LLRs at Eb/N0 about 3 dB): one repeated frame would let the branch

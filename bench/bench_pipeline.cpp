@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     // Measure the classical stage on a real instance.
     hcq::util::rng rng(ctx.seed);
     const auto e = hy::make_paper_instance(rng, 8, wl::modulation::qam16);
-    const auto gs = hcq::solvers::greedy_search().initialize(e.reduced.model, rng);
+    const auto gs = hcq::solvers::greedy_search().solve(e.reduced.model, rng);
     const double classical_us = std::max(gs.elapsed_us, 1.0);
     const auto schedule = an::anneal_schedule::reverse(sp, 1.0);
 

@@ -5,20 +5,13 @@
 #include <cmath>
 #include <numeric>
 
-#include "util/timer.h"
-
 namespace hcq::solvers {
 
-void greedy_search::initialize_into(const qubo::qubo_model& q, util::rng&, solve_scratch& scratch,
-                                    initial_state& out) const {
-    const util::timer clock;
+double greedy_search::solve_best_into(const qubo::qubo_model& q, util::rng&,
+                                      solve_scratch& scratch, qubo::bit_vector& best) const {
     const std::size_t n = q.num_variables();
-    out.bits.assign(n, 0);
-    if (n == 0) {
-        out.energy = 0.0;
-        out.elapsed_us = clock.elapsed_us();
-        return;
-    }
+    best.assign(n, 0);
+    if (n == 0) return 0.0;
 
     // Ising linear terms: h_i = Q_ii / 2 + (1/4) * sum_{k != i} c_ik.
     std::vector<double>& h = scratch.real_a;
@@ -68,7 +61,7 @@ void greedy_search::initialize_into(const qubo::qubo_model& q, util::rng&, solve
         } else {
             value = field[i] > 0.0 ? 0 : 1;  // minimise the partial energy
         }
-        out.bits[i] = value;
+        best[i] = value;
         is_set[i] = 1;
         if (value == 1) {
             const auto row = q.row(i);
@@ -78,8 +71,7 @@ void greedy_search::initialize_into(const qubo::qubo_model& q, util::rng&, solve
         }
     }
 
-    out.energy = q.energy(out.bits);
-    out.elapsed_us = clock.elapsed_us();
+    return q.energy(best);
 }
 
 }  // namespace hcq::solvers

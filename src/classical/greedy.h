@@ -29,14 +29,14 @@ namespace hcq::solvers {
 enum class rank_order { least_decided_first, most_decided_first };
 
 /// Deterministic greedy QUBO descent.
-class greedy_search final : public initializer {
+class greedy_search final : public solver {
 public:
     explicit greedy_search(rank_order order = rank_order::least_decided_first)
         : order_(order) {}
 
     /// Deterministic: ignores `rng`.
-    void initialize_into(const qubo::qubo_model& q, util::rng& rng, solve_scratch& scratch,
-                         initial_state& out) const override;
+    double solve_best_into(const qubo::qubo_model& q, util::rng& rng, solve_scratch& scratch,
+                           qubo::bit_vector& best) const override;
     [[nodiscard]] std::string name() const override { return "GS"; }
 
     [[nodiscard]] rank_order order() const noexcept { return order_; }

@@ -8,32 +8,31 @@
 
 namespace hcq::solvers {
 
-initial_state initializer::initialize(const qubo::qubo_model& q, util::rng& rng) const {
+solution solver::solve(const qubo::qubo_model& q, util::rng& rng) const {
     solve_scratch scratch;
-    initial_state out;
-    initialize_into(q, rng, scratch, out);
+    solution out;
+    const util::timer clock;
+    out.energy = solve_best_into(q, rng, scratch, out.bits);
+    out.elapsed_us = clock.elapsed_us();
     return out;
 }
 
-void random_initializer::initialize_into(const qubo::qubo_model& q, util::rng& rng,
-                                         solve_scratch&, initial_state& out) const {
-    const util::timer clock;
-    rng.bits_into(q.num_variables(), out.bits);
-    out.energy = q.energy(out.bits);
-    out.elapsed_us = clock.elapsed_us();
+double random_initializer::solve_best_into(const qubo::qubo_model& q, util::rng& rng,
+                                           solve_scratch&, qubo::bit_vector& best) const {
+    rng.bits_into(q.num_variables(), best);
+    return q.energy(best);
 }
 
 fixed_initializer::fixed_initializer(qubo::bit_vector bits, std::string label)
     : bits_(std::move(bits)), label_(std::move(label)) {}
 
-void fixed_initializer::initialize_into(const qubo::qubo_model& q, util::rng&, solve_scratch&,
-                                        initial_state& out) const {
+double fixed_initializer::solve_best_into(const qubo::qubo_model& q, util::rng&, solve_scratch&,
+                                          qubo::bit_vector& best) const {
     if (bits_.size() != q.num_variables()) {
         throw std::invalid_argument("fixed_initializer: bit count mismatch");
     }
-    out.bits.assign(bits_.begin(), bits_.end());
-    out.energy = q.energy(out.bits);
-    out.elapsed_us = 0.0;
+    best.assign(bits_.begin(), bits_.end());
+    return q.energy(best);
 }
 
 }  // namespace hcq::solvers

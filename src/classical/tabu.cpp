@@ -8,19 +8,11 @@
 #include <stdexcept>
 
 #include "classical/metropolis.h"
-#include "util/timer.h"
 
 namespace hcq::solvers {
 
 tabu_search::tabu_search(tabu_config config) : config_(config) {
     if (config_.max_iterations == 0) throw std::invalid_argument("tabu_search: no iterations");
-}
-
-void tabu_search::initialize_into(const qubo::qubo_model& q, util::rng& rng,
-                                  solve_scratch& scratch, initial_state& out) const {
-    const util::timer clock;
-    out.energy = solve_best_into(q, rng, scratch, out.bits);
-    out.elapsed_us = clock.elapsed_us();
 }
 
 double tabu_search::solve_best_into(const qubo::qubo_model& q, util::rng& rng,

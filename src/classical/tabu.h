@@ -16,16 +16,14 @@ struct tabu_config {
 };
 
 /// Best-improvement tabu search with aspiration (a tabu move is allowed when
-/// it improves on the best energy seen).  Doubles as an initialiser.
-class tabu_search final : public solver, public initializer {
+/// it improves on the best energy seen).  Doubles as a hybrid's classical
+/// module.
+class tabu_search final : public solver {
 public:
     explicit tabu_search(tabu_config config = {});
 
     double solve_best_into(const qubo::qubo_model& q, util::rng& rng, solve_scratch& scratch,
                            qubo::bit_vector& best) const override;
-    /// The search's best state, timed as the classical-module cost.
-    void initialize_into(const qubo::qubo_model& q, util::rng& rng, solve_scratch& scratch,
-                         initial_state& out) const override;
     [[nodiscard]] std::string name() const override { return "Tabu"; }
 
     [[nodiscard]] const tabu_config& config() const noexcept { return config_; }

@@ -7,7 +7,6 @@
 
 #include "detect/real_model.h"
 #include "detect/scratch.h"
-#include "util/timer.h"
 
 namespace hcq::detect {
 
@@ -15,7 +14,7 @@ namespace {
 
 /// Completes a branch below `level` by greedy slicing; returns total cost.
 double babai_complete(const real_model& model, std::vector<double>& amplitudes,
-                      std::size_t level, double partial_cost, std::size_t& nodes) {
+                      std::size_t level, double partial_cost) {
     double cost = partial_cost;
     for (std::size_t step = level + 1; step-- > 0;) {
         double acc = model.y_eff[step];
@@ -27,7 +26,6 @@ double babai_complete(const real_model& model, std::vector<double>& amplitudes,
         amplitudes[step] = amplitude;
         const double residual = acc - model.r(step, step) * amplitude;
         cost += residual * residual;
-        ++nodes;
         if (step == 0) break;
     }
     return cost;
@@ -38,10 +36,10 @@ double babai_complete(const real_model& model, std::vector<double>& amplitudes,
 /// back into enumerate, so one shared buffer suffices).
 void enumerate(const real_model& model, std::vector<double>& amplitudes, std::size_t level,
                std::size_t remaining, double partial_cost, std::vector<double>& best,
-               double& best_cost, std::size_t& nodes, std::vector<double>& completed) {
+               double& best_cost, std::vector<double>& completed) {
     if (remaining == 0 || level + 1 == 0) {
         completed = amplitudes;
-        const double cost = babai_complete(model, completed, level, partial_cost, nodes);
+        const double cost = babai_complete(model, completed, level, partial_cost);
         if (cost < best_cost) {
             best_cost = cost;
             best = completed;
@@ -55,7 +53,6 @@ void enumerate(const real_model& model, std::vector<double>& amplitudes, std::si
     for (const double amplitude : model.alphabet) {
         const double residual = acc - model.r(level, level) * amplitude;
         amplitudes[level] = amplitude;
-        ++nodes;
         const double cost = partial_cost + residual * residual;
         if (level == 0) {
             if (cost < best_cost) {
@@ -64,8 +61,7 @@ void enumerate(const real_model& model, std::vector<double>& amplitudes, std::si
             }
             continue;
         }
-        enumerate(model, amplitudes, level - 1, remaining - 1, cost, best, best_cost, nodes,
-                  completed);
+        enumerate(model, amplitudes, level - 1, remaining - 1, cost, best, best_cost, completed);
     }
 }
 
@@ -75,26 +71,23 @@ fcsd_detector::fcsd_detector(std::size_t full_levels) : full_levels_(full_levels
 
 std::string fcsd_detector::name() const { return "FCSD" + std::to_string(full_levels_); }
 
-void fcsd_detector::detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
-                                detection_result& out) const {
-    const util::timer clock;
+double fcsd_detector::detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
+                                  std::vector<std::uint8_t>& bits) const {
     lattice_scratch& lat = scratch.lattice;
     const real_model& model = make_real_model_into(instance, lat);
 
     lat.chosen.assign(model.dims, 0.0);
     lat.best.assign(model.dims, 0.0);
-    double best_cost = std::numeric_limits<double>::infinity();
-    std::size_t nodes = 0;
 
     if (full_levels_ == 0) {
-        best_cost = babai_complete(model, lat.best, model.dims - 1, 0.0, nodes);
+        (void)babai_complete(model, lat.best, model.dims - 1, 0.0);
     } else {
+        double best_cost = std::numeric_limits<double>::infinity();
         enumerate(model, lat.chosen, model.dims - 1, std::min(full_levels_, model.dims), 0.0,
-                  lat.best, best_cost, nodes, lat.completed);
+                  lat.best, best_cost, lat.completed);
     }
 
-    assemble_result_into(instance, lat.best, nodes, scratch.residual, out);
-    out.elapsed_us = clock.elapsed_us();
+    return assemble_result_into(instance, lat.best, scratch, bits);
 }
 
 }  // namespace hcq::detect

@@ -15,8 +15,8 @@ class fcsd_detector final : public detector {
 public:
     explicit fcsd_detector(std::size_t full_levels = 1);
 
-    void detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
-                     detection_result& out) const override;
+    double detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
+                       std::vector<std::uint8_t>& bits) const override;
     [[nodiscard]] std::string name() const override;
 
     [[nodiscard]] std::size_t full_levels() const noexcept { return full_levels_; }

@@ -7,7 +7,6 @@
 
 #include "detect/real_model.h"
 #include "detect/scratch.h"
-#include "util/timer.h"
 
 namespace hcq::detect {
 
@@ -24,9 +23,8 @@ std::string kbest_detector::name() const { return "KB" + std::to_string(k_); }
 // order and selected by the same cost-only std::partial_sort as the
 // historical path-copying implementation, so the selected permutation — and
 // hence the detected word — is identical.
-void kbest_detector::detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
-                                 detection_result& out) const {
-    const util::timer clock;
+double kbest_detector::detect_into(const wireless::mimo_instance& instance,
+                                   detect_scratch& scratch, std::vector<std::uint8_t>& bits) const {
     lattice_scratch& lat = scratch.lattice;
     const real_model& model = make_real_model_into(instance, lat);
     const std::size_t dims = model.dims;
@@ -34,7 +32,6 @@ void kbest_detector::detect_into(const wireless::mimo_instance& instance, detect
     lat.beam_amps.assign(dims, 0.0);  // one all-zero root path
     lat.beam_costs.assign(1, 0.0);
     std::size_t beam_size = 1;
-    std::size_t nodes = 0;
 
     for (std::size_t step = 0; step < dims; ++step) {
         const std::size_t level = dims - 1 - step;
@@ -49,7 +46,6 @@ void kbest_detector::detect_into(const wireless::mimo_instance& instance, detect
             for (const double amplitude : model.alphabet) {
                 const double residual = acc - model.r(level, level) * amplitude;
                 lat.expanded.push_back({parent_cost + residual * residual, b, amplitude});
-                ++nodes;
             }
         }
         const std::size_t keep = std::min(k_, lat.expanded.size());
@@ -75,8 +71,7 @@ void kbest_detector::detect_into(const wireless::mimo_instance& instance, detect
     }
 
     lat.chosen.assign(lat.beam_amps.begin(), lat.beam_amps.begin() + static_cast<std::ptrdiff_t>(dims));
-    assemble_result_into(instance, lat.chosen, nodes, scratch.residual, out);
-    out.elapsed_us = clock.elapsed_us();
+    return assemble_result_into(instance, lat.chosen, scratch, bits);
 }
 
 }  // namespace hcq::detect

@@ -13,8 +13,8 @@ class kbest_detector final : public detector {
 public:
     explicit kbest_detector(std::size_t k = 8);
 
-    void detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
-                     detection_result& out) const override;
+    double detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
+                       std::vector<std::uint8_t>& bits) const override;
     [[nodiscard]] std::string name() const override;
 
     [[nodiscard]] std::size_t beam_width() const noexcept { return k_; }

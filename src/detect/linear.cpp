@@ -6,49 +6,41 @@
 
 #include "detect/scratch.h"
 #include "linalg/decompose.h"
-#include "util/timer.h"
 
 namespace hcq::detect {
 
 namespace {
 
-// Slices each equalised estimate to the nearest constellation point and
-// assembles the detection_result: symbols, bits, and the ML cost of the
-// sliced word.  The per-call temporaries of the historical slice_to_result
-// (fresh symbol vector, per-symbol heap bit vectors, demodulated bit vector,
-// ml_cost residual) now live in `scratch` / `out` — the arithmetic and hence
-// the outputs are unchanged.
-void slice_to_result_into(const wireless::mimo_instance& instance, const linalg::cvec& soft,
-                          detect_scratch& scratch, detection_result& out) {
-    out.symbols.resize(soft.size());
-    std::uint8_t bits[8];  // bits_per_symbol is at most 6
+// Slices each equalised estimate to the nearest constellation point (into
+// scratch.symbols), writes the natural-map bits of the sliced word into
+// `bits` and returns its ML cost.
+double slice_into(const wireless::mimo_instance& instance, const linalg::cvec& soft,
+                  detect_scratch& scratch, std::vector<std::uint8_t>& bits) {
+    scratch.symbols.resize(soft.size());
+    std::uint8_t symbol_bits[8];  // bits_per_symbol is at most 6
     const std::size_t bps = wireless::bits_per_symbol(instance.mod);
     for (std::size_t u = 0; u < soft.size(); ++u) {
-        wireless::demodulate_symbol_into(instance.mod, soft[u], bits);
-        out.symbols[u] =
-            wireless::modulate_symbol(instance.mod, std::span<const std::uint8_t>(bits, bps));
+        wireless::demodulate_symbol_into(instance.mod, soft[u], symbol_bits);
+        scratch.symbols[u] = wireless::modulate_symbol(
+            instance.mod, std::span<const std::uint8_t>(symbol_bits, bps));
     }
-    wireless::demodulate_into(instance.mod, out.symbols, out.bits);
-    out.ml_cost = instance.ml_cost(out.symbols, scratch.residual);
-    out.nodes_visited = 0;
+    wireless::demodulate_into(instance.mod, scratch.symbols, bits);
+    return instance.ml_cost(scratch.symbols, scratch.residual);
 }
 
 }  // namespace
 
-void zf_detector::detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
-                              detection_result& out) const {
-    const util::timer clock;
+double zf_detector::detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
+                                std::vector<std::uint8_t>& bits) const {
     linear_scratch& s = scratch.linear;
     linalg::householder_qr_into(instance.h, s.ls.qr, s.ls.factors);
     linalg::herm_matvec_into(s.ls.factors.q, instance.y, s.ls.qhy);
     linalg::solve_upper_into(s.ls.factors.r, s.ls.qhy, s.soft);
-    slice_to_result_into(instance, s.soft, scratch, out);
-    out.elapsed_us = clock.elapsed_us();
+    return slice_into(instance, s.soft, scratch, bits);
 }
 
-void mmse_detector::detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
-                                detection_result& out) const {
-    const util::timer clock;
+double mmse_detector::detect_into(const wireless::mimo_instance& instance,
+                                  detect_scratch& scratch, std::vector<std::uint8_t>& bits) const {
     linear_scratch& s = scratch.linear;
     const double load = instance.noise_variance / wireless::mean_symbol_energy(instance.mod);
     linalg::gram_into(instance.h, s.gram);
@@ -58,8 +50,7 @@ void mmse_detector::detect_into(const wireless::mimo_instance& instance, detect_
     linalg::herm_matvec_into(instance.h, instance.y, s.rhs);
     linalg::solve_lower_into(s.lfac, s.rhs, s.z);
     linalg::solve_upper_into(s.lh, s.z, s.soft);
-    slice_to_result_into(instance, s.soft, scratch, out);
-    out.elapsed_us = clock.elapsed_us();
+    return slice_into(instance, s.soft, scratch, bits);
 }
 
 }  // namespace hcq::detect

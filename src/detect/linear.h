@@ -30,8 +30,8 @@ struct linear_scratch {
 /// Zero-forcing: x_hat = slice(H^+ y) with H^+ the least-squares pseudo-inverse.
 class zf_detector final : public detector {
 public:
-    void detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
-                     detection_result& out) const override;
+    double detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
+                       std::vector<std::uint8_t>& bits) const override;
     [[nodiscard]] std::string name() const override { return "ZF"; }
 };
 
@@ -39,8 +39,8 @@ public:
 /// With sigma^2 == 0 this degenerates to zero-forcing.
 class mmse_detector final : public detector {
 public:
-    void detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
-                     detection_result& out) const override;
+    double detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
+                       std::vector<std::uint8_t>& bits) const override;
     [[nodiscard]] std::string name() const override { return "MMSE"; }
 };
 

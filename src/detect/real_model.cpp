@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "detect/scratch.h"
 #include "linalg/decompose.h"
 #include "linalg/real_embed.h"
 
@@ -57,34 +58,23 @@ real_model make_real_model(const wireless::mimo_instance& instance) {
     return std::move(scratch.model);
 }
 
-detection_result assemble_result(const wireless::mimo_instance& instance,
-                                 const std::vector<double>& amplitudes,
-                                 std::size_t nodes_visited) {
-    detection_result result;
-    linalg::cvec residual;
-    assemble_result_into(instance, amplitudes, nodes_visited, residual, result);
-    return result;
-}
-
-void assemble_result_into(const wireless::mimo_instance& instance,
-                          const std::vector<double>& amplitudes, std::size_t nodes_visited,
-                          linalg::cvec& residual_scratch, detection_result& out) {
+double assemble_result_into(const wireless::mimo_instance& instance,
+                            const std::vector<double>& amplitudes, detect_scratch& scratch,
+                            std::vector<std::uint8_t>& bits) {
     const bool quadrature = wireless::uses_quadrature(instance.mod);
     const std::size_t n = instance.num_users;
     const std::size_t expected = quadrature ? 2 * n : n;
     if (amplitudes.size() != expected) {
         throw std::invalid_argument("assemble_result: wrong amplitude count");
     }
-    out.symbols.resize(n);
+    scratch.symbols.resize(n);
     for (std::size_t u = 0; u < n; ++u) {
         const double re = amplitudes[u];
         const double im = quadrature ? amplitudes[n + u] : 0.0;
-        out.symbols[u] = linalg::cxd(re, im);
+        scratch.symbols[u] = linalg::cxd(re, im);
     }
-    wireless::demodulate_into(instance.mod, out.symbols, out.bits);
-    out.ml_cost = instance.ml_cost(out.symbols, residual_scratch);
-    out.nodes_visited = nodes_visited;
-    out.elapsed_us = 0.0;
+    wireless::demodulate_into(instance.mod, scratch.symbols, bits);
+    return instance.ml_cost(scratch.symbols, scratch.residual);
 }
 
 double slice_amplitude(double value, const std::vector<double>& alphabet) {

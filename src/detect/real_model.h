@@ -69,16 +69,11 @@ const real_model& make_real_model_into(const wireless::mimo_instance& instance,
                                        lattice_scratch& scratch);
 
 /// Converts per-dimension amplitudes (model ordering: all I components, then
-/// all Q components) into a full detection_result for `instance`.
-[[nodiscard]] detection_result assemble_result(const wireless::mimo_instance& instance,
-                                               const std::vector<double>& amplitudes,
-                                               std::size_t nodes_visited);
-
-/// assemble_result into a reused result; the residual buffer serves the
-/// ml_cost evaluation.
-void assemble_result_into(const wireless::mimo_instance& instance,
-                          const std::vector<double>& amplitudes, std::size_t nodes_visited,
-                          linalg::cvec& residual_scratch, detection_result& out);
+/// all Q components) into the detected symbols (scratch.symbols) and their
+/// natural-map bits (into `bits`), and returns their ML cost for `instance`.
+double assemble_result_into(const wireless::mimo_instance& instance,
+                            const std::vector<double>& amplitudes, detect_scratch& scratch,
+                            std::vector<std::uint8_t>& bits);
 
 /// Slices a real value to the nearest alphabet amplitude.
 [[nodiscard]] double slice_amplitude(double value, const std::vector<double>& alphabet);

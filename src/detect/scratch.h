@@ -1,7 +1,7 @@
 // Per-worker detection scratch: one arena serving every built-in detector.
 //
 // The detection hot path used to allocate per call — QR intermediates,
-// QUBO reduction temporaries, beam copies, result vectors.  detect_scratch
+// QUBO reduction temporaries, beam copies, symbol vectors.  detect_scratch
 // gathers all of those into one reusable object: each detector's
 // detect_into override touches only the members it needs and every buffer
 // is resized in place (capacity-reusing) and fully rewritten per use.  A
@@ -38,9 +38,8 @@ struct detect_scratch {
     linalg::cvec soft;                   ///< equalised estimates
     std::vector<std::size_t> remaining;  ///< undetected stream ids
 
-    linalg::cvec symbols;     ///< ml_cost_bits symbol buffer
-    linalg::cvec residual;    ///< ml_cost residual buffer
-    detection_result result;  ///< reusable carrier for the path adapters
+    linalg::cvec symbols;   ///< detected symbols; ml_cost_bits symbol buffer
+    linalg::cvec residual;  ///< ml_cost residual buffer
 };
 
 }  // namespace hcq::detect

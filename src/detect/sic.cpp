@@ -8,13 +8,11 @@
 
 #include "detect/scratch.h"
 #include "linalg/decompose.h"
-#include "util/timer.h"
 
 namespace hcq::detect {
 
-void sic_detector::detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
-                               detection_result& out) const {
-    const util::timer clock;
+double sic_detector::detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
+                                 std::vector<std::uint8_t>& bits) const {
     const std::size_t n = instance.num_users;
 
     linalg::cvec& residual = scratch.sic_residual;
@@ -23,8 +21,9 @@ void sic_detector::detect_into(const wireless::mimo_instance& instance, detect_s
     remaining.resize(n);
     for (std::size_t u = 0; u < n; ++u) remaining[u] = u;
 
-    out.symbols.resize(n);
-    std::uint8_t bits[8];  // bits_per_symbol is at most 6
+    linalg::cvec& symbols = scratch.symbols;
+    symbols.resize(n);
+    std::uint8_t symbol_bits[8];  // bits_per_symbol is at most 6
     const std::size_t bps = wireless::bits_per_symbol(instance.mod);
     while (!remaining.empty()) {
         // Channel restricted to the remaining streams.
@@ -50,10 +49,10 @@ void sic_detector::detect_into(const wireless::mimo_instance& instance, detect_s
             }
         }
         const std::size_t user = remaining[pick];
-        wireless::demodulate_symbol_into(instance.mod, soft[pick], bits);
+        wireless::demodulate_symbol_into(instance.mod, soft[pick], symbol_bits);
         const linalg::cxd symbol = wireless::modulate_symbol(
-            instance.mod, std::span<const std::uint8_t>(bits, bps));
-        out.symbols[user] = symbol;
+            instance.mod, std::span<const std::uint8_t>(symbol_bits, bps));
+        symbols[user] = symbol;
 
         // Subtract the detected stream's contribution.
         for (std::size_t r = 0; r < instance.h.rows(); ++r) {
@@ -62,10 +61,8 @@ void sic_detector::detect_into(const wireless::mimo_instance& instance, detect_s
         remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(pick));
     }
 
-    wireless::demodulate_into(instance.mod, out.symbols, out.bits);
-    out.ml_cost = instance.ml_cost(out.symbols, scratch.residual);
-    out.nodes_visited = 0;
-    out.elapsed_us = clock.elapsed_us();
+    wireless::demodulate_into(instance.mod, symbols, bits);
+    return instance.ml_cost(symbols, scratch.residual);
 }
 
 }  // namespace hcq::detect

@@ -13,8 +13,8 @@ namespace hcq::detect {
 /// ZF-based ordered SIC.
 class sic_detector final : public detector {
 public:
-    void detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
-                     detection_result& out) const override;
+    double detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
+                       std::vector<std::uint8_t>& bits) const override;
     [[nodiscard]] std::string name() const override { return "SIC"; }
 };
 

@@ -6,7 +6,6 @@
 
 #include "detect/real_model.h"
 #include "detect/scratch.h"
-#include "util/timer.h"
 
 namespace hcq::detect {
 
@@ -21,7 +20,7 @@ struct search_state {
     std::vector<double>* best = nullptr;    // best leaf found
     std::vector<std::vector<double>>* level_order = nullptr;
     double best_cost = std::numeric_limits<double>::infinity();
-    std::size_t nodes = 0;
+    bool reached_leaf = false;
 };
 
 /// Expands dimension `level` (levels run dims-1 .. 0), with `partial_cost`
@@ -53,10 +52,10 @@ void descend(search_state& state, std::size_t level, double partial_cost) {
             // SE order is monotone in per-level cost: nothing further helps.
             break;
         }
-        ++state.nodes;
         chosen[level] = amplitude;
         if (level == 0) {
             state.best_cost = cost;
+            state.reached_leaf = true;
             *state.best = chosen;
         } else {
             descend(state, level - 1, cost);
@@ -69,9 +68,9 @@ void descend(search_state& state, std::size_t level, double partial_cost) {
 sphere_detector::sphere_detector(double initial_radius_sq)
     : initial_radius_sq_(initial_radius_sq) {}
 
-void sphere_detector::detect_into(const wireless::mimo_instance& instance,
-                                  detect_scratch& scratch, detection_result& out) const {
-    const util::timer clock;
+double sphere_detector::detect_into(const wireless::mimo_instance& instance,
+                                    detect_scratch& scratch,
+                                    std::vector<std::uint8_t>& bits) const {
     lattice_scratch& lat = scratch.lattice;
     const real_model& model = make_real_model_into(instance, lat);
     if (lat.level_order.size() < model.dims) lat.level_order.resize(model.dims);
@@ -87,23 +86,14 @@ void sphere_detector::detect_into(const wireless::mimo_instance& instance,
 
     descend(state, model.dims - 1, 0.0);
 
-    if (!std::isfinite(state.best_cost)) {
-        // Radius too small: fall back to the Babai (greedy slicing) solution
-        // obtained with an unbounded radius.
-        search_state fallback;
-        fallback.model = &model;
-        fallback.chosen = &lat.chosen;
-        fallback.best = &lat.best;
-        fallback.level_order = &lat.level_order;
-        lat.chosen.assign(model.dims, 0.0);
-        lat.best.assign(model.dims, 0.0);
-        descend(fallback, model.dims - 1, 0.0);
-        state.best_cost = fallback.best_cost;
-        state.nodes = fallback.nodes;
+    if (!state.reached_leaf) {
+        // The radius is below the ML cost, so no leaf lies inside it: search
+        // again with an unbounded radius, which always reaches one.
+        state.best_cost = std::numeric_limits<double>::infinity();
+        descend(state, model.dims - 1, 0.0);
     }
 
-    assemble_result_into(instance, lat.best, state.nodes, scratch.residual, out);
-    out.elapsed_us = clock.elapsed_us();
+    return assemble_result_into(instance, lat.best, scratch, bits);
 }
 
 }  // namespace hcq::detect

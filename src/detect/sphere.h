@@ -15,12 +15,14 @@ namespace hcq::detect {
 /// (up to ~16 users 16-QAM in noiseless channels).
 class sphere_detector final : public detector {
 public:
-    /// `initial_radius_sq` prunes the search from the start; infinity (the
-    /// default) guarantees the ML point is found.
+    /// A positive `initial_radius_sq` prunes the search from the start; 0
+    /// (the default) leaves it unbounded.  When no lattice point lies inside
+    /// the radius the search runs again unbounded, so the ML point is always
+    /// found.
     explicit sphere_detector(double initial_radius_sq = 0.0);
 
-    void detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
-                     detection_result& out) const override;
+    double detect_into(const wireless::mimo_instance& instance, detect_scratch& scratch,
+                       std::vector<std::uint8_t>& bits) const override;
     [[nodiscard]] std::string name() const override { return "SD"; }
 
 private:

@@ -5,7 +5,6 @@
 // detail::register_builtin_paths() — see the registry header for why.
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -83,6 +82,14 @@ void linear_soft_output(const wireless::mimo_instance& inst, double load, worksp
     wireless::equalized_llrs_into(inst, s.equalized, s.stream_nv, out.llrs);
 }
 
+/// Single-bit-flip recost soft output of the detected word, the soft output
+/// of the tree-search and QUBO paths (wireless::flip_recost_llrs_into), in
+/// the workspace's recost buffers.
+void recost_soft_output(const path_context& ctx, path_result& out) {
+    wireless::flip_recost_llrs_into(ctx.instance, out.bits, require_workspace(ctx).recost,
+                                    out.llrs);
+}
+
 /// A conventional detector as a path: one "detect" stage straight on y and
 /// H, no QUBO, no randomness, no solver form.  `soft` selects the
 /// soft_output method: post-equalisation max-log for the linear detectors,
@@ -99,10 +106,7 @@ public:
     void run_into(const path_context& ctx, path_result& out) const override {
         workspace& ws = require_workspace(ctx);
         const util::timer clock;
-        detect::detection_result& detected = ws.detect.result;
-        det_->detect_into(ctx.instance, ws.detect, detected);
-        out.bits = detected.bits;  // copy-assign: reuses out's capacity
-        out.ml_cost = detected.ml_cost;
+        out.ml_cost = det_->detect_into(ctx.instance, ws.detect, out.bits);
         out.stages.resize(1);
         set_stage(out, 0, "detect", clock.elapsed_us());
     }
@@ -119,7 +123,7 @@ public:
                                    require_workspace(ctx), out);
                 return;
             case soft_kind::recost:
-                wireless::flip_recost_llrs_into(ctx.instance, out.bits, out.llrs);
+                recost_soft_output(ctx, out);
                 return;
         }
     }
@@ -159,7 +163,7 @@ public:
     /// candidate-list method they need no sample set (solve_best_into keeps
     /// none).
     void soft_output(const path_context& ctx, path_result& out) const override {
-        wireless::flip_recost_llrs_into(ctx.instance, out.bits, out.llrs);
+        recost_soft_output(ctx, out);
     }
     [[nodiscard]] std::string name() const override { return solver_->name(); }
     [[nodiscard]] path_spec spec() const override { return spec_; }
@@ -171,11 +175,11 @@ private:
     path_spec spec_;
 };
 
-/// The paper's hybrid structure as a path: "classical" (measured initialiser
-/// wall time) and "quantum" (programmed annealer occupancy: schedule
-/// duration x reads) stages.  Owns its initialiser, its device and the one
-/// hybrid_solver over them; that solver points at the path's own members,
-/// so the path is neither copyable nor movable.
+/// The paper's hybrid structure as a path: a "classical" stage (measured
+/// wall time of the classical module) and a "quantum" stage (programmed
+/// annealer occupancy: schedule duration x reads).  Per use it makes one
+/// classical-module call, which writes its answer into the result's bits,
+/// and one quantum-stage call (hybrid::refine_into) seeded with that answer.
 ///
 /// `devices` > 1 is the paper's §5 multi-device scaling lever (registry kind
 /// "kxra"): K interchangeable annealer devices round-robin one stream.  The
@@ -184,12 +188,12 @@ private:
 /// single-device "gsra" with the same knobs — only the pipeline replay
 /// differs, where the quantum stage runs on K round-robin servers.
 ///
-/// `init` is the paper's §5 initialiser choice: `gs` (the default greedy
-/// search — byte-for-byte the historical behaviour), `tabu` (the classical
-/// solver D-Wave hybridises with, doubling as an initialiser), or `kbest`
-/// (an application-specific tree-search initialiser: the K-best detector,
-/// width 8, run on the channel use itself and fed to the reverse anneal as
-/// a fixed initial state).
+/// `init` is the paper's §5 choice of classical module: `gs` (the default
+/// greedy search — byte-for-byte the historical behaviour), `tabu` (the
+/// classical solver D-Wave hybridises with), or `kbest` (an
+/// application-specific tree search: the K-best detector, width 8, run on
+/// the channel use itself; its bits are the QUBO's variables by the
+/// transform round-trip invariant).
 class gs_ra_path final : public detection_path {
 public:
     enum class init_kind { gs, tabu, kbest };
@@ -220,46 +224,39 @@ public:
           devices_(devices),
           spec_(std::move(spec)) {
         switch (init) {
-            case init_kind::gs: init_ = std::make_unique<const solvers::greedy_search>(); break;
-            case init_kind::tabu: init_ = std::make_unique<const solvers::tabu_search>(); break;
-            case init_kind::kbest: return;  // seeded per use from the channel itself
+            case init_kind::gs: solver_ = std::make_unique<const solvers::greedy_search>(); break;
+            case init_kind::tabu: solver_ = std::make_unique<const solvers::tabu_search>(); break;
+            case init_kind::kbest: break;  // detector_ runs on the channel use
         }
-        solver_.emplace(*init_, device_, schedule_, reads_);
     }
-    gs_ra_path(const gs_ra_path&) = delete;
-    gs_ra_path& operator=(const gs_ra_path&) = delete;
 
     void run_into(const path_context& ctx, path_result& out) const override {
         require_qubo(ctx);
         workspace& ws = require_workspace(ctx);
-        hybrid::hybrid_solver::timings times;
-        double detect_us = 0.0;
-        if (solver_.has_value()) {
-            solver_->solve_best_into(ctx.reduced->model, ctx.rng, ws.solve, out.bits, times);
+        const qubo::qubo_model& q = ctx.reduced->model;
+        const util::timer clock;
+        double energy = 0.0;
+        if (solver_ != nullptr) {
+            energy = solver_->solve_best_into(q, ctx.rng, ws.solve, out.bits);
         } else {
-            // kbest initialiser: detect on the channel use itself (measured
-            // classical time), then seed the reverse anneal with the result.
-            // Constructing the per-use initialiser copies the seed bits, so
-            // this branch is not allocation-free — it is an
-            // application-specific variant, not one of the hot-path defaults.
-            const auto detected = detector_.detect(ctx.instance);
-            const solvers::fixed_initializer init(detected.bits, "KB");
-            const hybrid::hybrid_solver solver(init, device_, schedule_, reads_);
-            solver.solve_best_into(ctx.reduced->model, ctx.rng, ws.solve, out.bits, times);
-            detect_us = detected.elapsed_us;
+            (void)detector_.detect_into(ctx.instance, ws.detect, out.bits);
+            energy = q.energy(out.bits);
         }
+        const double classical_us = clock.elapsed_us();
+        (void)hybrid::refine_into(device_, schedule_, reads_, q, ctx.rng, ws.solve, out.bits,
+                                  energy);
         out.ml_cost = ctx.instance.ml_cost_bits(out.bits, ws.detect.symbols, ws.detect.residual);
         out.stages.resize(2);
-        set_stage(out, 0, "classical", detect_us + times.classical_us);
-        set_stage(out, 1, "quantum", times.quantum_us);
+        set_stage(out, 0, "classical", classical_us);
+        set_stage(out, 1, "quantum", schedule_.duration_us() * static_cast<double>(reads_));
     }
 
     /// Energy-gap soft output, like qubo_solver_path.
     void soft_output(const path_context& ctx, path_result& out) const override {
-        wireless::flip_recost_llrs_into(ctx.instance, out.bits, out.llrs);
+        recost_soft_output(ctx, out);
     }
     [[nodiscard]] std::string name() const override {
-        const std::string base = solver_.has_value() ? solver_->name() : "KB+RA";
+        const std::string base = (solver_ != nullptr ? solver_->name() : "KB") + "+RA";
         return devices_ > 1 ? base + "x" + std::to_string(devices_) : base;
     }
     [[nodiscard]] path_spec spec() const override { return spec_; }
@@ -272,14 +269,13 @@ public:
     }
 
 private:
-    std::unique_ptr<const solvers::initializer> init_;  ///< gs / tabu
+    std::unique_ptr<const solvers::solver> solver_;  ///< gs / tabu; null for kbest
+    detect::kbest_detector detector_{8};             ///< kbest
     anneal::annealer_emulator device_;
     anneal::anneal_schedule schedule_;
     std::size_t reads_;
     std::size_t devices_;
     path_spec spec_;
-    std::optional<hybrid::hybrid_solver> solver_;  ///< over init_ and device_; gs / tabu
-    detect::kbest_detector detector_{8};           ///< kbest only
 };
 
 path_info zf_info() {

@@ -134,12 +134,12 @@ public:
     /// maximal-confidence soft values.  Overrides must be deterministic (no
     /// ctx.rng draws) and independent of what ctx.ws holds, so LLRs — like bits — are
     /// bit-identical at any thread count and stream block.  The built-in
-    /// overrides: linear paths produce post-equalisation max-log LLRs
-    /// (wireless::equalized_llrs_into) with every intermediate in ctx.ws
-    /// (std::invalid_argument when it is null; no allocation once warm);
-    /// tree-search and QUBO-solver paths produce single-bit-flip recost
-    /// LLRs (wireless::flip_recost_llrs_into — for solver paths the QUBO
-    /// energy gap at the detected word).
+    /// overrides run in ctx.ws (std::invalid_argument when it is null; no
+    /// allocation once warm): linear paths produce post-equalisation
+    /// max-log LLRs (wireless::equalized_llrs_into); tree-search and
+    /// QUBO-solver paths produce single-bit-flip recost LLRs
+    /// (wireless::flip_recost_llrs_into — for solver paths the QUBO energy
+    /// gap at the detected word).
     virtual void soft_output(const path_context& ctx, path_result& out) const;
 
     /// Display name for tables, e.g. "ZF", "K-best", "GS+RA".

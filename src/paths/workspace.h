@@ -5,10 +5,10 @@
 // channel uses: the detector scratch (QUBO reduction buffers, factorisation
 // and tree-search buffers — detect/scratch.h), the classical-solver
 // scratch (Metropolis engine, bit/field buffers — classical/solver.h), and
-// the linear paths' soft-output buffers.  Once warm, the built-in paths run
-// a use without touching the heap, and so does the zf/mmse soft output.  The
-// built-in paths require one: they throw std::invalid_argument when
-// path_context::ws is null.
+// the soft-output buffers (the linear paths' equalisation, the other paths'
+// flip recost).  Once warm, the built-in paths run a use without touching
+// the heap, and so does their soft output.  The built-in paths require one:
+// they throw std::invalid_argument when path_context::ws is null.
 //
 // Ownership model: a workspace is a plain value, never shared concurrently.
 // The link simulator keeps one per pool slot (util::thread_pool::
@@ -30,6 +30,7 @@
 #include "detect/scratch.h"
 #include "linalg/decompose.h"
 #include "linalg/matrix.h"
+#include "wireless/soft.h"
 
 namespace hcq::paths {
 
@@ -46,9 +47,10 @@ struct linear_soft_scratch {
 
 /// Per-worker reusable state for the detection hot path.
 struct workspace {
-    detect::detect_scratch detect;  ///< detector scratch + QuAMax reduction buffers
-    solvers::solve_scratch solve;   ///< classical-solver / hybrid scratch
-    linear_soft_scratch soft;       ///< zf / mmse soft-output buffers
+    detect::detect_scratch detect;    ///< detector scratch + QuAMax reduction buffers
+    solvers::solve_scratch solve;     ///< classical-solver / hybrid scratch
+    linear_soft_scratch soft;         ///< zf / mmse soft-output buffers
+    wireless::recost_scratch recost;  ///< flip-recost soft-output buffers
 };
 
 }  // namespace hcq::paths

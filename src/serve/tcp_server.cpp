@@ -210,8 +210,7 @@ void tcp_server::admit(session& s, request req) {
             evicted->req, status::busy, evicted->queued_at.elapsed_us(),
             "evicted after waiting: admission queue full (capacity " +
                 std::to_string(config_.admission_capacity) + ", policy drop-oldest)");
-        send_to_session(evicted->session_id, frame(encode_response(resp)),
-                        /*close_after=*/false);
+        send_to_session(evicted->session_id, frame(encode_response(resp)));
     }
     if (!accepted) {
         const response resp =
@@ -261,8 +260,7 @@ void tcp_server::drain_one() {
     }
     {
         const util::mutex_lock lock(mutex_);
-        completions_.push_back(
-            completion{item.session_id, frame(encode_response(resp)), false});
+        completions_.push_back(completion{item.session_id, frame(encode_response(resp))});
     }
     wake_.wake();
 }
@@ -274,16 +272,16 @@ void tcp_server::drain_completions() {
         batch.swap(completions_);
     }
     for (auto& c : batch) {
-        send_to_session(c.session_id, std::move(c.frame_bytes), c.close_after);
+        send_to_session(c.session_id, std::move(c.frame_bytes));
     }
 }
 
 void tcp_server::send_to_session(std::uint64_t session_id,
-                                 std::vector<std::uint8_t> frame_bytes, bool close_after) {
+                                 std::vector<std::uint8_t> frame_bytes) {
     const auto it = sessions_.find(session_id);
     if (it == sessions_.end()) return;  // session gone; drop the response
     it->second.enqueue_output(std::move(frame_bytes));
-    if (!it->second.write_ready() || close_after) {
+    if (!it->second.write_ready()) {
         close_session(session_id);
         return;
     }

@@ -109,7 +109,6 @@ private:
     struct completion {
         std::uint64_t session_id = 0;
         std::vector<std::uint8_t> frame_bytes;
-        bool close_after = false;  ///< bad_request: framing downstream is untrusted
     };
 
     enum class input_verdict { drained, parked };
@@ -122,13 +121,15 @@ private:
     input_verdict process_input(session& s) HCQ_EXCLUDES(mutex_);
     /// process_input with the protocol_error handler attached: on an
     /// unparseable stream answers status::bad_request and closes the
-    /// session.  Returns false when the session was closed.
+    /// session, the only bad request that does.  A well-framed request the
+    /// worker rejects (an invalid spec or config) is answered bad_request
+    /// through the completion queue and the session stays open.  Returns
+    /// false when the session was closed.
     bool process_or_close(std::uint64_t session_id, session& s) HCQ_EXCLUDES(mutex_);
     void admit(session& s, request req) HCQ_EXCLUDES(mutex_);
     void drain_one() HCQ_EXCLUDES(mutex_);  ///< worker-side: pop + serve one item
     void drain_completions() HCQ_EXCLUDES(mutex_);
-    void send_to_session(std::uint64_t session_id, std::vector<std::uint8_t> frame_bytes,
-                         bool close_after);
+    void send_to_session(std::uint64_t session_id, std::vector<std::uint8_t> frame_bytes);
     void close_session(std::uint64_t session_id) HCQ_EXCLUDES(mutex_);
     void update_interest(session& s);
     void pause_reads();

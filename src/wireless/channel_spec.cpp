@@ -175,7 +175,8 @@ public:
         const double shift_norm = watterson ? spec.doppler_norm() : 0.0;
         taps_per_element_ = taps_per_element;
         tap_amplitude_ = 1.0 / std::sqrt(static_cast<double>(taps_per_element));
-        taps_.reserve(num_antennas * num_users * taps_per_element);
+        std::vector<fading_tap> taps;
+        taps.reserve(num_antennas * num_users * taps_per_element);
         for (std::size_t r = 0; r < num_antennas; ++r) {
             for (std::size_t c = 0; c < num_users; ++c) {
                 for (std::size_t k = 0; k < taps_per_element; ++k) {
@@ -183,8 +184,8 @@ public:
                     // whose identity does not depend on construction order.
                     util::rng tap_rng =
                         base.derive((r * num_users + c) * taps_per_element + k);
-                    taps_.emplace_back(tap_rng, spectrum, doppler_norm, spec.sinusoids,
-                                       shift_norm);
+                    taps.emplace_back(tap_rng, spectrum, doppler_norm, spec.sinusoids,
+                                      shift_norm);
                 }
             }
         }
@@ -194,12 +195,12 @@ public:
         // sinusoid) — so the flattened sums accumulate in the identical
         // floating-point order as fading_tap::gain.
         sinusoids_per_tap_ = spec.sinusoids;
-        sinusoid_amplitude_ = taps_.front().amplitude();
-        const std::size_t total = taps_.size() * sinusoids_per_tap_;
+        sinusoid_amplitude_ = taps.front().amplitude();
+        const std::size_t total = taps.size() * sinusoids_per_tap_;
         omega_.reserve(total);
         phase_i_.reserve(total);
         phase_q_.reserve(total);
-        for (const auto& tap : taps_) {
+        for (const auto& tap : taps) {
             for (const auto& s : tap.sinusoids()) {
                 omega_.push_back(s.omega);
                 phase_i_.push_back(s.phase_i);
@@ -244,7 +245,6 @@ private:
     std::size_t num_users_;
     std::size_t taps_per_element_ = 1;
     double tap_amplitude_ = 1.0;
-    std::vector<fading_tap> taps_;
     // Flattened (element, tap, sinusoid)-ordered sinusoid banks.
     std::size_t sinusoids_per_tap_ = 0;
     double sinusoid_amplitude_ = 0.0;

@@ -104,26 +104,31 @@ void equalized_llrs_into(const mimo_instance& instance, const linalg::cvec& equa
 }
 
 void flip_recost_llrs_into(const mimo_instance& instance, std::span<const std::uint8_t> bits,
-                           std::vector<double>& out) {
+                           recost_scratch& scratch, std::vector<double>& out) {
     if (bits.size() != instance.num_bits()) {
         throw std::invalid_argument("flip_recost_llrs: wrong bit-string length");
     }
     const double nv = std::max(instance.noise_variance, llr_noise_floor);
-    // Scratch word reused per flip; cost of the detected word computed once.
-    std::vector<std::uint8_t> word(bits.begin(), bits.end());
-    linalg::cvec symbols;
-    linalg::cvec residual;
-    const double base_cost = instance.ml_cost_bits(word, symbols, residual);
+    // One word reused per flip; cost of the detected word computed once.
+    std::vector<std::uint8_t>& word = scratch.word;
+    word.assign(bits.begin(), bits.end());
+    const double base_cost = instance.ml_cost_bits(word, scratch.symbols, scratch.residual);
     out.resize(bits.size());
     for (std::size_t b = 0; b < bits.size(); ++b) {
         word[b] ^= 1U;
-        const double flip_cost = instance.ml_cost_bits(word, symbols, residual);
+        const double flip_cost = instance.ml_cost_bits(word, scratch.symbols, scratch.residual);
         word[b] ^= 1U;
         // LLR = (cost of the b=1 word - cost of the b=0 word) / nv: when the
         // detected bit is 0 the base word IS the b=0 word, and vice versa.
         const double gap = (flip_cost - base_cost) / nv;
         out[b] = signed_llr(bits[b], gap);
     }
+}
+
+void flip_recost_llrs_into(const mimo_instance& instance, std::span<const std::uint8_t> bits,
+                           std::vector<double>& out) {
+    recost_scratch scratch;
+    flip_recost_llrs_into(instance, bits, scratch, out);
 }
 
 std::vector<std::uint8_t> harden(const std::vector<double>& llrs) {

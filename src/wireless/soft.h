@@ -70,13 +70,26 @@ void equalized_llrs_into(const mimo_instance& instance, const linalg::cvec& equa
                          std::span<const double> stream_noise_variance,
                          std::vector<double>& out);
 
+/// Reusable buffers of flip_recost_llrs_into: the re-costed word and the
+/// symbol and residual buffers of its ML cost.
+struct recost_scratch {
+    std::vector<std::uint8_t> word;
+    linalg::cvec symbols;
+    linalg::cvec residual;
+};
+
 /// Per-bit LLRs from single-bit-flip ML re-costing of a detected word:
 /// LLR_b = (cost of the word with b flipped to 1 ... minus ... flipped to 0)
 /// / max(noise_variance, llr_noise_floor), evaluated on the two words that
 /// differ from `bits` only at b.  Deterministic, RNG-free, and independent
-/// of any workspace — the soft output of the tree-search and QUBO-solver
-/// paths (for the latter this IS the QUBO energy gap at the detected word,
-/// by the transform round-trip invariant).  Clamped.
+/// of what `scratch` held before — the soft output of the tree-search and
+/// QUBO-solver paths (for the latter this IS the QUBO energy gap at the
+/// detected word, by the transform round-trip invariant).  Clamped.  A warm
+/// scratch makes the call allocation-free.
+void flip_recost_llrs_into(const mimo_instance& instance, std::span<const std::uint8_t> bits,
+                           recost_scratch& scratch, std::vector<double>& out);
+
+/// flip_recost_llrs_into on fresh scratch.
 void flip_recost_llrs_into(const mimo_instance& instance, std::span<const std::uint8_t> bits,
                            std::vector<double>& out);
 

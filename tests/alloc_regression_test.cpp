@@ -5,11 +5,12 @@
 // redesign promises: once warm, a full use — QUBO reduction (where the path
 // needs one) plus detection/solve through run_block — performs ZERO heap
 // allocations, for a linear path (zf), a sweep solver (sa), and the hybrid
-// (gsra, greedy- and tabu-seeded), even as the channel content changes use
-// to use; so does the linear paths' soft output (zf, mmse).  Link-level
-// cases extend the gate to the ARQ retransmission chain and to the coded
-// (FEC) frame chain, and a memory case pins that an overloaded block-policy
-// replay holds memory set by its buffers, not by the number of jobs.
+// (gsra, greedy-, tabu- and K-best-seeded), even as the channel content
+// changes use to use; so does the soft output, linear (zf, mmse) and flip
+// recost (kbest, gsra).  Link-level cases extend the gate to the ARQ
+// retransmission chain and to the coded (FEC) frame chain, and a memory
+// case pins that an overloaded block-policy replay holds memory set by its
+// buffers, not by the number of jobs.
 //
 // This suite must NOT run under ASan/TSan (the sanitizers interpose their
 // own allocator); scripts/verify.sh builds only its named suites for the
@@ -149,9 +150,20 @@ TEST(AllocRegression, TreeSearchAndTabuSteadyStateIsAllocationFree) {
     }
 }
 
+TEST(AllocRegression, KbestSeededGsraSteadyStateIsAllocationFree) {
+    EXPECT_EQ(steady_state_allocations("gsra:reads=4,init=kbest"), 0U);
+}
+
 TEST(AllocRegression, LinearSoftOutputIsAllocationFree) {
     EXPECT_EQ(steady_state_allocations("zf", /*soft=*/true), 0U);
     EXPECT_EQ(steady_state_allocations("mmse", /*soft=*/true), 0U);
+}
+
+TEST(AllocRegression, FlipRecostSoftOutputIsAllocationFree) {
+    // The single-bit-flip recost LLRs of the tree searches and the QUBO
+    // paths: the recost word, symbols and residual live in the workspace.
+    EXPECT_EQ(steady_state_allocations("kbest", /*soft=*/true), 0U);
+    EXPECT_EQ(steady_state_allocations("gsra:reads=4", /*soft=*/true), 0U);
 }
 
 /// Heap allocations made by one run_link_simulation call.
@@ -234,6 +246,30 @@ TEST(AllocRegression, CodedFramesReuseWorkerScratch) {
     // One untimed run first: the path registry and other lazy statics cost
     // thousands of one-time allocations, more than the per-use extras, when
     // this test runs alone in its process.
+    (void)link_allocations(config);
+    const std::uint64_t short_run = link_allocations(config);
+    config.num_uses = 2 * n;
+    const std::uint64_t long_run = link_allocations(config);
+    const double per_use =
+        (static_cast<double>(long_run) - static_cast<double>(short_run)) /
+        static_cast<double>(n);
+    EXPECT_LT(per_use, 0.1);
+}
+
+TEST(AllocRegression, CodedTreeSearchFramesReuseWorkerScratch) {
+    // The k7 coded link on mmse,kbest: kbest's soft output is the
+    // flip-recost form, which must reuse the worker's workspace as the
+    // linear soft output does.  Same shape as the zf,mmse case above.
+    hcq::link::link_config config;
+    config.num_users = 4;
+    config.mod = wl::modulation::qam16;
+    config.paths = pt::parse_spec_list("mmse,kbest");
+    config.num_threads = 1;
+    config.stream_block = 256;
+    config.fec = hcq::fec::code_spec::parse("k7");
+    constexpr std::size_t n = 512;
+    config.num_uses = n;
+    // One untimed run first: lazy statics cost one-time allocations.
     (void)link_allocations(config);
     const std::uint64_t short_run = link_allocations(config);
     config.num_uses = 2 * n;

@@ -8,6 +8,7 @@
 #include "detect/kbest.h"
 #include "detect/linear.h"
 #include "detect/real_model.h"
+#include "detect/scratch.h"
 #include "detect/sphere.h"
 #include "detect/transform.h"
 #include "qubo/brute_force.h"
@@ -54,7 +55,9 @@ TEST(RealModel, SliceAmplitude) {
 TEST(RealModel, AssembleValidatesSize) {
     hcq::util::rng rng(2);
     const auto inst = wl::noiseless_paper_instance(rng, 3, modulation::qpsk);
-    EXPECT_THROW((void)dt::assemble_result(inst, std::vector<double>(3, 1.0), 0),
+    dt::detect_scratch scratch;
+    std::vector<std::uint8_t> bits;
+    EXPECT_THROW((void)dt::assemble_result_into(inst, std::vector<double>(3, 1.0), scratch, bits),
                  std::invalid_argument);
 }
 
@@ -66,7 +69,6 @@ TEST_P(NoiselessRecovery, ZfRecoversTruth) {
     const auto result = dt::zf_detector().detect(inst);
     EXPECT_EQ(result.bits, inst.tx_bits);
     EXPECT_NEAR(result.ml_cost, 0.0, 1e-9);
-    EXPECT_EQ(result.nodes_visited, 0u);
 }
 
 TEST_P(NoiselessRecovery, MmseRecoversTruth) {
@@ -82,7 +84,6 @@ TEST_P(NoiselessRecovery, SphereRecoversTruth) {
     const auto result = dt::sphere_detector().detect(inst);
     EXPECT_EQ(result.bits, inst.tx_bits);
     EXPECT_NEAR(result.ml_cost, 0.0, 1e-9);
-    EXPECT_GT(result.nodes_visited, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModulations, NoiselessRecovery,
@@ -123,7 +124,11 @@ TEST(Sphere, SmallRadiusFallsBackGracefully) {
     hcq::util::rng rng(201);
     const auto inst = noisy_instance(rng, 2, modulation::qpsk, 1.0);
     const auto result = dt::sphere_detector(1e-12).detect(inst);
-    EXPECT_EQ(result.bits.size(), inst.num_bits());  // still produces a solution
+    // No lattice point lies inside the radius: the unbounded search's
+    // answer, not an empty or partial one.
+    const auto unbounded = dt::sphere_detector().detect(inst);
+    EXPECT_EQ(result.bits, unbounded.bits);
+    EXPECT_EQ(result.ml_cost, unbounded.ml_cost);
 }
 
 TEST(KBest, WideBeamEqualsSphere) {
@@ -195,9 +200,7 @@ TEST(Detectors, ReportedCostMatchesSymbols) {
     detectors.push_back(std::make_unique<dt::fcsd_detector>(1));
     for (const auto& det : detectors) {
         const auto result = det->detect(inst);
-        EXPECT_NEAR(result.ml_cost, inst.ml_cost(result.symbols), 1e-9) << det->name();
-        EXPECT_EQ(result.bits, wl::demodulate(inst.mod, result.symbols)) << det->name();
-        EXPECT_GE(result.elapsed_us, 0.0) << det->name();
+        EXPECT_NEAR(result.ml_cost, inst.ml_cost_bits(result.bits), 1e-9) << det->name();
     }
 }
 

@@ -46,7 +46,7 @@ TEST(Sic, CostConsistencyAndOrderingVsZf) {
         config.noise_variance = 3.0;
         const auto inst = wl::synthesize(rng, config);
         const auto sic = hcq::detect::sic_detector().detect(inst);
-        EXPECT_NEAR(sic.ml_cost, inst.ml_cost(sic.symbols), 1e-9);
+        EXPECT_NEAR(sic.ml_cost, inst.ml_cost_bits(sic.bits), 1e-9);
         sic_total += sic.ml_cost;
         sd_total += hcq::detect::sphere_detector().detect(inst).ml_cost;
     }

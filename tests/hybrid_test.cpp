@@ -179,7 +179,7 @@ TEST(HybridSolver, GsInitialStateIsGoodQuality) {
     for (int t = 0; t < trials; ++t) {
         auto stream = rng.derive(t);
         const auto e = hy::make_paper_instance(stream, 8, wl::modulation::qam16);
-        const auto init = hcq::solvers::greedy_search().initialize(e.reduced.model, stream);
+        const auto init = hcq::solvers::greedy_search().solve(e.reduced.model, stream);
         const double gap = hcq::metrics::delta_e_percent(init.energy, e.optimal_energy);
         if (gap <= 30.0) ++good;
     }

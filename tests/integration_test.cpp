@@ -33,7 +33,7 @@ double mean_gap(const an::annealer_emulator& device, const an::anneal_schedule& 
     for (const auto& e : corpus) {
         std::optional<hcq::qubo::bit_vector> initial;
         if (init_greedy) {
-            initial = sv::greedy_search().initialize(e.reduced.model, rng).bits;
+            initial = sv::greedy_search().solve(e.reduced.model, rng).bits;
         } else if (init_random) {
             initial = rng.bits(e.num_variables());
         }
@@ -189,7 +189,7 @@ TEST(Integration, HybridPipelineMeetsLatencyBudget) {
     // per-channel-use budget of a few ms, a handful of reads fits easily.
     hcq::util::rng rng(2029);
     const auto e = hy::make_paper_instance(rng, 4, wl::modulation::qam16);
-    const auto init = sv::greedy_search().initialize(e.reduced.model, rng);
+    const auto init = sv::greedy_search().solve(e.reduced.model, rng);
     const auto schedule = an::anneal_schedule::reverse(0.45, 1.0);
     const auto stages = hcq::pipeline::make_hybrid_stages(
         std::max(init.elapsed_us, 1.0), schedule.duration_us(), 100);

@@ -121,6 +121,31 @@ TEST(LinkSim, GoldenStatisticsMatchEnumImplementationHardScenario) {
     }
 }
 
+TEST(LinkSim, GoldenTabuAndKbestSeededHybrids) {
+    // The hybrid's other two classical modules: tabu (a QUBO solver) and
+    // the K-best detector run on the channel use.  Recorded before the
+    // classical modules shared one interface.  At 10 dB the reverse anneal
+    // moves the K-best seed (K-best alone sums 143.439... on this stream),
+    // so a quantum stage that stopped refining the seed is caught too.
+    const golden_row golden[] = {
+        {"Tabu+RA", 63, 256, 3, 143.30244079082027},
+        {"KB+RA", 66, 256, 3, 142.87847199796209},
+    };
+    lk::link_config config;
+    config.num_uses = 16;
+    config.num_users = 4;
+    config.mod = wl::modulation::qam16;
+    config.snr_db = 10.0;
+    config.paths = pt::parse_spec_list("gsra:reads=8,init=tabu,gsra:reads=8,init=kbest");
+    config.seed = 2026;
+    for (const std::size_t threads : {1UL, 2UL, 8UL}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        config.num_threads = threads;
+        const auto report = lk::run_link_simulation(config);
+        for (const auto& row : golden) expect_golden(report, row);
+    }
+}
+
 TEST(LinkSim, SpherePathIsExactOnNoiselessPaperCorpus) {
     auto config = small_config();
     config.noiseless = true;

@@ -71,7 +71,7 @@ TEST(SampleSet, MergeAndEnergies) {
 TEST(Initializers, RandomProducesValidState) {
     hcq::util::rng rng(1);
     const auto m = q::random_qubo(rng, 10, 1.0, -1.0, 1.0);
-    const auto init = sv::random_initializer().initialize(m, rng);
+    const auto init = sv::random_initializer().solve(m, rng);
     EXPECT_EQ(init.bits.size(), 10u);
     EXPECT_NEAR(init.energy, m.energy(init.bits), 1e-12);
     EXPECT_EQ(sv::random_initializer().name(), "random");
@@ -82,11 +82,11 @@ TEST(Initializers, FixedReturnsExactBits) {
     const auto m = q::random_qubo(rng, 4, 1.0, -1.0, 1.0);
     const q::bit_vector bits{1, 0, 1, 1};
     const sv::fixed_initializer init(bits, "oracle");
-    const auto state = init.initialize(m, rng);
+    const auto state = init.solve(m, rng);
     EXPECT_EQ(state.bits, bits);
     EXPECT_EQ(init.name(), "oracle");
     const sv::fixed_initializer wrong(q::bit_vector{1, 0});
-    EXPECT_THROW((void)wrong.initialize(m, rng), std::invalid_argument);
+    EXPECT_THROW((void)wrong.solve(m, rng), std::invalid_argument);
 }
 
 TEST(Greedy, DeterministicAcrossCalls) {
@@ -95,8 +95,8 @@ TEST(Greedy, DeterministicAcrossCalls) {
     sv::greedy_search gs;
     auto rng1 = rng.derive(1);
     auto rng2 = rng.derive(2);
-    const auto a = gs.initialize(m, rng1);
-    const auto b = gs.initialize(m, rng2);
+    const auto a = gs.solve(m, rng1);
+    const auto b = gs.solve(m, rng2);
     EXPECT_EQ(a.bits, b.bits);  // rng is unused: GS is deterministic
     EXPECT_DOUBLE_EQ(a.energy, b.energy);
 }
@@ -104,7 +104,7 @@ TEST(Greedy, DeterministicAcrossCalls) {
 TEST(Greedy, SolvesFerromagneticChainExactly) {
     const auto m = q::to_qubo(q::ferromagnetic_chain(12));
     hcq::util::rng rng(4);
-    const auto init = sv::greedy_search().initialize(m, rng);
+    const auto init = sv::greedy_search().solve(m, rng);
     const q::bit_vector all_ones(12, 1);
     EXPECT_EQ(init.bits, all_ones);
 }
@@ -117,7 +117,7 @@ TEST(Greedy, BeatsRandomOnAverage) {
     for (int t = 0; t < trials; ++t) {
         const auto m = q::random_qubo(rng, 24, 1.0, -1.0, 1.0);
         auto grng = rng.derive(t);
-        greedy_total += sv::greedy_search().initialize(m, grng).energy;
+        greedy_total += sv::greedy_search().solve(m, grng).energy;
         for (int r = 0; r < 5; ++r) {
             random_total += m.energy(rng.bits(24)) / 5.0;
         }
@@ -128,7 +128,7 @@ TEST(Greedy, BeatsRandomOnAverage) {
 TEST(Greedy, EnergyMatchesReportedBits) {
     hcq::util::rng rng(6);
     const auto m = q::random_qubo(rng, 15, 0.8, -2.0, 2.0);
-    const auto init = sv::greedy_search().initialize(m, rng);
+    const auto init = sv::greedy_search().solve(m, rng);
     EXPECT_NEAR(init.energy, m.energy(init.bits), 1e-12);
     EXPECT_GE(init.elapsed_us, 0.0);
 }
@@ -136,8 +136,8 @@ TEST(Greedy, EnergyMatchesReportedBits) {
 TEST(Greedy, BothRankOrdersProduceValidStates) {
     hcq::util::rng rng(7);
     const auto m = q::random_qubo(rng, 12, 1.0, -1.0, 1.0);
-    const auto a = sv::greedy_search(sv::rank_order::most_decided_first).initialize(m, rng);
-    const auto b = sv::greedy_search(sv::rank_order::least_decided_first).initialize(m, rng);
+    const auto a = sv::greedy_search(sv::rank_order::most_decided_first).solve(m, rng);
+    const auto b = sv::greedy_search(sv::rank_order::least_decided_first).solve(m, rng);
     EXPECT_EQ(a.bits.size(), 12u);
     EXPECT_EQ(b.bits.size(), 12u);
     // The default is the paper's literal "ascending magnitude" order.
@@ -150,7 +150,7 @@ TEST(Greedy, LocalMinimumUnderSingleFlips) {
     // verifying no single flip of the *last assigned* variable helps.
     hcq::util::rng rng(8);
     const auto m = q::random_qubo(rng, 10, 1.0, -1.0, 1.0);
-    const auto init = sv::greedy_search().initialize(m, rng);
+    const auto init = sv::greedy_search().solve(m, rng);
     // A full 1-opt guarantee does not hold for greedy; verify energy is
     // finite and consistent instead, plus at most n improving flips exist.
     std::size_t improving = 0;
@@ -269,7 +269,7 @@ TEST(Tabu, InitializerInterface) {
     hcq::util::rng rng(18);
     const auto m = q::random_qubo(rng, 8, 1.0, -1.0, 1.0);
     const sv::tabu_search tabu;
-    const auto init = tabu.initialize(m, rng);
+    const auto init = tabu.solve(m, rng);
     EXPECT_EQ(init.bits.size(), 8u);
     EXPECT_NEAR(init.energy, m.energy(init.bits), 1e-12);
     EXPECT_EQ(tabu.name(), "Tabu");
