@@ -21,8 +21,13 @@
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <vector>
 
+#include "classical/solver.h"
+#include "metrics/stats.h"
+#include "qubo/model.h"
 #include "util/cli.h"
+#include "util/rng.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -103,6 +108,30 @@ struct context {
         std::cout << "\n";
     }
 };
+
+/// A solver's answer and its warm cost, as the link pays it per use: one
+/// untimed call warms the scratch, then elapsed_us is the median wall time
+/// of `repeats` timed calls.  Every call draws from its own copy of `rng`,
+/// and `rng` ends where one call leaves it, so the bits, the energy and
+/// every later draw are those of a single cold solver.solve(q, rng).
+inline solvers::solution warm_solve(const solvers::solver& solver, const qubo::qubo_model& q,
+                                    util::rng& rng, std::size_t repeats = 15) {
+    solvers::solve_scratch scratch;
+    solvers::solution out;
+    util::rng stream = rng;
+    (void)solver.solve_best_into(q, stream, scratch, out.bits);
+    std::vector<double> elapsed_us;
+    elapsed_us.reserve(repeats);
+    for (std::size_t k = 0; k < repeats; ++k) {
+        stream = rng;
+        const util::timer clock;
+        out.energy = solver.solve_best_into(q, stream, scratch, out.bits);
+        elapsed_us.push_back(clock.elapsed_us());
+    }
+    rng = stream;
+    out.elapsed_us = metrics::median(std::move(elapsed_us));
+    return out;
+}
 
 }  // namespace hcq::bench
 

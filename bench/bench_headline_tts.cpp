@@ -42,7 +42,7 @@ struct outcome {
 outcome best_parameter_duel(const an::annealer_emulator& device,
                             const hy::experiment_instance& e, std::size_t reads,
                             hcq::util::rng& rng) {
-    const auto gs = hcq::solvers::greedy_search().solve(e.reduced.model, rng);
+    const auto gs = hcq::bench::warm_solve(hcq::solvers::greedy_search(), e.reduced.model, rng);
     const double gs_us_per_read =
         gs.elapsed_us / static_cast<double>(std::max<std::size_t>(1, reads));
     outcome best;

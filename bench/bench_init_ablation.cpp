@@ -51,18 +51,11 @@ struct initializer_entry {
 // Every classical module is timed on scratch warmed by one untimed call, as
 // the link runs it, so the classical time excludes scratch allocation.
 
-/// A solver's timed answer.  The warm-up call draws from a copy of `rng`,
-/// so the timed call sees the draws a single cold call would.
+/// A solver's timed answer: hcq::bench::warm_solve, the median of warm
+/// calls that each see the draws a single cold call would.
 hcq::solvers::solution from_solver(const hcq::solvers::solver& solver,
                                    const hy::experiment_instance& e, hcq::util::rng& rng) {
-    hcq::solvers::solve_scratch scratch;
-    hcq::solvers::solution out;
-    hcq::util::rng warm_rng = rng;
-    (void)solver.solve_best_into(e.reduced.model, warm_rng, scratch, out.bits);
-    const hcq::util::timer clock;
-    out.energy = solver.solve_best_into(e.reduced.model, rng, scratch, out.bits);
-    out.elapsed_us = clock.elapsed_us();
-    return out;
+    return hcq::bench::warm_solve(solver, e.reduced.model, rng);
 }
 
 /// A detector's timed answer, costed as a QUBO state.

@@ -68,13 +68,16 @@ void bm_flip_delta(benchmark::State& state) {
 }
 BENCHMARK(bm_flip_delta)->Arg(36)->Arg(64);
 
+/// One sweep as the solvers run it: a read's sweeps share one draw cursor.
 void bm_metropolis_sweep(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     hcq::util::rng rng(n);
     const auto q = hcq::qubo::random_qubo(rng, n);
     hcq::solvers::metropolis_engine engine(q, rng.bits(n));
+    hcq::solvers::draw_chunk chunk{};
+    hcq::solvers::draw_cursor draws(rng, chunk);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(engine.sweep(0.5, rng));
+        benchmark::DoNotOptimize(engine.sweep(0.5, draws));
     }
     state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
@@ -107,18 +110,19 @@ void bm_ml_to_qubo_transform(benchmark::State& state) {
 }
 BENCHMARK(bm_ml_to_qubo_transform);
 
-/// Times one anneal_once_into read of `schedule` on the 32-variable
-/// instance; `initial` is null for forward schedules.
+/// Times one anneal_once_into read of `schedule`, programmed once, on the
+/// 32-variable instance; `initial` is null for forward schedules.
 void run_anneal_read(benchmark::State& state, const an::anneal_schedule& schedule,
                      const hcq::qubo::bit_vector* initial) {
     const auto& e = instance32();
     const an::annealer_emulator device;
+    const an::anneal_program program = device.program(schedule);
     hcq::util::rng rng(13);
     hcq::solvers::solve_scratch scratch;
     hcq::qubo::bit_vector read;
-    device.anneal_once_into(e.reduced.model, schedule, rng, initial, scratch, read);
+    device.anneal_once_into(e.reduced.model, program, rng, initial, scratch, read);
     for (auto _ : state) {
-        device.anneal_once_into(e.reduced.model, schedule, rng, initial, scratch, read);
+        device.anneal_once_into(e.reduced.model, program, rng, initial, scratch, read);
         benchmark::DoNotOptimize(read.data());
         benchmark::ClobberMemory();
     }
@@ -142,6 +146,28 @@ void bm_rng_derive(benchmark::State& state) {
     for (auto _ : state) benchmark::DoNotOptimize(base.derive(id++));
 }
 BENCHMARK(bm_rng_derive);
+
+/// One draw through operator(): a scalar block per two draws.
+void bm_rng_draw(benchmark::State& state) {
+    hcq::util::rng rng(37);
+    for (auto _ : state) benchmark::DoNotOptimize(rng());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(bm_rng_draw);
+
+/// Draws through fill() in runs of range(0): 64 is the sweeps' draw_chunk,
+/// 16 one sweep's worth on the link's 4x4 16-QAM QUBO.
+void bm_rng_fill(benchmark::State& state) {
+    hcq::util::rng rng(37);
+    std::vector<hcq::util::rng::result_type> draws(static_cast<std::size_t>(state.range(0)));
+    for (auto _ : state) {
+        rng.fill(draws);
+        benchmark::DoNotOptimize(draws.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(bm_rng_fill)->Arg(16)->Arg(64);
 
 /// One 4x4 16-QAM use synthesised from the i.i.d. Rayleigh process at
 /// 16 dB, as link and serve run it, into a warm instance (the i.i.d.

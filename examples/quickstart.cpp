@@ -47,7 +47,7 @@ int main() {
               << metrics::delta_e_percent(result.initial.energy, truth_energy) << "\n"
               << "after " << result.samples.size() << " reverse anneals: Delta-E% = "
               << metrics::delta_e_percent(result.best_energy, truth_energy) << "\n"
-              << "classical time: " << result.classical_us
+              << "classical time: " << result.initial.elapsed_us
               << " us, programmed quantum time: " << result.quantum_us << " us\n";
 
     // 5. Decode.

@@ -8,8 +8,8 @@
 #            -fsanitize=thread and run them (proves the corpus builder,
 #            thread pool, bounded-buffer pipeline, and link simulator
 #            race-free)
-#   --asan   additionally build the kernel/solver/detection/link/hybrid/
-#            pipeline suites (and the QUBO deserializer's) with
+#   --asan   additionally build the RNG/kernel/solver/detection/link/
+#            hybrid/pipeline suites (and the QUBO deserializer's) with
 #            -fsanitize=address,undefined and run them (mirrors the CI asan
 #            job)
 #   --lint   additionally run the repo contract linter (scripts/hcq_lint.py)
@@ -90,12 +90,13 @@ fi
 if [[ $run_asan -eq 1 ]]; then
     dir="build-asan"
     [[ $clean -eq 1 ]] && rm -rf "$dir"
-    echo "== ASan+UBSan: kernels + solvers + detection paths + link simulator + hybrid solver + pipeline + ARQ + FEC + serve =="
+    echo "== ASan+UBSan: RNG + kernels + solvers + detection paths + link simulator + hybrid solver + pipeline + ARQ + FEC + serve =="
     cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DHCQ_SANITIZE=address \
         -DHCQ_BUILD_EXAMPLES=OFF -DHCQ_BUILD_BENCHES=OFF
-    cmake --build "$dir" -j "$jobs" --target linalg_test solvers_test device_test detect_test \
-        wireless_test qubo_test extensions_test paths_test link_test hybrid_test pipeline_test \
-        arq_test fec_test serve_test workspace_test
+    cmake --build "$dir" -j "$jobs" --target util_test linalg_test solvers_test device_test \
+        detect_test wireless_test qubo_test extensions_test paths_test link_test hybrid_test \
+        pipeline_test arq_test fec_test serve_test workspace_test
+    "$dir/tests/util_test" --gtest_filter='Rng.*'
     "$dir/tests/linalg_test"
     "$dir/tests/solvers_test"
     "$dir/tests/device_test"

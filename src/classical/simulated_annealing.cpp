@@ -36,9 +36,12 @@ double simulated_annealing::solve_best_into(const qubo::qubo_model& q, util::rng
         rng.bits_into(q.num_variables(), scratch.bits_a);
         engine.reset(q, scratch.bits_a);
         double temperature = t_hot;
-        for (std::size_t s = 0; s < config_.num_sweeps; ++s) {
-            engine.sweep(temperature, rng);
-            temperature *= ratio;
+        {
+            draw_cursor draws(rng, scratch.draws);  // released before the next read draws
+            for (std::size_t s = 0; s < config_.num_sweeps; ++s) {
+                engine.sweep(temperature, draws);
+                temperature *= ratio;
+            }
         }
         if (read == 0 || engine.energy() < best_energy) {
             best_energy = engine.energy();

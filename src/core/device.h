@@ -13,10 +13,23 @@
 //     state — reverse annealing's defining input;
 //   * at s = 1 fluctuations vanish and the state is a frozen classical
 //     register, which is what a read returns.
+//
+// Programming: f(s(t)) at each sweep's midpoint depends only on the schedule
+// and the config, so program() evaluates it once into an anneal_program, a
+// run-length-encoded table in which a pause of any length is one entry.
+// Callers that anneal one schedule many times (the gsra path) program it
+// once; the schedule-taking forms program per call.  A read scales the
+// table by its problem's max|Q|, which sample() and sample_best_into()
+// compute once per call, as they do the start state's energy and local
+// fields when the reads share one start (a reverse schedule without
+// control noise).  Every draw, flip and read is the same as sweeping
+// s(t) directly.
 #ifndef HCQ_CORE_DEVICE_H
 #define HCQ_CORE_DEVICE_H
 
+#include <cstddef>
 #include <optional>
+#include <vector>
 
 #include "classical/sample_set.h"
 #include "classical/solver.h"
@@ -59,6 +72,18 @@ struct annealer_config {
     double readout_flip_probability = 0.0;
 };
 
+/// A schedule as programmed into one device: the fluctuation f(s) at the
+/// midpoint of every sweep, run-length encoded.
+struct anneal_program {
+    /// `sweeps` consecutive sweeps at fluctuation `fluctuation`.
+    struct run {
+        double fluctuation = 0.0;
+        std::size_t sweeps = 0;
+    };
+    std::vector<run> runs;
+    bool starts_classical = false;  ///< reads need a programmed initial state
+};
+
 /// Schedule-driven QUBO sampler emulating an analog quantum annealer.
 class annealer_emulator {
 public:
@@ -74,15 +99,19 @@ public:
     /// num_reads independent anneals (each from the same initial state for
     /// reverse schedules, as on hardware).  Internally derives one RNG
     /// stream per read, so results are independent of read order; every
-    /// read runs anneal_once_into on one scratch per call.
+    /// read runs on one scratch per call.
     [[nodiscard]] solvers::sample_set sample(
         const qubo::qubo_model& q, const anneal_schedule& schedule, std::size_t num_reads,
         util::rng& rng, const std::optional<qubo::bit_vector>& initial = std::nullopt) const;
 
     /// anneal_once into a reused buffer; `initial` may be nullptr for
-    /// forward-start schedules.  Uses scratch.engine and scratch.bits_a;
-    /// with the default config (no control noise) a warmed-up call performs
-    /// no allocations.
+    /// forward-start programs.  Uses scratch.engine, scratch.draws and
+    /// scratch.bits_a; with the default config (no control noise) a
+    /// warmed-up call performs no allocations.
+    void anneal_once_into(const qubo::qubo_model& q, const anneal_program& program,
+                          util::rng& rng, const qubo::bit_vector* initial,
+                          solvers::solve_scratch& scratch, qubo::bit_vector& out) const;
+    /// anneal_once_into on program(schedule).
     void anneal_once_into(const qubo::qubo_model& q, const anneal_schedule& schedule,
                           util::rng& rng, const qubo::bit_vector* initial,
                           solvers::solve_scratch& scratch, qubo::bit_vector& out) const;
@@ -90,10 +119,19 @@ public:
     /// sample() keeping only the winning read, written into `best` (reused
     /// buffer), returning its energy.  Identical RNG streams and identical
     /// selection to sample(...).best() — the first strictly-lowest read wins.
+    /// With the default config a warmed-up call performs no allocations.
+    double sample_best_into(const qubo::qubo_model& q, const anneal_program& program,
+                            std::size_t num_reads, util::rng& rng,
+                            const qubo::bit_vector* initial, solvers::solve_scratch& scratch,
+                            qubo::bit_vector& best) const;
+    /// sample_best_into on program(schedule).
     double sample_best_into(const qubo::qubo_model& q, const anneal_schedule& schedule,
                             std::size_t num_reads, util::rng& rng,
                             const qubo::bit_vector* initial, solvers::solve_scratch& scratch,
                             qubo::bit_vector& best) const;
+
+    /// Programs `schedule`: its per-sweep fluctuation table on this device.
+    [[nodiscard]] anneal_program program(const anneal_schedule& schedule) const;
 
     /// Number of Metropolis sweeps a schedule maps to (>= 1).
     [[nodiscard]] std::size_t sweeps_for(const anneal_schedule& schedule) const;

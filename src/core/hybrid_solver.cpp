@@ -6,11 +6,11 @@
 
 namespace hcq::hybrid {
 
-double refine_into(const anneal::annealer_emulator& device, const anneal::anneal_schedule& schedule,
+double refine_into(const anneal::annealer_emulator& device, const anneal::anneal_program& program,
                    std::size_t num_reads, const qubo::qubo_model& q, util::rng& rng,
                    solvers::solve_scratch& scratch, qubo::bit_vector& best, double energy) {
     const double device_energy =
-        device.sample_best_into(q, schedule, num_reads, rng, &best, scratch, scratch.bits_b);
+        device.sample_best_into(q, program, num_reads, rng, &best, scratch, scratch.bits_b);
     if (device_energy < energy) {
         best.assign(scratch.bits_b.begin(), scratch.bits_b.end());
         return device_energy;
@@ -38,7 +38,6 @@ hybrid_result hybrid_solver::solve(const qubo::qubo_model& q, util::rng& rng) co
     hybrid_result out;
     out.initial = classical_->solve(q, rng);
     out.samples = device_->sample(q, schedule_, num_reads_, rng, out.initial.bits);
-    out.classical_us = out.initial.elapsed_us;
     out.quantum_us = schedule_.duration_us() * static_cast<double>(num_reads_);
 
     // A read must strictly beat the classical candidate to replace it.

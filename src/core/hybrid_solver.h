@@ -13,21 +13,20 @@ namespace hcq::hybrid {
 
 /// Everything one hybrid solve produces.
 struct hybrid_result {
-    solvers::solution initial;    ///< classical module output
+    solvers::solution initial;    ///< classical module output and its wall time
     solvers::sample_set samples;  ///< annealer reads
     qubo::bit_vector best_bits;   ///< best of {initial, samples}
     double best_energy = 0.0;
-    double classical_us = 0.0;    ///< measured classical-module wall time
     double quantum_us = 0.0;      ///< programmed schedule time x reads
 };
 
 /// The quantum stage of a best-only hybrid solve: `num_reads` anneals of
-/// the reverse `schedule` on `device`, each seeded with the classical
-/// module's answer held in `best` (QUBO energy `energy`).  The best read
-/// replaces `best` only when its energy is strictly lower, as in
+/// the reverse `program` (programmed on `device`), each seeded with the
+/// classical module's answer held in `best` (QUBO energy `energy`).  The
+/// best read replaces `best` only when its energy is strictly lower, as in
 /// hybrid_solver::solve.  Returns the energy of `best`.  A warmed-up
 /// scratch makes the call allocation-free under the default device config.
-double refine_into(const anneal::annealer_emulator& device, const anneal::anneal_schedule& schedule,
+double refine_into(const anneal::annealer_emulator& device, const anneal::anneal_program& program,
                    std::size_t num_reads, const qubo::qubo_model& q, util::rng& rng,
                    solvers::solve_scratch& scratch, qubo::bit_vector& best, double energy);
 

@@ -220,6 +220,7 @@ public:
     gs_ra_path(init_kind init, std::size_t reads, double sp, double pause_us,
                std::size_t devices, path_spec spec)
         : schedule_(anneal::anneal_schedule::reverse(sp, pause_us)),
+          program_(device_.program(schedule_)),
           reads_(reads),
           devices_(devices),
           spec_(std::move(spec)) {
@@ -243,7 +244,7 @@ public:
             energy = q.energy(out.bits);
         }
         const double classical_us = clock.elapsed_us();
-        (void)hybrid::refine_into(device_, schedule_, reads_, q, ctx.rng, ws.solve, out.bits,
+        (void)hybrid::refine_into(device_, program_, reads_, q, ctx.rng, ws.solve, out.bits,
                                   energy);
         out.ml_cost = ctx.instance.ml_cost_bits(out.bits, ws.detect.symbols, ws.detect.residual);
         out.stages.resize(2);
@@ -273,6 +274,7 @@ private:
     detect::kbest_detector detector_{8};             ///< kbest
     anneal::annealer_emulator device_;
     anneal::anneal_schedule schedule_;
+    anneal::anneal_program program_;  ///< schedule_ programmed once on device_
     std::size_t reads_;
     std::size_t devices_;
     path_spec spec_;

@@ -19,7 +19,13 @@
 // function of the derivation path.
 //
 // Draws (defined here and in rng.cpp, not by <random>):
-//   * uniform()        (x >> 11) * 2^-53, in [0, 1);
+//   * operator()       the next 64-bit draw;
+//   * fill(out)        the next out.size() draws, exactly as that many
+//                      operator() calls would return them and leaving the
+//                      generator in the same state;
+//   * discard(n)       skips n draws in O(1): the state n operator() calls
+//                      leave, running at most one block;
+//   * uniform()        to_uniform of one draw: (x >> 11) * 2^-53, in [0, 1);
 //   * uniform(lo, hi)  lo + (hi - lo) * uniform();
 //   * bernoulli(p)     uniform() < p;
 //   * normal()         Marsaglia's polar method on two uniforms in (-1, 1);
@@ -31,12 +37,18 @@
 //
 // Cost: the generator is 40 bytes, trivially copyable and never allocates;
 // derive() is a splitmix64 hash, and a block (two draws) is ten rounds of two
-// 32x32->64 multiplies.
+// 32x32->64 multiplies.  operator() runs one block out of line per two
+// draws.  fill() runs its blocks in batches: on an x86-64 CPU with AVX2
+// (checked once, by __builtin_cpu_supports) four blocks share each vector
+// step, in 64-bit lanes, so a counter crossing 2^32 carries per lane;
+// elsewhere it runs the scalar block, which is also the reference the SIMD
+// kernel is tested against.  Draw for draw the two are the same function.
 #ifndef HCQ_UTIL_RNG_H
 #define HCQ_UTIL_RNG_H
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -56,10 +68,11 @@ public:
     /// `stream_id`; deterministic in (seed, stream_id).
     [[nodiscard]] rng derive(std::uint64_t stream_id) const noexcept;
 
-    /// Uniform real in [0, 1): the top 53 bits of one draw.  Inline: this is
-    /// the innermost draw of every Metropolis accept test.
-    [[nodiscard]] double uniform() noexcept {
-        return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+    /// Uniform real in [0, 1): the top 53 bits of one draw.
+    [[nodiscard]] double uniform() noexcept { return to_uniform((*this)()); }
+    /// The uniform() value of a draw, for draws taken through fill().
+    [[nodiscard]] static constexpr double to_uniform(result_type draw) noexcept {
+        return static_cast<double>(draw >> 11) * 0x1.0p-53;
     }
     /// Uniform real in [lo, hi).
     [[nodiscard]] double uniform(double lo, double hi);
@@ -98,6 +111,13 @@ public:
         }
         return next_block();
     }
+    /// Writes the next out.size() draws into `out`: the values, and the
+    /// state left behind, of as many operator() calls.
+    void fill(std::span<result_type> out) noexcept;
+
+    /// Skips the next n draws, leaving the state n operator() calls would.
+    void discard(std::uint64_t n) noexcept;
+
     [[nodiscard]] static constexpr result_type min() { return 0; }
     [[nodiscard]] static constexpr result_type max() { return ~result_type{0}; }
 
@@ -116,6 +136,26 @@ private:
     bool has_spare_ = false;
     bool has_spare_normal_ = false;
 };
+
+/// The Philox4x32-10 block kernels behind rng::fill, exposed so tests can
+/// hold the SIMD kernel to the scalar one.  Each writes out.size() draws,
+/// starting with the first draw of block `block` under key `key`, and
+/// returns the draw that follows them when out.size() is odd (the second
+/// half of the last block), else 0.
+namespace philox {
+
+std::uint64_t draws_scalar(std::uint64_t key, std::uint64_t block,
+                           std::span<std::uint64_t> out) noexcept;
+
+/// True when this CPU runs draws_avx2 (x86-64 with AVX2).
+[[nodiscard]] bool avx2_supported() noexcept;
+
+/// The AVX2 kernel, four blocks per vector step; call only when
+/// avx2_supported().  Elsewhere it is draws_scalar.
+std::uint64_t draws_avx2(std::uint64_t key, std::uint64_t block,
+                         std::span<std::uint64_t> out) noexcept;
+
+}  // namespace philox
 
 }  // namespace hcq::util
 

@@ -2,8 +2,10 @@
 // substitution's contract (see DESIGN.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "classical/metropolis.h"
@@ -81,6 +83,29 @@ TEST(Device, SweepsScaleWithDuration) {
     const an::annealer_emulator device(config);
     EXPECT_EQ(device.sweeps_for(an::anneal_schedule::forward_plain(2.0)), 20u);
     EXPECT_EQ(device.sweeps_for(an::anneal_schedule::forward_plain(0.01)), 1u);  // minimum 1
+}
+
+TEST(Device, ProgramRunLengthEncodesThePause) {
+    // The table holds f(s) per sweep, run-length encoded: the sweeps of a
+    // pause share one entry, so gsra:pause_us=1000 (24,000 pause sweeps at
+    // the default 24 sweeps/us) programs no more entries than pause_us=1
+    // plus the pause's boundary sweeps.  Every sweep is counted once.
+    const an::annealer_emulator device;
+    const auto short_pause = an::anneal_schedule::reverse(0.29, 1.0);
+    const auto long_pause = an::anneal_schedule::reverse(0.29, 1000.0);
+    const an::anneal_program a = device.program(short_pause);
+    const an::anneal_program b = device.program(long_pause);
+    EXPECT_LE(b.runs.size(), a.runs.size() + 2);
+    for (const auto& [schedule, program] : {std::pair{&short_pause, &a}, std::pair{&long_pause, &b}}) {
+        std::size_t sweeps = 0;
+        for (const auto& run : program->runs) sweeps += run.sweeps;
+        EXPECT_EQ(sweeps, device.sweeps_for(*schedule));
+        EXPECT_TRUE(program->starts_classical);
+    }
+    const auto pause = std::max_element(b.runs.begin(), b.runs.end(),
+                                        [](const auto& x, const auto& y) { return x.sweeps < y.sweeps; });
+    EXPECT_GE(pause->sweeps, 24000U);
+    EXPECT_EQ(pause->fluctuation, device.config().map.fluctuation(0.29));
 }
 
 TEST(Device, ReverseScheduleRequiresInitialState) {
@@ -251,6 +276,62 @@ TEST(Device, BestOnlySampleMatchesBestOfTheSampleSet) {
             EXPECT_EQ(got_rng(), want_rng());
         }
     }
+}
+
+/// "0101..." for a bit vector, so a pinned read prints readably on failure.
+std::string bit_string(const q::bit_vector& bits) {
+    std::string out;
+    for (const auto b : bits) out += b != 0 ? '1' : '0';
+    return out;
+}
+
+TEST(Device, NoisyReadsMatchRecordedValues) {
+    // Control noise draws normals before the sweeps and read-out flips draw
+    // uniforms after them, all from the read's stream.  Three RA and three
+    // FA reads on one 16-variable QUBO, and a four-read RA sample(), pin each
+    // read's bits and the next draw of the stream; the values were recorded
+    // before the sweep drew its uniforms in chunks.
+    hcq::util::rng make(61);
+    const auto m = q::random_qubo(make, 16, 0.7, -1.0, 1.0);
+    const q::bit_vector initial = make.bits(16);
+    an::annealer_config config;
+    config.control_noise = 0.05;
+    config.readout_flip_probability = 0.02;
+    const an::annealer_emulator device(config);
+    hcq::solvers::solve_scratch scratch;
+    const auto three_reads = [&](const an::anneal_schedule& schedule, hcq::util::rng& rng,
+                                 const q::bit_vector* start) {
+        std::vector<std::string> reads(3);
+        q::bit_vector out;
+        for (auto& read : reads) {
+            device.anneal_once_into(m, schedule, rng, start, scratch, out);
+            read = bit_string(out);
+        }
+        return reads;
+    };
+
+    hcq::util::rng ra_rng(62);
+    EXPECT_EQ(three_reads(an::anneal_schedule::reverse(0.45, 1.0), ra_rng, &initial),
+              (std::vector<std::string>{"1111111100100110", "1111111101100111",
+                                        "1111111101100111"}));
+    EXPECT_EQ(ra_rng(), 6151366893325214478ULL);
+
+    hcq::util::rng fa_rng(63);
+    EXPECT_EQ(three_reads(an::anneal_schedule::forward(1.0, 0.41, 1.0), fa_rng, nullptr),
+              (std::vector<std::string>{"1111111101100111", "1011111101100111",
+                                        "1011111101100111"}));
+    EXPECT_EQ(fa_rng(), 13050399393548317821ULL);
+
+    // sample() runs its reads through the loop that shares a noise-free
+    // start; with control noise every read must still perturb its own model.
+    hcq::util::rng set_rng(64);
+    const auto set = device.sample(m, an::anneal_schedule::reverse(0.45, 1.0), 4, set_rng, initial);
+    std::vector<std::string> set_reads;
+    set_reads.reserve(set.size());
+    for (const auto& read : set.all()) set_reads.push_back(bit_string(read.bits));
+    EXPECT_EQ(set_reads, (std::vector<std::string>{"1011111101100111", "1111111101100111",
+                                                   "1011111101100111", "1111111101100111"}));
+    EXPECT_EQ(set_rng(), 17105026330190711563ULL);
 }
 
 }  // namespace

@@ -163,7 +163,7 @@ TEST(HybridSolver, SolvesAndAccounts) {
     // The best result can never be worse than the classical candidate.
     EXPECT_LE(result.best_energy, result.initial.energy + 1e-12);
     EXPECT_NEAR(result.quantum_us, solver.schedule().duration_us() * 30.0, 1e-9);
-    EXPECT_GE(result.classical_us, 0.0);
+    EXPECT_GE(result.initial.elapsed_us, 0.0);
     EXPECT_NEAR(e.reduced.model.energy(result.best_bits), result.best_energy, 1e-9);
 }
 

@@ -209,7 +209,7 @@ TEST(Integration, FullQuantumVsHybridTimingAccounting) {
     const hy::hybrid_solver solver(gs, device, schedule, 25);
     const auto result = solver.solve(e.reduced.model, rng);
     EXPECT_NEAR(result.quantum_us, schedule.duration_us() * 25.0, 1e-9);
-    const double end_to_end = result.classical_us + result.quantum_us;
+    const double end_to_end = result.initial.elapsed_us + result.quantum_us;
     EXPECT_GE(end_to_end, result.quantum_us);
 }
 

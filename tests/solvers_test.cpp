@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -226,6 +228,42 @@ TEST(Metropolis, HighTemperatureAcceptsFreely) {
     EXPECT_THROW((void)engine.try_flip(0, -1.0, rng), std::invalid_argument);
 }
 
+TEST(Metropolis, ScreenedAcceptIsTheExpTest) {
+    // accept_uphill rejects on u * (1 + y + y^2/2) > 1 + 2^-20 before it
+    // calls std::exp; its decision must be u < exp(-delta / T) everywhere:
+    // on a grid of u and y = delta / T (subnormal, underflowing and
+    // overflowing y, NaN and infinity, u = 0), just past the screen's
+    // boundary, where the screen rejects by the smallest margin, and on
+    // random pairs with y spread from e^-10 to e^7.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double denorm = std::numeric_limits<double>::denorm_min();
+    const auto exp_test = [](double u, double delta, double t) { return u < std::exp(-delta / t); };
+    for (const double t : {1.0, 0.25}) {
+        for (const double u : {0.0, 0x1.0p-53, 0.5, 1.0 - 0x1.0p-53}) {
+            for (const double y :
+                 {denorm, 1e-300, 0.5, 1.0, 8.0, 40.0, 708.0, 746.0, 1e300, inf, nan}) {
+                const double delta = y * t;
+                EXPECT_EQ(sv::accept_uphill(u, delta, t), exp_test(u, delta, t))
+                    << "u " << u << " y " << y << " T " << t;
+            }
+        }
+    }
+    for (double y = 1e-6; y < 800.0; y *= 1.01) {
+        const double edge = (1.0 + 0x1.0p-20) / (1.0 + y * (1.0 + 0.5 * y));
+        double u = edge;
+        for (int k = 0; k < 4 && u < 1.0; ++k, u = std::nextafter(u, 1.0)) {
+            EXPECT_EQ(sv::accept_uphill(u, y, 1.0), exp_test(u, y, 1.0)) << "u " << u << " y " << y;
+        }
+    }
+    hcq::util::rng rng(17);
+    for (int k = 0; k < 100000; ++k) {
+        const double u = rng.uniform();
+        const double y = std::exp(rng.uniform(-10.0, 7.0));
+        ASSERT_EQ(sv::accept_uphill(u, y, 1.0), exp_test(u, y, 1.0)) << "u " << u << " y " << y;
+    }
+}
+
 TEST(SimulatedAnnealing, FindsOptimumOnSmallInstance) {
     hcq::util::rng rng(15);
     const auto m = q::random_qubo(rng, 12, 1.0, -1.0, 1.0);
@@ -428,6 +466,33 @@ TEST(BestOnlySelection, ParallelTemperingKeepsTheBestColdStateUnlessBeaten) {
                                  [&](const q::qubo_model& m, hcq::util::rng& rng) {
                                      return pt_reference_samples(config, m, rng);
                                  });
+    }
+}
+
+TEST(BestOnlySelection, ParallelTemperingMatchesRecordedValues) {
+    // The reference loop above calls the same sweep, so a kernel that moved
+    // a draw would still match it; these values were recorded before the
+    // sweep drew its uniforms in chunks.
+    hcq::util::rng make(2025);
+    const auto m = q::random_qubo(make, 20, 0.7, -1.0, 1.0);
+    struct recorded {
+        sv::pt_config config;
+        const char* bits;
+        double energy;
+        std::uint64_t next_draw;
+    };
+    for (const recorded& want :
+         {recorded{{.num_replicas = 4, .num_rounds = 6, .sweeps_per_round = 1},
+                   "00011101001111110001", -0x1.541c691c02679p+3, 4299599791699176019ULL},
+          recorded{{}, "00011101001111110001", -0x1.541c691c0267bp+3,
+                   2349015018398441898ULL}}) {
+        hcq::util::rng rng(88);
+        const sv::sample got = solve_best(sv::parallel_tempering(want.config), m, rng);
+        std::string bits;
+        for (const auto b : got.bits) bits += b != 0 ? '1' : '0';
+        EXPECT_EQ(bits, want.bits);
+        EXPECT_EQ(got.energy, want.energy);
+        EXPECT_EQ(rng(), want.next_draw);
     }
 }
 

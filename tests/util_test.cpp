@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <initializer_list>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -184,6 +185,60 @@ TEST(Rng, StateIsSmallAndTriviallyCopyable) {
     rng b = a;
     EXPECT_EQ(a.normal(), b.normal());
     for (int i = 0; i < 8; ++i) EXPECT_EQ(a(), b());
+}
+
+TEST(Rng, FillAndDiscardMatchSequentialDraws) {
+    // fill(out) and discard(n) are defined as out.size() and n operator()
+    // calls: the same draws, and the same state after.  Covered: a pending
+    // second draw and none (odd and even skips), lengths 0-100 (across the
+    // SIMD kernel's 16-draw step), several keys, and a block counter
+    // crossing 2^32, where each lane carries into the counter's high word.
+    constexpr std::uint64_t near_carry = 2 * ((std::uint64_t{1} << 32) - 5);
+    for (const std::uint64_t seed : {0ULL, 7ULL, 0x9e3779b97f4a7c15ULL, ~0ULL}) {
+        for (const std::uint64_t skip :
+             std::initializer_list<std::uint64_t>{0, 1, 6, near_carry, near_carry + 1}) {
+            rng base(seed);
+            base.discard(skip);
+            for (std::size_t len = 0; len <= 100; ++len) {
+                SCOPED_TRACE("seed " + std::to_string(seed) + " skip " + std::to_string(skip) +
+                             " len " + std::to_string(len));
+                rng want = base;
+                rng got = base;
+                std::vector<rng::result_type> draws(len);
+                got.fill(draws);
+                for (const auto draw : draws) ASSERT_EQ(draw, want());
+                for (int i = 0; i < 3; ++i) ASSERT_EQ(got(), want());
+
+                rng skipped = base;
+                rng stepped = base;
+                skipped.discard(len);
+                for (std::size_t i = 0; i < len; ++i) (void)stepped();
+                for (int i = 0; i < 3; ++i) ASSERT_EQ(skipped(), stepped());
+            }
+        }
+    }
+    // A long discard lands on the block the counter names.
+    rng far(11);
+    far.discard(near_carry + 1);
+    std::vector<std::uint64_t> block(2);
+    (void)hcq::util::philox::draws_scalar(11, near_carry / 2, block);
+    EXPECT_EQ(far(), block[1]);
+
+    // The AVX2 kernel against the scalar block, including the returned
+    // second half of an odd tail, on CPUs that run it.
+    if (!hcq::util::philox::avx2_supported()) return;
+    for (const std::uint64_t key : {0ULL, 0x0123456789abcdefULL, ~0ULL}) {
+        for (const std::uint64_t first : {0ULL, (1ULL << 32) - 3, ~0ULL - 2}) {
+            for (std::size_t len = 0; len <= 40; ++len) {
+                std::vector<std::uint64_t> simd(len);
+                std::vector<std::uint64_t> scalar(len);
+                const auto simd_next = hcq::util::philox::draws_avx2(key, first, simd);
+                const auto scalar_next = hcq::util::philox::draws_scalar(key, first, scalar);
+                ASSERT_EQ(simd, scalar) << "key " << key << " block " << first << " len " << len;
+                ASSERT_EQ(simd_next, scalar_next) << "len " << len;
+            }
+        }
+    }
 }
 
 TEST(ThreadPool, ExecutesAllTasks) {
