@@ -111,11 +111,12 @@ struct context {
 
 /// A solver's answer and its warm cost, as the link pays it per use: one
 /// untimed call warms the scratch, then elapsed_us is the median wall time
-/// of `repeats` timed calls.  Every call draws from its own copy of `rng`,
+/// of 15 timed calls.  Every call draws from its own copy of `rng`,
 /// and `rng` ends where one call leaves it, so the bits, the energy and
 /// every later draw are those of a single cold solver.solve(q, rng).
 inline solvers::solution warm_solve(const solvers::solver& solver, const qubo::qubo_model& q,
-                                    util::rng& rng, std::size_t repeats = 15) {
+                                    util::rng& rng) {
+    constexpr std::size_t repeats = 15;
     solvers::solve_scratch scratch;
     solvers::solution out;
     util::rng stream = rng;

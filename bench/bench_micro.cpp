@@ -74,8 +74,7 @@ void bm_metropolis_sweep(benchmark::State& state) {
     hcq::util::rng rng(n);
     const auto q = hcq::qubo::random_qubo(rng, n);
     hcq::solvers::metropolis_engine engine(q, rng.bits(n));
-    hcq::solvers::draw_chunk chunk{};
-    hcq::solvers::draw_cursor draws(rng, chunk);
+    hcq::solvers::draw_cursor draws(rng);
     for (auto _ : state) {
         benchmark::DoNotOptimize(engine.sweep(0.5, draws));
     }
@@ -155,7 +154,7 @@ void bm_rng_draw(benchmark::State& state) {
 }
 BENCHMARK(bm_rng_draw);
 
-/// Draws through fill() in runs of range(0): 64 is the sweeps' draw_chunk,
+/// Draws through fill() in runs of range(0): 64 is a draw_cursor's chunk,
 /// 16 one sweep's worth on the link's 4x4 16-QAM QUBO.
 void bm_rng_fill(benchmark::State& state) {
     hcq::util::rng rng(37);

@@ -19,9 +19,9 @@
 // exp(-inf) = 0 does.  On the link's QUBOs the screen skips std::exp on
 // about 9 in 10 uphill proposals.
 //
-// Sweeps draw their uniforms in chunks, through a draw_cursor: it fills a
-// fixed-size draw_chunk from a copy of the caller's stream with
-// rng::fill, and when it goes out of scope it advances the stream by
+// Sweeps draw their uniforms in chunks, through a draw_cursor: it fills
+// its own fixed-size chunk of 64 draws from a copy of the caller's stream
+// with rng::fill, and when it goes out of scope it advances the stream by
 // exactly the draws it handed out.  Each proposal sees the draw it would
 // have taken one rng.uniform() at a time, and whatever draws from the
 // stream next sees what it would have then.  The solvers hold one cursor
@@ -50,16 +50,12 @@ namespace hcq::solvers {
     return u < std::exp(-y);
 }
 
-/// Draws read ahead of a stream.  Fixed-size, so sweeps never allocate.
-using draw_chunk = std::array<util::rng::result_type, 64>;
-
-/// Uniforms read ahead of `stream` through `chunk`, as described at the top
-/// of this header.  While a cursor is live, draw from its stream only
-/// through it.
+/// Uniforms read ahead of `stream`, as described at the top of this header.
+/// The chunk is a fixed-size member, so sweeps never allocate.  While a
+/// cursor is live, draw from its stream only through it.
 class draw_cursor {
 public:
-    draw_cursor(util::rng& stream, draw_chunk& chunk) noexcept
-        : stream_(stream), ahead_(stream), chunk_(chunk) {}
+    explicit draw_cursor(util::rng& stream) noexcept : stream_(stream), ahead_(stream) {}
     draw_cursor(const draw_cursor&) = delete;
     draw_cursor& operator=(const draw_cursor&) = delete;
     ~draw_cursor() { stream_.discard(taken_); }
@@ -74,8 +70,8 @@ public:
 private:
     util::rng& stream_;
     util::rng ahead_;  ///< the stream, chunk_'s draws further on
-    draw_chunk& chunk_;
     std::uint64_t taken_ = 0;
+    std::array<util::rng::result_type, 64> chunk_;  ///< filled before it is read
 };
 
 /// Incremental Metropolis state over one QUBO.
@@ -104,8 +100,7 @@ public:
 
     /// One sweep drawing from `rng` through a cursor of its own.
     std::size_t sweep(double temperature, util::rng& rng) {
-        draw_chunk chunk{};
-        draw_cursor draws(rng, chunk);
+        draw_cursor draws(rng);
         return sweep(temperature, draws);
     }
 

@@ -20,7 +20,7 @@ parallel_tempering::parallel_tempering(pt_config config) : config_(config) {
 }
 
 double parallel_tempering::solve_best_into(const qubo::qubo_model& q, util::rng& rng,
-                                           solve_scratch& scratch, qubo::bit_vector& best) const {
+                                           solve_scratch&, qubo::bit_vector& best) const {
     const double scale = std::max(q.max_abs_coefficient(), 1e-12);
     const std::size_t r = config_.num_replicas;
     std::vector<double> temperature(r);
@@ -46,7 +46,7 @@ double parallel_tempering::solve_best_into(const qubo::qubo_model& q, util::rng&
 
     for (std::size_t round = 0; round < config_.num_rounds; ++round) {
         {
-            draw_cursor draws(rng, scratch.draws);  // released before the swaps draw
+            draw_cursor draws(rng);  // released before the swaps draw
             for (std::size_t k = 0; k < r; ++k) {
                 for (std::size_t s = 0; s < config_.sweeps_per_round; ++s) {
                     replicas[k]->sweep(temperature[k], draws);

@@ -37,7 +37,7 @@ double simulated_annealing::solve_best_into(const qubo::qubo_model& q, util::rng
         engine.reset(q, scratch.bits_a);
         double temperature = t_hot;
         {
-            draw_cursor draws(rng, scratch.draws);  // released before the next read draws
+            draw_cursor draws(rng);  // released before the next read draws
             for (std::size_t s = 0; s < config_.num_sweeps; ++s) {
                 engine.sweep(temperature, draws);
                 temperature *= ratio;

@@ -23,13 +23,12 @@ struct solution {
 
 /// Reusable per-worker scratch for solve_best_into.  One instance serves
 /// every solver kind: each override uses the buffers it needs (the Metropolis
-/// engine, draw chunk and bit buffers for sweep solvers and the annealer
-/// emulator, the real/index/mask buffers for greedy construction), and a
-/// warmed-up scratch makes repeated solves allocation-free.
+/// engine and bit buffers for sweep solvers and the annealer emulator, the
+/// real/index/mask buffers for greedy construction), and a warmed-up scratch
+/// makes repeated solves allocation-free.
 struct solve_scratch {
     metropolis_engine engine;
     metropolis_engine start;           ///< reads' shared start (annealer emulator)
-    draw_chunk draws{};                ///< the sweeps' uniforms
     qubo::bit_vector bits_a;           ///< initial / start states
     qubo::bit_vector bits_b;           ///< best-so-far carrier
     qubo::bit_vector bits_c;           ///< per-read carrier (annealer emulator)

@@ -105,7 +105,7 @@ void anneal_read(const annealer_config& config, const qubo::qubo_model& q,
     const double t0 = config.temperature_scale * scale;
     const double freeze_below = config.freeze_fraction * scale;
     {
-        solvers::draw_cursor draws(rng, scratch.draws);  // released before the read-out draws
+        solvers::draw_cursor draws(rng);  // released before the read-out draws
         for (const anneal_program::run& run : program.runs) {
             const double temperature = t0 * run.fluctuation;
             if (temperature < freeze_below) continue;  // frozen register: no dynamics
@@ -155,7 +155,7 @@ qubo::bit_vector annealer_emulator::anneal_once(
     const std::optional<qubo::bit_vector>& initial) const {
     solvers::solve_scratch scratch;
     qubo::bit_vector out;
-    anneal_once_into(q, schedule, rng, initial ? &*initial : nullptr, scratch, out);
+    anneal_once_into(q, program(schedule), rng, initial ? &*initial : nullptr, scratch, out);
     return out;
 }
 
@@ -166,14 +166,6 @@ void annealer_emulator::anneal_once_into(const qubo::qubo_model& q,
                                          qubo::bit_vector& out) const {
     const double scale = std::max(q.max_abs_coefficient(), 1e-12);
     anneal_read(config_, q, program, scale, rng, initial, nullptr, scratch, out);
-}
-
-void annealer_emulator::anneal_once_into(const qubo::qubo_model& q,
-                                         const anneal_schedule& schedule, util::rng& rng,
-                                         const qubo::bit_vector* initial,
-                                         solvers::solve_scratch& scratch,
-                                         qubo::bit_vector& out) const {
-    anneal_once_into(q, program(schedule), rng, initial, scratch, out);
 }
 
 double annealer_emulator::sample_best_into(const qubo::qubo_model& q,
@@ -193,15 +185,6 @@ double annealer_emulator::sample_best_into(const qubo::qubo_model& q,
                   }
               });
     return best_energy;
-}
-
-double annealer_emulator::sample_best_into(const qubo::qubo_model& q,
-                                           const anneal_schedule& schedule,
-                                           std::size_t num_reads, util::rng& rng,
-                                           const qubo::bit_vector* initial,
-                                           solvers::solve_scratch& scratch,
-                                           qubo::bit_vector& best) const {
-    return sample_best_into(q, program(schedule), num_reads, rng, initial, scratch, best);
 }
 
 solvers::sample_set annealer_emulator::sample(

@@ -17,13 +17,13 @@
 // Programming: f(s(t)) at each sweep's midpoint depends only on the schedule
 // and the config, so program() evaluates it once into an anneal_program, a
 // run-length-encoded table in which a pause of any length is one entry.
-// Callers that anneal one schedule many times (the gsra path) program it
-// once; the schedule-taking forms program per call.  A read scales the
-// table by its problem's max|Q|, which sample() and sample_best_into()
-// compute once per call, as they do the start state's energy and local
-// fields when the reads share one start (a reverse schedule without
-// control noise).  Every draw, flip and read is the same as sweeping
-// s(t) directly.
+// The reused-buffer forms take a program, so a caller that anneals one
+// schedule many times (the gsra path) programs it once; anneal_once and
+// sample program per call.  A read scales the table by its problem's
+// max|Q|, which sample() and sample_best_into() compute once per call, as
+// they do the start state's energy and local fields when the reads share
+// one start (a reverse schedule without control noise).  Every draw, flip
+// and read is the same as sweeping s(t) directly.
 #ifndef HCQ_CORE_DEVICE_H
 #define HCQ_CORE_DEVICE_H
 
@@ -104,15 +104,11 @@ public:
         const qubo::qubo_model& q, const anneal_schedule& schedule, std::size_t num_reads,
         util::rng& rng, const std::optional<qubo::bit_vector>& initial = std::nullopt) const;
 
-    /// anneal_once into a reused buffer; `initial` may be nullptr for
-    /// forward-start programs.  Uses scratch.engine, scratch.draws and
-    /// scratch.bits_a; with the default config (no control noise) a
-    /// warmed-up call performs no allocations.
+    /// anneal_once into a reused buffer, executing a programmed schedule;
+    /// `initial` may be nullptr for forward-start programs.  Uses
+    /// scratch.engine and scratch.bits_a; with the default config (no
+    /// control noise) a warmed-up call performs no allocations.
     void anneal_once_into(const qubo::qubo_model& q, const anneal_program& program,
-                          util::rng& rng, const qubo::bit_vector* initial,
-                          solvers::solve_scratch& scratch, qubo::bit_vector& out) const;
-    /// anneal_once_into on program(schedule).
-    void anneal_once_into(const qubo::qubo_model& q, const anneal_schedule& schedule,
                           util::rng& rng, const qubo::bit_vector* initial,
                           solvers::solve_scratch& scratch, qubo::bit_vector& out) const;
 
@@ -121,11 +117,6 @@ public:
     /// selection to sample(...).best() — the first strictly-lowest read wins.
     /// With the default config a warmed-up call performs no allocations.
     double sample_best_into(const qubo::qubo_model& q, const anneal_program& program,
-                            std::size_t num_reads, util::rng& rng,
-                            const qubo::bit_vector* initial, solvers::solve_scratch& scratch,
-                            qubo::bit_vector& best) const;
-    /// sample_best_into on program(schedule).
-    double sample_best_into(const qubo::qubo_model& q, const anneal_schedule& schedule,
                             std::size_t num_reads, util::rng& rng,
                             const qubo::bit_vector* initial, solvers::solve_scratch& scratch,
                             qubo::bit_vector& best) const;

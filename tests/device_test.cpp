@@ -263,6 +263,7 @@ TEST(Device, BestOnlySampleMatchesBestOfTheSampleSet) {
         for (const bool is_reverse : {false, true}) {
             SCOPED_TRACE("input " + std::to_string(i) + (is_reverse ? " reverse" : " forward"));
             const an::anneal_schedule& schedule = is_reverse ? reverse : forward;
+            const an::anneal_program program = device.program(schedule);
             hcq::util::rng want_rng(hcq::util::rng(5).derive(i)());
             hcq::util::rng got_rng = want_rng;
             const auto samples =
@@ -270,7 +271,7 @@ TEST(Device, BestOnlySampleMatchesBestOfTheSampleSet) {
                               is_reverse ? std::optional(initial) : std::nullopt);
             q::bit_vector best;
             const double energy = device.sample_best_into(
-                m, schedule, 6, got_rng, is_reverse ? &initial : nullptr, scratch, best);
+                m, program, 6, got_rng, is_reverse ? &initial : nullptr, scratch, best);
             EXPECT_EQ(best, samples.best().bits);
             EXPECT_EQ(energy, samples.best().energy);
             EXPECT_EQ(got_rng(), want_rng());
@@ -301,10 +302,11 @@ TEST(Device, NoisyReadsMatchRecordedValues) {
     hcq::solvers::solve_scratch scratch;
     const auto three_reads = [&](const an::anneal_schedule& schedule, hcq::util::rng& rng,
                                  const q::bit_vector* start) {
+        const an::anneal_program program = device.program(schedule);
         std::vector<std::string> reads(3);
         q::bit_vector out;
         for (auto& read : reads) {
-            device.anneal_once_into(m, schedule, rng, start, scratch, out);
+            device.anneal_once_into(m, program, rng, start, scratch, out);
             read = bit_string(out);
         }
         return reads;
