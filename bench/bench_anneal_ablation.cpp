@@ -1,4 +1,5 @@
-// Emulator design-choice ablations (DESIGN.md "Hardware substitution").
+// Emulator design-choice ablations (the hardware-substitution choices of
+// src/core/device.h).
 //
 // The annealer emulator substitutes the D-Wave 2000Q; its design parameters
 // are not free lunch and this bench quantifies each one on the Figure-8
@@ -38,7 +39,7 @@ struct variant {
 int main(int argc, char** argv) {
     const hcq::bench::context ctx(argc, argv);
     ctx.banner("Annealer-emulator ablation: temperature map, sweep rate, freezing, pause",
-               "DESIGN.md hardware-substitution choices; paper Sections 4.1-4.3");
+               "src/core/device.h hardware-substitution choices; paper Sections 4.1-4.3");
 
     const std::size_t instances = ctx.scaled(3);
     const std::size_t reads = ctx.scaled(250);

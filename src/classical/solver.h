@@ -23,16 +23,18 @@ struct solution {
 
 /// Reusable per-worker scratch for solve_best_into.  One instance serves
 /// every solver kind: each override uses the buffers it needs (the Metropolis
-/// engine and bit buffers for sweep solvers and the annealer emulator, the
+/// engines and bit buffers for sweep solvers and the annealer emulator, the
 /// real/index/mask buffers for greedy construction), and a warmed-up scratch
 /// makes repeated solves allocation-free.
 struct solve_scratch {
     metropolis_engine engine;
     metropolis_engine start;           ///< reads' shared start (annealer emulator)
+    /// Parallel tempering's replicas, coldest last.
+    std::vector<metropolis_engine> replicas;
     qubo::bit_vector bits_a;           ///< initial / start states
-    qubo::bit_vector bits_b;           ///< best-so-far carrier
+    qubo::bit_vector bits_b;           ///< best-so-far / held-state carrier
     qubo::bit_vector bits_c;           ///< per-read carrier (annealer emulator)
-    std::vector<double> real_a;        ///< e.g. greedy Ising fields
+    std::vector<double> real_a;        ///< e.g. greedy Ising fields, PT temperatures
     std::vector<double> real_b;        ///< e.g. greedy partial local fields
     std::vector<std::size_t> index_a;  ///< e.g. greedy rank order, tabu expiry
     std::vector<std::uint8_t> mask_a;  ///< e.g. greedy decided-variable flags

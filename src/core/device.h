@@ -1,5 +1,7 @@
 // The annealer emulator — this library's substitute for the D-Wave 2000Q
-// (see DESIGN.md, "Hardware substitution").
+// (its calibration is documented on annealer_config below, and the
+// deviations paragraph under docs/ARCHITECTURE.md's paper-to-code map
+// lists it among the deliberate departures from the paper).
 //
 // The device executes an anneal_schedule by integrating Metropolis
 // single-spin-flip dynamics whose instantaneous temperature follows the
@@ -51,7 +53,9 @@ struct annealer_config {
     /// Fluctuation-to-temperature scale relative to max|Q| (see
     /// core/temperature.h).  Calibrated against the barrier spectrum of the
     /// paper's 8-user 16-QAM QUBOs so the useful s_p window falls mid-range,
-    /// as on hardware (see DESIGN.md and the anneal-ablation bench).
+    /// as on hardware (see the deviations paragraph under
+    /// docs/ARCHITECTURE.md's paper-to-code map, and the anneal-ablation
+    /// bench).
     double temperature_scale = 0.006;
     /// Shape of the fluctuation map.
     temperature_map map{};

@@ -7,8 +7,9 @@
 // ("Delta-E% = 0% indicates that the global optimum has been found", "lower
 // Delta-E% means the closer gap") — is the normalised optimality gap
 //     Delta-E% = 100 * (E_s - E_g) / |E_g|,
-// which is what this library computes.  The deviation is deliberate and
-// documented in DESIGN.md.
+// which is what this library computes.  The deviation is deliberate; the
+// deviations paragraph under docs/ARCHITECTURE.md's paper-to-code map lists
+// it with the others.
 #ifndef HCQ_METRICS_DELTA_E_H
 #define HCQ_METRICS_DELTA_E_H
 

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "util/spec.h"
-#include "wireless/soft.h"
 
 namespace hcq::paths {
 namespace {
@@ -31,15 +30,6 @@ void detection_path::run_block(std::span<const path_context> ctxs,
         throw std::invalid_argument("detection_path::run_block: span length mismatch");
     }
     for (std::size_t i = 0; i < ctxs.size(); ++i) run_into(ctxs[i], out[i]);
-}
-
-void detection_path::soft_output(const path_context& /*ctx*/, path_result& out) const {
-    // Default: clamped hard decisions — an out-of-tree path that never
-    // heard of LLRs still feeds the coded link, at maximal confidence.
-    out.llrs.resize(out.bits.size());
-    for (std::size_t b = 0; b < out.bits.size(); ++b) {
-        out.llrs[b] = wireless::signed_llr(out.bits[b], wireless::llr_cap);
-    }
 }
 
 path_spec path_spec::parse(const std::string& text) {
@@ -88,33 +78,6 @@ std::vector<path_spec> parse_spec_list(const std::string& text) {
     specs.reserve(spec_texts.size());
     for (const auto& t : spec_texts) specs.push_back(path_spec::parse(t));
     return specs;
-}
-
-std::size_t spec_positive_size(const path_spec& spec, const std::string& key,
-                               std::size_t fallback) {
-    const std::string* raw = spec.find(key);
-    if (raw == nullptr) return fallback;
-    const auto value = util::spec::parse_size_value(*raw);
-    if (!value.has_value() || *value == 0) {
-        throw std::invalid_argument("paths: " + spec.kind + ": bad value '" + *raw +
-                                    "' for key '" + key + "' (expected a positive integer)");
-    }
-    return *value;
-}
-
-double spec_double(const path_spec& spec, const std::string& key, double fallback) {
-    const std::string* raw = spec.find(key);
-    if (raw == nullptr) return fallback;
-    const auto value = util::spec::parse_double_value(*raw);
-    if (!value.has_value()) {
-        throw std::invalid_argument("paths: " + spec.kind + ": bad value '" + *raw +
-                                    "' for key '" + key + "' (expected a number)");
-    }
-    return *value;
-}
-
-std::string format_spec_value(double value) {
-    return util::spec::format_value(value);
 }
 
 }  // namespace hcq::paths

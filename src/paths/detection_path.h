@@ -11,8 +11,9 @@
 // Paths are constructed from *spec strings* through `paths::registry`
 // (registry.h): `"zf"`, `"kbest:width=16"`, `"gsra:reads=80,sp=0.29"` — so
 // adding a new scenario (a new tree search, a QAOA-style solver, a
-// multi-annealer stage) means registering one factory, not editing an enum,
-// a parser, a switch, and a config struct.
+// multi-annealer stage) means implementing its class and adding one entry
+// to the registry's kind table, not editing an enum, a parser, a switch,
+// and a config struct.
 //
 // Determinism contract: a path must draw randomness only from `ctx.rng`.
 // Callers (link::run_link_simulation, the serving front end) hand every
@@ -76,10 +77,10 @@ struct path_context {
     /// must ignore it.
     const detect::ml_qubo* reduced = nullptr;
     util::rng& rng;  ///< per-(use, path) derived stream — the ONLY randomness source
-    /// Per-worker reusable scratch (paths/workspace.h).  The built-in paths
-    /// run in it and throw std::invalid_argument when it is null;
-    /// out-of-tree paths may ignore it.  A path's bits and ml_cost must not
-    /// depend on the workspace's prior contents (only timings may differ).
+    /// Per-worker reusable scratch (paths/workspace.h).  Every path runs in
+    /// it and throws std::invalid_argument when it is null.  A path's bits
+    /// and ml_cost must not depend on the workspace's prior contents (only
+    /// timings may differ).
     workspace* ws = nullptr;
 };
 
@@ -127,20 +128,16 @@ public:
     /// Fills `out.llrs` with per-bit soft information for the detection
     /// carried by `out` (which must hold this path's result for `ctx`, i.e.
     /// soft_output is called after run_into on the same context).  The
-    /// soft path is an explicit second call, so paths — and callers — that
-    /// never ask for LLRs are byte-for-byte unaffected, and out-of-tree
-    /// paths need not override it: the DEFAULT emits clamped hard decisions
-    /// (+/-llr_cap from out.bits), which downstream decoding treats as
-    /// maximal-confidence soft values.  Overrides must be deterministic (no
-    /// ctx.rng draws) and independent of what ctx.ws holds, so LLRs — like bits — are
-    /// bit-identical at any thread count and stream block.  The built-in
-    /// overrides run in ctx.ws (std::invalid_argument when it is null; no
-    /// allocation once warm): linear paths produce post-equalisation
-    /// max-log LLRs (wireless::equalized_llrs_into); tree-search and
-    /// QUBO-solver paths produce single-bit-flip recost LLRs
-    /// (wireless::flip_recost_llrs_into — for solver paths the QUBO energy
-    /// gap at the detected word).
-    virtual void soft_output(const path_context& ctx, path_result& out) const;
+    /// soft path is an explicit second call, so callers that never ask for
+    /// LLRs are byte-for-byte unaffected.  Must be deterministic (no
+    /// ctx.rng draws) and independent of what ctx.ws holds, so LLRs — like
+    /// bits — are bit-identical at any thread count and stream block.  Runs
+    /// in ctx.ws (std::invalid_argument when it is null; no allocation once
+    /// warm): linear paths produce post-equalisation max-log LLRs
+    /// (wireless::equalized_llrs_into); tree-search and QUBO-solver paths
+    /// produce single-bit-flip recost LLRs (wireless::flip_recost_llrs_into
+    /// — for solver paths the QUBO energy gap at the detected word).
+    virtual void soft_output(const path_context& ctx, path_result& out) const = 0;
 
     /// Display name for tables, e.g. "ZF", "K-best", "GS+RA".
     [[nodiscard]] virtual std::string name() const = 0;
@@ -168,17 +165,6 @@ public:
         return std::vector<std::size_t>(stage_names().size(), 1);
     }
 };
-
-/// Typed argument access for path factories.  Each throws
-/// std::invalid_argument naming the path kind, the key, the offending value,
-/// and the expected form.
-[[nodiscard]] std::size_t spec_positive_size(const path_spec& spec, const std::string& key,
-                                             std::size_t fallback);
-[[nodiscard]] double spec_double(const path_spec& spec, const std::string& key, double fallback);
-
-/// Canonical text form of a double spec value ("0.29", "0.001", "2000") —
-/// round-trips through spec_double.
-[[nodiscard]] std::string format_spec_value(double value);
 
 }  // namespace hcq::paths
 

@@ -1,51 +1,494 @@
+// The detection paths and their registry: adapters putting the
+// conventional detectors (detect/), the classical QUBO heuristics
+// (classical/), and the paper's hybrid GS+RA structure
+// (core/hybrid_solver.h) behind the one detection_path interface, one
+// factory per kind, and the constant kind table (`kinds`, at the end) that
+// registry::make, available() and help() read.  A new kind is its class,
+// its factory and one table row.
 #include "paths/registry.h"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
+#include <cmath>
+#include <iterator>
+#include <memory>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
-#include "util/sync.h"
-#include "util/thread_annotations.h"
+#include "classical/greedy.h"
+#include "classical/parallel_tempering.h"
+#include "classical/simulated_annealing.h"
+#include "classical/tabu.h"
+#include "core/hybrid_solver.h"
+#include "core/schedule.h"
+#include "detect/fcsd.h"
+#include "detect/kbest.h"
+#include "detect/linear.h"
+#include "detect/sic.h"
+#include "detect/sphere.h"
+#include "linalg/decompose.h"
+#include "paths/workspace.h"
+#include "util/spec.h"
+#include "util/timer.h"
+#include "wireless/soft.h"
 
 namespace hcq::paths {
-
-namespace detail {
-// Defined in builtin_paths.cpp; referencing it from here also guarantees the
-// linker keeps that translation unit when hcq is consumed as a static
-// library (a registration-only TU with no referenced symbol would be
-// dropped, silently emptying the registry).
-void register_builtin_paths();
-}  // namespace detail
-
 namespace {
 
-struct registry_state {
-    util::mutex mutex;
-    /// Ordered map on purpose: available()/entries()/help() iterate it into
-    /// user-visible listings, which must not depend on hash order.
-    std::map<std::string, path_info> entries HCQ_GUARDED_BY(mutex);
+/// Typed argument access for the factories below.  Each throws
+/// std::invalid_argument naming the path kind, the key, the offending value,
+/// and the expected form.
+std::size_t spec_positive_size(const path_spec& spec, const std::string& key,
+                               std::size_t fallback) {
+    const std::string* raw = spec.find(key);
+    if (raw == nullptr) return fallback;
+    const auto value = util::spec::parse_size_value(*raw);
+    if (!value.has_value() || *value == 0) {
+        throw std::invalid_argument("paths: " + spec.kind + ": bad value '" + *raw +
+                                    "' for key '" + key + "' (expected a positive integer)");
+    }
+    return *value;
+}
+
+/// NaN and +/-inf are rejected like any other non-number: no path has a
+/// use for them, and a temperature or radius of NaN slips past every
+/// range check downstream.
+double spec_double(const path_spec& spec, const std::string& key, double fallback) {
+    const std::string* raw = spec.find(key);
+    if (raw == nullptr) return fallback;
+    const auto value = util::spec::parse_double_value(*raw);
+    if (!value.has_value() || !std::isfinite(*value)) {
+        throw std::invalid_argument("paths: " + spec.kind + ": bad value '" + *raw +
+                                    "' for key '" + key + "' (expected a finite number)");
+    }
+    return *value;
+}
+
+/// Reshapes a reused result's stage list without churning its strings: the
+/// built-in stage names all fit in the small-string buffer, so re-assigning
+/// them never allocates.
+void set_stage(path_result& out, std::size_t index, const char* name, double service_us) {
+    out.stages[index].name = name;
+    out.stages[index].service_us = service_us;
+}
+
+/// Guard for QUBO-consuming paths: the caller promised a shared reduction
+/// whenever any configured path reports needs_qubo().
+void require_qubo(const path_context& ctx) {
+    if (ctx.reduced == nullptr) {
+        throw std::invalid_argument(
+            "paths: path_context.reduced is null but the path needs the QUBO reduction");
+    }
+}
+
+/// Guard for every built-in path: detection runs in the caller's
+/// per-worker workspace (paths/workspace.h).
+workspace& require_workspace(const path_context& ctx) {
+    if (ctx.ws == nullptr) {
+        throw std::invalid_argument(
+            "paths: path_context.ws is null but the built-in paths need a workspace");
+    }
+    return *ctx.ws;
+}
+
+/// Post-equalisation max-log soft output of the linear detection paths:
+/// equalise through the normal equations (H^H H + load I)^-1 H^H y — load 0
+/// is zero forcing — and scale each stream's max-log metric by the
+/// per-stream noise enhancement sigma^2 [(H^H H + load I)^-1]_uu.  The
+/// effective sigma^2 is floored (wireless::llr_noise_floor) so a noiseless
+/// instance yields large-but-finite confidences, and every LLR is clamped
+/// by equalized_llrs_into.  Deterministic, and harden(llrs) reproduces the
+/// linear detector's hard decisions exactly: per symbol, the bit pattern
+/// minimising the max-log metric IS the nearest constellation point the
+/// detector slices to.  Every intermediate lives in the workspace, whose
+/// prior contents never reach the LLRs; a warm workspace allocates nothing.
+void linear_soft_output(const wireless::mimo_instance& inst, double load, workspace& ws,
+                        path_result& out) {
+    linear_soft_scratch& s = ws.soft;
+    linalg::gram_into(inst.h, s.gram);
+    for (std::size_t i = 0; i < s.gram.rows(); ++i) s.gram(i, i) += load;
+    linalg::inverse_into(s.gram, s.inv, s.gram_inv);
+    linalg::herm_matvec_into(inst.h, inst.y, s.hy);
+    linalg::matvec_into(s.gram_inv, s.hy, s.equalized);
+    const double sigma_sq = std::max(inst.noise_variance, wireless::llr_noise_floor);
+    s.stream_nv.resize(inst.num_users);
+    for (std::size_t u = 0; u < inst.num_users; ++u) {
+        s.stream_nv[u] = sigma_sq * std::max(s.gram_inv(u, u).real(), 1e-12);
+    }
+    wireless::equalized_llrs_into(inst, s.equalized, s.stream_nv, out.llrs);
+}
+
+/// Single-bit-flip recost soft output of the detected word, the soft output
+/// of the tree-search and QUBO paths (wireless::flip_recost_llrs_into), in
+/// the workspace's recost buffers.
+void recost_soft_output(const path_context& ctx, path_result& out) {
+    wireless::flip_recost_llrs_into(ctx.instance, out.bits, require_workspace(ctx).recost,
+                                    out.llrs);
+}
+
+/// A conventional detector as a path: one "detect" stage straight on y and
+/// H, no QUBO, no randomness, no solver form.  `soft` selects the
+/// soft_output method: post-equalisation max-log for the linear detectors,
+/// single-bit-flip ML recost for the tree searches.
+class detector_path final : public detection_path {
+public:
+    enum class soft_kind { zf_equalized, mmse_equalized, recost };
+
+    detector_path(std::shared_ptr<const detect::detector> det, std::string display_name,
+                  path_spec spec, soft_kind soft = soft_kind::recost)
+        : det_(std::move(det)), name_(std::move(display_name)), spec_(std::move(spec)),
+          soft_(soft) {}
+
+    void run_into(const path_context& ctx, path_result& out) const override {
+        workspace& ws = require_workspace(ctx);
+        const util::timer clock;
+        out.ml_cost = det_->detect_into(ctx.instance, ws.detect, out.bits);
+        out.stages.resize(1);
+        set_stage(out, 0, "detect", clock.elapsed_us());
+    }
+
+    void soft_output(const path_context& ctx, path_result& out) const override {
+        switch (soft_) {
+            case soft_kind::zf_equalized:
+                linear_soft_output(ctx.instance, 0.0, require_workspace(ctx), out);
+                return;
+            case soft_kind::mmse_equalized:
+                linear_soft_output(ctx.instance,
+                                   ctx.instance.noise_variance /
+                                       wireless::mean_symbol_energy(ctx.instance.mod),
+                                   require_workspace(ctx), out);
+                return;
+            case soft_kind::recost:
+                recost_soft_output(ctx, out);
+                return;
+        }
+    }
+    [[nodiscard]] std::string name() const override { return name_; }
+    [[nodiscard]] path_spec spec() const override { return spec_; }
+    [[nodiscard]] std::vector<std::string> stage_names() const override { return {"detect"}; }
+
+private:
+    std::shared_ptr<const detect::detector> det_;
+    std::string name_;
+    path_spec spec_;
+    soft_kind soft_;
 };
 
-registry_state& state() {
-    static registry_state s;
-    return s;
+/// A classical QUBO heuristic as a path: one "solve" stage on the shared
+/// reduction; the detected word is the best sample, costed against the
+/// instance.
+class qubo_solver_path final : public detection_path {
+public:
+    qubo_solver_path(std::unique_ptr<const solvers::solver> solver, path_spec spec)
+        : solver_(std::move(solver)), spec_(std::move(spec)) {}
+
+    void run_into(const path_context& ctx, path_result& out) const override {
+        require_qubo(ctx);
+        workspace& ws = require_workspace(ctx);
+        const util::timer clock;
+        solver_->solve_best_into(ctx.reduced->model, ctx.rng, ws.solve, out.bits);
+        const double solve_us = clock.elapsed_us();
+        out.ml_cost = ctx.instance.ml_cost_bits(out.bits, ws.detect.symbols, ws.detect.residual);
+        out.stages.resize(1);
+        set_stage(out, 0, "solve", solve_us);
+    }
+
+    /// Energy-gap soft output: the single-bit-flip ML recost of the
+    /// detected word — by the transform round-trip invariant these gaps
+    /// equal the QUBO flip deltas at the solver's answer, and unlike a
+    /// candidate-list method they need no sample set (solve_best_into keeps
+    /// none).
+    void soft_output(const path_context& ctx, path_result& out) const override {
+        recost_soft_output(ctx, out);
+    }
+    [[nodiscard]] std::string name() const override { return solver_->name(); }
+    [[nodiscard]] path_spec spec() const override { return spec_; }
+    [[nodiscard]] bool needs_qubo() const noexcept override { return true; }
+    [[nodiscard]] std::vector<std::string> stage_names() const override { return {"solve"}; }
+
+private:
+    std::unique_ptr<const solvers::solver> solver_;
+    path_spec spec_;
+};
+
+/// The paper's hybrid structure as a path: a "classical" stage (measured
+/// wall time of the classical module) and a "quantum" stage (programmed
+/// annealer occupancy: schedule duration x reads).  Per use it makes one
+/// classical-module call, which writes its answer into the result's bits,
+/// and one quantum-stage call (hybrid::refine_into) seeded with that answer.
+///
+/// `devices` > 1 is the paper's §5 multi-device scaling lever (registry kind
+/// "kxra"): K interchangeable annealer devices round-robin one stream.  The
+/// emulated devices are identical and every (use, path) cell draws from the
+/// same derived RNG stream, so detection statistics are bit-identical to the
+/// single-device "gsra" with the same knobs — only the pipeline replay
+/// differs, where the quantum stage runs on K round-robin servers.
+///
+/// `init` is the paper's §5 choice of classical module: `gs` (the default
+/// greedy search — byte-for-byte the historical behaviour), `tabu` (the
+/// classical solver D-Wave hybridises with), or `kbest` (an
+/// application-specific tree search: the K-best detector, width 8, run on
+/// the channel use itself; its bits are the QUBO's variables by the
+/// transform round-trip invariant).
+class gs_ra_path final : public detection_path {
+public:
+    enum class init_kind { gs, tabu, kbest };
+
+    /// Parses an `init=` spec value; throws listing the accepted names.
+    static init_kind parse_init(const path_spec& spec) {
+        const std::string* value = spec.find("init");
+        if (value == nullptr || *value == "gs") return init_kind::gs;
+        if (*value == "tabu") return init_kind::tabu;
+        if (*value == "kbest") return init_kind::kbest;
+        throw std::invalid_argument("paths: " + spec.kind + ": bad init value '" + *value +
+                                    "' (expected gs, tabu, or kbest)");
+    }
+
+    static const char* to_string(init_kind init) {
+        switch (init) {
+            case init_kind::gs: return "gs";
+            case init_kind::tabu: return "tabu";
+            case init_kind::kbest: return "kbest";
+        }
+        return "?";
+    }
+
+    gs_ra_path(init_kind init, std::size_t reads, double sp, double pause_us,
+               std::size_t devices, path_spec spec)
+        : schedule_(anneal::anneal_schedule::reverse(sp, pause_us)),
+          program_(device_.program(schedule_)),
+          reads_(reads),
+          devices_(devices),
+          spec_(std::move(spec)) {
+        switch (init) {
+            case init_kind::gs: solver_ = std::make_unique<const solvers::greedy_search>(); break;
+            case init_kind::tabu: solver_ = std::make_unique<const solvers::tabu_search>(); break;
+            case init_kind::kbest: break;  // detector_ runs on the channel use
+        }
+    }
+
+    void run_into(const path_context& ctx, path_result& out) const override {
+        require_qubo(ctx);
+        workspace& ws = require_workspace(ctx);
+        const qubo::qubo_model& q = ctx.reduced->model;
+        const util::timer clock;
+        double energy = 0.0;
+        if (solver_ != nullptr) {
+            energy = solver_->solve_best_into(q, ctx.rng, ws.solve, out.bits);
+        } else {
+            (void)detector_.detect_into(ctx.instance, ws.detect, out.bits);
+            energy = q.energy(out.bits);
+        }
+        const double classical_us = clock.elapsed_us();
+        (void)hybrid::refine_into(device_, program_, reads_, q, ctx.rng, ws.solve, out.bits,
+                                  energy);
+        out.ml_cost = ctx.instance.ml_cost_bits(out.bits, ws.detect.symbols, ws.detect.residual);
+        out.stages.resize(2);
+        set_stage(out, 0, "classical", classical_us);
+        set_stage(out, 1, "quantum", schedule_.duration_us() * static_cast<double>(reads_));
+    }
+
+    /// Energy-gap soft output, like qubo_solver_path.
+    void soft_output(const path_context& ctx, path_result& out) const override {
+        recost_soft_output(ctx, out);
+    }
+    [[nodiscard]] std::string name() const override {
+        const std::string base = (solver_ != nullptr ? solver_->name() : "KB") + "+RA";
+        return devices_ > 1 ? base + "x" + std::to_string(devices_) : base;
+    }
+    [[nodiscard]] path_spec spec() const override { return spec_; }
+    [[nodiscard]] bool needs_qubo() const noexcept override { return true; }
+    [[nodiscard]] std::vector<std::string> stage_names() const override {
+        return {"classical", "quantum"};
+    }
+    [[nodiscard]] std::vector<std::size_t> stage_servers() const override {
+        return {1, devices_};
+    }
+
+private:
+    std::unique_ptr<const solvers::solver> solver_;  ///< gs / tabu; null for kbest
+    detect::kbest_detector detector_{8};             ///< kbest
+    anneal::annealer_emulator device_;
+    anneal::anneal_schedule schedule_;
+    anneal::anneal_program program_;  ///< schedule_ programmed once on device_
+    std::size_t reads_;
+    std::size_t devices_;
+    path_spec spec_;
+};
+
+std::shared_ptr<const detection_path> make_zf(const path_spec&) {
+    return std::make_shared<const detector_path>(std::make_shared<const detect::zf_detector>(),
+                                                 "ZF", path_spec{"zf", {}},
+                                                 detector_path::soft_kind::zf_equalized);
 }
 
-// Set while register_builtin_paths runs so its register_path calls do not
-// re-enter the call_once below (which would deadlock).
-thread_local bool registering_builtins = false;
-
-void ensure_builtins() {
-    if (registering_builtins) return;
-    static std::once_flag once;
-    std::call_once(once, [] {
-        registering_builtins = true;
-        detail::register_builtin_paths();
-        registering_builtins = false;
-    });
+std::shared_ptr<const detection_path> make_mmse(const path_spec&) {
+    return std::make_shared<const detector_path>(std::make_shared<const detect::mmse_detector>(),
+                                                 "MMSE", path_spec{"mmse", {}},
+                                                 detector_path::soft_kind::mmse_equalized);
 }
+
+std::shared_ptr<const detection_path> make_kbest(const path_spec& spec) {
+    const std::size_t width = spec_positive_size(spec, "width", 8);
+    return std::make_shared<const detector_path>(
+        std::make_shared<const detect::kbest_detector>(width), "K-best",
+        path_spec{"kbest", {{"width", std::to_string(width)}}});
+}
+
+std::shared_ptr<const detection_path> make_sphere(const path_spec& spec) {
+    const double radius = spec_double(spec, "radius", 0.0);
+    return std::make_shared<const detector_path>(
+        std::make_shared<const detect::sphere_detector>(radius), "SD",
+        path_spec{"sphere", {{"radius", util::spec::format_value(radius)}}});
+}
+
+std::shared_ptr<const detection_path> make_sic(const path_spec&) {
+    return std::make_shared<const detector_path>(std::make_shared<const detect::sic_detector>(),
+                                                 "SIC", path_spec{"sic", {}});
+}
+
+std::shared_ptr<const detection_path> make_fcsd(const path_spec& spec) {
+    const std::size_t levels = spec_positive_size(spec, "levels", 1);
+    auto det = std::make_shared<const detect::fcsd_detector>(levels);
+    std::string display = det->name();
+    return std::make_shared<const detector_path>(
+        std::move(det), std::move(display),
+        path_spec{"fcsd", {{"levels", std::to_string(levels)}}});
+}
+
+std::shared_ptr<const detection_path> make_sa(const path_spec& spec) {
+    solvers::sa_config config;
+    config.num_reads = spec_positive_size(spec, "reads", config.num_reads);
+    config.num_sweeps = spec_positive_size(spec, "sweeps", config.num_sweeps);
+    config.hot_fraction = spec_double(spec, "hot", config.hot_fraction);
+    config.cold_fraction = spec_double(spec, "cold", config.cold_fraction);
+    return std::make_shared<const qubo_solver_path>(
+        std::make_unique<const solvers::simulated_annealing>(config),
+        path_spec{"sa",
+                  {{"reads", std::to_string(config.num_reads)},
+                   {"sweeps", std::to_string(config.num_sweeps)},
+                   {"hot", util::spec::format_value(config.hot_fraction)},
+                   {"cold", util::spec::format_value(config.cold_fraction)}}});
+}
+
+std::shared_ptr<const detection_path> make_tabu(const path_spec& spec) {
+    solvers::tabu_config config;
+    config.tenure = spec_positive_size(spec, "tenure", config.tenure);
+    config.max_iterations = spec_positive_size(spec, "iters", config.max_iterations);
+    config.stall_limit = spec_positive_size(spec, "stall", config.stall_limit);
+    return std::make_shared<const qubo_solver_path>(
+        std::make_unique<const solvers::tabu_search>(config),
+        path_spec{"tabu",
+                  {{"tenure", std::to_string(config.tenure)},
+                   {"iters", std::to_string(config.max_iterations)},
+                   {"stall", std::to_string(config.stall_limit)}}});
+}
+
+std::shared_ptr<const detection_path> make_pt(const path_spec& spec) {
+    solvers::pt_config config;
+    config.num_replicas = spec_positive_size(spec, "replicas", config.num_replicas);
+    config.num_rounds = spec_positive_size(spec, "rounds", config.num_rounds);
+    config.sweeps_per_round = spec_positive_size(spec, "sweeps", config.sweeps_per_round);
+    config.hot_fraction = spec_double(spec, "hot", config.hot_fraction);
+    config.cold_fraction = spec_double(spec, "cold", config.cold_fraction);
+    return std::make_shared<const qubo_solver_path>(
+        std::make_unique<const solvers::parallel_tempering>(config),
+        path_spec{"pt",
+                  {{"replicas", std::to_string(config.num_replicas)},
+                   {"rounds", std::to_string(config.num_rounds)},
+                   {"sweeps", std::to_string(config.sweeps_per_round)},
+                   {"hot", util::spec::format_value(config.hot_fraction)},
+                   {"cold", util::spec::format_value(config.cold_fraction)}}});
+}
+
+/// gsra and kxra: kxra is gsra with its `k` key, the device count.
+std::shared_ptr<const detection_path> make_gs_ra(const path_spec& spec) {
+    const auto init = gs_ra_path::parse_init(spec);
+    const bool bank = spec.kind == "kxra";
+    const std::size_t devices = bank ? spec_positive_size(spec, "k", 2) : 1;
+    const std::size_t reads = spec_positive_size(spec, "reads", 80);
+    const double sp = spec_double(spec, "sp", 0.29);
+    const double pause_us = spec_double(spec, "pause_us", 1.0);
+    path_spec canonical{spec.kind,
+                        {{"reads", std::to_string(reads)},
+                         {"sp", util::spec::format_value(sp)},
+                         {"pause_us", util::spec::format_value(pause_us)},
+                         {"init", gs_ra_path::to_string(init)}}};
+    if (bank) canonical.args.insert(canonical.args.begin(), {"k", std::to_string(devices)});
+    return std::make_shared<const gs_ra_path>(init, reads, sp, pause_us, devices,
+                                              std::move(canonical));
+}
+
+/// One accepted spec key of a path kind.
+struct key_info {
+    std::string_view name;     ///< e.g. "width"
+    std::string_view summary;  ///< e.g. "beam width (default 8)"
+};
+
+/// Builds a path from a spec whose kind and keys make() has checked; the
+/// factory validates the values.
+using path_factory = std::shared_ptr<const detection_path> (*)(const path_spec& spec);
+
+/// One path kind: what make() builds and help() lists.
+struct path_info {
+    std::string_view kind;           ///< registry name, e.g. "kbest"
+    std::string_view summary;        ///< one-line description for CLI help
+    std::span<const key_info> keys;  ///< accepted spec keys, in help order
+    path_factory factory;
+};
+
+constexpr key_info kbest_keys[] = {{"width", "beam width K (positive integer, default 8)"}};
+constexpr key_info sphere_keys[] = {
+    {"radius", "initial squared search radius (0 = unbounded, default 0)"}};
+constexpr key_info fcsd_keys[] = {
+    {"levels", "fully-enumerated tree levels (positive integer, default 1)"}};
+constexpr key_info sa_keys[] = {
+    {"reads", "independent restarts (positive integer, default 10)"},
+    {"sweeps", "sweeps per read (positive integer, default 100)"},
+    {"hot", "T_hot as a fraction of max|Q| (default 1)"},
+    {"cold", "T_cold as a fraction of max|Q| (default 0.001)"}};
+constexpr key_info tabu_keys[] = {
+    {"tenure", "iterations a flipped bit stays tabu (default 10)"},
+    {"iters", "maximum iterations (default 500)"},
+    {"stall", "stop after this many non-improving moves (default 100)"}};
+constexpr key_info pt_keys[] = {
+    {"replicas", "temperature ladder size (default 8)"},
+    {"rounds", "sweep+swap rounds (default 50)"},
+    {"sweeps", "Metropolis sweeps per replica per round (default 2)"},
+    {"hot", "T_hot as a fraction of max|Q| (default 2)"},
+    {"cold", "T_cold as a fraction of max|Q| (default 0.01)"}};
+/// kxra's keys; gsra takes all but the first, `k`.
+constexpr key_info kxra_keys[] = {
+    {"k", "annealer devices round-robining the stream (positive, default 2)"},
+    {"reads", "annealer reads per use (positive integer, default 80)"},
+    {"sp", "reverse-anneal switch/pause location s_p in (0,1) (default 0.29)"},
+    {"pause_us", "pause time t_p in us (default 1)"},
+    {"init", "classical initialiser: gs (default), tabu, or kbest (paper section 5)"}};
+
+/// Every path kind, sorted by kind: available() and help() list it in
+/// this order.
+constexpr path_info kinds[] = {
+    {"fcsd", "fixed-complexity sphere decoder", fcsd_keys, make_fcsd},
+    {"gsra", "hybrid classical initialiser + reverse anneal (the paper's design)",
+     std::span(kxra_keys).subspan<1>(), make_gs_ra},
+    {"kbest", "breadth-first K-best tree search", kbest_keys, make_kbest},
+    {"kxra", "gsra stream served by K round-robin annealer devices (paper section 5)", kxra_keys,
+     make_gs_ra},
+    {"mmse", "linear MMSE detector", {}, make_mmse},
+    {"pt", "parallel tempering on the reduced QUBO", pt_keys, make_pt},
+    {"sa", "simulated annealing on the reduced QUBO (classical baseline)", sa_keys, make_sa},
+    {"sic", "successive interference cancellation detector", {}, make_sic},
+    {"sphere", "exact ML sphere decoder", sphere_keys, make_sphere},
+    {"tabu", "tabu search on the reduced QUBO", tabu_keys, make_tabu},
+    {"zf", "linear zero-forcing detector", {}, make_zf},
+};
+static_assert(std::adjacent_find(std::begin(kinds), std::end(kinds),
+                                 [](const path_info& a, const path_info& b) {
+                                     return a.kind >= b.kind;
+                                 }) == std::end(kinds),
+              "kinds must be sorted and unique");
 
 std::string join(const std::vector<std::string>& items, const char* sep) {
     std::string out;
@@ -58,52 +501,17 @@ std::string join(const std::vector<std::string>& items, const char* sep) {
 
 }  // namespace
 
-void registry::register_path(path_info info) {
-    ensure_builtins();
-    if (info.kind.empty()) throw std::invalid_argument("paths: cannot register an empty kind");
-    if (!info.factory) {
-        throw std::invalid_argument("paths: path '" + info.kind + "' registered without a factory");
-    }
-    auto& st = state();
-    const util::mutex_lock lock(st.mutex);
-    const auto [it, inserted] = st.entries.emplace(info.kind, std::move(info));
-    if (!inserted) {
-        throw std::invalid_argument("paths: detection path '" + it->first +
-                                    "' is already registered");
-    }
-}
-
 std::vector<std::string> registry::available() {
-    ensure_builtins();
-    auto& st = state();
-    const util::mutex_lock lock(st.mutex);
-    std::vector<std::string> kinds;
-    kinds.reserve(st.entries.size());
-    for (const auto& [kind, info] : st.entries) kinds.push_back(kind);
-    return kinds;  // std::map iteration order is already sorted
-}
-
-std::vector<path_info> registry::entries() {
-    ensure_builtins();
-    auto& st = state();
-    const util::mutex_lock lock(st.mutex);
-    std::vector<path_info> out;
-    out.reserve(st.entries.size());
-    for (const auto& [kind, info] : st.entries) out.push_back(info);
+    std::vector<std::string> out;
+    out.reserve(std::size(kinds));
+    for (const auto& info : kinds) out.emplace_back(info.kind);
     return out;
-}
-
-bool registry::is_registered(const std::string& kind) {
-    ensure_builtins();
-    auto& st = state();
-    const util::mutex_lock lock(st.mutex);
-    return st.entries.count(kind) != 0;
 }
 
 std::string registry::help() {
     std::ostringstream os;
     os << "detection paths (--paths spec strings: kind or kind:key=value,key=value):\n";
-    for (const auto& info : entries()) {
+    for (const auto& info : kinds) {
         os << "  " << info.kind;
         os << std::string(info.kind.size() < 8 ? 8 - info.kind.size() : 1, ' ');
         os << info.summary << "\n";
@@ -117,31 +525,26 @@ std::string registry::help() {
 }
 
 std::shared_ptr<const detection_path> registry::make(const path_spec& spec) {
-    ensure_builtins();
-    path_info info;  // copied out so available() below can re-lock
-    {
-        auto& st = state();
-        const util::mutex_lock lock(st.mutex);
-        const auto it = st.entries.find(spec.kind);
-        if (it != st.entries.end()) info = it->second;
-    }
-    if (!info.factory) {
+    const path_info* info =
+        std::find_if(std::begin(kinds), std::end(kinds),
+                     [&](const path_info& row) { return row.kind == spec.kind; });
+    if (info == std::end(kinds)) {
         throw std::invalid_argument("paths: unknown detection path '" + spec.kind +
                                     "' (available: " + join(available(), ", ") + ")");
     }
     for (const auto& [key, value] : spec.args) {
-        const bool known = std::any_of(info.keys.begin(), info.keys.end(),
+        const bool known = std::any_of(info->keys.begin(), info->keys.end(),
                                        [&](const key_info& k) { return k.name == key; });
         if (!known) {
             std::vector<std::string> names;
-            names.reserve(info.keys.size());
-            for (const auto& k : info.keys) names.push_back(k.name);
+            names.reserve(info->keys.size());
+            for (const auto& k : info->keys) names.emplace_back(k.name);
             throw std::invalid_argument(
                 "paths: '" + spec.kind + "' does not accept key '" + key + "' (accepted: " +
                 (names.empty() ? std::string("none") : join(names, ", ")) + ")");
         }
     }
-    return info.factory(spec);
+    return info->factory(spec);
 }
 
 std::shared_ptr<const detection_path> registry::make(const std::string& spec_text) {

@@ -35,7 +35,7 @@
 namespace hcq::paths {
 
 /// Buffers of the linear paths' post-equalisation soft output
-/// (paths/builtin_paths.cpp).
+/// (paths/registry.cpp).
 struct linear_soft_scratch {
     linalg::cmat gram;                         ///< H^H H + load I
     linalg::inverse_scratch<linalg::cxd> inv;  ///< QR factors and column solves

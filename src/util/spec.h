@@ -67,8 +67,8 @@ using kind_hook = std::function<void(const std::string& kind)>;
 [[nodiscard]] std::optional<std::size_t> parse_size_value(const std::string& raw);
 
 /// Full-string double parse; nullopt on trailing garbage or parse failure.
-/// (Finiteness is a front-end policy: channel specs reject inf/nan, path
-/// specs historically accept what std::stod accepts.)
+/// (Finiteness is a front-end policy: channel and path specs reject inf and
+/// nan, while CLI flags accept whatever std::stod accepts.)
 [[nodiscard]] std::optional<double> parse_double_value(const std::string& raw);
 
 /// Shortest round-trippable value text both layers print: ostream default

@@ -4,10 +4,10 @@
 // workspace up on a handful of channel uses, then pins the invariant the
 // redesign promises: once warm, a full use — QUBO reduction (where the path
 // needs one) plus detection/solve through run_block — performs ZERO heap
-// allocations, for a linear path (zf), a sweep solver (sa), and the hybrid
-// (gsra, greedy-, tabu- and K-best-seeded), even as the channel content
-// changes use to use; so does the soft output, linear (zf, mmse) and flip
-// recost (kbest, gsra).  Link-level cases extend the gate to the ARQ
+// allocations, for a linear path (zf), the sweep solvers (sa, pt), and the
+// hybrid (gsra, greedy-, tabu- and K-best-seeded), even as the channel
+// content changes use to use; so does the soft output, linear (zf, mmse)
+// and flip recost (kbest, gsra).  Link-level cases extend the gate to the ARQ
 // retransmission chain and to the coded (FEC) frame chain, and a memory
 // case pins that an overloaded block-policy replay holds memory set by its
 // buffers, not by the number of jobs.
@@ -134,6 +134,12 @@ TEST(AllocRegression, ZfSteadyStateIsAllocationFree) {
 
 TEST(AllocRegression, SaSteadyStateIsAllocationFree) {
     EXPECT_EQ(steady_state_allocations("sa:reads=4,sweeps=40"), 0U);
+}
+
+TEST(AllocRegression, PtSteadyStateIsAllocationFree) {
+    // The replicas, the temperature ladder and the held state live in the
+    // workspace's solve scratch; swapping replicas moves their buffers.
+    EXPECT_EQ(steady_state_allocations("pt:replicas=4,rounds=10"), 0U);
 }
 
 TEST(AllocRegression, GsraSteadyStateIsAllocationFree) {

@@ -1,5 +1,5 @@
 // Tests for the annealer emulator and its temperature maps — the hardware
-// substitution's contract (see DESIGN.md).
+// substitution's contract (see src/core/device.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
