@@ -4,8 +4,8 @@
 //
 // The paper's Section-3 pipeline argument is about sustaining successive
 // channel uses through a hybrid structure; this bench closes the loop at
-// the system boundary: real loopback sockets, a kxra device bank behind a
-// worker pool, bounded admission, and an open-loop Poisson load generator.
+// the system boundary: real loopback sockets, a kxra device bank behind the
+// server's workers, bounded admission, and an open-loop Poisson load generator.
 // Below capacity, goodput tracks offered load and rejects stay at zero;
 // past capacity, goodput plateaus at the bank's service rate and the
 // admission policy sheds the excess as BUSY — the 503-style behaviour the

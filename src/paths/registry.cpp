@@ -37,18 +37,25 @@
 namespace hcq::paths {
 namespace {
 
-/// Typed argument access for the factories below.  Each throws
-/// std::invalid_argument naming the path kind, the key, the offending value,
-/// and the expected form.
+/// The registry's one bad-value error: names the path kind, the key, the
+/// offending value as the spec wrote it (`value` stands in for a key the
+/// spec left at its default) and the expected form.
+[[noreturn]] void bad_value(const path_spec& spec, const std::string& key,
+                            const std::string& expected, double value = 0.0) {
+    const std::string* raw = spec.find(key);
+    throw std::invalid_argument("paths: " + spec.kind + ": bad value '" +
+                                (raw != nullptr ? *raw : util::spec::format_value(value)) +
+                                "' for key '" + key + "' (expected " + expected + ")");
+}
+
+/// Typed argument access for the factories below; a value that does not
+/// parse is a bad_value.
 std::size_t spec_positive_size(const path_spec& spec, const std::string& key,
                                std::size_t fallback) {
     const std::string* raw = spec.find(key);
     if (raw == nullptr) return fallback;
     const auto value = util::spec::parse_size_value(*raw);
-    if (!value.has_value() || *value == 0) {
-        throw std::invalid_argument("paths: " + spec.kind + ": bad value '" + *raw +
-                                    "' for key '" + key + "' (expected a positive integer)");
-    }
+    if (!value.has_value() || *value == 0) bad_value(spec, key, "a positive integer");
     return *value;
 }
 
@@ -59,11 +66,18 @@ double spec_double(const path_spec& spec, const std::string& key, double fallbac
     const std::string* raw = spec.find(key);
     if (raw == nullptr) return fallback;
     const auto value = util::spec::parse_double_value(*raw);
-    if (!value.has_value() || !std::isfinite(*value)) {
-        throw std::invalid_argument("paths: " + spec.kind + ": bad value '" + *raw +
-                                    "' for key '" + key + "' (expected a finite number)");
-    }
+    if (!value.has_value() || !std::isfinite(*value)) bad_value(spec, key, "a finite number");
     return *value;
+}
+
+/// The solvers' temperature fractions, 0 < cold <= hot, checked here so a
+/// spec gets the registry's error rather than the constructor's.
+void check_fractions(const path_spec& spec, double hot, double cold) {
+    if (!(hot > 0.0)) bad_value(spec, "hot", "a number > 0");
+    if (!(cold > 0.0 && cold <= hot)) {
+        bad_value(spec, "cold", "a number in (0, hot], hot = " + util::spec::format_value(hot),
+                  cold);
+    }
 }
 
 /// Reshapes a reused result's stage list without churning its strings: the
@@ -339,6 +353,7 @@ std::shared_ptr<const detection_path> make_kbest(const path_spec& spec) {
 
 std::shared_ptr<const detection_path> make_sphere(const path_spec& spec) {
     const double radius = spec_double(spec, "radius", 0.0);
+    if (radius < 0.0) bad_value(spec, "radius", "a finite number >= 0");
     return std::make_shared<const detector_path>(
         std::make_shared<const detect::sphere_detector>(radius), "SD",
         path_spec{"sphere", {{"radius", util::spec::format_value(radius)}}});
@@ -364,6 +379,7 @@ std::shared_ptr<const detection_path> make_sa(const path_spec& spec) {
     config.num_sweeps = spec_positive_size(spec, "sweeps", config.num_sweeps);
     config.hot_fraction = spec_double(spec, "hot", config.hot_fraction);
     config.cold_fraction = spec_double(spec, "cold", config.cold_fraction);
+    check_fractions(spec, config.hot_fraction, config.cold_fraction);
     return std::make_shared<const qubo_solver_path>(
         std::make_unique<const solvers::simulated_annealing>(config),
         path_spec{"sa",
@@ -389,10 +405,12 @@ std::shared_ptr<const detection_path> make_tabu(const path_spec& spec) {
 std::shared_ptr<const detection_path> make_pt(const path_spec& spec) {
     solvers::pt_config config;
     config.num_replicas = spec_positive_size(spec, "replicas", config.num_replicas);
+    if (config.num_replicas < 2) bad_value(spec, "replicas", "an integer >= 2");
     config.num_rounds = spec_positive_size(spec, "rounds", config.num_rounds);
     config.sweeps_per_round = spec_positive_size(spec, "sweeps", config.sweeps_per_round);
     config.hot_fraction = spec_double(spec, "hot", config.hot_fraction);
     config.cold_fraction = spec_double(spec, "cold", config.cold_fraction);
+    check_fractions(spec, config.hot_fraction, config.cold_fraction);
     return std::make_shared<const qubo_solver_path>(
         std::make_unique<const solvers::parallel_tempering>(config),
         path_spec{"pt",
@@ -411,6 +429,17 @@ std::shared_ptr<const detection_path> make_gs_ra(const path_spec& spec) {
     const std::size_t reads = spec_positive_size(spec, "reads", 80);
     const double sp = spec_double(spec, "sp", 0.29);
     const double pause_us = spec_double(spec, "pause_us", 1.0);
+    if (!(sp > 0.0 && sp < 1.0)) bad_value(spec, "sp", "a number in (0, 1)");
+    if (pause_us < 0.0) bad_value(spec, "pause_us", "a finite number >= 0");
+    // anneal_schedule::reverse's ramp back, 1 - sp us after the pause, must
+    // still end later in double arithmetic.
+    const double ramp = 1.0 - sp;
+    if (!(ramp + ramp + pause_us > ramp + pause_us)) {
+        bad_value(spec, "pause_us",
+                  "a pause short enough that the 1 - sp = " + util::spec::format_value(ramp) +
+                      " us ramp after it still adds time",
+                  pause_us);
+    }
     path_spec canonical{spec.kind,
                         {{"reads", std::to_string(reads)},
                          {"sp", util::spec::format_value(sp)},
@@ -441,7 +470,7 @@ struct path_info {
 
 constexpr key_info kbest_keys[] = {{"width", "beam width K (positive integer, default 8)"}};
 constexpr key_info sphere_keys[] = {
-    {"radius", "initial squared search radius (0 = unbounded, default 0)"}};
+    {"radius", "initial squared search radius >= 0 (0 = unbounded, default 0)"}};
 constexpr key_info fcsd_keys[] = {
     {"levels", "fully-enumerated tree levels (positive integer, default 1)"}};
 constexpr key_info sa_keys[] = {

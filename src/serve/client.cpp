@@ -47,10 +47,6 @@ std::optional<response> client::receive() {
     return decode_response(payload);
 }
 
-double loadgen_report::goodput_fraction() const noexcept {
-    return sent == 0 ? 0.0 : static_cast<double>(ok) / static_cast<double>(sent);
-}
-
 double loadgen_report::reject_fraction() const noexcept {
     return sent == 0 ? 0.0
                      : static_cast<double>(busy + deadline) / static_cast<double>(sent);
@@ -116,7 +112,7 @@ void run_closed_connection(const loadgen_config& config, std::size_t connection,
 
 /// Open loop: this connection's share of the Poisson process, sent on
 /// schedule regardless of outstanding responses; a paired receiver thread
-/// drains responses (possibly reordered by the worker pool) and matches
+/// drains responses (possibly reordered by the server's workers) and matches
 /// them to send timestamps by request_seq.
 void run_open_connection(const loadgen_config& config, std::size_t connection,
                          connection_tally& tally) {

@@ -81,8 +81,6 @@ struct loadgen_report {
     metrics::latency_digest latency;     ///< end-to-end per request, us
     metrics::latency_digest queue_wait;  ///< server-reported admission wait, us
 
-    /// ok / sent (0 when nothing was sent).
-    [[nodiscard]] double goodput_fraction() const noexcept;
     /// (busy + deadline) / sent — the shed fraction.
     [[nodiscard]] double reject_fraction() const noexcept;
     /// Served channel uses per second of wall clock.

@@ -10,11 +10,6 @@ namespace {
 constexpr std::uint8_t type_request = 1;
 constexpr std::uint8_t type_response = 2;
 
-/// Strings inside a payload are capped separately from the frame so a
-/// corrupt length cannot demand a huge allocation before the frame bound
-/// would catch it.
-constexpr std::uint32_t max_string_bytes = 4096;
-
 /// Little-endian byte writer.
 class writer {
 public:

@@ -66,6 +66,11 @@ inline constexpr std::uint8_t protocol_version = 2;
 /// sides: a corrupt or hostile length prefix must not OOM the server.
 inline constexpr std::uint32_t max_frame_bytes = 1u << 20;
 
+/// Ceiling on each string field of a payload, checked apart from the frame
+/// so a corrupt length cannot demand a huge allocation before the frame
+/// bound would catch it.  Encoding a longer string throws protocol_error.
+inline constexpr std::uint32_t max_string_bytes = 4096;
+
 /// Ceiling on channel uses per request (bounds per-request work and the
 /// response size well under max_frame_bytes).
 inline constexpr std::uint32_t max_batch_uses = 16384;
@@ -125,7 +130,7 @@ struct response {
     std::uint64_t tenant_id = 0;    ///< echoed from the request
     std::uint64_t request_seq = 0;  ///< echoed from the request
     std::uint32_t queue_depth = 0;  ///< admission queue length at decision time
-    std::uint32_t in_flight = 0;    ///< worker-pool tasks executing at decision time
+    std::uint32_t in_flight = 0;    ///< requests being served by workers at decision time
     double queue_wait_us = 0.0;     ///< how long the request waited before the decision
     std::string message;            ///< self-documenting rejection/error detail; "" on ok
     std::uint32_t num_uses = 0;

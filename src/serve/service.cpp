@@ -59,9 +59,9 @@ batch_result run_batch(const request& req) {
     metrics::ber_counter ber;
 
     // Serial over the batch: the server's parallelism is ACROSS requests
-    // (the worker pool serves many sessions at once), which keeps each
+    // (the server's workers serve many sessions at once), which keeps each
     // batch's derived-stream consumption trivially schedule-independent.
-    // One warm workspace serves the whole batch — each pool worker runs its
+    // One warm workspace serves the whole batch — each server worker runs its
     // own run_batch, so the arena is never shared.
     paths::workspace ws;
     wireless::mimo_instance instance;

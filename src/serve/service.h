@@ -1,6 +1,6 @@
 // Request execution against the detection-path registry — the piece of the
 // serving front end that actually computes, shared by the TCP server's
-// worker pool and by in-process callers (tests, benches).
+// workers and by in-process callers (tests, benches).
 //
 // Determinism contract (the served-vs-in-process golden): run_batch derives
 // its master seed via serve::request_seed(tenant_id, request_seq, seed) and
@@ -16,7 +16,7 @@
 //
 // Concurrency contract: run_batch is a pure function of its request (plus a
 // per-call registry lookup); the server runs many batches concurrently on
-// pool workers with no shared mutable state between them.
+// its workers with no shared mutable state between them.
 #ifndef HCQ_SERVE_SERVICE_H
 #define HCQ_SERVE_SERVICE_H
 

@@ -48,7 +48,7 @@ void throw_errno(const std::string& what) {
     throw std::runtime_error("serve: " + what + ": " + errno_message(errno));
 }
 
-unique_fd listen_loopback(std::uint16_t port, int backlog) {
+unique_fd listen_loopback(std::uint16_t port) {
     unique_fd fd(::socket(AF_INET, SOCK_STREAM, 0));
     if (!fd.valid()) throw_errno("socket");
     const int one = 1;
@@ -59,7 +59,7 @@ unique_fd listen_loopback(std::uint16_t port, int backlog) {
     if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
         throw_errno("bind(127.0.0.1:" + std::to_string(port) + ")");
     }
-    if (::listen(fd.get(), backlog) < 0) throw_errno("listen");
+    if (::listen(fd.get(), /*backlog=*/128) < 0) throw_errno("listen");
     set_nonblocking(fd.get());
     return fd;
 }

@@ -66,9 +66,10 @@ private:
 [[noreturn]] void throw_errno(const std::string& what);
 
 /// Non-blocking listener bound to 127.0.0.1:`port` (0 = kernel-assigned
-/// ephemeral port, read back via local_port), SO_REUSEADDR set.  Throws on
-/// any failure (e.g. the port is taken).
-[[nodiscard]] unique_fd listen_loopback(std::uint16_t port, int backlog);
+/// ephemeral port, read back via local_port), SO_REUSEADDR set, queueing up
+/// to 128 unaccepted connections.  Throws on any failure (e.g. the port is
+/// taken).
+[[nodiscard]] unique_fd listen_loopback(std::uint16_t port);
 
 /// The locally bound port of a socket (resolves an ephemeral bind).
 [[nodiscard]] std::uint16_t local_port(int fd);

@@ -17,12 +17,22 @@ tcp_server::tcp_server(server_config config)
     if (config_.admission_capacity == 0) {
         throw std::invalid_argument("serve: server_config.admission_capacity must be >= 1");
     }
-    listener_ = listen_loopback(config_.port, config_.listen_backlog);
+    listener_ = listen_loopback(config_.port);
     port_ = local_port(listener_.get());
     poller_.add(listener_.get(), /*want_read=*/true, /*want_write=*/false);
     poller_.add(wake_.read_fd(), /*want_read=*/true, /*want_write=*/false);
-    pool_ = std::make_unique<util::thread_pool>(config_.num_workers);
-    io_thread_ = std::thread([this] { io_loop(); });
+    workers_.reserve(config_.num_workers);
+    try {
+        for (std::size_t i = 0; i < config_.num_workers; ++i) {
+            workers_.emplace_back([this] { worker_loop(); });
+        }
+        io_thread_ = std::thread([this] { io_loop(); });
+    } catch (...) {
+        // A thread failed to start (e.g. EAGAIN at the OS thread limit):
+        // stop and join the ones that did instead of terminating via ~thread.
+        stop();
+        throw;
+    }
 }
 
 tcp_server::~tcp_server() { stop(); }
@@ -36,15 +46,11 @@ void tcp_server::stop() {
         const util::mutex_lock lock(mutex_);
         stop_ = true;
     }
+    work_ready_.notify_all();
     wake_.wake();
     if (io_thread_.joinable()) io_thread_.join();
-    {
-        // Abandon queued-but-unstarted requests so the surplus drain tasks
-        // finish instantly; in-flight batches run to completion below.
-        const util::mutex_lock lock(mutex_);
-        pending_.clear();
-    }
-    pool_->stop();
+    // Workers finish the request in hand and leave the queued ones behind.
+    for (auto& w : workers_) w.join();
 }
 
 server_stats tcp_server::stats() const {
@@ -176,35 +182,28 @@ bool tcp_server::process_or_close(std::uint64_t session_id, session& s) {
 
 void tcp_server::admit(session& s, request req) {
     std::optional<work_item> evicted;
-    bool accepted = false;
-    bool submit_drain = false;
+    bool accepted = true;
     {
         const util::mutex_lock lock(mutex_);
         if (pending_.size() >= config_.admission_capacity) {
+            ++stats_.rejected_busy;
             if (config_.policy == pipeline::backpressure::drop_oldest) {
                 evicted.emplace(std::move(pending_.front()));
                 pending_.pop_front();
-                pending_.push_back(work_item{s.id(), std::move(req), util::timer{}});
                 ++stats_.evictions;
-                ++stats_.rejected_busy;
-                ++stats_.requests_admitted;
-                accepted = true;
-                // The evicted item's drain task now serves the newcomer:
-                // one task per queued item stays balanced, no extra submit.
             } else {
                 // drop_newest, or the block policy losing the race between
                 // its capacity check and a concurrent burst: shed the
                 // newcomer with an immediate BUSY.
-                ++stats_.rejected_busy;
+                accepted = false;
             }
-        } else {
+        }
+        if (accepted) {
             pending_.push_back(work_item{s.id(), std::move(req), util::timer{}});
             ++stats_.requests_admitted;
-            accepted = true;
-            submit_drain = true;
         }
     }
-    if (submit_drain) pool_->submit([this] { drain_one(); });
+    if (accepted) work_ready_.notify_one();
     if (evicted) {
         const response resp = rejection(
             evicted->req, status::busy, evicted->queued_at.elapsed_us(),
@@ -222,47 +221,57 @@ void tcp_server::admit(session& s, request req) {
     }
 }
 
-void tcp_server::drain_one() {
-    work_item item;
-    {
-        const util::mutex_lock lock(mutex_);
-        if (pending_.empty()) return;  // surplus task after stop()'s abandon
-        item = std::move(pending_.front());
-        pending_.pop_front();
+void tcp_server::worker_loop() {
+    for (;;) {
+        work_item item;
+        {
+            util::mutex_lock lock(mutex_);
+            // Predicate in the calling scope (not a lambda) so the analysis
+            // checks the guarded reads against the held lock — see util/sync.h.
+            while (!stop_ && pending_.empty()) work_ready_.wait(lock);
+            if (stop_) return;
+            item = std::move(pending_.front());
+            pending_.pop_front();
+            ++in_flight_;
+        }
+        std::vector<std::uint8_t> frame_bytes = serve_one(item);
+        {
+            const util::mutex_lock lock(mutex_);
+            completions_.push_back(completion{item.session_id, std::move(frame_bytes)});
+            --in_flight_;
+        }
+        wake_.wake();
     }
+}
+
+std::vector<std::uint8_t> tcp_server::serve_one(const work_item& item) {
     const double wait_us = item.queued_at.elapsed_us();
     response resp;
-    if (item.req.deadline_us > 0.0 && wait_us > item.req.deadline_us) {
-        resp = rejection(item.req, status::deadline, wait_us,
-                         "queue wait " + std::to_string(wait_us) +
-                             " us exceeded the request deadline of " +
-                             std::to_string(item.req.deadline_us) + " us");
-        bump(&server_stats::rejected_deadline);
-    } else {
-        try {
-            const batch_result result = run_batch(item.req);
-            resp = make_ok_response(item.req, result);
+    std::uint64_t server_stats::* counter = &server_stats::served_ok;
+    try {
+        if (item.req.deadline_us > 0.0 && wait_us > item.req.deadline_us) {
+            resp = rejection(item.req, status::deadline, wait_us,
+                             "queue wait " + std::to_string(wait_us) +
+                                 " us exceeded the request deadline of " +
+                                 std::to_string(item.req.deadline_us) + " us");
+            counter = &server_stats::rejected_deadline;
+        } else {
+            resp = make_ok_response(item.req, run_batch(item.req));
             resp.queue_wait_us = wait_us;
-            const auto snap = pool_->snapshot();
-            resp.in_flight = static_cast<std::uint32_t>(snap.in_flight);
-            {
-                const util::mutex_lock lock(mutex_);
-                resp.queue_depth = static_cast<std::uint32_t>(pending_.size());
-            }
-            bump(&server_stats::served_ok);
-        } catch (const std::invalid_argument& e) {
-            resp = rejection(item.req, status::bad_request, wait_us, e.what());
-            bump(&server_stats::bad_requests);
-        } catch (const std::exception& e) {
-            resp = rejection(item.req, status::error, wait_us, e.what());
-            bump(&server_stats::internal_errors);
+            stamp_admission(resp);
         }
+        std::vector<std::uint8_t> frame_bytes = frame(encode_response(resp));
+        bump(counter);
+        return frame_bytes;
+    } catch (const std::invalid_argument& e) {
+        resp = rejection(item.req, status::bad_request, wait_us, e.what());
+        counter = &server_stats::bad_requests;
+    } catch (const std::exception& e) {
+        resp = rejection(item.req, status::error, wait_us, e.what());
+        counter = &server_stats::internal_errors;
     }
-    {
-        const util::mutex_lock lock(mutex_);
-        completions_.push_back(completion{item.session_id, frame(encode_response(resp))});
-    }
-    wake_.wake();
+    bump(counter);
+    return frame(encode_response(resp));  // a cut rejection always encodes
 }
 
 void tcp_server::drain_completions() {
@@ -314,20 +323,24 @@ void tcp_server::resume_reads() {
 }
 
 response tcp_server::rejection(const request& req, status st, double wait_us,
-                               const std::string& message) {
+                               std::string message) {
     response resp;
     resp.state = st;
     resp.tenant_id = req.tenant_id;
     resp.request_seq = req.request_seq;
     resp.queue_wait_us = wait_us;
-    resp.message = message;
-    const auto snap = pool_->snapshot();
-    resp.in_flight = static_cast<std::uint32_t>(snap.in_flight);
-    {
-        const util::mutex_lock lock(mutex_);
-        resp.queue_depth = static_cast<std::uint32_t>(pending_.size());
-    }
+    // An invalid spec's error quotes the spec, which may itself be close to
+    // the cap: cut the text rather than fail to encode the answer.
+    if (message.size() > max_string_bytes) message.resize(max_string_bytes);
+    resp.message = std::move(message);
+    stamp_admission(resp);
     return resp;
+}
+
+void tcp_server::stamp_admission(response& resp) const {
+    const util::mutex_lock lock(mutex_);
+    resp.queue_depth = static_cast<std::uint32_t>(pending_.size());
+    resp.in_flight = static_cast<std::uint32_t>(in_flight_);
 }
 
 }  // namespace hcq::serve

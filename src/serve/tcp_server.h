@@ -1,8 +1,10 @@
 // Async TCP front end over the detection-path registry: one IO thread
-// multiplexes every client session through a serve::poller (epoll),
-// while a util::thread_pool of workers executes batches against the device
-// bank.  The two sides meet in a mutex-guarded admission queue (requests in)
-// and completion queue (framed responses out).
+// multiplexes every client session through a serve::poller (epoll), while
+// num_workers worker threads of the server's own execute batches against
+// the device bank.  The two sides meet in one mutex-guarded request queue
+// (pending_, admitted requests in) and a completion queue (framed responses
+// out); each worker pops a request, serves it and queues exactly one
+// response.
 //
 // Admission control reuses the pipeline layer's backpressure vocabulary
 // (pipeline::backpressure) with server semantics:
@@ -21,6 +23,10 @@
 // deadline_us is answered status::deadline by the worker WITHOUT being
 // solved — a per-request latency budget on top of the global queue bound.
 //
+// Every admitted request gets exactly one answer: a rejection message is cut
+// to the wire's string cap (max_string_bytes), and anything thrown while a
+// worker serves or encodes a request becomes a status::error response.
+//
 // Threading contract: sessions_, the poller, and the fd maps belong to the
 // IO thread exclusively (no locks).  Workers communicate only through the
 // guarded queues plus wake_pipe.  Completions route by monotonic session id,
@@ -32,7 +38,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -42,17 +48,15 @@
 #include "serve/socket.h"
 #include "util/sync.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace hcq::serve {
 
 struct server_config {
     std::uint16_t port = 0;         ///< 0 = kernel-assigned ephemeral (see tcp_server::port)
-    std::size_t num_workers = 4;    ///< worker-pool threads executing batches
+    std::size_t num_workers = 4;    ///< worker threads executing batches
     std::size_t admission_capacity = 256;  ///< max queued (not yet executing) requests
     pipeline::backpressure policy = pipeline::backpressure::block;
-    int listen_backlog = 128;
 };
 
 /// Monotonic counters, readable at any time via tcp_server::stats().
@@ -68,10 +72,11 @@ struct server_stats {
     std::uint64_t evictions = 0;          ///< drop_oldest evictions (subset of rejected_busy)
 };
 
-/// The server.  The constructor binds 127.0.0.1:port, spins up the worker
-/// pool and the IO thread, and starts accepting; the destructor (or stop())
+/// The server.  The constructor binds 127.0.0.1:port, starts the workers
+/// and the IO thread, and starts accepting; the destructor (or stop())
 /// shuts everything down.  Throws std::runtime_error when the port cannot
-/// be bound.
+/// be bound; if a thread fails to start, the ones that did are stopped and
+/// joined before the exception propagates.
 class tcp_server {
 public:
     explicit tcp_server(server_config config);
@@ -83,15 +88,8 @@ public:
     /// The actually bound port (resolves an ephemeral port 0 request).
     [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
-    [[nodiscard]] const server_config& config() const noexcept { return config_; }
-
     /// Consistent snapshot of the counters.
     [[nodiscard]] server_stats stats() const HCQ_EXCLUDES(mutex_);
-
-    /// Worker-pool queue state (exercises util::thread_pool::snapshot).
-    [[nodiscard]] util::thread_pool::queue_snapshot pool_snapshot() const {
-        return pool_->snapshot();
-    }
 
     /// Stops accepting, abandons queued-but-unstarted requests, waits for
     /// in-flight batches, and joins all threads.  Idempotent.
@@ -127,7 +125,13 @@ private:
     /// false when the session was closed.
     bool process_or_close(std::uint64_t session_id, session& s) HCQ_EXCLUDES(mutex_);
     void admit(session& s, request req) HCQ_EXCLUDES(mutex_);
-    void drain_one() HCQ_EXCLUDES(mutex_);  ///< worker-side: pop + serve one item
+    /// One worker: waits for a request, serves it, queues its response, and
+    /// returns once stop is requested (queued requests are abandoned).
+    void worker_loop() HCQ_EXCLUDES(mutex_);
+    /// The framed response to one popped request: status::deadline past its
+    /// budget, else run_batch's ok response; a throw becomes bad_request
+    /// (std::invalid_argument) or error.  Never throws.
+    [[nodiscard]] std::vector<std::uint8_t> serve_one(const work_item& item) HCQ_EXCLUDES(mutex_);
     void drain_completions() HCQ_EXCLUDES(mutex_);
     void send_to_session(std::uint64_t session_id, std::vector<std::uint8_t> frame_bytes);
     void close_session(std::uint64_t session_id) HCQ_EXCLUDES(mutex_);
@@ -136,8 +140,12 @@ private:
     void resume_reads();
     [[nodiscard]] bool admission_full() const HCQ_EXCLUDES(mutex_);
     [[nodiscard]] bool stop_requested() const HCQ_EXCLUDES(mutex_);
+    /// A non-ok response; `message` is cut to max_string_bytes so the
+    /// response always encodes.
     [[nodiscard]] response rejection(const request& req, status st, double wait_us,
-                                     const std::string& message) HCQ_EXCLUDES(mutex_);
+                                     std::string message) HCQ_EXCLUDES(mutex_);
+    /// Fills the admission telemetry (queue_depth, in_flight) of `resp`.
+    void stamp_admission(response& resp) const HCQ_EXCLUDES(mutex_);
     void bump(std::uint64_t server_stats::* counter) HCQ_EXCLUDES(mutex_);
 
     server_config config_;
@@ -145,9 +153,6 @@ private:
     unique_fd listener_;
     wake_pipe wake_;
     poller poller_;
-    std::unique_ptr<util::thread_pool> pool_;
-    std::thread io_thread_;
-    bool stopped_ = false;  ///< set once stop() has fully run (main thread only)
 
     // --- IO-thread-only state (unsynchronised by design) ---
     std::map<std::uint64_t, session> sessions_;
@@ -157,10 +162,18 @@ private:
 
     // --- shared state ---
     mutable util::mutex mutex_;
+    util::cond_var work_ready_;  ///< a request was queued, or stop was requested
     bool stop_ HCQ_GUARDED_BY(mutex_) = false;
-    std::deque<work_item> pending_ HCQ_GUARDED_BY(mutex_);
+    std::deque<work_item> pending_ HCQ_GUARDED_BY(mutex_);  ///< the one request queue
+    std::size_t in_flight_ HCQ_GUARDED_BY(mutex_) = 0;  ///< popped, response not yet queued
     std::deque<completion> completions_ HCQ_GUARDED_BY(mutex_);
     server_stats stats_ HCQ_GUARDED_BY(mutex_);
+
+    // --- owner-thread-only state (constructor, stop(), destructor); the
+    // threads come last, after everything they use ---
+    bool stopped_ = false;  ///< set once stop() has fully run
+    std::vector<std::thread> workers_;
+    std::thread io_thread_;
 };
 
 }  // namespace hcq::serve

@@ -6,9 +6,9 @@
 // std::scoped_lock holds anything.  These wrappers restore the contract at
 // zero cost — each is a thin shell over the std type with the attributes
 // attached — so every mutex-guarded structure in the concurrent core
-// (util::thread_pool's task queue, serve::tcp_server's work and completion
-// queues) is checked at compile time under -Wthread-safety, not just probed
-// at runtime by TSan.
+// (util::thread_pool's task queue, serve::tcp_server's request queue,
+// in-flight count and completion queue) is checked at compile time under
+// -Wthread-safety, not just probed at runtime by TSan.
 //
 // Usage:
 //     util::mutex mutex_;

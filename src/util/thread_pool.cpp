@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <stdexcept>
+#include <exception>
+#include <latch>
 #include <utility>
 
 namespace hcq::util {
@@ -11,61 +12,28 @@ thread_pool::thread_pool(std::size_t num_threads) {
     if (num_threads == 0) {
         num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
     }
-    num_workers_ = num_threads;
     workers_.reserve(num_threads);
     try {
         for (std::size_t i = 0; i < num_threads; ++i) {
             workers_.emplace_back([this] { worker_loop(); });
         }
     } catch (...) {
-        // Partial spawn (e.g. EAGAIN at the OS thread limit): shut down the
+        // Partial spawn (e.g. EAGAIN at the OS thread limit): join the
         // workers that did start instead of terminating via ~thread.
-        stop();
+        join_workers();
         throw;
     }
 }
 
-thread_pool::~thread_pool() { stop(); }
+thread_pool::~thread_pool() { join_workers(); }
 
-void thread_pool::stop() {
-    std::vector<std::thread> workers;
+void thread_pool::join_workers() {
     {
         const mutex_lock lock(mutex_);
         stopping_ = true;
-        workers.swap(workers_);  // claim the threads so overlapping stops can't double-join
     }
     task_available_.notify_all();
-    for (auto& w : workers) {
-        if (w.joinable()) w.join();
-    }
-}
-
-void thread_pool::submit(std::function<void()> task) {
-    {
-        const mutex_lock lock(mutex_);
-        if (stopping_) {
-            throw std::runtime_error("thread_pool::submit: pool is stopping; task rejected");
-        }
-        tasks_.push(std::move(task));
-    }
-    task_available_.notify_one();
-}
-
-void thread_pool::wait_idle() {
-    std::exception_ptr err;
-    {
-        mutex_lock lock(mutex_);
-        // Predicate in the calling scope (not a lambda) so the analysis
-        // checks the guarded reads against the held lock — see util/sync.h.
-        while (!tasks_.empty() || in_flight_ != 0) idle_.wait(lock);
-        err = std::exchange(first_error_, nullptr);
-    }
-    if (err) std::rethrow_exception(err);
-}
-
-thread_pool::queue_snapshot thread_pool::snapshot() const {
-    const mutex_lock lock(mutex_);
-    return {tasks_.size(), in_flight_};
+    for (auto& w : workers_) w.join();
 }
 
 void thread_pool::worker_loop() {
@@ -73,50 +41,49 @@ void thread_pool::worker_loop() {
         std::function<void()> task;
         {
             mutex_lock lock(mutex_);
+            // Predicate in the calling scope (not a lambda) so the analysis
+            // checks the guarded reads against the held lock — see util/sync.h.
             while (!stopping_ && tasks_.empty()) task_available_.wait(lock);
-            if (tasks_.empty()) return;  // stopping_ and drained
+            if (tasks_.empty()) return;  // stopping and drained
             task = std::move(tasks_.front());
             tasks_.pop();
-            ++in_flight_;
         }
-        std::exception_ptr error;
-        try {
-            task();
-        } catch (...) {
-            error = std::current_exception();
-        }
-        {
-            const mutex_lock lock(mutex_);
-            --in_flight_;
-            if (error && !first_error_) first_error_ = error;
-        }
-        idle_.notify_all();
+        task();  // for_each_slot's tasks catch their own exceptions
     }
 }
 
 void thread_pool::for_each_slot(std::size_t n,
                                 const std::function<void(std::size_t, std::size_t)>& fn) {
     // One task per slot pulling indices off a shared counter: O(1) queue
-    // traffic regardless of n, unlike one queued task per index.
+    // traffic regardless of n, unlike one queued task per index.  The tasks
+    // report to this call alone: the latch counts them out, and the first
+    // exception stays here instead of in the pool.
+    const std::size_t slots = std::min(size(), n);
+    if (slots == 0) return;
     std::atomic<std::size_t> next{0};
     std::atomic<bool> failed{false};
-    const std::size_t slots = std::min(num_workers_, n);
-    for (std::size_t slot = 0; slot < slots; ++slot) {
-        submit([&fn, &next, &failed, n, slot] {
-            for (;;) {
-                if (failed.load(std::memory_order_relaxed)) return;
-                const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= n) return;
+    std::exception_ptr first_error;  // written only by the task that sets `failed`
+    std::latch done(static_cast<std::ptrdiff_t>(slots));
+    {
+        const mutex_lock lock(mutex_);
+        for (std::size_t slot = 0; slot < slots; ++slot) {
+            tasks_.emplace([&, n, slot] {
                 try {
-                    fn(slot, i);
+                    while (!failed.load(std::memory_order_relaxed)) {
+                        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+                        if (i >= n) break;
+                        fn(slot, i);
+                    }
                 } catch (...) {
-                    failed.store(true, std::memory_order_relaxed);
-                    throw;  // first exception lands in the pool and resurfaces below
+                    if (!failed.exchange(true)) first_error = std::current_exception();
                 }
-            }
-        });
+                done.count_down();  // releases first_error to the wait below
+            });
+        }
     }
-    wait_idle();
+    task_available_.notify_all();
+    done.wait();
+    if (first_error) std::rethrow_exception(first_error);
 }
 
 void pool_for_each(std::size_t n, const std::function<void(std::size_t)>& fn,

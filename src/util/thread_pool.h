@@ -1,6 +1,9 @@
-// Minimal task-parallel execution support for parameter sweeps and
-// per-instance fan-out in benches.  Guideline CP.*: tasks over raw threads,
-// no shared mutable state beyond the internally synchronised queue.
+// The tree's one compute fan-out primitive: a fixed set of worker threads
+// that for_each_slot spreads a loop over, one slot per task.  The link
+// simulator's frame pass, the corpus builder, the sweeps and the benches
+// (through pool_for_each) all run on it; the TCP server runs its own IO
+// thread and workers (serve/tcp_server.h).  Guideline CP.*: tasks over raw
+// threads, no shared mutable state beyond the internally synchronised queue.
 //
 // The queue state is annotated for Clang Thread Safety Analysis (see
 // util/thread_annotations.h): every member mutex_ protects is
@@ -10,7 +13,6 @@
 #define HCQ_UTIL_THREAD_POOL_H
 
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <queue>
 #include <thread>
@@ -21,17 +23,13 @@
 
 namespace hcq::util {
 
-/// Fixed-size pool of worker threads consuming a FIFO task queue.
-/// Destruction waits for all submitted tasks to finish.
-///
-/// Exception safety: a task that throws does not kill its worker — the first
-/// exception is captured and rethrown from the next `wait_idle()` (or
-/// swallowed by the destructor when the pool is torn down without waiting).
-/// Subsequent exceptions, and exceptions with no waiter, are dropped after
-/// the first; tasks continue to drain either way.
+/// Fixed-size pool of worker threads; for_each_slot is its only way in.
+/// Destruction joins the workers.
 class thread_pool {
 public:
-    /// Creates `num_threads` workers (0 selects hardware concurrency).
+    /// Creates `num_threads` workers (0 selects hardware concurrency).  If
+    /// one fails to start, the ones that did are joined before the
+    /// exception propagates.
     explicit thread_pool(std::size_t num_threads = 0);
 
     thread_pool(const thread_pool&) = delete;
@@ -39,56 +37,29 @@ public:
 
     ~thread_pool();
 
-    /// Enqueues a task for asynchronous execution.  Throws std::runtime_error
-    /// once shutdown has begun — a task accepted after `stop()` (or during
-    /// destruction) would never run, so silently queuing it is a lost-update
-    /// bug on the caller's side.
-    void submit(std::function<void()> task) HCQ_EXCLUDES(mutex_);
-
-    /// Blocks until every submitted task has completed.  Rethrows the first
-    /// exception that escaped a task since the previous wait.
-    void wait_idle() HCQ_EXCLUDES(mutex_);
-
-    /// Begins shutdown: drains already-queued tasks, then joins all workers.
-    /// Idempotent; called by the destructor.  After stop() returns, submit()
-    /// throws and size() still reports the original worker count.
-    void stop() HCQ_EXCLUDES(mutex_);
-
-    [[nodiscard]] std::size_t size() const noexcept { return num_workers_; }
-
-    /// One consistent snapshot of the queue state (both counts read under a
-    /// single lock acquisition, so queued + in_flight never double- or
-    /// under-counts a task mid-dispatch).
-    struct queue_snapshot {
-        std::size_t queued = 0;     ///< tasks submitted but not yet started
-        std::size_t in_flight = 0;  ///< tasks currently executing on a worker
-    };
-    [[nodiscard]] queue_snapshot snapshot() const HCQ_EXCLUDES(mutex_);
+    [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
     /// Runs fn(slot, i) for every i in [0, n) and blocks until all complete.
     /// min(size(), n) tasks each own one slot in [0, size()) and pull
     /// indices off a shared counter, so state a caller keeps per slot is
     /// never touched by two threads at once (one call at a time per pool).
     /// If an iteration throws, not-yet-started iterations are abandoned and
-    /// the first exception is rethrown here once the tasks have drained.
+    /// the call's first exception is rethrown here once its tasks have
+    /// finished; the pool stays usable.
     void for_each_slot(std::size_t n,
                        const std::function<void(std::size_t slot, std::size_t i)>& fn)
         HCQ_EXCLUDES(mutex_);
 
 private:
     void worker_loop() HCQ_EXCLUDES(mutex_);
+    /// Lets the workers drain the queue, then joins them.
+    void join_workers() HCQ_EXCLUDES(mutex_);
 
-    mutable mutex mutex_;
-    /// Joined by stop(), which claims them under the lock so overlapping
-    /// stops cannot double-join.
-    std::vector<std::thread> workers_ HCQ_GUARDED_BY(mutex_);
-    std::size_t num_workers_ = 0;  ///< immutable after construction
+    mutex mutex_;
     std::queue<std::function<void()>> tasks_ HCQ_GUARDED_BY(mutex_);
     cond_var task_available_;
-    cond_var idle_;
-    std::size_t in_flight_ HCQ_GUARDED_BY(mutex_) = 0;
     bool stopping_ HCQ_GUARDED_BY(mutex_) = false;
-    std::exception_ptr first_error_ HCQ_GUARDED_BY(mutex_);
+    std::vector<std::thread> workers_;  ///< filled by the constructor, joined by join_workers()
 };
 
 /// Runs fn(i) for i in [0, n) through thread_pool::for_each_slot on a

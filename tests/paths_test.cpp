@@ -151,6 +151,37 @@ TEST(Registry, BadValueErrorNamesKeyAndExpectation) {
         EXPECT_NE(message.find(std::string("value '") + bad.value + "'"), std::string::npos);
         EXPECT_NE(message.find("expected a finite number"), std::string::npos);
     }
+
+    // Values that parse but fall outside the range the path's constructor
+    // accepts get the same form, naming the path, the key and the value.
+    struct out_of_range {
+        const char* spec;
+        const char* kind;
+        const char* key;
+        const char* value;
+        const char* expected;  ///< start of the expected form
+    };
+    for (const out_of_range bad :
+         {out_of_range{"sa:cold=2", "sa", "cold", "2", "a number in (0, hot], hot = 1)"},
+          out_of_range{"pt:hot=0.5,cold=1", "pt", "cold", "1", "a number in (0, hot], hot = 0.5)"},
+          out_of_range{"pt:replicas=1", "pt", "replicas", "1", "an integer >= 2)"},
+          out_of_range{"kxra:sp=1", "kxra", "sp", "1", "a number in (0, 1))"},
+          out_of_range{"gsra:sp=0", "gsra", "sp", "0", "a number in (0, 1))"},
+          out_of_range{"gsra:pause_us=-1", "gsra", "pause_us", "-1", "a finite number >= 0)"},
+          out_of_range{"gsra:pause_us=1e300", "gsra", "pause_us", "1e300", "a pause short"},
+          out_of_range{"sphere:radius=-1", "sphere", "radius", "-1", "a finite number >= 0)"}}) {
+        SCOPED_TRACE(bad.spec);
+        const auto message = thrown_message([&] { (void)pt::registry::make(bad.spec); });
+        EXPECT_EQ(message.rfind(std::string("paths: ") + bad.kind + ": bad value '" + bad.value +
+                                    "' for key '" + bad.key + "' (expected " + bad.expected,
+                                0),
+                  0u)
+            << message;
+    }
+    // The boundary values themselves are accepted.
+    EXPECT_NO_THROW((void)pt::registry::make("sphere:radius=0"));
+    EXPECT_NO_THROW((void)pt::registry::make("pt:replicas=2,hot=1,cold=1"));
+    EXPECT_NO_THROW((void)pt::registry::make("gsra:pause_us=0"));
 }
 
 TEST(Registry, SpecRoundTripsThroughMakeForEveryBuiltin) {

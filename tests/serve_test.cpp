@@ -7,6 +7,8 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -303,7 +305,12 @@ TEST(ServeServer, ServedBatchBitIdenticalToInProcessWithOneWorker) {
     serve::client cl(server.port());
     serve::request req = small_request(1, 0);
     req.spec = "kxra:k=2";
-    expect_served_matches_in_process(cl.call(req), req);
+    const auto resp = cl.call(req);
+    expect_served_matches_in_process(resp, req);
+    // Admission telemetry at decision time: this request is the one being
+    // served, and nothing else is queued.
+    EXPECT_EQ(resp.in_flight, 1u);
+    EXPECT_EQ(resp.queue_depth, 0u);
     const auto stats = server.stats();
     EXPECT_EQ(stats.served_ok, 1u);
     EXPECT_EQ(stats.requests_admitted, 1u);
@@ -424,6 +431,53 @@ TEST(ServeServer, UnknownSpecGetsBadRequestAndConnectionSurvives) {
     // The frames themselves were well-formed, so the connection stays usable.
     serve::request good = small_request(1, 1);
     expect_served_matches_in_process(cl.call(good), good);
+}
+
+/// Reads one response frame from `fd` if one arrives within `timeout_ms`;
+/// nullopt otherwise, so a server that never answers fails the test instead
+/// of hanging it.
+std::optional<serve::response> receive_within(const serve::unique_fd& fd, int timeout_ms) {
+    serve::poller p;
+    p.add(fd.get(), /*want_read=*/true, /*want_write=*/false);
+    std::vector<serve::ready_event> events;
+    p.wait(events, timeout_ms);
+    if (events.empty()) return std::nullopt;
+    std::uint8_t prefix[4];
+    if (!serve::recv_exact(fd.get(), prefix, sizeof(prefix))) return std::nullopt;
+    std::uint32_t len = 0;
+    for (int i = 0; i < 4; ++i) len |= static_cast<std::uint32_t>(prefix[i]) << (8 * i);
+    serve::check_frame_length(len);
+    std::vector<std::uint8_t> payload(len);
+    if (!serve::recv_exact(fd.get(), payload.data(), payload.size())) return std::nullopt;
+    return serve::decode_response(payload);
+}
+
+// An invalid spec's error quotes the spec, so a long one would produce a
+// message past the wire's string cap.  The answer must still come, cut to
+// the cap, and the connection must keep serving.
+TEST(ServeServer, LongInvalidSpecGetsOneBadRequestAndConnectionSurvives) {
+    for (const std::size_t workers : {1u, 4u}) {
+        SCOPED_TRACE(workers);
+        serve::tcp_server server(test_server(workers));
+        const serve::unique_fd fd = serve::connect_loopback(server.port());
+        serve::request bad = small_request(1, 0);
+        bad.spec = "zf:" + std::string(2997, 'x');  // 3,000 bytes, not key=value
+        const auto bad_bytes = serve::frame(serve::encode_request(bad));
+        serve::send_all(fd.get(), bad_bytes.data(), bad_bytes.size());
+        const auto resp = receive_within(fd, 5000);
+        ASSERT_TRUE(resp.has_value()) << "no answer within 5 s";
+        EXPECT_EQ(resp->state, serve::status::bad_request);
+        EXPECT_FALSE(resp->message.empty());
+        EXPECT_LE(resp->message.size(), serve::max_string_bytes);
+
+        const serve::request good = small_request(1, 1);
+        const auto good_bytes = serve::frame(serve::encode_request(good));
+        serve::send_all(fd.get(), good_bytes.data(), good_bytes.size());
+        const auto served = receive_within(fd, 5000);
+        ASSERT_TRUE(served.has_value()) << "no answer within 5 s";
+        expect_served_matches_in_process(*served, good);
+        EXPECT_EQ(server.stats().bad_requests, 1u);
+    }
 }
 
 TEST(ServeServer, RejectsNonsenseConfig) {

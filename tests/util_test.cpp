@@ -10,7 +10,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -244,83 +243,13 @@ TEST(Rng, FillAndDiscardMatchSequentialDraws) {
 TEST(ThreadPool, ExecutesAllTasks) {
     hcq::util::thread_pool pool(4);
     std::atomic<int> counter{0};
-    for (int i = 0; i < 100; ++i) {
-        pool.submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.wait_idle();
+    pool.for_each_slot(100, [&counter](std::size_t, std::size_t) { counter.fetch_add(1); });
     EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPool, SizeMatchesRequest) {
     hcq::util::thread_pool pool(3);
     EXPECT_EQ(pool.size(), 3u);
-}
-
-TEST(ThreadPool, StopDrainsQueuedTasksAndIsIdempotent) {
-    hcq::util::thread_pool pool(2);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 50; ++i) {
-        pool.submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.stop();
-    EXPECT_EQ(counter.load(), 50);
-    EXPECT_EQ(pool.size(), 2u);  // size still reports the configured width
-    pool.stop();                 // second stop is a no-op
-}
-
-TEST(ThreadPool, SubmitAfterStopThrowsInsteadOfLosingTheTask) {
-    hcq::util::thread_pool pool(2);
-    pool.stop();
-    EXPECT_THROW(pool.submit([] {}), std::runtime_error);
-}
-
-TEST(ThreadPool, TaskExceptionIsRethrownAtWaitIdleAndPoolSurvives) {
-    hcq::util::thread_pool pool(2);
-    std::atomic<int> counter{0};
-    pool.submit([] { throw std::runtime_error("task failed"); });
-    for (int i = 0; i < 20; ++i) {
-        pool.submit([&counter] { counter.fetch_add(1); });
-    }
-    EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-    // The pool keeps working after a task threw: workers were not killed and
-    // the error state was consumed by the previous wait.
-    for (int i = 0; i < 20; ++i) {
-        pool.submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(counter.load(), 40);
-}
-
-TEST(ThreadPool, OnlyFirstOfManyTaskExceptionsSurfaces) {
-    hcq::util::thread_pool pool(4);
-    for (int i = 0; i < 16; ++i) {
-        pool.submit([] { throw std::runtime_error("boom"); });
-    }
-    EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-    pool.wait_idle();  // error consumed; no tasks left
-}
-
-TEST(ThreadPool, SnapshotCountsQueuedAndInFlightConsistently) {
-    hcq::util::thread_pool pool(2);
-    std::atomic<int> started{0};
-    std::atomic<bool> release{false};
-    // Park both workers so the next submissions provably sit in the queue.
-    for (int i = 0; i < 2; ++i) {
-        pool.submit([&] {
-            started.fetch_add(1);
-            while (!release.load()) std::this_thread::yield();
-        });
-    }
-    while (started.load() < 2) std::this_thread::yield();
-    for (int i = 0; i < 3; ++i) pool.submit([] {});
-    const auto snap = pool.snapshot();
-    EXPECT_EQ(snap.in_flight, 2u);
-    EXPECT_EQ(snap.queued, 3u);
-    release.store(true);
-    pool.wait_idle();
-    const auto idle = pool.snapshot();
-    EXPECT_EQ(idle.queued, 0u);
-    EXPECT_EQ(idle.in_flight, 0u);
 }
 
 TEST(ThreadPool, ForEachSlotGivesEachSlotToOneThreadAtATime) {
