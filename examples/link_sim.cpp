@@ -47,14 +47,15 @@
 // Usage: ./examples/link_sim
 //   [--uses=120] [--users=4] [--mod=qam16] [--snr=16] [--noiseless]
 //   [--channel=rayleigh|random-phase|jakes:...|watterson:...]
-//   [--fec=k3|k5|k7[:rate=1/2,interleave=RxC]]
+//   [--fec=k3|k5|k7[:interleave=RxC]]
 //   [--paths=zf,kbest,sphere,sa,gsra] [--load=0.9] [--threads=0] [--seed=1]
 //   [--buffer=256] [--policy=block|drop-oldest|drop-newest]
-//   [--arq deadline_us=<auto|none|us>,max_retx=<n>]
+//   [--arq deadline_us=<auto|none|us>,max_retx=<n>,combining=<chase|plain>]
 //   [--csv] [--help]
 #include <algorithm>
 #include <iostream>
 
+#include "arq/arq.h"
 #include "fec/code_spec.h"
 #include "link/link_sim.h"
 #include "paths/registry.h"
@@ -74,7 +75,7 @@ int main(int argc, char** argv) try {
                      "       --channel <spec>  realistic channel: correlated fading,\n"
                      "         multipath, imperfect CSI (unset = the default i.i.d.\n"
                      "         rayleigh draw, bit-for-bit)\n"
-                     "       --arq deadline_us=<auto|none|us>,max_retx=<n>\n"
+                     "       --arq key=value,...  (keys below)\n"
                      "         closes the retransmission loop: wrong frames re-solve on\n"
                      "         fresh channel uses; the trace replay feeds failures back as\n"
                      "         retransmission load (deadline_us=auto = open-loop p99)\n"
@@ -85,6 +86,7 @@ int main(int argc, char** argv) try {
                      "         across retransmissions (chase combining)\n\n"
                   << wireless::channel_spec::help() << "\n"
                   << fec::code_spec::help() << "\n"
+                  << arq::help() << "\n"
                   << paths::registry::help();
         return 0;
     }

@@ -96,7 +96,7 @@ if [[ $run_asan -eq 1 ]]; then
     cmake --build "$dir" -j "$jobs" --target util_test linalg_test solvers_test device_test \
         detect_test wireless_test qubo_test extensions_test paths_test link_test hybrid_test \
         pipeline_test arq_test fec_test serve_test workspace_test
-    "$dir/tests/util_test" --gtest_filter='Rng.*'
+    "$dir/tests/util_test" --gtest_filter='Rng.*:Spec.*'
     "$dir/tests/linalg_test"
     "$dir/tests/solvers_test"
     "$dir/tests/device_test"

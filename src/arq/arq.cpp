@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/spec.h"
 #include "util/table.h"
 
 namespace hcq::arq {
@@ -13,49 +14,14 @@ namespace {
 // every other derived stream ("arq_ERRm").
 constexpr std::uint64_t error_model_domain = 0x6172715f4552526dULL;
 
-double parse_deadline(const std::string& value, arq_config& config) {
-    if (value == "auto") {
-        config.deadline_auto = true;
-        return no_deadline;  // resolved per path by the caller
-    }
-    // A later explicit value overrides an earlier `auto` in the same spec.
-    config.deadline_auto = false;
-    if (value == "none" || value == "inf") return no_deadline;
-    std::size_t consumed = 0;
-    double parsed = 0.0;
-    try {
-        parsed = std::stod(value, &consumed);
-    } catch (const std::exception&) {
-        consumed = 0;
-    }
-    if (consumed != value.size() || std::isnan(parsed) || parsed < 0.0) {
-        throw std::invalid_argument("arq: bad deadline_us value '" + value +
-                                    "' (expected auto, none, or a non-negative number of us)");
-    }
-    return parsed;
-}
+constexpr util::spec::key_row keys[] = {
+    {"deadline_us", "latency deadline: us >= 0, auto (open-loop p99) or none (default)"},
+    {"max_retx", "retransmissions per frame, 0 (open loop) to 64 (default 1)"},
+    {"combining", "LLRs across a coded frame's attempts: chase (default) or plain"}};
+constexpr util::spec::kind_row kinds[] = {{"", "", keys}};
+constexpr util::spec::family family{"arq", "", "", kinds};
 
-std::size_t parse_max_retx(const std::string& value) {
-    std::size_t consumed = 0;
-    long parsed = 0;
-    try {
-        parsed = std::stol(value, &consumed);
-    } catch (const std::exception&) {
-        consumed = 0;
-    }
-    if (consumed != value.size() || parsed < 0) {
-        throw std::invalid_argument("arq: bad max_retx value '" + value +
-                                    "' (expected a non-negative integer)");
-    }
-    return static_cast<std::size_t>(parsed);
-}
-
-combining_mode parse_combining(const std::string& value) {
-    if (value == "chase") return combining_mode::chase;
-    if (value == "plain") return combining_mode::plain;
-    throw std::invalid_argument("arq: bad combining value '" + value +
-                                "' (expected chase or plain)");
-}
+constexpr std::string_view combining_names[] = {"chase", "plain"};
 
 }  // namespace
 
@@ -82,33 +48,28 @@ arq_config parse_arq(const std::string& text) {
     // A bare `--arq` flag parses to "true" (util::flag_set); treat it — and
     // an empty string — as "enable with defaults".
     if (text.empty() || text == "true" || text == "1") return config;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        const std::size_t comma = text.find(',', pos);
-        const std::string part =
-            text.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-        pos = comma == std::string::npos ? text.size() : comma + 1;
-        const std::size_t eq = part.find('=');
-        if (eq == std::string::npos || eq == 0) {
-            throw std::invalid_argument("arq: malformed option '" + part +
-                                        "' (expected deadline_us=<auto|none|us>, "
-                                        "max_retx=<n>, or combining=<chase|plain>)");
-        }
-        const std::string key = part.substr(0, eq);
-        const std::string value = part.substr(eq + 1);
-        if (key == "deadline_us") {
-            config.deadline_us = parse_deadline(value, config);
-        } else if (key == "max_retx") {
-            config.max_retx = parse_max_retx(value);
-        } else if (key == "combining") {
-            config.combining = parse_combining(value);
-        } else {
-            throw std::invalid_argument("arq: unknown option '" + key +
-                                        "' (accepted: deadline_us, max_retx, combining)");
+    const util::spec::parsed p = util::spec::parse(family, text);
+    if (const std::string* deadline = p.find("deadline_us")) {
+        config.deadline_auto = *deadline == "auto";  // resolved per path by the caller
+        if (!config.deadline_auto && *deadline != "none") {
+            const auto us = util::spec::parse_double_value(*deadline);
+            if (!us.has_value() || !(*us >= 0.0)) {
+                util::spec::bad_value(family, p, "deadline_us", "auto, none, or a number >= 0");
+            }
+            config.deadline_us = *us;
         }
     }
+    config.max_retx = util::spec::non_negative(family, p, "max_retx", config.max_retx);
+    if (config.max_retx > max_retx_limit) {
+        util::spec::bad_value(family, p, "max_retx",
+                              "an integer in [0, " + std::to_string(max_retx_limit) + "]");
+    }
+    config.combining = static_cast<combining_mode>(
+        util::spec::one_of(family, p, "combining", combining_names, 0));
     return config;
 }
+
+std::string help() { return util::spec::help(family, "ARQ keys (--arq key=value,...)"); }
 
 bool needs_retx(const arq_config& config, bool bits_ok, std::size_t attempt) noexcept {
     if (attempt >= config.max_retx) return false;

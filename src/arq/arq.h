@@ -61,13 +61,18 @@ namespace hcq::arq {
 /// Sentinel: no retransmission deadline (error-driven ARQ only).
 inline constexpr double no_deadline = std::numeric_limits<double>::infinity();
 
+/// Largest max_retx: the link sizes each worker's frame buffers to
+/// max_retx + 1 attempts up front, so the bound keeps that memory small
+/// (and its arithmetic exact).  Every documented run uses 3 or fewer.
+inline constexpr std::size_t max_retx_limit = 64;
+
 /// How a hybrid-ARQ retransmission uses the previous attempts' soft
 /// information (engaged only when the link runs coded, link_config::fec):
 /// `chase` accumulates clamped per-bit LLRs across a frame's attempts and
 /// decodes against the combined vector (chase combining); `plain` decodes
 /// each attempt's LLRs alone — classical ARQ, the A/B baseline.  Uncoded
 /// links ignore the knob (there is no decoder to feed).
-enum class combining_mode { chase, plain };
+enum class combining_mode { chase, plain };  // in `combining=` name order
 
 [[nodiscard]] const char* to_string(combining_mode mode) noexcept;
 
@@ -79,7 +84,8 @@ struct arq_config {
     /// `deadline_auto` resolves it per path to the open-loop replay's p99.
     double deadline_us = no_deadline;
     bool deadline_auto = false;
-    /// Retransmissions allowed per frame; 0 reproduces the open loop.
+    /// Retransmissions allowed per frame, at most max_retx_limit; 0
+    /// reproduces the open loop.
     std::size_t max_retx = 1;
     /// Soft-information handling across a coded frame's attempts (hybrid
     /// ARQ); the default is chase combining.
@@ -91,11 +97,14 @@ struct arq_config {
 };
 
 /// Parses "deadline_us=<auto|none|value>,max_retx=<n>,combining=<chase|plain>"
-/// (every key optional, any order).  "", "true", and "1" — what a bare
-/// `--arq` flag parses to — yield the defaults.  Throws
-/// std::invalid_argument naming the offending key or value and listing the
-/// accepted forms.
+/// (every key optional, any order, none repeated) through util::spec's
+/// kind-less form.  "", "true", and "1" — what a bare `--arq` flag parses
+/// to — yield the defaults.  Throws std::invalid_argument naming the
+/// offending key or value and listing the accepted forms.
 [[nodiscard]] arq_config parse_arq(const std::string& text);
+
+/// The ARQ keys and their summaries (CLI --help body).
+[[nodiscard]] std::string help();
 
 /// Deterministic retransmission decision for the detection domain: attempt
 /// `attempt` (0-based) of a frame retransmits iff retries remain AND the

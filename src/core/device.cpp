@@ -2,6 +2,7 @@
 // workspace scratch (enforced by the hot-path-alloc lint rule).
 #include "core/device.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -37,14 +38,31 @@ anneal_program annealer_emulator::program(const anneal_schedule& schedule) const
     out.starts_classical = schedule.starts_classical();
     const std::size_t sweeps = sweeps_for(schedule);
     const double dt = schedule.duration_us() / static_cast<double>(sweeps);
-    for (std::size_t k = 0; k < sweeps; ++k) {
-        const double t_mid = (static_cast<double>(k) + 0.5) * dt;
-        const double f = config_.map.fluctuation(schedule.s_at(t_mid));
-        if (!out.runs.empty() && out.runs.back().fluctuation == f) {
-            ++out.runs.back().sweeps;
-        } else {
-            out.runs.push_back({f, 1});
+    const auto t_mid = [dt](std::size_t k) { return (static_cast<double>(k) + 0.5) * dt; };
+    const std::vector<schedule_point>& points = schedule.points();
+    std::size_t segment = 1;  // points[segment - 1] < t_mid(k) <= points[segment], as s_at reads it
+    for (std::size_t k = 0; k < sweeps;) {
+        const double t = t_mid(k);
+        while (segment + 1 < points.size() && t > points[segment].time_us) ++segment;
+        // Inside a constant-s segment s_at returns its s exactly, so every
+        // sweep whose midpoint is still in the segment shares this one's f:
+        // count them in one step (a pause is one step, however long).
+        std::size_t count = 1;
+        const schedule_point& end = points[segment];
+        if (points[segment - 1].s == end.s && t <= end.time_us) {
+            const double guess = std::min(end.time_us / dt, static_cast<double>(sweeps));
+            std::size_t last = std::max(k, static_cast<std::size_t>(guess));
+            while (last + 1 < sweeps && t_mid(last + 1) <= end.time_us) ++last;
+            while (last >= sweeps || t_mid(last) > end.time_us) --last;
+            count = last - k + 1;
         }
+        const double f = config_.map.fluctuation(schedule.s_at(t));
+        if (!out.runs.empty() && out.runs.back().fluctuation == f) {
+            out.runs.back().sweeps += count;
+        } else {
+            out.runs.push_back({f, count});
+        }
+        k += count;
     }
     return out;
 }

@@ -1,141 +1,83 @@
 #include "fec/code_spec.h"
 
-#include <sstream>
-#include <stdexcept>
-
 #include "util/spec.h"
 
 namespace hcq::fec {
 namespace {
 
-const util::spec::grammar kGrammar{"fec", "code kind"};
+constexpr util::spec::key_row keys[] = {
+    {"interleave", "interleaver ROWSxCOLS = coded bits per frame (default 16x8)"}};
 
-struct kind_info {
-    const char* name;
+/// One code kind and its terminated rate-1/2 convolutional code.
+struct code_info {
+    util::spec::kind_row kind;
     std::size_t constraint_length;
     std::uint32_t g0;
     std::uint32_t g1;
-    const char* summary;
 };
 
 // Octal generator convention: bit j of g selects tap j of the shift
 // register window [newest input .. oldest], LSB = oldest state bit after
 // the encoder's `full = (b << (K-1)) | state` packing (see conv.cpp).
-constexpr kind_info kKinds[] = {
-    {"k3", 3, 07, 05, "toy K=3 code (7,5) - fast tests"},
-    {"k5", 5, 023, 035, "K=5 code (23,35)"},
-    {"k7", 7, 0133, 0171, "NASA-standard K=7 code (133,171)"},
+constexpr code_info codes[] = {
+    {{"k3", "toy K=3 code (7,5) - fast tests", keys}, 3, 07, 05},
+    {{"k5", "K=5 code (23,35)", keys}, 5, 023, 035},
+    {{"k7", "NASA-standard K=7 code (133,171)", keys}, 7, 0133, 0171},
 };
+constexpr auto kind_rows = util::spec::kind_rows(codes);
+constexpr util::spec::family family{"fec", "code kind", "code kind", kind_rows};
 
-const kind_info& find_kind(const std::string& kind, const std::string& text) {
-    for (const auto& info : kKinds) {
-        if (kind == info.name) return info;
-    }
-    std::ostringstream why;
-    why << "unknown code kind '" << kind << "' (valid:";
-    for (const auto& info : kKinds) why << " " << info.name;
-    why << ")";
-    util::spec::fail(kGrammar, text, why.str());
-}
-
-void parse_interleave(const std::string& value, const std::string& text, code_spec& spec) {
-    const std::size_t x = value.find('x');
-    const auto rows = x == std::string::npos
-                          ? std::nullopt
-                          : util::spec::parse_size_value(value.substr(0, x));
-    const auto cols = x == std::string::npos
-                          ? std::nullopt
-                          : util::spec::parse_size_value(value.substr(x + 1));
-    if (!rows || !cols || *rows == 0 || *cols == 0) {
-        util::spec::fail(kGrammar, text,
-                         "bad interleave value '" + value +
-                             "' (expected ROWSxCOLS, both positive, e.g. 16x8)");
-    }
-    if (*rows > 4096 || *cols > 4096) {
-        util::spec::fail(kGrammar, text,
-                         "interleave value '" + value + "' out of range (rows, cols <= 4096)");
-    }
-    spec.rows = *rows;
-    spec.cols = *cols;
+const code_info& code_of(const std::string& kind) {
+    return codes[util::spec::find_kind(family, kind)];
 }
 
 }  // namespace
 
 code_spec code_spec::parse(const std::string& text) {
+    const util::spec::parsed p = util::spec::parse(family, text);
     code_spec spec;
-    bool kind_seen = false;
-    const auto on_kind = [&](const std::string& kind) {
-        (void)find_kind(kind, text);
-        spec.kind = kind;
-        kind_seen = true;
-    };
-    const auto on_key = [&](const std::string& key, const std::string& value) {
-        if (key == "rate") {
-            if (value != "1/2") {
-                util::spec::fail(kGrammar, text,
-                                 "bad rate value '" + value + "' (only 1/2 is supported)");
-            }
-            spec.rate_num = 1;
-            spec.rate_den = 2;
-        } else if (key == "interleave") {
-            parse_interleave(value, text, spec);
-        } else {
-            util::spec::fail(kGrammar, text,
-                             "unknown key '" + key + "' (accepted: rate, interleave)");
+    spec.kind = p.kind;
+    if (const std::string* value = p.find("interleave")) {
+        // One coded frame is a whole number of rate-1/2 code branches with
+        // at least one information bit after the K-1 tail.
+        // 0 stands for a side that does not read.
+        const std::size_t x = value->find('x');
+        const std::size_t rows =
+            x == std::string::npos
+                ? 0
+                : util::spec::parse_size_value(value->substr(0, x)).value_or(0);
+        const std::size_t cols =
+            x == std::string::npos
+                ? 0
+                : util::spec::parse_size_value(value->substr(x + 1)).value_or(0);
+        const std::size_t tail = code_of(spec.kind).constraint_length - 1;
+        if (rows == 0 || cols == 0 || rows > 4096 || cols > 4096 || rows * cols % 2 != 0 ||
+            rows * cols / 2 <= tail) {
+            util::spec::bad_value(family, p, "interleave",
+                                  "ROWSxCOLS, each in [1, 4096], with an even product above " +
+                                      std::to_string(2 * tail) + ", e.g. 16x8");
         }
-    };
-    (void)util::spec::parse(kGrammar, text, on_key, on_kind);
-    if (!kind_seen) util::spec::fail(kGrammar, text, "empty code kind");
-    // Geometry must fit the code: a whole number of code branches, with at
-    // least one information bit after the terminating tail.
-    if (spec.coded_bits() % spec.rate_den != 0) {
-        util::spec::fail(kGrammar, text,
-                         "interleaver of " + std::to_string(spec.coded_bits()) +
-                             " bits is not a multiple of the rate denominator " +
-                             std::to_string(spec.rate_den));
-    }
-    if (spec.coded_bits() / spec.rate_den <= spec.constraint_length() - 1) {
-        util::spec::fail(kGrammar, text,
-                         "interleaver of " + std::to_string(spec.coded_bits()) +
-                             " bits leaves no information bits after the " +
-                             std::to_string(spec.constraint_length() - 1) + "-bit tail");
+        spec.rows = rows;
+        spec.cols = cols;
     }
     return spec;
 }
 
 std::string code_spec::to_string() const {
-    std::ostringstream out;
-    out << kind << ":rate=" << rate_num << "/" << rate_den << ",interleave=" << rows << "x"
-        << cols;
-    return out.str();
+    return kind + ":interleave=" + std::to_string(rows) + "x" + std::to_string(cols);
 }
 
-std::size_t code_spec::constraint_length() const {
-    return find_kind(kind, kind).constraint_length;
-}
+std::size_t code_spec::constraint_length() const { return code_of(kind).constraint_length; }
 
 std::vector<std::uint32_t> code_spec::generators() const {
-    const kind_info& info = find_kind(kind, kind);
-    return {info.g0, info.g1};
+    const code_info& code = code_of(kind);
+    return {code.g0, code.g1};
 }
 
-std::vector<std::string> code_spec::kinds() {
-    std::vector<std::string> names;
-    for (const auto& info : kKinds) names.emplace_back(info.name);
-    return names;
-}
+std::vector<std::string> code_spec::kinds() { return util::spec::names(family); }
 
 std::string code_spec::help() {
-    std::ostringstream out;
-    out << "FEC code kinds (--fec kind:key=value,...):\n";
-    for (const auto& info : kKinds) {
-        out << "  " << info.name << "  " << info.summary << "\n";
-    }
-    out << "keys (every kind):\n"
-        << "  rate        code rate (only 1/2 is supported; default 1/2)\n"
-        << "  interleave  block interleaver ROWSxCOLS = coded bits per frame\n"
-        << "              (default 16x8; frame info bits = R*C/2 - (K-1))\n";
-    return out.str();
+    return util::spec::help(family, "FEC code kinds (--fec kind or kind:key=value,...)");
 }
 
 }  // namespace hcq::fec

@@ -37,6 +37,11 @@ void validate(const link_config& config) {
             "pipeline::unbounded_capacity");
     }
     if (config.stream_block == 0) throw std::invalid_argument("link: zero stream block");
+    // Each worker's frame buffers hold max_retx + 1 attempts.
+    if (config.arq && config.arq->max_retx > arq::max_retx_limit) {
+        throw std::invalid_argument("link: arq max_retx " + std::to_string(config.arq->max_retx) +
+                                    " above " + std::to_string(arq::max_retx_limit));
+    }
 }
 
 /// Shared setup of the measured-trace tandem-queue replay: the staged

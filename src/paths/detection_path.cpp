@@ -3,20 +3,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/spec.h"
-
 namespace hcq::paths {
-namespace {
-
-// The paths-layer vocabulary for the shared util::spec grammar: every
-// historical error text ("paths: bad spec '<text>': empty path kind", ...)
-// is reproduced verbatim.
-const util::spec::grammar& path_grammar() {
-    static const util::spec::grammar g{"paths", "path kind"};
-    return g;
-}
-
-}  // namespace
 
 path_result detection_path::run(const path_context& ctx) const {
     path_result out;
@@ -30,25 +17,6 @@ void detection_path::run_block(std::span<const path_context> ctxs,
         throw std::invalid_argument("detection_path::run_block: span length mismatch");
     }
     for (std::size_t i = 0; i < ctxs.size(); ++i) run_into(ctxs[i], out[i]);
-}
-
-path_spec path_spec::parse(const std::string& text) {
-    util::spec::parsed raw = util::spec::parse(path_grammar(), text);
-    path_spec spec;
-    spec.kind = std::move(raw.kind);
-    spec.args = std::move(raw.args);
-    return spec;
-}
-
-std::string path_spec::to_string() const {
-    return util::spec::to_string({kind, args});
-}
-
-const std::string* path_spec::find(const std::string& key) const {
-    for (const auto& [k, v] : args) {
-        if (k == key) return &v;
-    }
-    return nullptr;
 }
 
 std::vector<path_spec> parse_spec_list(const std::string& text) {

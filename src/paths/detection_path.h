@@ -31,6 +31,7 @@
 
 #include "detect/transform.h"
 #include "util/rng.h"
+#include "util/spec.h"
 #include "wireless/mimo.h"
 
 namespace hcq::paths {
@@ -38,24 +39,16 @@ namespace hcq::paths {
 struct workspace;  // per-worker reusable state (paths/workspace.h)
 
 /// A parsed path specification: a registry kind plus ordered key=value
-/// arguments.  Text form: `kind` or `kind:key=value,key=value` — e.g.
+/// arguments (util/spec.h's parsed, with its find and canonical to_string).
+/// Text form: `kind` or `kind:key=value,key=value` — e.g.
 /// `"kbest:width=16"`, `"gsra:reads=80,sp=0.29,pause_us=1"`.
-struct path_spec {
-    std::string kind;  ///< registry name, e.g. "kbest"
-    std::vector<std::pair<std::string, std::string>> args;  ///< ordered key=value pairs
-
+struct path_spec : util::spec::parsed {
     /// Parses one spec string; throws std::invalid_argument (with the
-    /// malformed fragment named) on an empty kind, a missing '=', or an
-    /// empty key.  Does NOT check the kind against the registry — that
-    /// happens in registry::make, where the error can list what exists.
+    /// malformed fragment named) on an empty kind, a missing '=', an empty
+    /// key or value, or a repeated key.  Does NOT check the kind or keys
+    /// against the registry — registry::make does, for hand-built specs
+    /// too, where the error can list what exists.
     [[nodiscard]] static path_spec parse(const std::string& text);
-
-    /// Canonical text form: `kind` when there are no args, otherwise
-    /// `kind:k1=v1,k2=v2` in stored order.
-    [[nodiscard]] std::string to_string() const;
-
-    /// Value of `key`, or nullptr when absent.
-    [[nodiscard]] const std::string* find(const std::string& key) const;
 };
 
 /// Splits a comma-separated CLI list into specs.  Commas separate both paths

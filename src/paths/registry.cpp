@@ -3,8 +3,8 @@
 // (classical/), and the paper's hybrid GS+RA structure
 // (core/hybrid_solver.h) behind the one detection_path interface, one
 // factory per kind, and the constant kind table (`kinds`, at the end) that
-// registry::make, available() and help() read.  A new kind is its class,
-// its factory and one table row.
+// registry::make, available() and help() read through util::spec.  A new
+// kind is its class, its factory and one table row.
 #include "paths/registry.h"
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include <iterator>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -37,46 +36,17 @@
 namespace hcq::paths {
 namespace {
 
-/// The registry's one bad-value error: names the path kind, the key, the
-/// offending value as the spec wrote it (`value` stands in for a key the
-/// spec left at its default) and the expected form.
-[[noreturn]] void bad_value(const path_spec& spec, const std::string& key,
-                            const std::string& expected, double value = 0.0) {
-    const std::string* raw = spec.find(key);
-    throw std::invalid_argument("paths: " + spec.kind + ": bad value '" +
-                                (raw != nullptr ? *raw : util::spec::format_value(value)) +
-                                "' for key '" + key + "' (expected " + expected + ")");
-}
-
-/// Typed argument access for the factories below; a value that does not
-/// parse is a bad_value.
-std::size_t spec_positive_size(const path_spec& spec, const std::string& key,
-                               std::size_t fallback) {
-    const std::string* raw = spec.find(key);
-    if (raw == nullptr) return fallback;
-    const auto value = util::spec::parse_size_value(*raw);
-    if (!value.has_value() || *value == 0) bad_value(spec, key, "a positive integer");
-    return *value;
-}
-
-/// NaN and +/-inf are rejected like any other non-number: no path has a
-/// use for them, and a temperature or radius of NaN slips past every
-/// range check downstream.
-double spec_double(const path_spec& spec, const std::string& key, double fallback) {
-    const std::string* raw = spec.find(key);
-    if (raw == nullptr) return fallback;
-    const auto value = util::spec::parse_double_value(*raw);
-    if (!value.has_value() || !std::isfinite(*value)) bad_value(spec, key, "a finite number");
-    return *value;
-}
+/// The family of the constant kind table at the end of this file.
+const util::spec::family& family();
 
 /// The solvers' temperature fractions, 0 < cold <= hot, checked here so a
 /// spec gets the registry's error rather than the constructor's.
 void check_fractions(const path_spec& spec, double hot, double cold) {
-    if (!(hot > 0.0)) bad_value(spec, "hot", "a number > 0");
+    if (!(hot > 0.0)) util::spec::bad_value(family(), spec, "hot", "a number > 0");
     if (!(cold > 0.0 && cold <= hot)) {
-        bad_value(spec, "cold", "a number in (0, hot], hot = " + util::spec::format_value(hot),
-                  cold);
+        util::spec::bad_value(family(), spec, "cold",
+                              "a number in (0, hot], hot = " + util::spec::format_value(hot),
+                              cold);
     }
 }
 
@@ -249,25 +219,8 @@ private:
 class gs_ra_path final : public detection_path {
 public:
     enum class init_kind { gs, tabu, kbest };
-
-    /// Parses an `init=` spec value; throws listing the accepted names.
-    static init_kind parse_init(const path_spec& spec) {
-        const std::string* value = spec.find("init");
-        if (value == nullptr || *value == "gs") return init_kind::gs;
-        if (*value == "tabu") return init_kind::tabu;
-        if (*value == "kbest") return init_kind::kbest;
-        throw std::invalid_argument("paths: " + spec.kind + ": bad init value '" + *value +
-                                    "' (expected gs, tabu, or kbest)");
-    }
-
-    static const char* to_string(init_kind init) {
-        switch (init) {
-            case init_kind::gs: return "gs";
-            case init_kind::tabu: return "tabu";
-            case init_kind::kbest: return "kbest";
-        }
-        return "?";
-    }
+    /// The `init=` values, in init_kind order.
+    static constexpr std::string_view init_names[] = {"gs", "tabu", "kbest"};
 
     gs_ra_path(init_kind init, std::size_t reads, double sp, double pause_us,
                std::size_t devices, path_spec spec)
@@ -334,127 +287,129 @@ private:
 
 std::shared_ptr<const detection_path> make_zf(const path_spec&) {
     return std::make_shared<const detector_path>(std::make_shared<const detect::zf_detector>(),
-                                                 "ZF", path_spec{"zf", {}},
+                                                 "ZF", path_spec{{"zf", {}}},
                                                  detector_path::soft_kind::zf_equalized);
 }
 
 std::shared_ptr<const detection_path> make_mmse(const path_spec&) {
     return std::make_shared<const detector_path>(std::make_shared<const detect::mmse_detector>(),
-                                                 "MMSE", path_spec{"mmse", {}},
+                                                 "MMSE", path_spec{{"mmse", {}}},
                                                  detector_path::soft_kind::mmse_equalized);
 }
 
 std::shared_ptr<const detection_path> make_kbest(const path_spec& spec) {
-    const std::size_t width = spec_positive_size(spec, "width", 8);
+    const std::size_t width = util::spec::positive(family(), spec, "width", 8);
     return std::make_shared<const detector_path>(
         std::make_shared<const detect::kbest_detector>(width), "K-best",
-        path_spec{"kbest", {{"width", std::to_string(width)}}});
+        path_spec{{"kbest", {{"width", std::to_string(width)}}}});
 }
 
 std::shared_ptr<const detection_path> make_sphere(const path_spec& spec) {
-    const double radius = spec_double(spec, "radius", 0.0);
-    if (radius < 0.0) bad_value(spec, "radius", "a finite number >= 0");
+    const double radius = util::spec::finite(family(), spec, "radius", 0.0);
+    if (radius < 0.0) util::spec::bad_value(family(), spec, "radius", "a finite number >= 0");
     return std::make_shared<const detector_path>(
         std::make_shared<const detect::sphere_detector>(radius), "SD",
-        path_spec{"sphere", {{"radius", util::spec::format_value(radius)}}});
+        path_spec{{"sphere", {{"radius", util::spec::format_value(radius)}}}});
 }
 
 std::shared_ptr<const detection_path> make_sic(const path_spec&) {
     return std::make_shared<const detector_path>(std::make_shared<const detect::sic_detector>(),
-                                                 "SIC", path_spec{"sic", {}});
+                                                 "SIC", path_spec{{"sic", {}}});
 }
 
 std::shared_ptr<const detection_path> make_fcsd(const path_spec& spec) {
-    const std::size_t levels = spec_positive_size(spec, "levels", 1);
+    const std::size_t levels = util::spec::positive(family(), spec, "levels", 1);
     auto det = std::make_shared<const detect::fcsd_detector>(levels);
     std::string display = det->name();
     return std::make_shared<const detector_path>(
         std::move(det), std::move(display),
-        path_spec{"fcsd", {{"levels", std::to_string(levels)}}});
+        path_spec{{"fcsd", {{"levels", std::to_string(levels)}}}});
 }
 
 std::shared_ptr<const detection_path> make_sa(const path_spec& spec) {
     solvers::sa_config config;
-    config.num_reads = spec_positive_size(spec, "reads", config.num_reads);
-    config.num_sweeps = spec_positive_size(spec, "sweeps", config.num_sweeps);
-    config.hot_fraction = spec_double(spec, "hot", config.hot_fraction);
-    config.cold_fraction = spec_double(spec, "cold", config.cold_fraction);
+    config.num_reads = util::spec::positive(family(), spec, "reads", config.num_reads);
+    config.num_sweeps = util::spec::positive(family(), spec, "sweeps", config.num_sweeps);
+    config.hot_fraction = util::spec::finite(family(), spec, "hot", config.hot_fraction);
+    config.cold_fraction = util::spec::finite(family(), spec, "cold", config.cold_fraction);
     check_fractions(spec, config.hot_fraction, config.cold_fraction);
     return std::make_shared<const qubo_solver_path>(
         std::make_unique<const solvers::simulated_annealing>(config),
-        path_spec{"sa",
-                  {{"reads", std::to_string(config.num_reads)},
-                   {"sweeps", std::to_string(config.num_sweeps)},
-                   {"hot", util::spec::format_value(config.hot_fraction)},
-                   {"cold", util::spec::format_value(config.cold_fraction)}}});
+        path_spec{{"sa",
+                   {{"reads", std::to_string(config.num_reads)},
+                    {"sweeps", std::to_string(config.num_sweeps)},
+                    {"hot", util::spec::format_value(config.hot_fraction)},
+                    {"cold", util::spec::format_value(config.cold_fraction)}}}});
 }
 
 std::shared_ptr<const detection_path> make_tabu(const path_spec& spec) {
     solvers::tabu_config config;
-    config.tenure = spec_positive_size(spec, "tenure", config.tenure);
-    config.max_iterations = spec_positive_size(spec, "iters", config.max_iterations);
-    config.stall_limit = spec_positive_size(spec, "stall", config.stall_limit);
+    config.tenure = util::spec::positive(family(), spec, "tenure", config.tenure);
+    config.max_iterations = util::spec::positive(family(), spec, "iters", config.max_iterations);
+    config.stall_limit = util::spec::positive(family(), spec, "stall", config.stall_limit);
     return std::make_shared<const qubo_solver_path>(
         std::make_unique<const solvers::tabu_search>(config),
-        path_spec{"tabu",
-                  {{"tenure", std::to_string(config.tenure)},
-                   {"iters", std::to_string(config.max_iterations)},
-                   {"stall", std::to_string(config.stall_limit)}}});
+        path_spec{{"tabu",
+                   {{"tenure", std::to_string(config.tenure)},
+                    {"iters", std::to_string(config.max_iterations)},
+                    {"stall", std::to_string(config.stall_limit)}}}});
 }
 
 std::shared_ptr<const detection_path> make_pt(const path_spec& spec) {
     solvers::pt_config config;
-    config.num_replicas = spec_positive_size(spec, "replicas", config.num_replicas);
-    if (config.num_replicas < 2) bad_value(spec, "replicas", "an integer >= 2");
-    config.num_rounds = spec_positive_size(spec, "rounds", config.num_rounds);
-    config.sweeps_per_round = spec_positive_size(spec, "sweeps", config.sweeps_per_round);
-    config.hot_fraction = spec_double(spec, "hot", config.hot_fraction);
-    config.cold_fraction = spec_double(spec, "cold", config.cold_fraction);
+    config.num_replicas = util::spec::positive(family(), spec, "replicas", config.num_replicas);
+    if (config.num_replicas < 2) {
+        util::spec::bad_value(family(), spec, "replicas", "an integer >= 2");
+    }
+    config.num_rounds = util::spec::positive(family(), spec, "rounds", config.num_rounds);
+    config.sweeps_per_round =
+        util::spec::positive(family(), spec, "sweeps", config.sweeps_per_round);
+    config.hot_fraction = util::spec::finite(family(), spec, "hot", config.hot_fraction);
+    config.cold_fraction = util::spec::finite(family(), spec, "cold", config.cold_fraction);
     check_fractions(spec, config.hot_fraction, config.cold_fraction);
     return std::make_shared<const qubo_solver_path>(
         std::make_unique<const solvers::parallel_tempering>(config),
-        path_spec{"pt",
-                  {{"replicas", std::to_string(config.num_replicas)},
-                   {"rounds", std::to_string(config.num_rounds)},
-                   {"sweeps", std::to_string(config.sweeps_per_round)},
-                   {"hot", util::spec::format_value(config.hot_fraction)},
-                   {"cold", util::spec::format_value(config.cold_fraction)}}});
+        path_spec{{"pt",
+                   {{"replicas", std::to_string(config.num_replicas)},
+                    {"rounds", std::to_string(config.num_rounds)},
+                    {"sweeps", std::to_string(config.sweeps_per_round)},
+                    {"hot", util::spec::format_value(config.hot_fraction)},
+                    {"cold", util::spec::format_value(config.cold_fraction)}}}});
 }
 
 /// gsra and kxra: kxra is gsra with its `k` key, the device count.
 std::shared_ptr<const detection_path> make_gs_ra(const path_spec& spec) {
-    const auto init = gs_ra_path::parse_init(spec);
+    const auto init = static_cast<gs_ra_path::init_kind>(
+        util::spec::one_of(family(), spec, "init", gs_ra_path::init_names, 0));
     const bool bank = spec.kind == "kxra";
-    const std::size_t devices = bank ? spec_positive_size(spec, "k", 2) : 1;
-    const std::size_t reads = spec_positive_size(spec, "reads", 80);
-    const double sp = spec_double(spec, "sp", 0.29);
-    const double pause_us = spec_double(spec, "pause_us", 1.0);
-    if (!(sp > 0.0 && sp < 1.0)) bad_value(spec, "sp", "a number in (0, 1)");
-    if (pause_us < 0.0) bad_value(spec, "pause_us", "a finite number >= 0");
+    const std::size_t devices = bank ? util::spec::positive(family(), spec, "k", 2) : 1;
+    const std::size_t reads = util::spec::positive(family(), spec, "reads", 80);
+    const double sp = util::spec::finite(family(), spec, "sp", 0.29);
+    const double pause_us = util::spec::finite(family(), spec, "pause_us", 1.0);
+    if (!(sp > 0.0 && sp < 1.0)) util::spec::bad_value(family(), spec, "sp", "a number in (0, 1)");
+    if (pause_us < 0.0) {
+        util::spec::bad_value(family(), spec, "pause_us", "a finite number >= 0");
+    }
     // anneal_schedule::reverse's ramp back, 1 - sp us after the pause, must
     // still end later in double arithmetic.
     const double ramp = 1.0 - sp;
     if (!(ramp + ramp + pause_us > ramp + pause_us)) {
-        bad_value(spec, "pause_us",
-                  "a pause short enough that the 1 - sp = " + util::spec::format_value(ramp) +
-                      " us ramp after it still adds time",
-                  pause_us);
+        util::spec::bad_value(family(), spec, "pause_us",
+                              "a pause short enough that the 1 - sp = " +
+                                  util::spec::format_value(ramp) +
+                                  " us ramp after it still adds time",
+                              pause_us);
     }
-    path_spec canonical{spec.kind,
-                        {{"reads", std::to_string(reads)},
-                         {"sp", util::spec::format_value(sp)},
-                         {"pause_us", util::spec::format_value(pause_us)},
-                         {"init", gs_ra_path::to_string(init)}}};
+    path_spec canonical{
+        {spec.kind,
+         {{"reads", std::to_string(reads)},
+          {"sp", util::spec::format_value(sp)},
+          {"pause_us", util::spec::format_value(pause_us)},
+          {"init", std::string(gs_ra_path::init_names[static_cast<std::size_t>(init)])}}}};
     if (bank) canonical.args.insert(canonical.args.begin(), {"k", std::to_string(devices)});
     return std::make_shared<const gs_ra_path>(init, reads, sp, pause_us, devices,
                                               std::move(canonical));
 }
-
-/// One accepted spec key of a path kind.
-struct key_info {
-    std::string_view name;     ///< e.g. "width"
-    std::string_view summary;  ///< e.g. "beam width (default 8)"
-};
 
 /// Builds a path from a spec whose kind and keys make() has checked; the
 /// factory validates the values.
@@ -462,34 +417,33 @@ using path_factory = std::shared_ptr<const detection_path> (*)(const path_spec& 
 
 /// One path kind: what make() builds and help() lists.
 struct path_info {
-    std::string_view kind;           ///< registry name, e.g. "kbest"
-    std::string_view summary;        ///< one-line description for CLI help
-    std::span<const key_info> keys;  ///< accepted spec keys, in help order
+    util::spec::kind_row kind;  ///< registry name, summary and accepted keys
     path_factory factory;
 };
 
-constexpr key_info kbest_keys[] = {{"width", "beam width K (positive integer, default 8)"}};
-constexpr key_info sphere_keys[] = {
+constexpr util::spec::key_row kbest_keys[] = {
+    {"width", "beam width K (positive integer, default 8)"}};
+constexpr util::spec::key_row sphere_keys[] = {
     {"radius", "initial squared search radius >= 0 (0 = unbounded, default 0)"}};
-constexpr key_info fcsd_keys[] = {
+constexpr util::spec::key_row fcsd_keys[] = {
     {"levels", "fully-enumerated tree levels (positive integer, default 1)"}};
-constexpr key_info sa_keys[] = {
+constexpr util::spec::key_row sa_keys[] = {
     {"reads", "independent restarts (positive integer, default 10)"},
     {"sweeps", "sweeps per read (positive integer, default 100)"},
     {"hot", "T_hot as a fraction of max|Q| (default 1)"},
     {"cold", "T_cold as a fraction of max|Q| (default 0.001)"}};
-constexpr key_info tabu_keys[] = {
+constexpr util::spec::key_row tabu_keys[] = {
     {"tenure", "iterations a flipped bit stays tabu (default 10)"},
     {"iters", "maximum iterations (default 500)"},
     {"stall", "stop after this many non-improving moves (default 100)"}};
-constexpr key_info pt_keys[] = {
+constexpr util::spec::key_row pt_keys[] = {
     {"replicas", "temperature ladder size (default 8)"},
     {"rounds", "sweep+swap rounds (default 50)"},
     {"sweeps", "Metropolis sweeps per replica per round (default 2)"},
     {"hot", "T_hot as a fraction of max|Q| (default 2)"},
     {"cold", "T_cold as a fraction of max|Q| (default 0.01)"}};
 /// kxra's keys; gsra takes all but the first, `k`.
-constexpr key_info kxra_keys[] = {
+constexpr util::spec::key_row kxra_keys[] = {
     {"k", "annealer devices round-robining the stream (positive, default 2)"},
     {"reads", "annealer reads per use (positive integer, default 80)"},
     {"sp", "reverse-anneal switch/pause location s_p in (0,1) (default 0.29)"},
@@ -499,81 +453,53 @@ constexpr key_info kxra_keys[] = {
 /// Every path kind, sorted by kind: available() and help() list it in
 /// this order.
 constexpr path_info kinds[] = {
-    {"fcsd", "fixed-complexity sphere decoder", fcsd_keys, make_fcsd},
-    {"gsra", "hybrid classical initialiser + reverse anneal (the paper's design)",
-     std::span(kxra_keys).subspan<1>(), make_gs_ra},
-    {"kbest", "breadth-first K-best tree search", kbest_keys, make_kbest},
-    {"kxra", "gsra stream served by K round-robin annealer devices (paper section 5)", kxra_keys,
+    {{"fcsd", "fixed-complexity sphere decoder", fcsd_keys}, make_fcsd},
+    {{"gsra", "hybrid classical initialiser + reverse anneal (the paper's design)",
+      std::span(kxra_keys).subspan<1>()},
      make_gs_ra},
-    {"mmse", "linear MMSE detector", {}, make_mmse},
-    {"pt", "parallel tempering on the reduced QUBO", pt_keys, make_pt},
-    {"sa", "simulated annealing on the reduced QUBO (classical baseline)", sa_keys, make_sa},
-    {"sic", "successive interference cancellation detector", {}, make_sic},
-    {"sphere", "exact ML sphere decoder", sphere_keys, make_sphere},
-    {"tabu", "tabu search on the reduced QUBO", tabu_keys, make_tabu},
-    {"zf", "linear zero-forcing detector", {}, make_zf},
+    {{"kbest", "breadth-first K-best tree search", kbest_keys}, make_kbest},
+    {{"kxra", "gsra stream served by K round-robin annealer devices (paper section 5)",
+      kxra_keys},
+     make_gs_ra},
+    {{"mmse", "linear MMSE detector", {}}, make_mmse},
+    {{"pt", "parallel tempering on the reduced QUBO", pt_keys}, make_pt},
+    {{"sa", "simulated annealing on the reduced QUBO (classical baseline)", sa_keys}, make_sa},
+    {{"sic", "successive interference cancellation detector", {}}, make_sic},
+    {{"sphere", "exact ML sphere decoder", sphere_keys}, make_sphere},
+    {{"tabu", "tabu search on the reduced QUBO", tabu_keys}, make_tabu},
+    {{"zf", "linear zero-forcing detector", {}}, make_zf},
 };
 static_assert(std::adjacent_find(std::begin(kinds), std::end(kinds),
                                  [](const path_info& a, const path_info& b) {
-                                     return a.kind >= b.kind;
+                                     return a.kind.name >= b.kind.name;
                                  }) == std::end(kinds),
               "kinds must be sorted and unique");
 
-std::string join(const std::vector<std::string>& items, const char* sep) {
-    std::string out;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i != 0) out += sep;
-        out += items[i];
-    }
-    return out;
+constexpr auto kind_rows = util::spec::kind_rows(kinds);
+
+const util::spec::family& family() {
+    static constexpr util::spec::family f{"paths", "path kind", "detection path", kind_rows};
+    return f;
 }
 
 }  // namespace
 
-std::vector<std::string> registry::available() {
-    std::vector<std::string> out;
-    out.reserve(std::size(kinds));
-    for (const auto& info : kinds) out.emplace_back(info.kind);
-    return out;
+path_spec path_spec::parse(const std::string& text) {
+    // The grammar alone: make() checks the kind and keys, of hand-built
+    // specs too, where an unknown kind's error lists what exists.
+    return {util::spec::split(family(), text)};
 }
 
+std::vector<std::string> registry::available() { return util::spec::names(family()); }
+
 std::string registry::help() {
-    std::ostringstream os;
-    os << "detection paths (--paths spec strings: kind or kind:key=value,key=value):\n";
-    for (const auto& info : kinds) {
-        os << "  " << info.kind;
-        os << std::string(info.kind.size() < 8 ? 8 - info.kind.size() : 1, ' ');
-        os << info.summary << "\n";
-        for (const auto& key : info.keys) {
-            os << "      " << key.name;
-            os << std::string(key.name.size() < 10 ? 10 - key.name.size() : 1, ' ');
-            os << key.summary << "\n";
-        }
-    }
-    return os.str();
+    return util::spec::help(family(),
+                            "detection paths (--paths spec strings: kind or "
+                            "kind:key=value,key=value)");
 }
 
 std::shared_ptr<const detection_path> registry::make(const path_spec& spec) {
-    const path_info* info =
-        std::find_if(std::begin(kinds), std::end(kinds),
-                     [&](const path_info& row) { return row.kind == spec.kind; });
-    if (info == std::end(kinds)) {
-        throw std::invalid_argument("paths: unknown detection path '" + spec.kind +
-                                    "' (available: " + join(available(), ", ") + ")");
-    }
-    for (const auto& [key, value] : spec.args) {
-        const bool known = std::any_of(info->keys.begin(), info->keys.end(),
-                                       [&](const key_info& k) { return k.name == key; });
-        if (!known) {
-            std::vector<std::string> names;
-            names.reserve(info->keys.size());
-            for (const auto& k : info->keys) names.emplace_back(k.name);
-            throw std::invalid_argument(
-                "paths: '" + spec.kind + "' does not accept key '" + key + "' (accepted: " +
-                (names.empty() ? std::string("none") : join(names, ", ")) + ")");
-        }
-    }
-    return info->factory(spec);
+    return kinds[util::spec::check(family(), spec)].factory(spec);
 }
 
 std::shared_ptr<const detection_path> registry::make(const std::string& spec_text) {

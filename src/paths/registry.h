@@ -6,15 +6,17 @@
 //     auto kbest = paths::registry::make("kbest:width=16");
 //     auto gsra  = paths::registry::make("gsra:reads=80,sp=0.29,pause_us=1");
 //
-// Error messages are self-documenting: an unknown kind lists
-// registry::available(), an unknown key lists the path's accepted keys, and
-// a bad value names the key and the expected form.
+// Specs are read through util::spec (util/spec.h), the front end the
+// channel, FEC and ARQ specs share, so errors are self-documenting in one
+// form: an unknown kind lists registry::available(), an unknown key lists
+// the path's accepted keys, and a bad value names the key and the expected
+// form.
 //
 // The eleven kinds (zf, mmse, kbest, sphere, sic, fcsd, sa, tabu, pt, gsra,
 // kxra) are one constant table in registry.cpp, the file that holds the
-// classes they build; each entry is a kind, a summary, the accepted keys
-// and a factory.  Nothing is registered at run time: the table is constant
-// data, so any thread may call these.  Adding a kind means implementing
+// classes they build; each entry is a util::spec::kind_row (kind, summary,
+// accepted keys) and a factory.  Nothing is registered at run time: the
+// table is constant data, so any thread may call these.  Adding a kind means implementing
 // the class and adding its table entry — see docs/ARCHITECTURE.md, "Adding
 // a new detection path".
 #ifndef HCQ_PATHS_REGISTRY_H

@@ -1,10 +1,9 @@
 #include "wireless/channel_spec.h"
 
-#include <algorithm>
 #include <cmath>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "util/spec.h"
 #include "wireless/fading.h"
@@ -12,104 +11,53 @@
 namespace hcq::wireless {
 namespace {
 
-// The channels-layer vocabulary for the shared util::spec grammar: every
-// historical error text ("channels: bad spec '<text>': ...") is reproduced
-// verbatim.
-const util::spec::grammar& channel_grammar() {
-    static const util::spec::grammar g{"channels", "channel kind"};
-    return g;
-}
+constexpr util::spec::key_row use_rate_key{
+    "use_rate_hz", "uses per second, mapping Hz rates to per use (default 1000)"};
+constexpr util::spec::key_row sinusoids_key{
+    "sinusoids", "sum-of-sinusoids order per tap in [4, 4096] (default 16)"};
+constexpr util::spec::key_row est_err_key{
+    "est_err", "CSI estimation-error variance >= 0 (default 0 = perfect CSI)"};
+constexpr util::spec::key_row snr_key{"snr_db", "per-spec SNR override of the link-level --snr"};
 
-/// Accepted keys per kind; the source of truth for validation, canonical
-/// to_string output, and error messages.
-struct kind_info {
-    const char* name;
-    bool correlated;
-    std::vector<const char*> keys;
+constexpr util::spec::key_row iid_keys[] = {est_err_key, snr_key};
+constexpr util::spec::key_row jakes_keys[] = {
+    {"doppler_hz", "max Doppler in (0, use_rate_hz/2] (default 50)"},
+    use_rate_key, sinusoids_key, est_err_key, snr_key};
+constexpr util::spec::key_row watterson_keys[] = {
+    {"taps", "multipath tap count in [1, 4] (default 2)"},
+    {"spread_hz", "Gaussian Doppler spread in (0, use_rate_hz/2] (default 1)"},
+    {"doppler_hz", "Doppler shift in [0, use_rate_hz/2] (default 0)"},
+    use_rate_key, sinusoids_key, est_err_key, snr_key};
+
+/// Every channel kind, sorted; the canonical key order is each kind's
+/// table order.
+constexpr util::spec::kind_row kinds[] = {
+    {"jakes", "time-correlated Clarke/Jakes flat fading", jakes_keys},
+    {"random-phase", "i.i.d. unit-gain random phase per use (paper 4.2)", iid_keys},
+    {"rayleigh", "i.i.d. CN(0,1) per use (the default)", iid_keys},
+    {"watterson", "multipath composite of Gaussian-spread fading taps", watterson_keys},
 };
-
-const std::vector<kind_info>& kind_table() {
-    static const std::vector<kind_info> table = {
-        {"jakes", true, {"doppler_hz", "use_rate_hz", "sinusoids", "est_err", "snr_db"}},
-        {"random-phase", false, {"est_err", "snr_db"}},
-        {"rayleigh", false, {"est_err", "snr_db"}},
-        {"watterson",
-         true,
-         {"taps", "spread_hz", "doppler_hz", "use_rate_hz", "sinusoids", "est_err", "snr_db"}},
-    };
-    return table;
-}
-
-std::string join(const std::vector<const char*>& items) {
-    std::string out;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i != 0) out += ", ";
-        out += items[i];
-    }
-    return out;
-}
-
-std::string join_kinds() {
-    std::string out;
-    const auto names = channel_spec::kinds();
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        if (i != 0) out += ", ";
-        out += names[i];
-    }
-    return out;
-}
-
-const kind_info& info_for(const std::string& kind, const std::string& text) {
-    for (const auto& info : kind_table()) {
-        if (kind == info.name) return info;
-    }
-    throw std::invalid_argument("channels: bad spec '" + text + "': unknown channel kind '" +
-                                kind + "' (available: " + join_kinds() + ")");
-}
-
-[[noreturn]] void bad_spec(const std::string& text, const std::string& why) {
-    util::spec::fail(channel_grammar(), text, why);
-}
-
-double parse_double(const std::string& text, const std::string& key, const std::string& raw) {
-    const auto value = util::spec::parse_double_value(raw);
-    if (value.has_value() && std::isfinite(*value)) return *value;
-    bad_spec(text, "bad value '" + raw + "' for key '" + key + "' (expected a finite number)");
-}
-
-std::size_t parse_size(const std::string& text, const std::string& key, const std::string& raw) {
-    const auto value = util::spec::parse_size_value(raw);
-    if (!value.has_value()) {
-        bad_spec(text, "bad value '" + raw + "' for key '" + key +
-                           "' (expected a non-negative integer)");
-    }
-    return *value;
-}
-
-std::string format_value(double value) {
-    return util::spec::format_value(value);
-}
+constexpr util::spec::family family{"channels", "channel kind", "channel kind", kinds};
 
 /// The checks every spec passes before a process is built, parsed or hand-
-/// built: why the first failing one fails, or nullopt.  Values are checked
-/// finite in the kind's key order, then against their ranges.
-std::optional<std::string> range_error(const channel_spec& spec, const kind_info& info) {
-    for (const std::string key : info.keys) {
-        const std::optional<double> value = key == "doppler_hz"    ? spec.doppler_hz
-                                            : key == "spread_hz"   ? spec.spread_hz
-                                            : key == "use_rate_hz" ? spec.use_rate_hz
-                                            : key == "est_err"     ? spec.est_err
-                                            : key == "snr_db"      ? spec.snr_db
-                                                                   : std::nullopt;
-        if (value.has_value() && !std::isfinite(*value)) {
-            return "bad value '" + format_value(*value) + "' for key '" + key +
+/// built: why the first failing one fails, or nullopt.  A parsed value is
+/// finite already; a hand-built one is checked here.
+std::optional<std::string> range_error(const channel_spec& spec) {
+    (void)util::spec::find_kind(family, spec.kind);
+    using util::spec::format_value;
+    for (const auto& [key, value] :
+         {std::pair{"doppler_hz", spec.doppler_hz}, std::pair{"spread_hz", spec.spread_hz},
+          std::pair{"use_rate_hz", spec.use_rate_hz}, std::pair{"est_err", spec.est_err},
+          std::pair{"snr_db", spec.snr_db.value_or(0.0)}}) {
+        if (!std::isfinite(value)) {
+            return "bad value '" + format_value(value) + "' for key '" + key +
                    "' (expected a finite number)";
         }
     }
     if (spec.est_err < 0.0) {
         return "est_err must be >= 0 (got " + format_value(spec.est_err) + ")";
     }
-    if (!info.correlated) return std::nullopt;
+    if (!spec.correlated()) return std::nullopt;
     if (!(spec.use_rate_hz > 0.0)) {
         return "use_rate_hz must be > 0 (got " + format_value(spec.use_rate_hz) + ")";
     }
@@ -256,114 +204,46 @@ private:
 }  // namespace
 
 channel_spec channel_spec::parse(const std::string& text) {
+    using util::spec::finite;
+    using util::spec::non_negative;
+    const util::spec::parsed p = util::spec::parse(family, text);
     channel_spec spec;
-    const kind_info* info = nullptr;
-    // The shared grammar owns the kind / key=value / duplicate checks; the
-    // hooks layer the channel-specific validation in at the exact points the
-    // hand-rolled loop used to: unknown kind before any argument, unknown or
-    // ill-valued keys in scan order.
-    (void)util::spec::parse(
-        channel_grammar(), text,
-        [&](const std::string& key, const std::string& value) {
-            const bool accepted =
-                std::any_of(info->keys.begin(), info->keys.end(),
-                            [&](const char* k) { return key == k; });
-            if (!accepted) {
-                bad_spec(text, "channel kind '" + spec.kind + "' does not accept key '" + key +
-                                   "' (accepted: " + join(info->keys) + ")");
-            }
-            if (key == "doppler_hz") {
-                spec.doppler_hz = parse_double(text, key, value);
-            } else if (key == "spread_hz") {
-                spec.spread_hz = parse_double(text, key, value);
-            } else if (key == "taps") {
-                spec.taps = parse_size(text, key, value);
-            } else if (key == "use_rate_hz") {
-                spec.use_rate_hz = parse_double(text, key, value);
-            } else if (key == "sinusoids") {
-                spec.sinusoids = parse_size(text, key, value);
-            } else if (key == "est_err") {
-                spec.est_err = parse_double(text, key, value);
-            } else if (key == "snr_db") {
-                spec.snr_db = parse_double(text, key, value);
-            }
-        },
-        [&](const std::string& kind) {
-            spec.kind = kind;
-            info = &info_for(kind, text);
-            if (kind == "watterson") spec.doppler_hz = 0.0;  // Doppler SHIFT default
-        });
-
-    if (const auto why = range_error(spec, *info)) bad_spec(text, *why);
+    spec.kind = p.kind;
+    if (spec.kind == "watterson") spec.doppler_hz = 0.0;  // Doppler SHIFT default
+    spec.doppler_hz = finite(family, p, "doppler_hz", spec.doppler_hz);
+    spec.spread_hz = finite(family, p, "spread_hz", spec.spread_hz);
+    spec.taps = non_negative(family, p, "taps", spec.taps);
+    spec.use_rate_hz = finite(family, p, "use_rate_hz", spec.use_rate_hz);
+    spec.sinusoids = non_negative(family, p, "sinusoids", spec.sinusoids);
+    spec.est_err = finite(family, p, "est_err", spec.est_err);
+    if (p.find("snr_db") != nullptr) spec.snr_db = finite(family, p, "snr_db", 0.0);
+    if (const auto why = range_error(spec)) util::spec::fail(family, text, *why);
     return spec;
 }
 
 std::string channel_spec::to_string() const {
-    const kind_info& info = info_for(kind, kind);
-    std::string out = kind;
-    char sep = ':';
-    for (const char* key_cstr : info.keys) {
-        const std::string key = key_cstr;
-        std::string value;
-        if (key == "doppler_hz") {
-            value = format_value(doppler_hz);
-        } else if (key == "spread_hz") {
-            value = format_value(spread_hz);
-        } else if (key == "taps") {
-            value = std::to_string(taps);
-        } else if (key == "use_rate_hz") {
-            value = format_value(use_rate_hz);
-        } else if (key == "sinusoids") {
-            value = std::to_string(sinusoids);
-        } else if (key == "est_err") {
-            value = format_value(est_err);
-        } else if (key == "snr_db") {
-            if (!snr_db.has_value()) continue;  // only when set
-            value = format_value(*snr_db);
-        }
-        out += sep;
-        sep = ',';
-        out += key;
-        out += '=';
-        out += value;
+    using util::spec::format_value;
+    util::spec::parsed out{kind, {}};
+    if (kind == "watterson") {
+        out.args.emplace_back("taps", std::to_string(taps));
+        out.args.emplace_back("spread_hz", format_value(spread_hz));
     }
-    return out;
+    if (correlated()) {
+        out.args.emplace_back("doppler_hz", format_value(doppler_hz));
+        out.args.emplace_back("use_rate_hz", format_value(use_rate_hz));
+        out.args.emplace_back("sinusoids", std::to_string(sinusoids));
+    }
+    out.args.emplace_back("est_err", format_value(est_err));
+    if (snr_db.has_value()) out.args.emplace_back("snr_db", format_value(*snr_db));
+    return out.to_string();
 }
 
-bool channel_spec::correlated() const noexcept {
-    for (const auto& info : kind_table()) {
-        if (kind == info.name) return info.correlated;
-    }
-    return false;
-}
+bool channel_spec::correlated() const noexcept { return kind == "jakes" || kind == "watterson"; }
 
-std::vector<std::string> channel_spec::kinds() {
-    std::vector<std::string> names;
-    names.reserve(kind_table().size());
-    for (const auto& info : kind_table()) names.emplace_back(info.name);
-    return names;
-}
+std::vector<std::string> channel_spec::kinds() { return util::spec::names(family); }
 
 std::string channel_spec::help() {
-    std::ostringstream os;
-    os << "channel kinds (spec grammar: kind or kind:key=value,...):\n";
-    os << "  random-phase   i.i.d. unit-gain random phase per use (paper 4.2)\n";
-    os << "  rayleigh       i.i.d. CN(0,1) per use (the default)\n";
-    os << "  jakes          time-correlated Clarke/Jakes flat fading\n";
-    os << "  watterson      multipath composite of Gaussian-spread fading taps\n";
-    os << "keys:\n";
-    os << "  doppler_hz     jakes: max Doppler in (0, use_rate_hz/2] (default 50);\n";
-    os << "                 watterson: Doppler shift in [0, use_rate_hz/2] (default 0)\n";
-    os << "  spread_hz      watterson: Gaussian Doppler spread in (0, use_rate_hz/2]\n";
-    os << "                 (default 1)\n";
-    os << "  taps           watterson: multipath tap count in [1, 4] (default 2)\n";
-    os << "  use_rate_hz    channel uses per second, maps Hz to per-use rates\n";
-    os << "                 (default 1000)\n";
-    os << "  sinusoids      sum-of-sinusoids order per tap, [4, 4096] (default 16)\n";
-    os << "  est_err        CSI estimation-error variance >= 0: detectors see\n";
-    os << "                 H_est = H_true + CN(0, est_err) (default 0 = perfect CSI)\n";
-    os << "  snr_db         per-spec SNR override of the link-level --snr\n";
-    return os.str();
+    return util::spec::help(family, "channel kinds (--channel kind or kind:key=value,...)");
 }
 
 std::unique_ptr<const channel_process> make_channel_process(const channel_spec& spec,
@@ -375,9 +255,7 @@ std::unique_ptr<const channel_process> make_channel_process(const channel_spec& 
     }
     // Hand-built specs get the same checks as parsed ones; the spec text is
     // only formatted for the error message.
-    if (const auto why = range_error(spec, info_for(spec.kind, spec.kind))) {
-        bad_spec(spec.to_string(), *why);
-    }
+    if (const auto why = range_error(spec)) util::spec::fail(family, spec.to_string(), *why);
     if (spec.kind == "rayleigh") {
         return std::make_unique<iid_process>(channel_model::rayleigh, num_antennas, num_users);
     }

@@ -1,8 +1,9 @@
 // Composable channel selection by spec string — the channel-side twin of the
 // detection-path registry (paths/registry.h).
 //
-// A channel_spec names a channel kind plus its knobs, in exactly the
-// detection-path grammar `kind` or `kind:key=value,key=value`:
+// A channel_spec names a channel kind plus its knobs, in the detection-path
+// grammar `kind` or `kind:key=value,key=value`, read through the same
+// front end (util/spec.h):
 //
 //     "rayleigh"                          i.i.d. CN(0,1) per use (the default)
 //     "random-phase"                      i.i.d. unit-gain random phase (paper 4.2)
@@ -19,10 +20,10 @@
 // coherence time of ~85 uses, the burst-error regime — while doppler_hz near
 // use_rate_hz/2 approaches independent draws.
 //
-// Errors are self-documenting in the registry style: an unknown kind lists
-// the valid kinds, an unknown key lists the kind's accepted keys, and an
-// out-of-range value names the key, the offending value, and the accepted
-// range.
+// Errors are util::spec's: an unknown kind lists the valid kinds, an
+// unknown key lists the kind's accepted keys, a value that does not read
+// names the key and the expected form, and an out-of-range value names the
+// key, the offending value, and the accepted range.
 //
 // Determinism contract (mirrors link/link_sim.h): a correlated
 // channel_process freezes ALL its randomness at construction from the

@@ -7,6 +7,7 @@
 // thread count and stream_block size.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "arq/arq.h"
@@ -76,6 +77,12 @@ TEST(ArqConfig, RejectsMalformedSpecs) {
     EXPECT_THROW((void)aq::parse_arq("warp=9"), std::invalid_argument);
     EXPECT_THROW((void)aq::parse_arq("deadline_us"), std::invalid_argument);
     EXPECT_THROW((void)aq::parse_arq("=5"), std::invalid_argument);
+    // max_retx sizes the link's per-worker frame buffers: it is bounded.
+    EXPECT_NO_THROW((void)aq::parse_arq("max_retx=64"));
+    EXPECT_THROW((void)aq::parse_arq("max_retx=65"), std::invalid_argument);
+    EXPECT_THROW((void)aq::parse_arq("max_retx=9223372036854775807"), std::invalid_argument);
+    // A repeated key is an error, as in every spec family.
+    EXPECT_THROW((void)aq::parse_arq("max_retx=1,max_retx=2"), std::invalid_argument);
 }
 
 TEST(ArqConfig, NeedsRetxSemantics) {
@@ -263,6 +270,18 @@ TEST(LinkArq, MaxRetxZeroEqualsOpenLoopBitForBit) {
         EXPECT_EQ(arq.paths[p].arq->retx_service.count(), 0u);
         EXPECT_FALSE(open.paths[p].arq.has_value());
     }
+}
+
+TEST(LinkArq, HandBuiltMaxRetxAboveTheBoundIsRejected) {
+    // The link sizes each worker's buffers to max_retx + 1 attempts, so a
+    // hand-built config past arq::max_retx_limit (here one whose attempt
+    // count would wrap to 0) is refused before anything is sized.
+    auto config = noisy_config();
+    config.arq = aq::arq_config{};
+    config.arq->max_retx = SIZE_MAX;
+    EXPECT_THROW((void)lk::run_link_simulation(config), std::invalid_argument);
+    config.arq->max_retx = aq::max_retx_limit + 1;
+    EXPECT_THROW((void)lk::run_link_simulation(config), std::invalid_argument);
 }
 
 TEST(LinkArq, DeadlineZeroRetransmitsEveryFrameUntilMaxRetx) {

@@ -12,10 +12,12 @@
 #include "core/device.h"
 #include "core/schedule.h"
 #include "core/temperature.h"
+#include "paths/registry.h"
 #include "qubo/brute_force.h"
 #include "qubo/generator.h"
 #include "qubo/ising.h"
 #include "util/rng.h"
+#include "util/timer.h"
 
 namespace {
 
@@ -106,6 +108,62 @@ TEST(Device, ProgramRunLengthEncodesThePause) {
                                         [](const auto& x, const auto& y) { return x.sweeps < y.sweeps; });
     EXPECT_GE(pause->sweeps, 24000U);
     EXPECT_EQ(pause->fluctuation, device.config().map.fluctuation(0.29));
+}
+
+TEST(Device, ProgramMatchesPerSweepReference) {
+    // program() counts the sweeps of a constant-s segment in one step; the
+    // table must equal the one built sweep by sweep, run for run.
+    const auto per_sweep = [](const an::annealer_emulator& device,
+                              const an::anneal_schedule& schedule) {
+        std::vector<an::anneal_program::run> runs;
+        const std::size_t sweeps = device.sweeps_for(schedule);
+        const double dt = schedule.duration_us() / static_cast<double>(sweeps);
+        for (std::size_t k = 0; k < sweeps; ++k) {
+            const double t_mid = (static_cast<double>(k) + 0.5) * dt;
+            const double f = device.config().map.fluctuation(schedule.s_at(t_mid));
+            if (!runs.empty() && runs.back().fluctuation == f) {
+                ++runs.back().sweeps;
+            } else {
+                runs.push_back({f, 1});
+            }
+        }
+        return runs;
+    };
+    an::annealer_config coarse;
+    coarse.sweeps_per_us = 7.3;
+    std::size_t schedules = 0;
+    for (const an::annealer_emulator& device :
+         {an::annealer_emulator{}, an::annealer_emulator{coarse}}) {
+        for (const auto p : {an::protocol::forward, an::protocol::reverse,
+                             an::protocol::forward_reverse}) {
+            for (const double s_p : {0.2, 0.29, 0.45, 0.6, 0.8, 0.95, 0.99}) {
+                for (const double t_p : {0.0, 0.25, 1.0, 7.5, 123.4, 12345.678}) {
+                    const auto schedule =
+                        an::anneal_schedule::make(p, s_p, t_p, 1.0, (1.0 + s_p) / 2);
+                    const auto expected = per_sweep(device, schedule);
+                    const auto actual = device.program(schedule).runs;
+                    ASSERT_EQ(actual.size(), expected.size())
+                        << an::to_string(p) << " s_p=" << s_p << " t_p=" << t_p;
+                    for (std::size_t i = 0; i < expected.size(); ++i) {
+                        EXPECT_EQ(actual[i].fluctuation, expected[i].fluctuation);
+                        EXPECT_EQ(actual[i].sweeps, expected[i].sweeps);
+                    }
+                    ++schedules;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(schedules, 252U);
+
+    // A long pause programs in one step rather than one per sweep.
+    const hcq::util::timer clock;
+    (void)hcq::paths::registry::make("gsra:reads=1,pause_us=1e7");
+    EXPECT_LT(clock.elapsed_us(), 1e6);
+    const an::annealer_emulator device;
+    const auto long_pause = an::anneal_schedule::reverse(0.29, 1e7);
+    std::size_t sweeps = 0;
+    for (const auto& run : device.program(long_pause).runs) sweeps += run.sweeps;
+    EXPECT_EQ(sweeps, device.sweeps_for(long_pause));
 }
 
 TEST(Device, ReverseScheduleRequiresInitialState) {

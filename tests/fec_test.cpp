@@ -39,13 +39,13 @@ using namespace hcq;
 
 TEST(FecSpec, ParsesAndCanonicalises) {
     const auto spec = fec::code_spec::parse("k7");
-    EXPECT_EQ(spec.to_string(), "k7:rate=1/2,interleave=16x8");
+    EXPECT_EQ(spec.to_string(), "k7:interleave=16x8");
     EXPECT_EQ(spec.constraint_length(), 7u);
     EXPECT_EQ(spec.coded_bits(), 128u);
     EXPECT_EQ(spec.info_bits(), 64u - 6u);  // rate 1/2 minus the K-1 tail
 
     const auto small = fec::code_spec::parse("k5:interleave=8x8");
-    EXPECT_EQ(small.to_string(), "k5:rate=1/2,interleave=8x8");
+    EXPECT_EQ(small.to_string(), "k5:interleave=8x8");
     EXPECT_EQ(small.info_bits(), 32u - 4u);
 
     // parse(to_string()) is the identity for every kind.

@@ -1,10 +1,12 @@
 // Tests for hcq::util — RNG determinism and distributions, thread pool,
-// CLI parsing, table formatting.
+// CLI parsing, table formatting, and the one spec front end (util/spec.h)
+// as every family (paths, channels, FEC codes, ARQ) uses it.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <initializer_list>
 #include <set>
 #include <sstream>
@@ -13,11 +15,15 @@
 #include <type_traits>
 #include <vector>
 
+#include "arq/arq.h"
+#include "fec/code_spec.h"
+#include "paths/registry.h"
 #include "util/cli.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
+#include "wireless/channel_spec.h"
 
 namespace {
 
@@ -471,6 +477,175 @@ TEST(Timer, MeasuresNonNegativeTime) {
     EXPECT_GE(t.elapsed_s(), 0.0);
     t.reset();
     EXPECT_GE(t.elapsed_us(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// The spec front end, through each family's own entry point
+// ---------------------------------------------------------------------------
+
+/// One spec family as a caller sees it.
+struct spec_family {
+    std::string prefix;  ///< every error starts with it
+    /// Parses `text` (building the path, for paths); its canonical form.
+    std::function<std::string(const std::string&)> canonical;
+    std::vector<std::string> seeds;  ///< valid specs to mutate
+};
+
+std::vector<spec_family> spec_families() {
+    namespace pt = hcq::paths;
+    namespace wl = hcq::wireless;
+    spec_family paths{"paths: ",
+                      [](const std::string& text) {
+                          return pt::registry::make(text)->spec().to_string();
+                      },
+                      {}};
+    for (const auto& kind : pt::registry::available()) {
+        paths.seeds.push_back(pt::registry::make(kind)->spec().to_string());
+    }
+    spec_family channels{"channels: ",
+                         [](const std::string& text) {
+                             const auto spec = wl::channel_spec::parse(text);
+                             (void)wl::make_channel_process(spec, 2, 2, rng(7));
+                             return spec.to_string();
+                         },
+                         {}};
+    for (const auto& kind : wl::channel_spec::kinds()) {
+        channels.seeds.push_back(wl::channel_spec::parse(kind).to_string() + ",snr_db=10");
+    }
+    spec_family codes{
+        "fec: ",
+        [](const std::string& text) { return hcq::fec::code_spec::parse(text).to_string(); },
+        {"k3:interleave=4x8", "k5:interleave=8x8", "k7:interleave=16x8"}};
+    spec_family arq{"arq: ",
+                    [](const std::string& text) { return hcq::arq::parse_arq(text).to_string(); },
+                    {"deadline_us=500,max_retx=2,combining=plain"}};
+    return {paths, channels, codes, arq};
+}
+
+std::string spec_error(const std::function<void()>& fn) {
+    try {
+        fn();
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "expected std::invalid_argument";
+    return {};
+}
+
+TEST(Spec, EveryFamilyUsesOneErrorForm) {
+    struct error_case {
+        std::function<void(const std::string&)> parse;
+        std::string layer;
+        const char* unknown_kind;  ///< nullptr for the kind-less ARQ list
+        std::vector<std::string> kinds;
+        const char* unknown_key;  ///< names key 'warp'
+        std::string accepted;
+        const char* bad_value;
+        std::string bad_value_start;
+        const char* repeated;  ///< repeats key 'k'
+    };
+    const std::vector<error_case> cases = {
+        {[](const std::string& t) { (void)hcq::paths::registry::make(t); }, "paths",
+         "warp-drive", hcq::paths::registry::available(), "kbest:warp=1", "width",
+         "kbest:width=wide", "paths: kbest: bad value 'wide' for key 'width' (expected ",
+         "kbest:width=4,width=5"},
+        {[](const std::string& t) { (void)hcq::wireless::channel_spec::parse(t); }, "channels",
+         "rician", hcq::wireless::channel_spec::kinds(), "rayleigh:warp=1", "est_err, snr_db",
+         "jakes:doppler_hz=abc", "channels: jakes: bad value 'abc' for key 'doppler_hz' (expected ",
+         "jakes:doppler_hz=5,doppler_hz=9"},
+        {[](const std::string& t) { (void)hcq::fec::code_spec::parse(t); }, "fec", "k9",
+         hcq::fec::code_spec::kinds(), "k7:warp=1", "interleave", "k7:interleave=4y8",
+         "fec: k7: bad value '4y8' for key 'interleave' (expected ",
+         "k7:interleave=8x8,interleave=4x8"},
+        {[](const std::string& t) { (void)hcq::arq::parse_arq(t); }, "arq", nullptr, {},
+         "warp=1", "deadline_us, max_retx, combining", "max_retx=lots",
+         "arq: bad value 'lots' for key 'max_retx' (expected ", "max_retx=1,max_retx=2"},
+    };
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.layer);
+        if (c.unknown_kind != nullptr) {
+            std::string listed;
+            for (const auto& kind : c.kinds) listed += (listed.empty() ? "" : ", ") + kind;
+            EXPECT_EQ(spec_error([&] { c.parse(c.unknown_kind); }).find(c.layer + ": unknown "),
+                      0U);
+            EXPECT_NE(spec_error([&] { c.parse(c.unknown_kind); })
+                          .find("'" + std::string(c.unknown_kind) + "' (available: " + listed +
+                                ")"),
+                      std::string::npos);
+        }
+        const std::string unknown_key = spec_error([&] { c.parse(c.unknown_key); });
+        EXPECT_EQ(unknown_key.find(c.layer + ": "), 0U) << unknown_key;
+        EXPECT_NE(unknown_key.find("does not accept key 'warp' (accepted: " + c.accepted + ")"),
+                  std::string::npos)
+            << unknown_key;
+        const std::string bad_value = spec_error([&] { c.parse(c.bad_value); });
+        EXPECT_EQ(bad_value.find(c.bad_value_start), 0U) << bad_value;
+        const std::string repeated = spec_error([&] { c.parse(c.repeated); });
+        EXPECT_EQ(repeated.find(c.layer + ": bad spec '" + c.repeated + "': duplicate key '"),
+                  0U)
+            << repeated;
+    }
+}
+
+/// `text` with one random edit: a character deleted or duplicated, a
+/// separator inserted, or one value replaced by a hostile one.
+std::string mutate(std::string text, rng& r) {
+    static const std::vector<std::string> hostile = {
+        "0", "-1", "nan", "inf", "1e308", "18446744073709551616", "9223372036854775807", ""};
+    const std::size_t at = r.uniform_index(text.size() + 1);
+    switch (r.uniform_index(4)) {
+        case 0:
+            if (at < text.size()) text.erase(at, 1);
+            break;
+        case 1:
+            if (at < text.size()) text.insert(at, 1, text[at]);
+            break;
+        case 2: text.insert(at, 1, ":,="[r.uniform_index(3)]); break;
+        default: {
+            std::vector<std::size_t> values;
+            for (std::size_t i = 0; i < text.size(); ++i) {
+                if (text[i] == '=') values.push_back(i + 1);
+            }
+            if (values.empty()) break;
+            const std::size_t begin = values[r.uniform_index(values.size())];
+            const std::size_t end = std::min(text.find(',', begin), text.size());
+            text.replace(begin, end - begin, hostile[r.uniform_index(hostile.size())]);
+        }
+    }
+    return text;
+}
+
+TEST(Spec, MutantsParseOrFailCleanly) {
+    // Hostile spec text gets a clean std::invalid_argument carrying the
+    // family's prefix, never another exception (or, under the sanitizers,
+    // undefined behaviour); what parses canonicalises to a fixed point.
+    std::uint64_t seed = 0;
+    for (const auto& family : spec_families()) {
+        SCOPED_TRACE(family.prefix);
+        rng r(1000 + seed++);
+        std::size_t parsed = 0;
+        for (int i = 0; i < 2000; ++i) {
+            std::string text = family.seeds[r.uniform_index(family.seeds.size())];
+            for (std::size_t edits = 1 + r.uniform_index(3); edits > 0; --edits) {
+                text = mutate(std::move(text), r);
+            }
+            std::string canonical;
+            try {
+                canonical = family.canonical(text);
+            } catch (const std::invalid_argument& e) {
+                EXPECT_EQ(std::string(e.what()).rfind(family.prefix, 0), 0U)
+                    << "'" << text << "': " << e.what();
+                continue;
+            } catch (const std::exception& e) {
+                ADD_FAILURE() << "'" << text << "' threw a non-invalid_argument: " << e.what();
+                continue;
+            }
+            ++parsed;
+            EXPECT_EQ(family.canonical(canonical), canonical) << "'" << text << "'";
+        }
+        // The mutants reach past the grammar: some still parse.
+        EXPECT_GT(parsed, 0U);
+    }
 }
 
 }  // namespace
