@@ -43,9 +43,11 @@ int main(int argc, char** argv) try {
 
     double classical_us = 1.0;
     double quantum_us = 0.0;
-    for (const auto& stage : measured.stages) {
-        if (stage.name == "classical") classical_us = std::max(stage.service_us, 1.0);
-        if (stage.name == "quantum") quantum_us = stage.service_us;
+    const auto stage_names = hybrid->stage_names();
+    for (std::size_t s = 0; s < stage_names.size(); ++s) {
+        const double us = measured.stages[s].service_us;
+        if (stage_names[s] == "classical") classical_us = std::max(us, 1.0);
+        if (stage_names[s] == "quantum") quantum_us = us;
     }
     const double read_us = quantum_us / static_cast<double>(reads);
 

@@ -40,7 +40,8 @@
 // and block-interleaved across channel uses, and a soft Viterbi decoder
 // turns the LLRs into coded FER / information BER beside the raw detection
 // BER.  With --arq the retransmission loop runs per coded frame with chase
-// combining (LLRs accumulate across attempts before re-decoding):
+// combining by default (LLRs accumulate across attempts before re-decoding;
+// combining=plain decodes each attempt's LLRs alone):
 //     ./examples/link_sim --fec k7 --channel jakes:doppler_hz=5 --arq
 //     ./examples/link_sim --fec k5:interleave=8x8 --paths zf,kbest
 //
@@ -83,7 +84,8 @@ int main(int argc, char** argv) try {
                      "         (soft_output), frames are convolutionally encoded and\n"
                      "         interleaved across uses, soft Viterbi decodes them; adds\n"
                      "         coded FER / info BER columns, and --arq combines LLRs\n"
-                     "         across retransmissions (chase combining)\n\n"
+                     "         across retransmissions (chase combining; combining=plain\n"
+                     "         decodes each attempt alone)\n\n"
                   << wireless::channel_spec::help() << "\n"
                   << fec::code_spec::help() << "\n"
                   << arq::help() << "\n"
@@ -148,10 +150,15 @@ int main(int argc, char** argv) try {
               << (config.num_threads == 0 ? std::string("hw") : std::to_string(config.num_threads))
               << "\n";
     if (config.fec) {
+        const char* arq_llrs = "";
+        if (config.arq) {
+            arq_llrs = config.arq->combining == arq::combining_mode::chase
+                           ? "; ARQ chase-combines LLRs across attempts"
+                           : "; ARQ decodes each attempt's LLRs alone";
+        }
         std::cout << "coded link: " << config.fec->to_string() << " ("
                   << config.fec->info_bits() << " info bits -> " << config.fec->coded_bits()
-                  << " coded bits/frame; paths emit LLRs, soft Viterbi decodes"
-                  << (config.arq ? "; ARQ chase-combines LLRs across attempts" : "")
+                  << " coded bits/frame; paths emit LLRs, soft Viterbi decodes" << arq_llrs
                   << ")\n";
     }
     if (config.arq) {

@@ -33,31 +33,39 @@ int main() {
     // 2. ML -> QUBO.
     const detect::ml_qubo reduced = detect::ml_to_qubo(frame);
 
-    // 3 + 4. Hybrid solver: greedy search seeds reverse annealing.
+    // 3. The classical module: greedy search, timed.
     const solvers::greedy_search greedy;
+    solvers::solution candidate = greedy.solve(reduced.model, rng);
+
+    // 4. The quantum module: reverse annealing on the emulated device, every
+    //    read seeded with the greedy answer.  The best read replaces
+    //    candidate.bits only when its energy is strictly lower.
     const anneal::annealer_emulator device;  // the "QPU"
     const anneal::anneal_schedule schedule =
         anneal::anneal_schedule::reverse(/*s_p=*/0.37, /*t_p=*/1.0);
-    const hybrid::hybrid_solver solver(greedy, device, schedule, /*num_reads=*/200);
-
-    const hybrid::hybrid_result result = solver.solve(reduced.model, rng);
+    const std::size_t num_reads = 200;
+    solvers::solve_scratch scratch;
+    const double best_energy =
+        hybrid::refine_into(device, device.program(schedule), num_reads, reduced.model, rng,
+                            scratch, candidate.bits, candidate.energy);
 
     const double truth_energy = reduced.model.energy(frame.tx_bits);
     std::cout << "greedy candidate:  Delta-E% = "
-              << metrics::delta_e_percent(result.initial.energy, truth_energy) << "\n"
-              << "after " << result.samples.size() << " reverse anneals: Delta-E% = "
-              << metrics::delta_e_percent(result.best_energy, truth_energy) << "\n"
-              << "classical time: " << result.initial.elapsed_us
-              << " us, programmed quantum time: " << result.quantum_us << " us\n";
+              << metrics::delta_e_percent(candidate.energy, truth_energy) << "\n"
+              << "after " << num_reads << " reverse anneals: Delta-E% = "
+              << metrics::delta_e_percent(best_energy, truth_energy) << "\n"
+              << "classical time: " << candidate.elapsed_us
+              << " us, programmed quantum time: "
+              << schedule.duration_us() * static_cast<double>(num_reads) << " us\n";
 
     // 5. Decode.
-    const linalg::cvec symbols = reduced.symbols(result.best_bits);
+    const linalg::cvec symbols = reduced.symbols(candidate.bits);
     std::cout << "detected symbols:";
     for (std::size_t u = 0; u < symbols.size(); ++u) {
         std::cout << "  (" << symbols[u].real() << (symbols[u].imag() < 0 ? "" : "+")
                   << symbols[u].imag() << "j)";
     }
-    std::cout << "\nbits " << (result.best_bits == frame.tx_bits ? "MATCH" : "DIFFER FROM")
+    std::cout << "\nbits " << (candidate.bits == frame.tx_bits ? "MATCH" : "DIFFER FROM")
               << " the transmitted ground truth\n";
     return 0;
 }

@@ -90,7 +90,7 @@ fi
 if [[ $run_asan -eq 1 ]]; then
     dir="build-asan"
     [[ $clean -eq 1 ]] && rm -rf "$dir"
-    echo "== ASan+UBSan: RNG + kernels + solvers + detection paths + link simulator + hybrid solver + pipeline + ARQ + FEC + serve =="
+    echo "== ASan+UBSan: RNG + kernels + solvers + detection paths + link simulator + hybrid + pipeline + ARQ + FEC + serve =="
     cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DHCQ_SANITIZE=address \
         -DHCQ_BUILD_EXAMPLES=OFF -DHCQ_BUILD_BENCHES=OFF
     cmake --build "$dir" -j "$jobs" --target util_test linalg_test solvers_test device_test \

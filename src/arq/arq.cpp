@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "util/spec.h"
-#include "util/table.h"
 
 namespace hcq::arq {
 namespace {
@@ -37,7 +36,7 @@ std::string arq_config::to_string() const {
     } else if (deadline_us == no_deadline) {
         out << "none";
     } else {
-        out << util::format_double(deadline_us);
+        out << util::spec::format_value(deadline_us);
     }
     out << ",max_retx=" << max_retx << ",combining=" << arq::to_string(combining);
     return out.str();

@@ -92,7 +92,8 @@ struct arq_config {
     combining_mode combining = combining_mode::chase;
 
     /// Canonical text form with every key explicit:
-    /// "deadline_us=<auto|none|value>,max_retx=<n>,combining=<chase|plain>".
+    /// "deadline_us=<auto|none|value>,max_retx=<n>,combining=<chase|plain>",
+    /// the value printed as util::spec::format_value prints it.
     [[nodiscard]] std::string to_string() const;
 };
 

@@ -220,7 +220,6 @@ link_report run_link_simulation(const link_config& config) {
     report.synthesis = stage_trace("synth", sample_stride);
     report.reduction = stage_trace("qubo", sample_stride);
     report.paths.resize(num_paths);
-    std::vector<std::vector<std::string>> solve_stages(num_paths);
     std::vector<std::size_t> first_solve_stage(num_paths);
     std::vector<std::uint8_t> path_needs_qubo(num_paths, 0);
     for (std::size_t p = 0; p < num_paths; ++p) {
@@ -231,14 +230,6 @@ link_report run_link_simulation(const link_config& config) {
         path.service = stage_trace("service", sample_stride);
         path_needs_qubo[p] = paths[p]->needs_qubo() ? 1 : 0;
 
-        solve_stages[p] = paths[p]->stage_names();
-        const auto solve_servers = paths[p]->stage_servers();
-        if (solve_servers.size() != solve_stages[p].size()) {
-            throw std::logic_error("link: path '" + path.spec + "' declares " +
-                                   std::to_string(solve_servers.size()) +
-                                   " stage server counts for " +
-                                   std::to_string(solve_stages[p].size()) + " stages");
-        }
         path.stages.emplace_back("synth", sample_stride);
         path.stage_servers.push_back(1);
         if (paths[p]->needs_qubo()) {
@@ -246,8 +237,10 @@ link_report run_link_simulation(const link_config& config) {
             path.stage_servers.push_back(1);
         }
         first_solve_stage[p] = path.stages.size();
-        for (std::size_t s = 0; s < solve_stages[p].size(); ++s) {
-            path.stages.emplace_back(solve_stages[p][s], sample_stride);
+        const auto solve_names = paths[p]->stage_names();
+        const auto solve_servers = paths[p]->stage_servers();
+        for (std::size_t s = 0; s < solve_names.size(); ++s) {
+            path.stages.emplace_back(solve_names[s], sample_stride);
             path.stage_servers.push_back(solve_servers[s]);
         }
         if (config.fec) path.fec.emplace();
@@ -473,12 +466,6 @@ link_report run_link_simulation(const link_config& config) {
             for (std::size_t p = 0; p < num_paths; ++p) {
                 path_report& path = report.paths[p];
                 const paths::path_result& cell = cells[p * block + i];
-                if (cell.stages.size() != solve_stages[p].size()) {
-                    throw std::logic_error("link: path '" + path.spec + "' returned " +
-                                           std::to_string(cell.stages.size()) +
-                                           " stage timings but declared " +
-                                           std::to_string(solve_stages[p].size()));
-                }
                 path.ber.add_frame(rec.tx_bits, cell.bits);
                 if (cell.bits == rec.tx_bits) {
                     ++path.exact_frames;

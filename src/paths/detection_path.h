@@ -6,7 +6,8 @@
 // single polymorphic interface behind which all of them live: a
 // `detection_path` consumes one channel-use context (the MIMO instance, the
 // shared QUBO reduction when it needs one, and a derived RNG stream) and
-// returns the detected bits, the ML cost, and named per-stage timings.
+// returns the detected bits, the ML cost, and per-stage timings, named by
+// the path's stage_names().
 //
 // Paths are constructed from *spec strings* through `paths::registry`
 // (registry.h): `"zf"`, `"kbest:width=16"`, `"gsra:reads=80,sp=0.29"` — so
@@ -77,9 +78,9 @@ struct path_context {
     workspace* ws = nullptr;
 };
 
-/// One named stage timing of a path's solve.
+/// One stage timing of a path's solve; its name is the path's
+/// stage_names() entry at the same index.
 struct stage_time {
-    std::string name;
     double service_us = 0.0;
 };
 
@@ -87,7 +88,7 @@ struct stage_time {
 struct path_result {
     qubo::bit_vector bits;  ///< detected bits (natural map, comparable to tx_bits)
     double ml_cost = 0.0;   ///< ||y - H x_hat||^2 of the detected word
-    /// Per-stage timings, matching stage_names() in order and count.
+    /// Per-stage timings, one per stage_names() entry and in its order.
     std::vector<stage_time> stages;
     /// Per-bit LLRs of the detected word, filled ONLY by an explicit
     /// soft_output() call (run_into leaves it untouched, so the hard path

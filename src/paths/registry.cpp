@@ -50,14 +50,6 @@ void check_fractions(const path_spec& spec, double hot, double cold) {
     }
 }
 
-/// Reshapes a reused result's stage list without churning its strings: the
-/// built-in stage names all fit in the small-string buffer, so re-assigning
-/// them never allocates.
-void set_stage(path_result& out, std::size_t index, const char* name, double service_us) {
-    out.stages[index].name = name;
-    out.stages[index].service_us = service_us;
-}
-
 /// Guard for QUBO-consuming paths: the caller promised a shared reduction
 /// whenever any configured path reports needs_qubo().
 void require_qubo(const path_context& ctx) {
@@ -129,8 +121,7 @@ public:
         workspace& ws = require_workspace(ctx);
         const util::timer clock;
         out.ml_cost = det_->detect_into(ctx.instance, ws.detect, out.bits);
-        out.stages.resize(1);
-        set_stage(out, 0, "detect", clock.elapsed_us());
+        out.stages.assign(1, {clock.elapsed_us()});
     }
 
     void soft_output(const path_context& ctx, path_result& out) const override {
@@ -175,8 +166,7 @@ public:
         solver_->solve_best_into(ctx.reduced->model, ctx.rng, ws.solve, out.bits);
         const double solve_us = clock.elapsed_us();
         out.ml_cost = ctx.instance.ml_cost_bits(out.bits, ws.detect.symbols, ws.detect.residual);
-        out.stages.resize(1);
-        set_stage(out, 0, "solve", solve_us);
+        out.stages.assign(1, {solve_us});
     }
 
     /// Energy-gap soft output: the single-bit-flip ML recost of the
@@ -252,9 +242,8 @@ public:
         (void)hybrid::refine_into(device_, program_, reads_, q, ctx.rng, ws.solve, out.bits,
                                   energy);
         out.ml_cost = ctx.instance.ml_cost_bits(out.bits, ws.detect.symbols, ws.detect.residual);
-        out.stages.resize(2);
-        set_stage(out, 0, "classical", classical_us);
-        set_stage(out, 1, "quantum", schedule_.duration_us() * static_cast<double>(reads_));
+        const double quantum_us = schedule_.duration_us() * static_cast<double>(reads_);
+        out.stages.assign({{classical_us}, {quantum_us}});
     }
 
     /// Energy-gap soft output, like qubo_solver_path.

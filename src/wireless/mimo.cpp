@@ -39,20 +39,54 @@ double mimo_instance::ml_cost_bits(std::span<const std::uint8_t> bits,
 
 namespace {
 
-// Shared tx-bit step of every synthesis flavour: the uniform bit draws
-// ALWAYS happen (they pace the per-use stream), and a non-empty override
-// then replaces the drawn bits — so a coded use consumes the rng exactly
-// like an uncoded one and every later draw (AWGN, estimation error) lands
-// on the same stream position.
-void draw_or_override_bits(util::rng& rng, const mimo_config& config,
-                           std::span<const std::uint8_t> override_bits, mimo_instance& inst) {
+/// The one channel-use body behind every synthesis form.  Per-use draw
+/// order (the bit-compatibility contract the link goldens pin): the channel
+/// first (`draw_channel`, which writes H into its argument), then the tx
+/// bits, then AWGN, then the estimation error, only when
+/// csi_error_variance > 0.  The uniform bit draws ALWAYS happen (they pace
+/// the stream), and a non-empty `tx_bits` then replaces them, so a coded
+/// use consumes the rng exactly like an uncoded one.
+template <typename DrawChannel>
+void synthesize_use(util::rng& rng, const mimo_config& config, double csi_error_variance,
+                    std::span<const std::uint8_t> tx_bits, mimo_instance& inst,
+                    DrawChannel&& draw_channel) {
+    if (config.num_users == 0 || config.num_antennas == 0) {
+        throw std::invalid_argument("synthesize: empty dimensions");
+    }
+    if (config.num_antennas < config.num_users) {
+        throw std::invalid_argument("synthesize: needs num_antennas >= num_users");
+    }
+    if (csi_error_variance < 0.0) {
+        throw std::invalid_argument("synthesize: negative csi_error_variance");
+    }
+    inst.mod = config.mod;
+    inst.num_users = config.num_users;
+    inst.num_antennas = config.num_antennas;
+    draw_channel(inst.h);
+    inst.h_true.resize(0, 0);  // perfect CSI: true_channel() is h
+    inst.csi_error_variance = 0.0;
     const std::size_t num_bits = config.num_users * bits_per_symbol(config.mod);
     rng.bits_into(num_bits, inst.tx_bits);
-    if (!override_bits.empty()) {
-        if (override_bits.size() != num_bits) {
+    if (!tx_bits.empty()) {
+        if (tx_bits.size() != num_bits) {
             throw std::invalid_argument("synthesize: tx-bit override has wrong length");
         }
-        inst.tx_bits.assign(override_bits.begin(), override_bits.end());
+        inst.tx_bits.assign(tx_bits.begin(), tx_bits.end());
+    }
+    modulate_into(config.mod, inst.tx_bits, inst.tx_symbols);
+    linalg::matvec_into(inst.h, inst.tx_symbols, inst.y);
+    inst.noise_variance = config.noise_variance;
+    add_awgn(rng, inst.y, config.noise_variance);
+    if (csi_error_variance > 0.0) {
+        inst.h_true = inst.h;  // vector copy-assign: reuses capacity
+        inst.csi_error_variance = csi_error_variance;
+        const double sigma_per_dim = std::sqrt(csi_error_variance / 2.0);
+        for (std::size_t r = 0; r < inst.h.rows(); ++r) {
+            for (std::size_t c = 0; c < inst.h.cols(); ++c) {
+                inst.h(r, c) += linalg::cxd(rng.normal(0.0, sigma_per_dim),
+                                            rng.normal(0.0, sigma_per_dim));
+            }
+        }
     }
 }
 
@@ -70,23 +104,9 @@ void synthesize_into(util::rng& rng, const mimo_config& config, mimo_instance& i
 
 void synthesize_coded_into(util::rng& rng, const mimo_config& config,
                            std::span<const std::uint8_t> tx_bits, mimo_instance& inst) {
-    if (config.num_users == 0 || config.num_antennas == 0) {
-        throw std::invalid_argument("synthesize: empty dimensions");
-    }
-    if (config.num_antennas < config.num_users) {
-        throw std::invalid_argument("synthesize: needs num_antennas >= num_users");
-    }
-    inst.mod = config.mod;
-    inst.num_users = config.num_users;
-    inst.num_antennas = config.num_antennas;
-    draw_channel_into(rng, config.channel, config.num_antennas, config.num_users, inst.h);
-    inst.h_true.resize(0, 0);  // perfect CSI: true_channel() is h
-    inst.csi_error_variance = 0.0;
-    draw_or_override_bits(rng, config, tx_bits, inst);
-    modulate_into(config.mod, inst.tx_bits, inst.tx_symbols);
-    linalg::matvec_into(inst.h, inst.tx_symbols, inst.y);
-    inst.noise_variance = config.noise_variance;
-    add_awgn(rng, inst.y, config.noise_variance);
+    synthesize_use(rng, config, 0.0, tx_bits, inst, [&](linalg::cmat& h) {
+        draw_channel_into(rng, config.channel, config.num_antennas, config.num_users, h);
+    });
 }
 
 mimo_instance synthesize_at(util::rng& rng, const mimo_config& config,
@@ -101,44 +121,12 @@ void synthesize_at_coded_into(util::rng& rng, const mimo_config& config,
                               const channel_process& process, double t,
                               double csi_error_variance,
                               std::span<const std::uint8_t> tx_bits, mimo_instance& inst) {
-    if (config.num_users == 0 || config.num_antennas == 0) {
-        throw std::invalid_argument("synthesize_at: empty dimensions");
-    }
-    if (config.num_antennas < config.num_users) {
-        throw std::invalid_argument("synthesize_at: needs num_antennas >= num_users");
-    }
     if (process.num_antennas() != config.num_antennas ||
         process.num_users() != config.num_users) {
         throw std::invalid_argument("synthesize_at: process dimensions mismatch config");
     }
-    if (csi_error_variance < 0.0) {
-        throw std::invalid_argument("synthesize_at: negative csi_error_variance");
-    }
-    inst.mod = config.mod;
-    inst.num_users = config.num_users;
-    inst.num_antennas = config.num_antennas;
-    // Same per-use draw order as synthesize: channel, bits, AWGN — with the
-    // estimation-error perturbation appended strictly after, and only when
-    // active, so est_err == 0 stays byte-identical to the legacy path.
-    process.at_into(t, rng, inst.h);
-    inst.h_true.resize(0, 0);
-    inst.csi_error_variance = 0.0;
-    draw_or_override_bits(rng, config, tx_bits, inst);
-    modulate_into(config.mod, inst.tx_bits, inst.tx_symbols);
-    linalg::matvec_into(inst.h, inst.tx_symbols, inst.y);
-    inst.noise_variance = config.noise_variance;
-    add_awgn(rng, inst.y, config.noise_variance);
-    if (csi_error_variance > 0.0) {
-        inst.h_true = inst.h;  // vector copy-assign: reuses capacity
-        inst.csi_error_variance = csi_error_variance;
-        const double sigma_per_dim = std::sqrt(csi_error_variance / 2.0);
-        for (std::size_t r = 0; r < inst.h.rows(); ++r) {
-            for (std::size_t c = 0; c < inst.h.cols(); ++c) {
-                inst.h(r, c) += linalg::cxd(rng.normal(0.0, sigma_per_dim),
-                                            rng.normal(0.0, sigma_per_dim));
-            }
-        }
-    }
+    synthesize_use(rng, config, csi_error_variance, tx_bits, inst,
+                   [&](linalg::cmat& h) { process.at_into(t, rng, h); });
 }
 
 mimo_instance noiseless_paper_instance(util::rng& rng, std::size_t num_users, modulation mod) {

@@ -66,6 +66,19 @@ TEST(ArqConfig, ToStringRoundTrips) {
               "deadline_us=auto,max_retx=1,combining=chase");
     EXPECT_EQ(aq::parse_arq("combining=plain,max_retx=2").to_string(),
               "deadline_us=none,max_retx=2,combining=plain");
+    // A deadline prints as the value that runs (the precision spec values
+    // print at), so the canonical text parses back to the same config.
+    for (const char* text : {"deadline_us=123.45678,max_retx=1,combining=chase",
+                             "deadline_us=2000000,max_retx=1,combining=chase"}) {
+        SCOPED_TRACE(text);
+        const aq::arq_config config = aq::parse_arq(text);
+        EXPECT_EQ(config.to_string(), text);
+        const aq::arq_config back = aq::parse_arq(config.to_string());
+        EXPECT_EQ(back.deadline_us, config.deadline_us);
+        EXPECT_EQ(back.deadline_auto, config.deadline_auto);
+        EXPECT_EQ(back.max_retx, config.max_retx);
+        EXPECT_EQ(back.combining, config.combining);
+    }
 }
 
 TEST(ArqConfig, RejectsMalformedSpecs) {

@@ -1,5 +1,6 @@
-// Tests for the hybrid layer: TTS (Eq. 2), the hybrid solver, schedule
-// evaluation, and the paper-corpus factory.
+// Tests for the hybrid layer: TTS (Eq. 2), the quantum stage (refine_into)
+// and the gsra path built on it, schedule evaluation, and the paper-corpus
+// factory.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +13,8 @@
 #include "core/tts.h"
 #include "detect/sphere.h"
 #include "metrics/delta_e.h"
+#include "paths/registry.h"
+#include "paths/workspace.h"
 #include "util/rng.h"
 
 namespace {
@@ -141,30 +144,52 @@ TEST(Experiment, AnnealerHarvestProducesBinnedRelaxedStates) {
 }
 
 TEST(HybridSolver, RequiresReverseSchedule) {
-    const hcq::solvers::greedy_search gs;
+    // The quantum stage refines a classical seed: a forward program, whose
+    // reads start from fair random bits, is rejected, and so are zero reads.
+    hcq::util::rng rng(53);
+    const auto e = hy::make_paper_instance(rng, 2, wl::modulation::qpsk);
     const an::annealer_emulator device;
-    EXPECT_THROW(hy::hybrid_solver(gs, device, an::anneal_schedule::forward_plain(1.0), 10),
+    hcq::solvers::solve_scratch scratch;
+    auto bits = e.optimal_bits;
+    EXPECT_THROW((void)hy::refine_into(device,
+                                       device.program(an::anneal_schedule::forward_plain(1.0)),
+                                       10, e.reduced.model, rng, scratch, bits, e.optimal_energy),
                  std::invalid_argument);
-    EXPECT_THROW(hy::hybrid_solver(gs, device, an::anneal_schedule::reverse(0.5, 1.0), 0),
+    EXPECT_THROW((void)hy::refine_into(device,
+                                       device.program(an::anneal_schedule::reverse(0.5, 1.0)), 0,
+                                       e.reduced.model, rng, scratch, bits, e.optimal_energy),
                  std::invalid_argument);
 }
 
 TEST(HybridSolver, SolvesAndAccounts) {
     hcq::util::rng rng(54);
     const auto e = hy::make_paper_instance(rng, 4, wl::modulation::qam16);
+    hcq::util::rng path_rng = rng;  // the same stream, for the gsra path below
     const hcq::solvers::greedy_search gs;
     const an::annealer_emulator device;
-    const hy::hybrid_solver solver(gs, device, an::anneal_schedule::reverse(0.45, 1.0), 30);
-    EXPECT_EQ(solver.name(), "GS+RA");
-    EXPECT_EQ(solver.num_reads(), 30u);
+    const auto schedule = an::anneal_schedule::reverse(0.45, 1.0);
 
-    const auto result = solver.solve(e.reduced.model, rng);
-    EXPECT_EQ(result.samples.size(), 30u);
+    auto candidate = gs.solve(e.reduced.model, rng);
+    EXPECT_GE(candidate.elapsed_us, 0.0);
+    hcq::solvers::solve_scratch scratch;
+    const double best_energy = hy::refine_into(device, device.program(schedule), 30,
+                                               e.reduced.model, rng, scratch, candidate.bits,
+                                               candidate.energy);
     // The best result can never be worse than the classical candidate.
-    EXPECT_LE(result.best_energy, result.initial.energy + 1e-12);
-    EXPECT_NEAR(result.quantum_us, solver.schedule().duration_us() * 30.0, 1e-9);
-    EXPECT_GE(result.initial.elapsed_us, 0.0);
-    EXPECT_NEAR(e.reduced.model.energy(result.best_bits), result.best_energy, 1e-9);
+    EXPECT_LE(best_energy, candidate.energy + 1e-12);
+    EXPECT_NEAR(e.reduced.model.energy(candidate.bits), best_energy, 1e-9);
+
+    // The gsra path is those two calls: the same answer on the same stream,
+    // with the classical wall time and the programmed quantum time
+    // (schedule duration x reads) as its two stages.
+    const auto path = hcq::paths::registry::make("gsra:reads=30,sp=0.45,pause_us=1");
+    EXPECT_EQ(path->name(), "GS+RA");
+    hcq::paths::workspace ws;
+    const auto result = path->run({e.instance, &e.reduced, path_rng, &ws});
+    EXPECT_EQ(result.bits, candidate.bits);
+    ASSERT_EQ(result.stages.size(), 2u);
+    EXPECT_GE(result.stages[0].service_us, 0.0);
+    EXPECT_NEAR(result.stages[1].service_us, schedule.duration_us() * 30.0, 1e-9);
 }
 
 TEST(HybridSolver, GsInitialStateIsGoodQuality) {

@@ -12,6 +12,8 @@
 #include "detect/sphere.h"
 #include "metrics/ber.h"
 #include "metrics/delta_e.h"
+#include "paths/registry.h"
+#include "paths/workspace.h"
 #include "pipeline/pipeline.h"
 #include "qubo/preprocess.h"
 #include "util/rng.h"
@@ -75,12 +77,15 @@ TEST(Integration, HybridFindsOptimumOnSmallInstances) {
     hcq::util::rng rng(2025);
     const auto corpus = hy::make_paper_corpus(77, 3, 3, wl::modulation::qam16);
     const an::annealer_emulator device;
+    const an::anneal_program program = device.program(an::anneal_schedule::reverse(0.29, 1.0));
     const sv::greedy_search gs;
-    const hy::hybrid_solver solver(gs, device, an::anneal_schedule::reverse(0.29, 1.0), 120);
+    sv::solve_scratch scratch;
     int solved = 0;
     for (const auto& e : corpus) {
-        const auto result = solver.solve(e.reduced.model, rng);
-        if (result.best_energy <= e.optimal_energy + 1e-6) ++solved;
+        auto candidate = gs.solve(e.reduced.model, rng);
+        const double energy = hy::refine_into(device, program, 120, e.reduced.model, rng,
+                                              scratch, candidate.bits, candidate.energy);
+        if (energy <= e.optimal_energy + 1e-6) ++solved;
     }
     EXPECT_GE(solved, 2);
 }
@@ -199,18 +204,20 @@ TEST(Integration, HybridPipelineMeetsLatencyBudget) {
 }
 
 TEST(Integration, FullQuantumVsHybridTimingAccounting) {
-    // The hybrid's quantum_us must equal duration x reads, and adding the
-    // classical time yields the end-to-end cost used by the ablation bench.
+    // The gsra path's quantum stage must equal duration x reads, and adding
+    // its classical stage yields the hybrid's end-to-end cost.
     hcq::util::rng rng(2030);
     const auto e = hy::make_paper_instance(rng, 4, wl::modulation::qpsk);
-    const an::annealer_emulator device;
-    const sv::greedy_search gs;
     const auto schedule = an::anneal_schedule::reverse(0.41, 1.0);
-    const hy::hybrid_solver solver(gs, device, schedule, 25);
-    const auto result = solver.solve(e.reduced.model, rng);
-    EXPECT_NEAR(result.quantum_us, schedule.duration_us() * 25.0, 1e-9);
-    const double end_to_end = result.initial.elapsed_us + result.quantum_us;
-    EXPECT_GE(end_to_end, result.quantum_us);
+    const auto hybrid = hcq::paths::registry::make("gsra:reads=25,sp=0.41,pause_us=1");
+    hcq::paths::workspace ws;
+    const auto result = hybrid->run({e.instance, &e.reduced, rng, &ws});
+    ASSERT_EQ(result.stages.size(), 2u);
+    const double classical_us = result.stages[0].service_us;
+    const double quantum_us = result.stages[1].service_us;
+    EXPECT_NEAR(quantum_us, schedule.duration_us() * 25.0, 1e-9);
+    const double end_to_end = classical_us + quantum_us;
+    EXPECT_GE(end_to_end, quantum_us);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // Tests for the detection-path spec grammar and factory registry: parse /
 // to_string round-trips, the CLI list grammar, registry construction with
 // self-documenting errors, spec round-trips through make (serial and from
-// several threads), and the guards on a path's context.
+// several threads), the guards on a path's context, and every kind's stage
+// timings against its declared stages.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -315,6 +317,33 @@ TEST(Registry, BuiltinPathsRejectMissingWorkspace) {
     const pt::path_context ctx{instance, &mq, solve_rng};  // ws left null
     for (const char* spec : {"zf", "kbest", "sa:reads=1,sweeps=5", "gsra:reads=1"}) {
         EXPECT_THROW((void)pt::registry::make(spec)->run(ctx), std::invalid_argument) << spec;
+    }
+}
+
+TEST(Registry, EveryKindEmitsItsDeclaredStages) {
+    // A stage timing carries no name: the link names it by its index into
+    // stage_names().  So every kind must emit exactly that many finite,
+    // non-negative times on every use, and declare one server count per
+    // stage.  One result is reused across the kinds, as a worker reuses it.
+    hcq::util::rng rng(35);
+    const auto instance =
+        hcq::wireless::noiseless_paper_instance(rng, 2, hcq::wireless::modulation::qpsk);
+    const auto mq = hcq::detect::ml_to_qubo(instance);
+    pt::workspace ws;
+    pt::path_result out;
+    for (const std::string& kind : pt::registry::available()) {
+        SCOPED_TRACE(kind);
+        const auto path = pt::registry::make(kind);
+        const auto names = path->stage_names();
+        EXPECT_FALSE(names.empty());
+        EXPECT_EQ(path->stage_servers().size(), names.size());
+        hcq::util::rng solve_rng(36);
+        path->run_into({instance, &mq, solve_rng, &ws}, out);
+        ASSERT_EQ(out.stages.size(), names.size());
+        for (const pt::stage_time& stage : out.stages) {
+            EXPECT_TRUE(std::isfinite(stage.service_us));
+            EXPECT_GE(stage.service_us, 0.0);
+        }
     }
 }
 
