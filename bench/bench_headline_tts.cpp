@@ -9,8 +9,14 @@
 // (classical GS time amortised per read) on success probability and TTS.
 // Part B repeats the comparison across all four modulations at 36 variables
 // (the Figure-6 corpus recipe).
+//
+// An instance is a TTS win when the speedup FA TTS / GS+RA TTS exceeds
+// tts_margin, a loss below 1 / tts_margin, and a tie otherwise.  TTS
+// includes the measured GS time, so a speedup near 1 moves run to run; the
+// margin keeps such rows from flipping between a win and a loss.
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -29,6 +35,8 @@ namespace an = hcq::anneal;
 namespace hy = hcq::hybrid;
 namespace wl = hcq::wireless;
 
+constexpr double tts_margin = 1.1;
+
 struct outcome {
     double fa_p = 0.0;
     double fa_tts = std::numeric_limits<double>::infinity();
@@ -37,6 +45,29 @@ struct outcome {
 
     [[nodiscard]] double speedup() const { return fa_tts / ra_tts; }
     [[nodiscard]] double p_ratio() const { return fa_p > 0.0 ? ra_p / fa_p : 0.0; }
+};
+
+/// Instances the hybrid wins, ties and loses on TTS at tts_margin.  Neither
+/// method solving (speedup NaN) is a tie; only one solving is a win or a
+/// loss.
+struct verdicts {
+    std::size_t wins = 0;
+    std::size_t ties = 0;
+    std::size_t losses = 0;
+
+    void add(const outcome& o) {
+        const double x = o.speedup();
+        if (x > tts_margin) {
+            ++wins;
+        } else if (x < 1.0 / tts_margin) {
+            ++losses;
+        } else {
+            ++ties;
+        }
+    }
+    [[nodiscard]] std::string to_string() const {
+        return std::to_string(wins) + "/" + std::to_string(ties) + "/" + std::to_string(losses);
+    }
 };
 
 outcome best_parameter_duel(const an::annealer_emulator& device,
@@ -76,7 +107,8 @@ std::string fmt_or_inf(double v, int precision = 1) {
 
 int main(int argc, char** argv) {
     const hcq::bench::context ctx(argc, argv);
-    ctx.banner("Headline: best-parameter hybrid GS+RA vs best-parameter FA",
+    ctx.banner("Headline: best-parameter hybrid GS+RA vs best-parameter FA (a TTS win or loss "
+               "needs a speedup beyond " + hcq::util::format_double(tts_margin, 1) + "x)",
                "Kim et al., HotNets'20, abstract + Section 4.3");
 
     const std::size_t instances = ctx.scaled(8);
@@ -99,19 +131,17 @@ int main(int argc, char** argv) {
                             "TTS speedup x", "p* ratio x"});
         hcq::metrics::running_stats speedups;
         double max_ratio = 0.0;
-        std::size_t wins = 0;
+        verdicts tts;
         for (std::size_t i = 0; i < instances; ++i) {
             const auto& o = outcomes[i];
             t.add(i, o.fa_p, fmt_or_inf(o.fa_tts), o.ra_p, fmt_or_inf(o.ra_tts),
                   fmt_or_inf(o.speedup(), 2), hcq::util::format_double(o.p_ratio(), 2));
-            if (!std::isinf(o.speedup()) && !std::isnan(o.speedup())) {
-                speedups.add(o.speedup());
-                if (o.speedup() > 1.0) ++wins;
-            }
+            if (!std::isinf(o.speedup()) && !std::isnan(o.speedup())) speedups.add(o.speedup());
+            tts.add(o);
             max_ratio = std::max(max_ratio, o.p_ratio());
         }
         ctx.emit(t);
-        std::cout << "hybrid wins TTS on " << wins << "/" << instances
+        std::cout << "hybrid TTS wins/ties/losses " << tts.to_string() << " of " << instances
                   << " instances; mean speedup " << hcq::util::format_double(speedups.mean(), 2)
                   << "x, max " << hcq::util::format_double(speedups.max(), 2)
                   << "x; max success-probability ratio "
@@ -121,7 +151,7 @@ int main(int argc, char** argv) {
     // --- Part B: all modulations at 36 variables (Figure-6 recipe). ---
     std::cout << "[B] 36-variable corpus per modulation, " << instances << " instances each\n";
     hcq::util::table t({"modulation", "FA mean p*", "GS+RA mean p*", "mean TTS speedup x",
-                        "hybrid TTS wins"});
+                        "hybrid TTS wins/ties/losses"});
     for (const auto mod : wl::all_modulations()) {
         const std::size_t users = wl::users_for_variables(mod, 36);
         const auto corpus = hy::make_paper_corpus(ctx.seed + static_cast<std::uint64_t>(mod),
@@ -132,18 +162,16 @@ int main(int argc, char** argv) {
             outcomes[i] = best_parameter_duel(device, corpus[i], reads, rng);
         });
         hcq::metrics::running_stats fa_p, ra_p, speedups;
-        std::size_t wins = 0;
+        verdicts tts;
         for (const auto& o : outcomes) {
             fa_p.add(o.fa_p);
             ra_p.add(o.ra_p);
-            if (!std::isinf(o.speedup()) && !std::isnan(o.speedup())) {
-                speedups.add(o.speedup());
-                if (o.speedup() > 1.0) ++wins;
-            }
+            if (!std::isinf(o.speedup()) && !std::isnan(o.speedup())) speedups.add(o.speedup());
+            tts.add(o);
         }
         t.add(wl::to_string(mod), fa_p.mean(), ra_p.mean(),
               speedups.count() > 0 ? hcq::util::format_double(speedups.mean(), 2) : "-",
-              std::to_string(wins) + "/" + std::to_string(instances));
+              tts.to_string());
     }
     ctx.emit(t);
     std::cout << "Paper shape check: the hybrid attains better TTS than FA on most 16-QAM\n"

@@ -21,6 +21,7 @@
 #include "detect/transform.h"
 #include "fec/code_spec.h"
 #include "fec/codec.h"
+#include "linalg/matrix.h"
 #include "paths/registry.h"
 #include "paths/workspace.h"
 #include "qubo/generator.h"
@@ -189,6 +190,48 @@ void bm_synthesize_use(benchmark::State& state) {
     }
 }
 BENCHMARK(bm_synthesize_use);
+
+/// H(t) alone: the 4x4 Jakes sum-of-sinusoids process (16 sinusoids per
+/// entry, 5 Hz at 1000 uses/s) at a new use time each iteration.
+void bm_channel_at_jakes(benchmark::State& state) {
+    const auto process = wl::make_channel_process(
+        wl::channel_spec::parse("jakes:doppler_hz=5,sinusoids=16"), 4, 4, hcq::util::rng(31));
+    hcq::util::rng unused(32);
+    hcq::linalg::cmat h;
+    process->at_into(0.0, unused, h);
+    double t = 0.0;
+    for (auto _ : state) {
+        process->at_into(t, unused, h);
+        t += 1.0;
+        benchmark::DoNotOptimize(h.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(bm_channel_at_jakes);
+
+/// One 4x4 16-QAM use at 16 dB on link_coded_arq's channel
+/// (jakes:doppler_hz=5,est_err=0.02): H(t), the tx bits, AWGN and the
+/// pilot-estimation error, at a new use time each iteration.
+void bm_synthesize_use_jakes(benchmark::State& state) {
+    wl::mimo_config mimo;
+    mimo.mod = wl::modulation::qam16;
+    mimo.num_users = 4;
+    mimo.num_antennas = 4;
+    mimo.noise_variance = wl::noise_variance_for_snr(mimo.mod, 4, 16.0);
+    const auto spec = wl::channel_spec::parse("jakes:doppler_hz=5,est_err=0.02");
+    const auto process = wl::make_channel_process(spec, 4, 4, hcq::util::rng(31));
+    hcq::util::rng rng(33);
+    wl::mimo_instance inst;
+    wl::synthesize_at_coded_into(rng, mimo, *process, 0.0, spec.est_err, {}, inst);
+    double t = 0.0;
+    for (auto _ : state) {
+        wl::synthesize_at_coded_into(rng, mimo, *process, t, spec.est_err, {}, inst);
+        t += 1.0;
+        benchmark::DoNotOptimize(inst.y.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(bm_synthesize_use_jakes);
 
 /// Times `det.detect_into` with a scratch warmed by one untimed call.
 template <typename Detector>

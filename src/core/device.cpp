@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "classical/metropolis.h"
 
@@ -141,12 +142,13 @@ void anneal_read(const annealer_config& config, const qubo::qubo_model& q,
 
 /// Runs `num_reads` reads, read r on stream r derived from one salt drawn
 /// from `rng`, and hands each read's state and energy to `on_read`.
+/// `caller` names the public entry in the zero-reads error.
 template <typename OnRead>
-void run_reads(const annealer_config& config, const qubo::qubo_model& q,
+void run_reads(const char* caller, const annealer_config& config, const qubo::qubo_model& q,
                const anneal_program& program, std::size_t num_reads, util::rng& rng,
                const qubo::bit_vector* initial, solvers::solve_scratch& scratch,
                OnRead&& on_read) {
-    if (num_reads == 0) throw std::invalid_argument("annealer_emulator::sample: zero reads");
+    if (num_reads == 0) throw std::invalid_argument(std::string(caller) + ": zero reads");
     // One fresh salt per call so repeated calls with the same generator see
     // different, but fully deterministic, streams.
     const util::rng stream_base(rng());
@@ -194,8 +196,8 @@ double annealer_emulator::sample_best_into(const qubo::qubo_model& q,
                                            qubo::bit_vector& best) const {
     double best_energy = 0.0;
     bool has_best = false;
-    run_reads(config_, q, program, num_reads, rng, initial, scratch,
-              [&](const qubo::bit_vector& bits, double energy) {
+    run_reads("annealer_emulator::sample_best_into", config_, q, program, num_reads, rng,
+              initial, scratch, [&](const qubo::bit_vector& bits, double energy) {
                   if (!has_best || energy < best_energy) {
                       has_best = true;
                       best_energy = energy;
@@ -211,8 +213,9 @@ solvers::sample_set annealer_emulator::sample(
     solvers::solve_scratch scratch;
     solvers::sample_set out;
     out.reserve(num_reads);
-    run_reads(config_, q, program(schedule), num_reads, rng, initial ? &*initial : nullptr,
-              scratch, [&](const qubo::bit_vector& bits, double energy) { out.add(bits, energy); });
+    run_reads("annealer_emulator::sample", config_, q, program(schedule), num_reads, rng,
+              initial ? &*initial : nullptr, scratch,
+              [&](const qubo::bit_vector& bits, double energy) { out.add(bits, energy); });
     return out;
 }
 

@@ -103,7 +103,8 @@ public:
     /// num_reads independent anneals (each from the same initial state for
     /// reverse schedules, as on hardware).  Internally derives one RNG
     /// stream per read, so results are independent of read order; every
-    /// read runs on one scratch per call.
+    /// read runs on one scratch per call.  Throws std::invalid_argument
+    /// when `num_reads` is 0.
     [[nodiscard]] solvers::sample_set sample(
         const qubo::qubo_model& q, const anneal_schedule& schedule, std::size_t num_reads,
         util::rng& rng, const std::optional<qubo::bit_vector>& initial = std::nullopt) const;
@@ -120,6 +121,7 @@ public:
     /// buffer), returning its energy.  Identical RNG streams and identical
     /// selection to sample(...).best() — the first strictly-lowest read wins.
     /// With the default config a warmed-up call performs no allocations.
+    /// Throws std::invalid_argument when `num_reads` is 0.
     double sample_best_into(const qubo::qubo_model& q, const anneal_program& program,
                             std::size_t num_reads, util::rng& rng,
                             const qubo::bit_vector* initial, solvers::solve_scratch& scratch,

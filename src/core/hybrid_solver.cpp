@@ -13,6 +13,7 @@ double refine_into(const anneal::annealer_emulator& device, const anneal::anneal
         throw std::invalid_argument(
             "refine_into: program must start classical (reverse annealing)");
     }
+    if (num_reads == 0) throw std::invalid_argument("refine_into: zero reads");
     const double device_energy =
         device.sample_best_into(q, program, num_reads, rng, &best, scratch, scratch.bits_b);
     if (device_energy < energy) {

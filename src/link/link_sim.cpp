@@ -23,6 +23,7 @@ namespace {
 // the retransmission-concentration behaviour the acceptance scenario
 // measures — while at high Doppler the retry sees a fresh channel.
 constexpr double retx_lag_uses = 1.0;
+static_assert(retx_lag_uses == 1.0, "on_air's first-instance rule counts whole uses");
 
 void validate(const link_config& config) {
     if (config.num_uses == 0) throw std::invalid_argument("link: zero channel uses");
@@ -335,6 +336,13 @@ link_report run_link_simulation(const link_config& config) {
         // r from the (use, attempt) ARQ stream, the fading process one lag
         // later per attempt.  A coded frame puts the same coded bits on the
         // air every attempt; an uncoded use draws its own.
+        // Attempt r of use j is on the air at t = u0 + m, m = j + r, which
+        // the frame first reached with attempt 0 of use m when m < F (uses
+        // per frame), else with attempt m - F + 1 of use F - 1.  A
+        // correlated H(t) is a pure function of t that draws nothing from
+        // the use's stream, so when that first instance is an earlier one,
+        // the use goes on the air through its true channel — the same
+        // instance, bit for bit.  Attempt 0 is its own first instance.
         const auto on_air = [&](worker& w, std::size_t fi, std::size_t attempt, bool reduce) {
             const std::size_t i0 = fi * uses_per_frame;
             const std::size_t k0 = attempt * uses_per_frame;
@@ -348,9 +356,18 @@ link_report run_link_simulation(const link_config& config) {
                         pad_use_bits(w.coded, j, bits_per_use, w.use_bits);
                         bits = w.use_bits;
                     }
+                    const std::size_t m = j + attempt;
+                    const std::size_t first =
+                        m < uses_per_frame
+                            ? m
+                            : (m - uses_per_frame + 1) * uses_per_frame + uses_per_frame - 1;
                     const double t =
                         static_cast<double>(u) + static_cast<double>(attempt) * retx_lag_uses;
-                    const double synth_us = kernel.synthesize(rng, t, bits, w.uses[k0 + j]);
+                    const double synth_us =
+                        kernel.correlated() && first != k0 + j
+                            ? kernel.synthesize_given(rng, w.uses[first].true_channel(), bits,
+                                                      w.uses[k0 + j])
+                            : kernel.synthesize(rng, t, bits, w.uses[k0 + j]);
                     if (attempt == 0) {
                         records[i0 + j].synth_us = synth_us;
                         records[i0 + j].reduce_us = 0.0;

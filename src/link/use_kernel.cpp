@@ -27,6 +27,14 @@ double use_kernel::synthesize(util::rng& rng, double t, std::span<const std::uin
     return clock.elapsed_us();
 }
 
+double use_kernel::synthesize_given(util::rng& rng, const linalg::cmat& h_true,
+                                    std::span<const std::uint8_t> tx_bits,
+                                    wireless::mimo_instance& out) const {
+    const util::timer clock;
+    wireless::synthesize_given_coded_into(rng, mimo_, h_true, est_err_, tx_bits, out);
+    return clock.elapsed_us();
+}
+
 double use_kernel::reduce(const wireless::mimo_instance& instance, paths::workspace& ws,
                           detect::ml_qubo& out) {
     const util::timer clock;

@@ -66,6 +66,17 @@ public:
     double synthesize(util::rng& rng, double t, std::span<const std::uint8_t> tx_bits,
                       wireless::mimo_instance& out) const;
 
+    /// synthesize through a true channel the caller already holds
+    /// (wireless::synthesize_given_coded_into).  When correlated(), the
+    /// true channel of a use synthesised at `t` gives synthesize(rng, t,
+    /// ...)'s instance bit for bit, without evaluating H(t) again.
+    double synthesize_given(util::rng& rng, const linalg::cmat& h_true,
+                            std::span<const std::uint8_t> tx_bits,
+                            wireless::mimo_instance& out) const;
+
+    /// wireless::channel_process::correlated of the stream's channel.
+    [[nodiscard]] bool correlated() const noexcept { return process_->correlated(); }
+
     /// QuAMax reduction of `instance` into `out`, in `ws`'s scratch.
     /// Returns the measured wall time in µs.
     static double reduce(const wireless::mimo_instance& instance, paths::workspace& ws,

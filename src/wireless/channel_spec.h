@@ -108,7 +108,11 @@ public:
         return h;
     }
 
-    /// True when consecutive uses are correlated (jakes/watterson).
+    /// True when consecutive uses are correlated (jakes/watterson).  Then
+    /// at_into's H is a pure function of `t`, bit for bit, and `use_rng` is
+    /// left untouched; the link relies on this to put a retransmission on
+    /// the air through an H(t) its frame already holds.  False for the
+    /// i.i.d. kinds, which draw H from `use_rng`.
     [[nodiscard]] virtual bool correlated() const noexcept = 0;
 
     [[nodiscard]] virtual std::size_t num_antennas() const noexcept = 0;

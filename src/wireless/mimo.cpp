@@ -129,6 +129,16 @@ void synthesize_at_coded_into(util::rng& rng, const mimo_config& config,
                    [&](linalg::cmat& h) { process.at_into(t, rng, h); });
 }
 
+void synthesize_given_coded_into(util::rng& rng, const mimo_config& config,
+                                 const linalg::cmat& h_true, double csi_error_variance,
+                                 std::span<const std::uint8_t> tx_bits, mimo_instance& inst) {
+    if (h_true.rows() != config.num_antennas || h_true.cols() != config.num_users) {
+        throw std::invalid_argument("synthesize_given: channel dimensions mismatch config");
+    }
+    synthesize_use(rng, config, csi_error_variance, tx_bits, inst,
+                   [&](linalg::cmat& h) { h = h_true; });
+}
+
 mimo_instance noiseless_paper_instance(util::rng& rng, std::size_t num_users, modulation mod) {
     mimo_config config;
     config.mod = mod;

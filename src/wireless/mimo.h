@@ -112,6 +112,16 @@ void synthesize_at_coded_into(util::rng& rng, const mimo_config& config,
                               double csi_error_variance,
                               std::span<const std::uint8_t> tx_bits, mimo_instance& inst);
 
+/// synthesize_at_coded_into through a true channel `h_true` the caller
+/// already holds instead of a process evaluation.  The rng is consumed as
+/// a correlated process consumes it (no channel draw), so when `h_true` is
+/// H(t) of a correlated process the instance is bit-identical to
+/// synthesize_at_coded_into at t.  Throws std::invalid_argument when
+/// `h_true` is not num_antennas x num_users.
+void synthesize_given_coded_into(util::rng& rng, const mimo_config& config,
+                                 const linalg::cmat& h_true, double csi_error_variance,
+                                 std::span<const std::uint8_t> tx_bits, mimo_instance& inst);
+
 /// The exact corpus recipe of the paper: unit-gain random-phase channel,
 /// N_r = N_t = num_users, no AWGN.
 [[nodiscard]] mimo_instance noiseless_paper_instance(util::rng& rng, std::size_t num_users,

@@ -34,6 +34,7 @@
 #include "paths/workspace.h"
 #include "pipeline/pipeline.h"
 #include "util/rng.h"
+#include "wireless/channel_spec.h"
 #include "wireless/mimo.h"
 
 namespace {
@@ -284,6 +285,35 @@ TEST(AllocRegression, CodedTreeSearchFramesReuseWorkerScratch) {
         (static_cast<double>(long_run) - static_cast<double>(short_run)) /
         static_cast<double>(n);
     EXPECT_LT(per_use, 0.1);
+}
+
+TEST(AllocRegression, CorrelatedRetransmissionsReuseWorkerScratch) {
+    // The coded chase-ARQ link on a correlated channel with imperfect CSI:
+    // a retransmission goes on the air through the H(t) an earlier attempt
+    // of its frame holds, copied into the worker's instance.  deadline_us=0
+    // retransmits every frame max_retx = 2 times, so doubling the stream
+    // adds 2n retransmitted uses; as above, the window buffers match in
+    // both runs.
+    hcq::link::link_config config;
+    config.num_users = 4;
+    config.mod = wl::modulation::qam16;
+    config.paths = pt::parse_spec_list("mmse,kbest");
+    config.channel_spec = wl::channel_spec::parse("jakes:doppler_hz=5,est_err=0.02");
+    config.num_threads = 1;
+    config.stream_block = 256;
+    config.fec = hcq::fec::code_spec::parse("k7");
+    config.arq = hcq::arq::parse_arq("deadline_us=0,max_retx=2,combining=chase");
+    constexpr std::size_t n = 512;
+    config.num_uses = n;
+    // One untimed run first: lazy statics cost one-time allocations.
+    (void)link_allocations(config);
+    const std::uint64_t short_run = link_allocations(config);
+    config.num_uses = 2 * n;
+    const std::uint64_t long_run = link_allocations(config);
+    const double per_retransmission =
+        (static_cast<double>(long_run) - static_cast<double>(short_run)) /
+        static_cast<double>(2 * n);
+    EXPECT_LT(per_retransmission, 0.1);
 }
 
 /// Bytes requested by one streaming open-loop replay of `num_jobs` offered

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -335,6 +336,30 @@ TEST(Device, BestOnlySampleMatchesBestOfTheSampleSet) {
             EXPECT_EQ(got_rng(), want_rng());
         }
     }
+}
+
+TEST(Device, ZeroReadsErrorNamesTheEntryCalled) {
+    hcq::util::rng rng(32);
+    const auto m = q::random_qubo(rng, 6, 1.0, -1.0, 1.0);
+    const an::annealer_emulator device;
+    const auto fa = an::anneal_schedule::forward_plain(1.0);
+    hcq::solvers::solve_scratch scratch;
+    q::bit_vector best;
+    const auto message = [](const auto& call) -> std::string {
+        try {
+            call();
+        } catch (const std::invalid_argument& e) {
+            return e.what();
+        }
+        return "no throw";
+    };
+    EXPECT_EQ(message([&] { (void)device.sample(m, fa, 0, rng); }),
+              "annealer_emulator::sample: zero reads");
+    EXPECT_EQ(message([&] {
+                  (void)device.sample_best_into(m, device.program(fa), 0, rng, nullptr, scratch,
+                                                best);
+              }),
+              "annealer_emulator::sample_best_into: zero reads");
 }
 
 /// "0101..." for a bit vector, so a pinned read prints readably on failure.

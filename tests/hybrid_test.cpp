@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "classical/greedy.h"
 #include "core/experiment.h"
@@ -145,7 +147,8 @@ TEST(Experiment, AnnealerHarvestProducesBinnedRelaxedStates) {
 
 TEST(HybridSolver, RequiresReverseSchedule) {
     // The quantum stage refines a classical seed: a forward program, whose
-    // reads start from fair random bits, is rejected, and so are zero reads.
+    // reads start from fair random bits, is rejected, and so are zero reads,
+    // by an error that names the function called.
     hcq::util::rng rng(53);
     const auto e = hy::make_paper_instance(rng, 2, wl::modulation::qpsk);
     const an::annealer_emulator device;
@@ -155,10 +158,13 @@ TEST(HybridSolver, RequiresReverseSchedule) {
                                        device.program(an::anneal_schedule::forward_plain(1.0)),
                                        10, e.reduced.model, rng, scratch, bits, e.optimal_energy),
                  std::invalid_argument);
-    EXPECT_THROW((void)hy::refine_into(device,
-                                       device.program(an::anneal_schedule::reverse(0.5, 1.0)), 0,
-                                       e.reduced.model, rng, scratch, bits, e.optimal_energy),
-                 std::invalid_argument);
+    try {
+        (void)hy::refine_into(device, device.program(an::anneal_schedule::reverse(0.5, 1.0)), 0,
+                              e.reduced.model, rng, scratch, bits, e.optimal_energy);
+        FAIL() << "zero reads accepted";
+    } catch (const std::invalid_argument& err) {
+        EXPECT_NE(std::string(err.what()).find("refine_into"), std::string::npos) << err.what();
+    }
 }
 
 TEST(HybridSolver, SolvesAndAccounts) {

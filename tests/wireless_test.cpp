@@ -4,8 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <set>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "wireless/channel.h"
 #include "wireless/channel_spec.h"
@@ -353,6 +359,90 @@ TEST(Mimo, DeterministicGivenSeed) {
     const auto i2 = wl::noiseless_paper_instance(b, 3, modulation::qpsk);
     EXPECT_EQ(i1.tx_bits, i2.tx_bits);
     EXPECT_NEAR((i1.h - i2.h).norm_fro(), 0.0, 0.0);
+}
+
+/// Same shape and the same bytes: bit-for-bit equality, -0.0 and NaN included.
+/// An empty buffer's data() may be null, which memcmp must not see.
+bool same_bits(const hcq::linalg::cxd* a, const hcq::linalg::cxd* b, std::size_t n) {
+    return n == 0 || std::memcmp(a, b, n * sizeof(*a)) == 0;
+}
+bool same_bits(const hcq::linalg::cmat& a, const hcq::linalg::cmat& b) {
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           same_bits(a.data(), b.data(), a.rows() * a.cols());
+}
+bool same_bits(const hcq::linalg::cvec& a, const hcq::linalg::cvec& b) {
+    return a.size() == b.size() && same_bits(a.data(), b.data(), a.size());
+}
+
+TEST(Mimo, GivenChannelSynthesisEqualsProcessSynthesis) {
+    // A correlated process's H(t) draws nothing from the use's stream, so a
+    // use synthesised through a true channel H(t) already held (the coded
+    // link's retransmissions) is the use synthesize_at_coded_into gives at
+    // t: every field, and the stream's next draws.  `got` is reused across
+    // cases, as a link worker's instance is.
+    wl::mimo_config config;
+    config.mod = modulation::qam16;
+    config.num_users = 4;
+    config.num_antennas = 4;
+    config.noise_variance = wl::noise_variance_for_snr(config.mod, 4, 16.0);
+    const std::vector<std::uint8_t> coded_bits{1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1};
+    wl::mimo_instance source;
+    wl::mimo_instance got;
+    std::uint64_t seed = 0;
+    for (const char* kind : {"jakes", "watterson:taps=2"}) {
+        const auto process =
+            wl::make_channel_process(wl::channel_spec::parse(kind), 4, 4, hcq::util::rng(3));
+        ASSERT_TRUE(process->correlated());
+        for (const double est_err : {0.0, 0.02}) {
+            for (const bool coded : {false, true}) {
+                const std::span<const std::uint8_t> bits =
+                    coded ? std::span<const std::uint8_t>(coded_bits)
+                          : std::span<const std::uint8_t>();
+                for (const double t : {0.0, 1.0, 17.0, 4096.0, 1e6 + 3.0}) {
+                    SCOPED_TRACE(std::string(kind) + " est_err=" + std::to_string(est_err) +
+                                 (coded ? " coded" : " uncoded") + " t=" + std::to_string(t));
+                    // The source use: another stream's instance at t.
+                    hcq::util::rng source_rng(1000 + seed);
+                    wl::synthesize_at_coded_into(source_rng, config, *process, t, est_err, {},
+                                                 source);
+                    hcq::util::rng want_rng(++seed);
+                    hcq::util::rng got_rng = want_rng;
+                    wl::mimo_instance want;
+                    wl::synthesize_at_coded_into(want_rng, config, *process, t, est_err, bits,
+                                                 want);
+                    wl::synthesize_given_coded_into(got_rng, config, source.true_channel(),
+                                                    est_err, bits, got);
+                    EXPECT_TRUE(same_bits(got.h, want.h));
+                    EXPECT_TRUE(same_bits(got.h_true, want.h_true));
+                    EXPECT_EQ(got.h_true.empty(), est_err == 0.0);
+                    EXPECT_EQ(got.tx_bits, want.tx_bits);
+                    EXPECT_TRUE(same_bits(got.tx_symbols, want.tx_symbols));
+                    EXPECT_TRUE(same_bits(got.y, want.y));
+                    EXPECT_EQ(got.noise_variance, want.noise_variance);
+                    EXPECT_EQ(got.csi_error_variance, want.csi_error_variance);
+                    EXPECT_EQ(got_rng(), want_rng());
+                    EXPECT_EQ(got_rng(), want_rng());
+                }
+            }
+        }
+    }
+    hcq::util::rng rng(5);
+    EXPECT_THROW(wl::synthesize_given_coded_into(rng, config, hcq::linalg::cmat(4, 3), 0.0, {},
+                                                 got),
+                 std::invalid_argument);
+}
+
+TEST(ChannelSpec, OnlyTheTimeCorrelatedKindsAreCorrelated) {
+    // The coded link reuses H(t) across a frame's attempts only for
+    // correlated processes; the i.i.d. kinds draw H from the use's stream.
+    const auto correlated = [](const char* kind) {
+        return wl::make_channel_process(wl::channel_spec::parse(kind), 2, 2, hcq::util::rng(1))
+            ->correlated();
+    };
+    EXPECT_FALSE(correlated("rayleigh"));
+    EXPECT_FALSE(correlated("random-phase"));
+    EXPECT_TRUE(correlated("jakes"));
+    EXPECT_TRUE(correlated("watterson"));
 }
 
 TEST(ChannelSpec, ProcessIsBuiltFromTheSpecAsGiven) {

@@ -75,6 +75,13 @@ constexpr channel_case kCodedArqChannel[] = {
     {"jakes-csi", "jakes:doppler_hz=5,est_err=0.02"},
 };
 
+/// The same chain on i.i.d. fading, where a retransmission draws its own H
+/// from its ARQ stream; only a correlated channel lets it reuse an H(t)
+/// that its frame already holds.
+constexpr channel_case kCodedArqIidChannel[] = {
+    {"rayleigh", nullptr},
+};
+
 /// One path's statistics on one channel.  Coded and ARQ columns are 0 when
 /// the config leaves FEC or ARQ off.
 struct golden_row {
@@ -305,6 +312,17 @@ TEST(Workspace, CodedPlainArqMatchesGoldens) {
          888.49940700992647},
     };
     run_matrix(coded_arq_config("plain"), kCodedArqChannel, golden);
+}
+
+TEST(Workspace, CodedChaseArqOnIidFadingMatchesGoldens) {
+    // Recorded at a7d6bf4, before correlated channels reused H(t).
+    const golden_row golden[] = {
+        {"rayleigh", "MMSE", 344, 2048, 23, 105, 17, 13, 16, 4, 35, 16, 20, 4, 4, 0, 4,
+         1487.583660428186},
+        {"rayleigh", "K-best", 188, 2048, 72, 56, 32, 8, 16, 4, 91, 16, 20, 4, 4, 0, 4,
+         678.01316702315171},
+    };
+    run_matrix(coded_arq_config("chase"), kCodedArqIidChannel, golden);
 }
 
 }  // namespace
